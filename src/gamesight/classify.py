@@ -20,6 +20,7 @@ ROLE_STUN = "stun_webrtc"
 ROLE_UNCLASSIFIED = "unclassified"
 
 CONSOLE_ROLES = (ROLE_DOWN_VIDEO, ROLE_DOWN_AUDIO, ROLE_UP_AUDIO, ROLE_USER_INPUT)
+VIDEO_ROLES = (ROLE_DOWN_VIDEO, ROLE_COMBINED)  # the flows QoE is measured on
 
 CLASSIFY_WINDOWS = 3  # median over the first closed windows skips the startup transient
 
@@ -87,6 +88,37 @@ def classify_windows(
     return ROLE_UNCLASSIFIED
 
 
+def starts_gameplay(flow: FlowState, reg: ServerRegistration, criteria: ClassifierCriteria) -> bool:
+    """Whether `flow` goes to the registered gameplay server and starts
+    within `mgmt_window_s` of the registration."""
+    return (
+        flow.key.server_ip == reg.server_ip
+        and reg.registered_at <= flow.first_ts <= reg.registered_at + criteria.mgmt_window_s
+    )
+
+
+def is_gameplay_flow(flow: FlowState, reg: ServerRegistration, criteria: ClassifierCriteria) -> bool:
+    """The gate a UDP flow passes to belong to the registered server's
+    gameplay start: `starts_gameplay`, and a server port within the
+    platform's gameplay port range when it has one.
+
+    `Analyzer` applies it at a flow's first packet, and classifies the
+    flow once its first `CLASSIFY_WINDOWS` windows close, to keep QoE
+    state for a video flow only; classification applies it again at the
+    end. The answers differ only in a capture out of time order (the
+    registering packet later in the file than the flow's first packet but
+    not later in time, or a late packet in a window that has classified
+    the flow): the flow is still classified, but may give its session no
+    QoE.
+    """
+    if not starts_gameplay(flow, reg, criteria):
+        return False
+    if reg.server_port_range is None:
+        return True
+    lo, hi = reg.server_port_range
+    return lo <= flow.key.server_port <= hi
+
+
 def classify_flow(
     flow: FlowState,
     windows: list[VolumetricStats],
@@ -95,14 +127,8 @@ def classify_flow(
 ) -> str:
     """Role of a candidate gameplay UDP flow, or unclassified when the flow
     does not belong to the registered server's gameplay start."""
-    if flow.key.server_ip != reg.server_ip:
+    if not is_gameplay_flow(flow, reg, criteria):
         return ROLE_UNCLASSIFIED
-    if flow.first_ts < reg.registered_at or flow.first_ts > reg.registered_at + criteria.mgmt_window_s:
-        return ROLE_UNCLASSIFIED
-    if reg.server_port_range is not None:
-        lo, hi = reg.server_port_range
-        if not (lo <= flow.key.server_port <= hi):
-            return ROLE_UNCLASSIFIED
     return classify_windows(windows, reg.setup_class, criteria)
 
 

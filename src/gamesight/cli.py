@@ -54,9 +54,8 @@ def main():
 @click.option("--client-nets", default="", help="Comma-separated client CIDRs.")
 @click.option("--codebook", default=None, type=click.Path(), help="Codebook config file.")
 @click.option("--out", "out_dir", default=".", type=click.Path())
-@click.option("--interval", default=1.0, show_default=True, help="Window length in seconds.")
 @click.option("--video-min-mbps", default=None, type=float, help="Override downstream-video threshold.")
-def analyze(pcaps, client_nets, codebook, out_dir, interval, video_min_mbps):
+def analyze(pcaps, client_nets, codebook, out_dir, video_min_mbps):
     """Run the full pipeline on capture files; writes sessions.jsonl and qoe.csv."""
     codebook = codebook or default_codebook_path()
     if not Path(codebook).exists():
@@ -75,7 +74,7 @@ def analyze(pcaps, client_nets, codebook, out_dir, interval, video_min_mbps):
     qoe_rows = []
     counters = {}
     for i, path in enumerate(pcaps):
-        analyzer = Analyzer(codebooks=books, criteria=criteria, client_nets=nets, interval=interval)
+        analyzer = Analyzer(codebooks=books, criteria=criteria, client_nets=nets)
         try:
             rep = analyzer.analyze_file(path)
         except (MalformedHeader, FileNotFoundError) as exc:

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NoSuchWindow
-from .packets import TCP, TCP_SYN, Direction, PacketRecord
+from .packets import TCP_SYN, Direction, PacketRecord
 
+WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
 DEFAULT_IDLE_TIMEOUT = 60.0
 DEFAULT_TABLE_CAP = 1_048_576
 FIRST_PAYLOADS_CAP = 4  # longest handshake signature has 4 entries
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     client_ip: str
     client_port: int
     server_ip: str
@@ -59,29 +59,23 @@ class FlowState:
     first_payload_sizes_up: list = field(default_factory=list)
     first_payload_sizes_down: list = field(default_factory=list)
     sni: Optional[str] = None
-    role: Optional[str] = None
     total_pkts: int = 0
     total_bytes: int = 0
-
-    def window_indices(self, interval: float) -> range:
-        return range(int(self.first_ts // interval), int(self.last_ts // interval) + 1)
 
 
 class FlowTable:
     """Single-writer flow accumulator keyed by canonical five-tuple.
 
-    Windows are aligned to multiples of `interval` in absolute capture
+    Windows are aligned to multiples of `WINDOW_S` in absolute capture
     time, so every flow's window grid lines up for cross-flow comparison.
     """
 
     def __init__(
         self,
         client_nets: Iterable[str] = (),
-        interval: float = 1.0,
         cap: int = DEFAULT_TABLE_CAP,
     ):
         self.client_nets = [ipaddress.ip_network(n) for n in client_nets]
-        self.interval = interval
         self.cap = cap
         self.flows: dict[FlowKey, FlowState] = {}
         self.now = 0.0
@@ -101,9 +95,8 @@ class FlowTable:
 
     def canonical_key(self, pkt: PacketRecord) -> tuple[FlowKey, Direction]:
         """Same key for both directions; Upstream iff the source is client-side."""
-        ft = pkt.five_tuple
-        src_is_client = self._is_client(ft.src_ip)
-        dst_is_client = self._is_client(ft.dst_ip)
+        src_is_client = self._is_client(pkt.src_ip)
+        dst_is_client = self._is_client(pkt.dst_ip)
         if src_is_client and not dst_is_client:
             up = True
         elif dst_is_client and not src_is_client:
@@ -112,11 +105,11 @@ class FlowTable:
             # neither (or both) side in the configured nets: lower IP is
             # deemed the client so that the key stays involution-stable
             self.orientation_warnings += 1
-            up = (ft.src_ip, ft.src_port) < (ft.dst_ip, ft.dst_port)
+            up = (pkt.src_ip, pkt.src_port) < (pkt.dst_ip, pkt.dst_port)
         if up:
-            key = FlowKey(ft.src_ip, ft.src_port, ft.dst_ip, ft.dst_port, ft.proto)
+            key = FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
             return key, Direction.UPSTREAM
-        key = FlowKey(ft.dst_ip, ft.dst_port, ft.src_ip, ft.src_port, ft.proto)
+        key = FlowKey(pkt.dst_ip, pkt.dst_port, pkt.src_ip, pkt.src_port, pkt.proto)
         return key, Direction.DOWNSTREAM
 
     # -- updates -------------------------------------------------------
@@ -136,7 +129,7 @@ class FlowTable:
         flow.total_pkts += 1
         flow.total_bytes += pkt.payload_len
 
-        idx = int(pkt.ts // self.interval)
+        idx = int(pkt.ts // WINDOW_S)
         win = flow.windows.get(idx)
         if win is None:
             win = [0, 0, 0, 0]
@@ -148,9 +141,7 @@ class FlowTable:
             win[1] += 1
             win[3] += pkt.payload_len
 
-        if pkt.payload_len > 0 and not (
-            pkt.tcp_meta is not None and pkt.tcp_meta.flags & TCP_SYN
-        ):
+        if pkt.payload_len > 0 and not (pkt.flags is not None and pkt.flags & TCP_SYN):
             sizes = (
                 flow.first_payload_sizes_up
                 if direction is Direction.UPSTREAM
@@ -169,7 +160,7 @@ class FlowTable:
 
     def _stats_at(self, flow: FlowState, idx: int) -> VolumetricStats:
         win = flow.windows.get(idx)
-        stats = VolumetricStats(window_start=idx * self.interval, interval=self.interval)
+        stats = VolumetricStats(window_start=idx * WINDOW_S, interval=WINDOW_S)
         if win is not None:
             stats.pkt_count_in, stats.pkt_count_out = win[0], win[1]
             stats.byte_count_in, stats.byte_count_out = win[2], win[3]
@@ -177,19 +168,19 @@ class FlowTable:
 
     def window_stats(self, flow: FlowState, window_end: float) -> VolumetricStats:
         """Closed window ending at `window_end`; partial windows never returned."""
-        idx = int(round(window_end / self.interval)) - 1
-        current = int(self.now // self.interval)
+        idx = int(round(window_end / WINDOW_S)) - 1
+        current = int(self.now // WINDOW_S)
         if idx >= current:
             raise NoSuchWindow("window ending at %s not yet closed" % window_end)
-        if idx < int(flow.first_ts // self.interval) or idx > int(flow.last_ts // self.interval):
+        if idx < int(flow.first_ts // WINDOW_S) or idx > int(flow.last_ts // WINDOW_S):
             raise NoSuchWindow("window ending at %s outside flow lifetime" % window_end)
         return self._stats_at(flow, idx)
 
     def window_series(self, flow: FlowState, closed_only: bool = True) -> list[VolumetricStats]:
         """Gap-free window series over the flow's lifetime (zero windows included)."""
-        current = int(self.now // self.interval)
+        current = int(self.now // WINDOW_S)
         out = []
-        for idx in flow.window_indices(self.interval):
+        for idx in range(int(flow.first_ts // WINDOW_S), int(flow.last_ts // WINDOW_S) + 1):
             if closed_only and idx >= current:
                 break
             out.append(self._stats_at(flow, idx))

@@ -6,7 +6,7 @@ import socket
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import pcap
 from .errors import MalformedHeader
@@ -38,38 +38,22 @@ class SkipReason(Enum):
 
 
 @dataclass(slots=True)
-class TcpMeta:
-    seq: int
-    ack: int
-    flags: int
-    header_len: int
+class PacketRecord:
+    """One parsed packet. `seq`, `ack` and `flags` are None when it carries
+    no TCP header: on UDP, and on the tail fragments of a TCP segment."""
 
-
-@dataclass(slots=True)
-class FiveTuple:
+    ts: float
     src_ip: str
     src_port: int
     dst_ip: str
     dst_port: int
     proto: int  # TCP or UDP
-
-
-@dataclass(slots=True)
-class PacketRecord:
-    ts: float
-    five_tuple: FiveTuple
     payload_len: int
-    tcp_meta: Optional[TcpMeta] = None
-    direction: Optional[Direction] = None  # assigned by the flow engine
-    server_name: Optional[str] = None
+    seq: Optional[int] = None
+    ack: Optional[int] = None
+    flags: Optional[int] = None
     payload: Optional[bytes] = None  # TCP only; raw bytes for SNI extraction
-
-
-@dataclass
-class CaptureSource:
-    origin: str
-    link_type: str = "auto"  # "Ethernet", "RawIP" or "auto" (from pcap header)
-    ts_resolution: str = "micro"
+    direction: Optional[Direction] = None  # assigned by the flow engine
 
 
 class _FragCache:
@@ -159,16 +143,12 @@ def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache) -> PacketRecord | S
             return SkipReason.FRAGMENT
         if proto not in (TCP, UDP):
             return SkipReason.NON_TCP_UDP
-        five = FiveTuple(src, ports[0], dst, ports[1], proto)
-        return PacketRecord(ts=ts, five_tuple=five, payload_len=ip_payload_len)
+        return PacketRecord(ts, src, ports[0], dst, ports[1], proto, ip_payload_len)
 
     rec = _parse_transport(raw, off + ihl, ip_payload_len, proto, src, dst, ts)
     if more_frags and isinstance(rec, PacketRecord) and frag_cache is not None:
         ip_id = (raw[off + 4] << 8) | raw[off + 5]
-        frag_cache.put(
-            (src, dst, proto, ip_id),
-            (rec.five_tuple.src_port, rec.five_tuple.dst_port),
-        )
+        frag_cache.put((src, dst, proto, ip_id), (rec.src_port, rec.dst_port))
     return rec
 
 
@@ -191,11 +171,7 @@ def _parse_transport(
             return SkipReason.TRUNCATED
         sport = (raw[off] << 8) | raw[off + 1]
         dport = (raw[off + 2] << 8) | raw[off + 3]
-        return PacketRecord(
-            ts=ts,
-            five_tuple=FiveTuple(src, sport, dst, dport, UDP),
-            payload_len=ip_payload_len - 8,
-        )
+        return PacketRecord(ts, src, sport, dst, dport, UDP, ip_payload_len - 8)
     if proto == TCP:
         if ip_payload_len < 20 or len(raw) < off + 20:
             return SkipReason.TRUNCATED
@@ -205,13 +181,8 @@ def _parse_transport(
             return SkipReason.TRUNCATED
         flags = raw[off + 13]
         payload_len = ip_payload_len - data_off
-        return PacketRecord(
-            ts=ts,
-            five_tuple=FiveTuple(src, sport, dst, dport, TCP),
-            payload_len=payload_len,
-            tcp_meta=TcpMeta(seq=seq, ack=ack, flags=flags, header_len=data_off),
-            payload=raw[off + data_off : off + data_off + payload_len] if payload_len else None,
-        )
+        payload = raw[off + data_off : off + data_off + payload_len] if payload_len else None
+        return PacketRecord(ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
     return SkipReason.NON_TCP_UDP
 
 
@@ -222,29 +193,20 @@ class CaptureStats:
     skip_reasons: dict = field(default_factory=dict)
 
 
-def read_capture(
-    source: CaptureSource | str,
-    stats: Optional[CaptureStats] = None,
-) -> Iterator[PacketRecord]:
+def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
     """Stream PacketRecords from a PCAP file, skipping non-IP/non-TCP-UDP frames."""
-    if isinstance(source, str):
-        source = CaptureSource(origin=source)
-    with open(source.origin, "rb") as fh:
-        yield from read_capture_fh(fh, stats)
-
-
-def read_capture_fh(fh: BinaryIO, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
-    header = pcap.read_header(fh)
-    if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
-        raise MalformedHeader("unsupported link type %d" % header.link_type)
-    frag_cache = _FragCache()
-    link = header.link_type
-    for ts, raw, orig_len in pcap.read_records(fh, header):
-        rec = parse_packet(raw, link, ts, frag_cache)
-        if isinstance(rec, PacketRecord):
-            if stats is not None:
-                stats.packets += 1
-            yield rec
-        elif stats is not None:
-            stats.skipped += 1
-            stats.skip_reasons[rec.value] = stats.skip_reasons.get(rec.value, 0) + 1
+    with open(path, "rb") as fh:
+        header = pcap.read_header(fh)
+        if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
+            raise MalformedHeader("unsupported link type %d" % header.link_type)
+        frag_cache = _FragCache()
+        link = header.link_type
+        for ts, raw, orig_len in pcap.read_records(fh, header):
+            rec = parse_packet(raw, link, ts, frag_cache)
+            if isinstance(rec, PacketRecord):
+                if stats is not None:
+                    stats.packets += 1
+                yield rec
+            elif stats is not None:
+                stats.skipped += 1
+                stats.skip_reasons[rec.value] = stats.skip_reasons.get(rec.value, 0) + 1

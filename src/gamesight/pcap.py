@@ -57,8 +57,8 @@ def read_header(fh: BinaryIO) -> PcapHeader:
 def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int]]:
     """Yield (timestamp, captured bytes, original length) per record.
 
-    A record whose body is cut short by EOF is dropped silently; the
-    caller sees the stream simply end (capture.read_capture counts it).
+    A record whose header or body is cut short by EOF is dropped
+    silently: the stream simply ends, and no counter records it.
     """
     rec = _REC_HDR_LE if header.byte_order == "<" else _REC_HDR_BE
     div = 1e9 if header.ts_resolution == "nano" else 1e6

@@ -3,25 +3,26 @@
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import (
+    CLASSIFY_WINDOWS,
     ClassifierCriteria,
-    ROLE_COMBINED,
-    ROLE_DOWN_VIDEO,
     ROLE_MGMT,
     ROLE_UNCLASSIFIED,
+    VIDEO_ROLES,
     classify_flow,
+    is_gameplay_flow,
+    starts_gameplay,
 )
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
-from .flows import FlowKey, FlowTable
-from .packets import TCP, UDP, CaptureStats, Direction, read_capture
+from .flows import WINDOW_S, FlowKey, FlowTable
+from .packets import UDP, CaptureStats, Direction, read_capture
 from .qoe import (
     WARMUP_INTERVALS,
-    FrameRateTracker,
+    FlowQoe,
     LatencyTracker,
     QoeSample,
     ResolutionTable,
@@ -48,7 +49,6 @@ class Analyzer:
         codebooks: Optional[list[ServiceCodebook]] = None,
         criteria: Optional[ClassifierCriteria] = None,
         client_nets: tuple = (),
-        interval: float = 1.0,
         resolution_table: Optional[ResolutionTable] = None,
     ):
         if codebooks is None:
@@ -57,14 +57,14 @@ class Analyzer:
                 criteria = ClassifierCriteria.from_dict(crit_dict)
         self.codebooks = codebooks
         self.criteria = criteria or ClassifierCriteria()
-        self.table = FlowTable(client_nets=client_nets, interval=interval)
+        self.table = FlowTable(client_nets=client_nets)
         self.detector = SessionDetector(codebooks)
         self.resolution_table = resolution_table or ResolutionTable()
         self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
         # per-flow side state
         self._reassemblers: dict[FlowKey, SniReassembler] = {}
         self._latency: dict[FlowKey, LatencyTracker] = {}
-        self._udp_store: dict[FlowKey, tuple[array, array, bytearray]] = {}
+        self._flow_qoe: dict[FlowKey, FlowQoe] = {}
         self._sig_done: set[FlowKey] = set()
         self._sig_match: dict[FlowKey, tuple[str, str]] = {}
 
@@ -80,13 +80,29 @@ class Analyzer:
         flow = self.table.update(pkt)
         key = flow.key
         if key.proto == UDP:
-            store = self._udp_store.get(key)
-            if store is None:
-                store = (array("d"), array("l"), bytearray())
-                self._udp_store[key] = store
-            store[0].append(pkt.ts)
-            store[1].append(pkt.payload_len)
-            store[2].append(1 if pkt.direction is Direction.UPSTREAM else 0)
+            state = self._flow_qoe.get(key)
+            if state is None:
+                if flow.total_pkts > 1 or not any(
+                    is_gameplay_flow(flow, reg, self.criteria)
+                    for reg in self.detector.registrations.values()
+                ):
+                    return
+                state = self._flow_qoe[key] = FlowQoe()
+            elif (
+                state.pending is not None
+                and int(pkt.ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS
+            ):
+                # the windows that classify the flow have closed: only a
+                # video flow goes on to the frame detector
+                if not any(
+                    self._role(flow, reg) in VIDEO_ROLES
+                    for reg in self.detector.registrations.values()
+                ):
+                    del self._flow_qoe[key]
+                    return
+                state.start()
+            if pkt.direction is Direction.DOWNSTREAM:  # upstream never feeds the frame detector
+                state.feed(pkt.payload_len, pkt.ts)
             return
 
         tracker = self._latency.get(key)
@@ -114,6 +130,12 @@ class Analyzer:
             and key not in self._sig_done
         ):
             self._try_signature(flow, pkt.ts)
+
+    def _role(self, flow, reg: ServerRegistration) -> Optional[str]:
+        """Role of a UDP flow in `reg`'s gameplay, None if it does not start it."""
+        if not starts_gameplay(flow, reg, self.criteria):
+            return None
+        return classify_flow(flow, self.table.window_series(flow), reg, self.criteria)
 
     def _on_sni(self, flow, name: str, pkt) -> None:
         flow.sni = name
@@ -172,20 +194,13 @@ class Analyzer:
             session.gameplay_flows.append((key, ROLE_MGMT))
             video_flow = None
             for flow in self.table.flows.values():
-                if flow.key.proto != UDP or flow.key.server_ip != reg.server_ip:
-                    continue
-                windows = self.table.window_series(flow)[:3]
-                role = classify_flow(flow, windows, reg, self.criteria)
+                role = self._role(flow, reg) if flow.key.proto == UDP else None
+                if role is None:
+                    continue  # unrelated to this gameplay start
                 if role == ROLE_UNCLASSIFIED:
-                    if not (
-                        reg.registered_at
-                        <= flow.first_ts
-                        <= reg.registered_at + self.criteria.mgmt_window_s
-                    ):
-                        continue  # unrelated to this gameplay start
                     unclassified += 1
                 session.gameplay_flows.append((flow.key, role))
-                if role in (ROLE_DOWN_VIDEO, ROLE_COMBINED):
+                if role in VIDEO_ROLES:
                     video_flow = flow
             report.qoe[session.session_id] = self._session_qoe(key, video_flow)
 
@@ -220,27 +235,13 @@ class Analyzer:
         return report
 
     def _session_qoe(self, mgmt_key: FlowKey, video_flow) -> list[QoeSample]:
-        if video_flow is None:
+        state = None if video_flow is None else self._flow_qoe.get(video_flow.key)
+        if state is None:
             return []
-        store = self._udp_store.get(video_flow.key)
-        if store is None:
+        state.start()  # a flow shorter than its classifying windows is still pending
+        if state.t0 is None:
             return []
-        ts_arr, size_arr, dir_arr = store
-        tracker = FrameRateTracker()
-        fps_samples = []
-        t0 = None
-        interval_bytes: dict[int, int] = {}
-        for ts, size, d in zip(ts_arr, size_arr, dir_arr):
-            if d:  # upstream never feeds the frame detector
-                continue
-            if t0 is None:
-                t0 = ts
-            interval_bytes[int((ts - t0) / tracker.interval_s)] = (
-                interval_bytes.get(int((ts - t0) / tracker.interval_s), 0) + size
-            )
-            fps_samples.extend(tracker.feed(size, ts))
-        if t0 is None:
-            return []
+        t0, interval_bytes = state.t0, state.interval_bytes
 
         latency_buckets: dict[int, list[float]] = {}
         lat = self._latency.get(mgmt_key)
@@ -250,7 +251,7 @@ class Analyzer:
                 latency_buckets.setdefault(idx, []).append(sample.latency_ms)
 
         samples = []
-        for k, fs in enumerate(fps_samples):
+        for k, fs in enumerate(state.fps_samples):
             bits = interval_bytes.get(k, 0) * 8
             peak = max(
                 interval_bytes.get(j, 0) * 8

@@ -3,7 +3,7 @@ from payload-size patterns, and resolution band from peak bitrate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .packets import Direction, PacketRecord
@@ -20,7 +20,6 @@ RES_SD = "sd"
 RES_UNKNOWN = "unknown"
 
 PENDING_EXPIRY_S = 4.0  # two heartbeat periods
-PEAK_WINDOW_S = 10
 ACTIVITY_FLOOR_BPS = 2_000_000.0
 WARMUP_INTERVALS = 2
 
@@ -42,15 +41,14 @@ class LatencyTracker:
         self.negative_discarded = 0
 
     def feed(self, pkt: PacketRecord) -> Optional[LatencySample]:
-        meta = pkt.tcp_meta
-        if meta is None or pkt.direction is None:
+        if pkt.flags is None or pkt.direction is None:
             return None
         if pkt.direction is Direction.UPSTREAM:
             if pkt.payload_len > 0:  # pure ACKs are never registered
-                self.pending[(meta.seq + pkt.payload_len) % U32] = pkt.ts
+                self.pending[(pkt.seq + pkt.payload_len) % U32] = pkt.ts
                 self._expire(pkt.ts)
             return None
-        t_up = self.pending.pop(meta.ack, None)
+        t_up = self.pending.pop(pkt.ack, None)
         if t_up is None:
             return None
         delta = pkt.ts - t_up
@@ -113,6 +111,37 @@ class FrameRateTracker:
         return out
 
 
+class FlowQoe:
+    """Streaming QoE inputs of one candidate gameplay flow, fed with its
+    downstream packets in capture order: the frame-rate samples and the
+    bytes per interval, both counted from the first downstream packet.
+    Packets wait in `pending` until `start`, once the flow's role is known."""
+
+    __slots__ = ("tracker", "fps_samples", "t0", "interval_bytes", "pending")
+
+    def __init__(self):
+        self.tracker = FrameRateTracker()
+        self.fps_samples: list[FpsSample] = []
+        self.t0: Optional[float] = None
+        self.interval_bytes: dict[int, int] = {}
+        self.pending: Optional[list[tuple[int, float]]] = []
+
+    def feed(self, payload_len: int, ts: float) -> None:
+        if self.pending is not None:
+            self.pending.append((payload_len, ts))
+            return
+        if self.t0 is None:
+            self.t0 = ts
+        idx = int((ts - self.t0) / self.tracker.interval_s)
+        self.interval_bytes[idx] = self.interval_bytes.get(idx, 0) + payload_len
+        self.fps_samples.extend(self.tracker.feed(payload_len, ts))
+
+    def start(self) -> None:
+        pending, self.pending = self.pending, None
+        for payload_len, ts in pending or ():
+            self.feed(payload_len, ts)
+
+
 def fps_band(fps: float) -> str:
     if fps < 40:
         return FPS_LOW
@@ -150,10 +179,6 @@ class ResolutionTable:
         return RES_FHD
 
 
-def infer_resolution(table: ResolutionTable, fps: float, peak_bitrate_bps: float) -> str:
-    return table.infer(fps, peak_bitrate_bps)
-
-
 @dataclass(slots=True)
 class QoeSample:
     ts: float
@@ -163,9 +188,3 @@ class QoeSample:
     bitrate_mbps: float
     resolution: str
     warmup: bool = False
-
-
-@dataclass
-class QoeSeries:
-    session_id: str
-    samples: list[QoeSample] = field(default_factory=list)

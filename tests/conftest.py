@@ -1,7 +1,7 @@
 import pytest
 
 from gamesight.flows import VolumetricStats
-from gamesight.packets import FiveTuple, PacketRecord, TcpMeta, TCP, UDP
+from gamesight.packets import PacketRecord, TCP, UDP
 
 
 def udp_record(
@@ -12,11 +12,7 @@ def udp_record(
     dport: int,
     payload_len: int,
 ) -> PacketRecord:
-    return PacketRecord(
-        ts=ts,
-        five_tuple=FiveTuple(src, sport, dst, dport, UDP),
-        payload_len=payload_len,
-    )
+    return PacketRecord(ts, src, sport, dst, dport, UDP, payload_len)
 
 
 def tcp_record(
@@ -32,11 +28,7 @@ def tcp_record(
     payload: bytes = None,
 ) -> PacketRecord:
     return PacketRecord(
-        ts=ts,
-        five_tuple=FiveTuple(src, sport, dst, dport, TCP),
-        payload_len=payload_len,
-        tcp_meta=TcpMeta(seq=seq, ack=ack, flags=flags, header_len=20),
-        payload=payload,
+        ts, src, sport, dst, dport, TCP, payload_len, seq=seq, ack=ack, flags=flags, payload=payload
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import FrameRateTracker, WARMUP_INTERVALS
 from gamesight.flows import FlowTable
-from gamesight.packets import FiveTuple, PacketRecord, UDP
+from gamesight.packets import PacketRecord, UDP
 from gamesight.synth import SessionProfile, write_session
 
 NETS = ("192.0.2.0/24",)
@@ -313,16 +313,8 @@ def test_criterion_8_flow_accounting():
             b = rng.choice(endpoints)
             if a == b:
                 continue
-            pkt = PacketRecord(
-                ts=ts,
-                five_tuple=FiveTuple(a[0], a[1], b[0], b[1], UDP),
-                payload_len=rng.randrange(0, 1500),
-            )
-            mirror = PacketRecord(
-                ts=ts,
-                five_tuple=FiveTuple(b[0], b[1], a[0], a[1], UDP),
-                payload_len=0,
-            )
+            pkt = PacketRecord(ts, a[0], a[1], b[0], b[1], UDP, rng.randrange(0, 1500))
+            mirror = PacketRecord(ts, b[0], b[1], a[0], a[1], UDP, 0)
             k1, d1 = table.canonical_key(pkt)
             k2, d2 = table.canonical_key(mirror)
             if k1 != k2 or d1 is d2:  # canonicalization must be an involution

@@ -3,6 +3,7 @@ import struct
 from gamesight import pcap
 from gamesight.packets import (
     CaptureStats,
+    Direction,
     PacketRecord,
     SkipReason,
     TCP,
@@ -11,6 +12,7 @@ from gamesight.packets import (
     parse_packet,
     read_capture,
 )
+from gamesight.qoe import LatencyTracker
 from gamesight.synth import ipv4_tcp, ipv4_udp
 
 RAW = pcap.LINKTYPE_RAW_IP
@@ -35,12 +37,11 @@ def test_rawip_udp():
     frame = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 40)
     rec = parse_packet(frame, RAW, 1.0)
     assert isinstance(rec, PacketRecord)
-    ft = rec.five_tuple
-    assert (ft.src_ip, ft.src_port, ft.dst_ip, ft.dst_port, ft.proto) == (
+    assert (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port, rec.proto) == (
         "10.0.0.1", 1234, "10.0.0.2", 53, UDP,
     )
     assert rec.payload_len == 40
-    assert rec.tcp_meta is None
+    assert (rec.seq, rec.ack, rec.flags, rec.payload) == (None, None, None, None)
 
 
 def test_rawip_tcp_with_payload_bytes():
@@ -48,9 +49,10 @@ def test_rawip_tcp_with_payload_bytes():
     rec = parse_packet(frame, RAW, 1.0)
     assert rec.payload_len == 5
     assert rec.payload == b"hello"
-    assert rec.tcp_meta.seq == 100
-    assert rec.tcp_meta.ack == 7
-    assert rec.tcp_meta.flags == 0x18
+    assert rec.proto == TCP
+    assert rec.seq == 100
+    assert rec.ack == 7
+    assert rec.flags == 0x18
 
 
 def test_tcp_empty_payload_has_no_bytes():
@@ -93,7 +95,7 @@ def test_ipv6_udp():
     hdr = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst
     rec = parse_packet(hdr + udp, RAW, 0.0)
     assert isinstance(rec, PacketRecord)
-    assert rec.five_tuple.src_port == 1000
+    assert rec.src_port == 1000
     assert rec.payload_len == 3
 
 
@@ -115,9 +117,28 @@ def test_fragment_tail_attributed_via_head():
     assert isinstance(rec1, PacketRecord)
     rec2 = parse_packet(tail, RAW, 0.1, cache)
     assert isinstance(rec2, PacketRecord)
-    assert rec2.five_tuple.src_port == 777
-    assert rec2.five_tuple.dst_port == 888
+    assert rec2.src_port == 777
+    assert rec2.dst_port == 888
     assert rec2.payload_len == 68  # the tail's whole IP payload
+
+
+def test_tcp_fragment_tail_has_no_tcp_header_fields():
+    head = bytearray(ipv4_tcp("10.0.0.1", "10.0.0.2", 1234, 443, 100, 7, 0x18, b"A" * 100))
+    head[4:6] = struct.pack("!H", 43)
+    head[6:8] = struct.pack("!H", 0x2000)
+    tail = bytearray(ipv4_udp("10.0.0.1", "10.0.0.2", 0, 0, b"B" * 60))
+    tail[4:6] = struct.pack("!H", 43)
+    tail[6:8] = struct.pack("!H", (100 + 20) // 8)
+    tail[9] = TCP
+    cache = _FragCache()
+    parse_packet(bytes(head), RAW, 0.0, cache)
+    rec = parse_packet(bytes(tail), RAW, 0.1, cache)
+    assert (rec.proto, rec.src_port, rec.dst_port) == (TCP, 1234, 443)
+    assert (rec.seq, rec.ack, rec.flags, rec.payload) == (None, None, None, None)
+    rec.direction = Direction.UPSTREAM
+    tracker = LatencyTracker()
+    assert tracker.feed(rec) is None
+    assert tracker.pending == {}  # no sequence number, so no pending pair
 
 
 def test_fragment_tail_without_head_skipped():

@@ -1,6 +1,7 @@
 import pytest
 
 from gamesight.pipeline import Analyzer
+from gamesight.qoe import FrameRateTracker
 from gamesight.synth import SessionProfile, write_session
 
 NETS = ("192.0.2.0/24",)
@@ -64,6 +65,23 @@ def test_qoe_matches_manifest(tmp_path):
     lat = [s.latency_ms for s in samples if s.latency_ms is not None]
     assert lat
     assert sum(lat) / len(lat) == pytest.approx(20.0, abs=1.0)
+
+
+def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
+    path, _ = _capture(tmp_path)
+    emitted = []
+    feed = FrameRateTracker.feed
+
+    def counted(self, payload_len, ts):
+        out = feed(self, payload_len, ts)
+        emitted.extend(out)
+        return out
+
+    monkeypatch.setattr(FrameRateTracker, "feed", counted)
+    report = _analyze(path)
+    # audio and input flows pass the gameplay gate too, but are dropped
+    # once classified; every frame-rate sample becomes a QoE row
+    assert len(emitted) == len(report.qoe[report.sessions[0].session_id]) > 0
 
 
 def test_pipeline_deterministic(tmp_path):
