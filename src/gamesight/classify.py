@@ -89,34 +89,13 @@ def classify_windows(
 
 
 def starts_gameplay(flow: FlowState, reg: ServerRegistration, criteria: ClassifierCriteria) -> bool:
-    """Whether `flow` goes to the registered gameplay server and starts
-    within `mgmt_window_s` of the registration."""
+    """Whether `flow` goes from the registration's client to the registered
+    gameplay server and starts within `mgmt_window_s` of the registration."""
     return (
         flow.key.server_ip == reg.server_ip
+        and flow.key.client_ip == reg.client_ip
         and reg.registered_at <= flow.first_ts <= reg.registered_at + criteria.mgmt_window_s
     )
-
-
-def is_gameplay_flow(flow: FlowState, reg: ServerRegistration, criteria: ClassifierCriteria) -> bool:
-    """The gate a UDP flow passes to belong to the registered server's
-    gameplay start: `starts_gameplay`, and a server port within the
-    platform's gameplay port range when it has one.
-
-    `Analyzer` applies it at a flow's first packet, and classifies the
-    flow once its first `CLASSIFY_WINDOWS` windows close, to keep QoE
-    state for a video flow only; classification applies it again at the
-    end. The answers differ only in a capture out of time order (the
-    registering packet later in the file than the flow's first packet but
-    not later in time, or a late packet in a window that has classified
-    the flow): the flow is still classified, but may give its session no
-    QoE.
-    """
-    if not starts_gameplay(flow, reg, criteria):
-        return False
-    if reg.server_port_range is None:
-        return True
-    lo, hi = reg.server_port_range
-    return lo <= flow.key.server_port <= hi
 
 
 def classify_flow(
@@ -126,9 +105,14 @@ def classify_flow(
     criteria: ClassifierCriteria,
 ) -> str:
     """Role of a candidate gameplay UDP flow, or unclassified when the flow
-    does not belong to the registered server's gameplay start."""
-    if not is_gameplay_flow(flow, reg, criteria):
+    does not start the registered server's gameplay or its server port is
+    outside the platform's gameplay port range."""
+    if not starts_gameplay(flow, reg, criteria):
         return ROLE_UNCLASSIFIED
+    if reg.server_port_range is not None:
+        lo, hi = reg.server_port_range
+        if not lo <= flow.key.server_port <= hi:
+            return ROLE_UNCLASSIFIED
     return classify_windows(windows, reg.setup_class, criteria)
 
 

@@ -100,7 +100,11 @@ def analyze(pcaps, client_nets, codebook, out_dir, video_min_mbps):
                     }
                 )
         for k, v in rep.counters.items():
-            if isinstance(v, int):
+            if isinstance(v, dict):
+                merged = counters.setdefault(k, {})
+                for reason, n in v.items():
+                    merged[reason] = merged.get(reason, 0) + n
+            else:
                 counters[k] = counters.get(k, 0) + v
         log.info("%s: %d sessions, %d qoe samples", path, len(rep.sessions), len(rep.qoe))
 

@@ -76,6 +76,7 @@ class ServerRegistration:
     ip_mismatch_warning: bool = False
     via_signature: bool = False
     session: Optional[SessionRecord] = None
+    flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
 
 
 @dataclass

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import NoSuchWindow
 from .packets import TCP_SYN, Direction, PacketRecord
+
+if TYPE_CHECKING:
+    from .detector import ServerRegistration
+    from .qoe import FlowQoe, LatencyTracker
+    from .tls import SniReassembler
 
 WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
 DEFAULT_IDLE_TIMEOUT = 60.0
@@ -61,6 +66,13 @@ class FlowState:
     sni: Optional[str] = None
     total_pkts: int = 0
     total_bytes: int = 0
+    # analyzer state, dropped with the flow when it is evicted
+    reasm: Optional[SniReassembler] = None  # the one ClientHello reassembly of a TCP flow
+    latency: Optional[LatencyTracker] = None  # on a registered management flow
+    signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
+    gameplay: Optional[ServerRegistration] = None  # UDP: the gameplay start it joined
+    role: Optional[str] = None  # decided once, when its classifying windows close
+    qoe: Optional[FlowQoe] = None  # frame-rate inputs while it may be the video flow
 
 
 class FlowTable:

@@ -191,10 +191,12 @@ class CaptureStats:
     packets: int = 0
     skipped: int = 0
     skip_reasons: dict = field(default_factory=dict)
+    truncated_tail: int = 0  # 1 when the file ends inside a record
 
 
 def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
-    """Stream PacketRecords from a PCAP file, skipping non-IP/non-TCP-UDP frames."""
+    """Stream PacketRecords from a PCAP file, skipping non-IP/non-TCP-UDP frames
+    and dropping a final record cut short by the end of the file."""
     with open(path, "rb") as fh:
         header = pcap.read_header(fh)
         if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
@@ -210,3 +212,5 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[Pa
             elif stats is not None:
                 stats.skipped += 1
                 stats.skip_reasons[rec.value] = stats.skip_reasons.get(rec.value, 0) + 1
+        if stats is not None and fh.tell() < fh.seek(0, 2):
+            stats.truncated_tail = 1  # read_records stopped at the start of a cut-short record

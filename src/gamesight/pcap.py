@@ -57,8 +57,10 @@ def read_header(fh: BinaryIO) -> PcapHeader:
 def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int]]:
     """Yield (timestamp, captured bytes, original length) per record.
 
-    A record whose header or body is cut short by EOF is dropped
-    silently: the stream simply ends, and no counter records it.
+    A record whose header or body is cut short by EOF is not yielded: the
+    stream ends with `fh` moved back to the start of that record, so a
+    caller can tell a cut-short tail from a clean end by comparing
+    `fh.tell()` with the file size.
     """
     rec = _REC_HDR_LE if header.byte_order == "<" else _REC_HDR_BE
     div = 1e9 if header.ts_resolution == "nano" else 1e6
@@ -67,10 +69,12 @@ def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, byte
     while True:
         raw = read(16)
         if len(raw) < 16:
+            fh.seek(-len(raw), 1)
             return
         ts_sec, ts_frac, incl_len, orig_len = unpack(raw)
         data = read(incl_len)
         if len(data) < incl_len:
+            fh.seek(-16 - len(data), 1)
             return
         # nanosecond stamps are truncated to microsecond precision
         frac = (ts_frac // 1000) / 1e6 if div == 1e9 else ts_frac / 1e6

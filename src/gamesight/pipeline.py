@@ -13,12 +13,11 @@ from .classify import (
     ROLE_UNCLASSIFIED,
     VIDEO_ROLES,
     classify_flow,
-    is_gameplay_flow,
     starts_gameplay,
 )
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
-from .flows import WINDOW_S, FlowKey, FlowTable
+from .flows import WINDOW_S, FlowTable
 from .packets import UDP, CaptureStats, Direction, read_capture
 from .qoe import (
     WARMUP_INTERVALS,
@@ -61,12 +60,6 @@ class Analyzer:
         self.detector = SessionDetector(codebooks)
         self.resolution_table = resolution_table or ResolutionTable()
         self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
-        # per-flow side state
-        self._reassemblers: dict[FlowKey, SniReassembler] = {}
-        self._latency: dict[FlowKey, LatencyTracker] = {}
-        self._flow_qoe: dict[FlowKey, FlowQoe] = {}
-        self._sig_done: set[FlowKey] = set()
-        self._sig_match: dict[FlowKey, tuple[str, str]] = {}
 
     # -- streaming ----------------------------------------------------
 
@@ -78,64 +71,65 @@ class Analyzer:
 
     def _feed(self, pkt) -> None:
         flow = self.table.update(pkt)
-        key = flow.key
-        if key.proto == UDP:
-            state = self._flow_qoe.get(key)
-            if state is None:
-                if flow.total_pkts > 1 or not any(
-                    is_gameplay_flow(flow, reg, self.criteria)
-                    for reg in self.detector.registrations.values()
-                ):
-                    return
-                state = self._flow_qoe[key] = FlowQoe()
-            elif (
-                state.pending is not None
+        if flow.key.proto == UDP:
+            if flow.total_pkts == 1:
+                self._join(flow)
+            if flow.gameplay is None:
+                return
+            if (
+                flow.role is None
                 and int(pkt.ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS
             ):
-                # the windows that classify the flow have closed: only a
-                # video flow goes on to the frame detector
-                if not any(
-                    self._role(flow, reg) in VIDEO_ROLES
-                    for reg in self.detector.registrations.values()
-                ):
-                    del self._flow_qoe[key]
-                    return
-                state.start()
-            if pkt.direction is Direction.DOWNSTREAM:  # upstream never feeds the frame detector
-                state.feed(pkt.payload_len, pkt.ts)
+                self._decide(flow)  # the windows that classify the flow have closed
+            if flow.qoe is not None and pkt.direction is Direction.DOWNSTREAM:
+                flow.qoe.feed(pkt.payload_len, pkt.ts)  # upstream never feeds the frame detector
             return
 
-        tracker = self._latency.get(key)
-        if tracker is not None:
-            tracker.feed(pkt)
+        if flow.latency is not None:
+            flow.latency.feed(pkt)
         if pkt.payload_len == 0:
             return
 
         if flow.sni is None and pkt.direction is Direction.UPSTREAM:
-            reasm = self._reassemblers.get(key)
-            if reasm is None and key not in self._sig_done:
-                reasm = SniReassembler()
-                self._reassemblers[key] = reasm
-            if reasm is not None and not reasm.done:
-                if pkt.payload is not None:
-                    name = reasm.feed(pkt.payload)
-                    if name:
-                        self._on_sni(flow, name, pkt)
-                if reasm.done:
-                    del self._reassemblers[key]
+            reasm = flow.reasm
+            if reasm is None and flow.signature is None:
+                reasm = flow.reasm = SniReassembler()
+            if reasm is not None and not reasm.done and pkt.payload is not None:
+                name = reasm.feed(pkt.payload)
+                if name:
+                    self._on_sni(flow, name, pkt)
 
-        if (
-            key.server_port in self.mgmt_ports
-            and key not in self._sig_match
-            and key not in self._sig_done
-        ):
+        if flow.signature is None and flow.key.server_port in self.mgmt_ports:
             self._try_signature(flow, pkt.ts)
 
-    def _role(self, flow, reg: ServerRegistration) -> Optional[str]:
-        """Role of a UDP flow in `reg`'s gameplay, None if it does not start it."""
-        if not starts_gameplay(flow, reg, self.criteria):
-            return None
-        return classify_flow(flow, self.table.window_series(flow), reg, self.criteria)
+    def _join(self, flow) -> None:
+        """A new UDP flow joins the first registration whose gameplay it starts,
+        with QoE state to hold its downstream packets until its role is known."""
+        for reg in self.detector.registrations.values():
+            if starts_gameplay(flow, reg, self.criteria):
+                flow.gameplay = reg
+                flow.qoe = FlowQoe()
+                reg.flows.append(flow)
+                return
+
+    def _registered(self, reg: ServerRegistration, mgmt_flow) -> None:
+        """Record a new registration's management flow and adopt the UDP flows
+        already in the table that start its gameplay (out of time order, they
+        came before the registering packet); having missed packets, they get no QoE."""
+        reg.flows.append(mgmt_flow)
+        for flow in self.table.flows.values():
+            if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg, self.criteria):
+                flow.gameplay = reg
+                reg.flows.append(flow)
+
+    def _decide(self, flow) -> None:
+        """Role of a joined flow from its first closed windows, decided once;
+        only a video flow keeps its QoE state."""
+        flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay, self.criteria)
+        if flow.qoe is not None and flow.role in VIDEO_ROLES:
+            flow.qoe.start()
+        else:
+            flow.qoe = None
 
     def _on_sni(self, flow, name: str, pkt) -> None:
         flow.sni = name
@@ -144,10 +138,11 @@ class Analyzer:
         self.detector.evaluate_codebook(key.client_ip, pkt.ts)
         if key.server_port in self.mgmt_ports:
             reg = self.detector.register_gameplay_server(name, key, pkt.ts)
-            if reg is not None and key not in self._latency:
-                tracker = LatencyTracker()
-                self._latency[key] = tracker
-                tracker.feed(pkt)  # the registering packet starts a pending pair
+            if reg is not None:
+                self._registered(reg, flow)
+                if flow.latency is None:
+                    flow.latency = LatencyTracker()
+                    flow.latency.feed(pkt)  # the registering packet starts a pending pair
 
     def _try_signature(self, flow, ts: float) -> None:
         key = flow.key
@@ -156,16 +151,15 @@ class Analyzer:
         for cb in self.codebooks:
             hit = match_setup_signature(cb.signatures, up, down, key.server_port, cb.mgmt_ports)
             if hit is not None:
-                os_name, setup_class = hit
-                self._sig_match[key] = hit
-                self._sig_done.add(key)
+                flow.signature = hit
                 if key not in self.detector.registrations:
-                    self.detector.register_by_signature(key, ts, cb.platform_id, setup_class)
-                if key not in self._latency:
-                    self._latency[key] = LatencyTracker()
+                    reg = self.detector.register_by_signature(key, ts, cb.platform_id, hit[1])
+                    self._registered(reg, flow)
+                if flow.latency is None:
+                    flow.latency = LatencyTracker()
                 return
         if len(down) >= 4 and len(up) >= 4:
-            self._sig_done.add(key)  # no signature will ever prefix-match now
+            flow.signature = ()  # no signature will ever prefix-match now
 
     # -- finalization -------------------------------------------------
 
@@ -174,8 +168,9 @@ class Analyzer:
         now = self.table.now
         fallback_ids = itertools.count(1)
         unclassified = 0
+        negative_latency = 0
 
-        for key, reg in self.detector.registrations.items():
+        for reg in self.detector.registrations.values():
             session = reg.session
             if session is None:
                 session = SessionRecord(
@@ -188,21 +183,32 @@ class Analyzer:
                     gameplay_started_at=reg.registered_at,
                 )
                 self.detector.sessions.append(session)
-            hit = self._sig_match.get(key)
-            if hit is not None:
-                session.os_hint = hit[0]
-            session.gameplay_flows.append((key, ROLE_MGMT))
-            video_flow = None
-            for flow in self.table.flows.values():
-                role = self._role(flow, reg) if flow.key.proto == UDP else None
-                if role is None:
-                    continue  # unrelated to this gameplay start
-                if role == ROLE_UNCLASSIFIED:
+            mgmt, *joined = reg.flows
+            if mgmt.signature:
+                os_name, setup_class = mgmt.signature
+                session.os_hint = os_name
+                report.signature_matches.append(
+                    {
+                        "client_ip": reg.client_ip,
+                        "server_ip": reg.server_ip,
+                        "server_port": mgmt.key.server_port,
+                        "os": os_name,
+                        "setup_class": setup_class,
+                    }
+                )
+            if mgmt.latency is not None:
+                negative_latency += mgmt.latency.negative_discarded
+            session.gameplay_flows.append((mgmt.key, ROLE_MGMT))
+            video = None
+            for flow in joined:
+                if flow.role is None:
+                    self._decide(flow)  # ended before its classifying windows closed
+                if flow.role == ROLE_UNCLASSIFIED:
                     unclassified += 1
-                session.gameplay_flows.append((flow.key, role))
-                if role in VIDEO_ROLES:
-                    video_flow = flow
-            report.qoe[session.session_id] = self._session_qoe(key, video_flow)
+                session.gameplay_flows.append((flow.key, flow.role))
+                if flow.role in VIDEO_ROLES:
+                    video = flow.qoe
+            report.qoe[session.session_id] = self._session_qoe(mgmt.latency, video)
 
         for session in self.detector.sessions:
             session.state = STATE_ENDED
@@ -210,44 +216,27 @@ class Analyzer:
                 session.ended_at = now
             report.sessions.append(session)
 
-        for key, (os_name, setup_class) in self._sig_match.items():
-            report.signature_matches.append(
-                {
-                    "client_ip": key.client_ip,
-                    "server_ip": key.server_ip,
-                    "server_port": key.server_port,
-                    "os": os_name,
-                    "setup_class": setup_class,
-                }
-            )
-
         report.counters = {
             "packets": stats.packets,
             "skipped": stats.skipped,
             "skip_reasons": dict(stats.skip_reasons),
+            "truncated_tail": stats.truncated_tail,
             "orientation_warnings": self.table.orientation_warnings,
             "flow_evictions": self.table.evictions,
             "unclassified_flows": unclassified,
-            "negative_latency_discarded": sum(
-                t.negative_discarded for t in self._latency.values()
-            ),
+            "negative_latency_discarded": negative_latency,
         }
         return report
 
-    def _session_qoe(self, mgmt_key: FlowKey, video_flow) -> list[QoeSample]:
-        state = None if video_flow is None else self._flow_qoe.get(video_flow.key)
-        if state is None:
-            return []
-        state.start()  # a flow shorter than its classifying windows is still pending
-        if state.t0 is None:
+    def _session_qoe(self, latency: Optional[LatencyTracker], state: Optional[FlowQoe]) -> list[QoeSample]:
+        if state is None or state.t0 is None:
             return []
         t0, interval_bytes = state.t0, state.interval_bytes
 
         latency_buckets: dict[int, list[float]] = {}
-        lat = self._latency.get(mgmt_key)
-        if lat is not None:
-            for sample in lat.samples:
-                idx = int((sample.ts - t0) // 1.0)
+        if latency is not None:
+            for sample in latency.samples:
+                idx = int((sample.ts - t0) // WINDOW_S)
                 latency_buckets.setdefault(idx, []).append(sample.latency_ms)
 
         samples = []

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .flows import WINDOW_S
 from .packets import Direction, PacketRecord
 
 U32 = 1 << 32
@@ -77,13 +78,12 @@ class FrameRateTracker:
 
     A growing running maximum identifies full-size data packets; a drop
     below (max - margin) right after a full-size packet marks the end of
-    one frame. Fps is emitted per elapsed interval; empty intervals yield
-    zero. The interval origin advances by whole intervals so that rates
-    are per-interval rather than cumulative.
+    one frame. Fps is emitted per elapsed `WINDOW_S` interval; empty
+    intervals yield zero. The interval origin advances by whole intervals
+    so that rates are per-interval rather than cumulative.
     """
 
-    def __init__(self, interval_s: float = 1.0, size_margin: int = 1):
-        self.interval_s = interval_s
+    def __init__(self, size_margin: int = 1):
         self.size_margin = size_margin
         self.frame_count = 0
         self.t_start: Optional[float] = None
@@ -95,10 +95,10 @@ class FrameRateTracker:
         if self.t_start is None:
             self.t_start = ts
             self.size_max = payload_len
-        while ts > self.t_start + self.interval_s:
-            out.append(FpsSample(self.t_start, self.frame_count / self.interval_s))
+        while ts > self.t_start + WINDOW_S:
+            out.append(FpsSample(self.t_start, self.frame_count / WINDOW_S))
             self.frame_count = 0
-            self.t_start += self.interval_s
+            self.t_start += WINDOW_S
         if payload_len > self.size_max:
             self.size_max = payload_len
             return out
@@ -132,7 +132,7 @@ class FlowQoe:
             return
         if self.t0 is None:
             self.t0 = ts
-        idx = int((ts - self.t0) / self.tracker.interval_s)
+        idx = int((ts - self.t0) / WINDOW_S)
         self.interval_bytes[idx] = self.interval_bytes.get(idx, 0) + payload_len
         self.fps_samples.extend(self.tracker.feed(payload_len, ts))
 

@@ -115,6 +115,11 @@ def test_gate_server_ip():
     assert classify_flow(flow, _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
 
 
+def test_gate_client_ip():
+    flow = FlowState(key=FlowKey("192.0.2.11", 49005, "203.0.113.7", 47000, 17), first_ts=100.2, last_ts=105.2)
+    assert classify_flow(flow, _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
+
+
 def test_gate_start_window():
     assert classify_flow(_flow(first_ts=101.0), _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
     assert classify_flow(_flow(first_ts=99.0), _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED

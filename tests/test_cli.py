@@ -128,3 +128,20 @@ def test_cgl_log_env_accepted(tmp_path):
         env={"CGL_LOG": "DEBUG"},
     )
     assert res.exit_code == 0
+
+
+def test_analyze_prints_skip_reasons(tmp_path):
+    from gamesight import pcap
+    from gamesight.synth import ipv4_udp
+
+    path = str(tmp_path / "t.pcap")
+    frames = [
+        (0.0, ipv4_udp("192.0.2.10", "203.0.113.7", 1, 2, b"x")),
+        (0.1, b"\x45" + b"\x00" * 5),  # truncated IPv4
+    ]
+    pcap.write_capture(frames, path)
+    res = _run(["analyze", "--pcap", path, "--client-nets", "192.0.2.0/24", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    counters = json.loads(res.output.strip().splitlines()[-1])["counters"]
+    assert counters["skip_reasons"] == {"truncated": 1}
+    assert (counters["packets"], counters["skipped"], counters["truncated_tail"]) == (1, 1, 0)

@@ -1,5 +1,7 @@
 import struct
 
+import pytest
+
 from gamesight import pcap
 from gamesight.packets import (
     CaptureStats,
@@ -165,3 +167,16 @@ def test_read_capture_counts_stats(tmp_pcap):
     assert stats.packets == 1
     assert stats.skipped == 1
     assert stats.skip_reasons == {"truncated": 1}
+
+
+@pytest.mark.parametrize("cut", [0, 50, 140])
+def test_read_capture_counts_a_cut_short_tail(tmp_pcap, cut):
+    # each record is 16 + 128 bytes: cutting 50 ends inside the last body,
+    # cutting 140 inside the last record header
+    frames = [(i * 0.1, ipv4_udp("10.0.0.1", "10.0.0.2", 1, 2, b"x" * 100)) for i in range(10)]
+    pcap.write_capture(frames, tmp_pcap)
+    with open(tmp_pcap, "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - cut)
+    stats = CaptureStats()
+    assert len(list(read_capture(tmp_pcap, stats))) == (9 if cut else 10)
+    assert (stats.packets, stats.skipped, stats.truncated_tail) == ((9, 0, 1) if cut else (10, 0, 0))

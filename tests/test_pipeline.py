@@ -1,8 +1,19 @@
 import pytest
 
+from gamesight import pcap, pipeline
+from gamesight.flows import FlowKey
+from gamesight.packets import UDP
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import FrameRateTracker
-from gamesight.synth import SessionProfile, write_session
+from gamesight.synth import (
+    SessionProfile,
+    build_client_hello,
+    gen_session,
+    ipv4_tcp,
+    ipv4_udp,
+    write_session,
+)
+from gamesight.tls import SniReassembler
 
 NETS = ("192.0.2.0/24",)
 
@@ -82,6 +93,113 @@ def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
     # audio and input flows pass the gameplay gate too, but are dropped
     # once classified; every frame-rate sample becomes a QoE row
     assert len(emitted) == len(report.qoe[report.sessions[0].session_id]) > 0
+
+
+def _qoe_rows(report, session):
+    return [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in report.qoe[session.session_id]]
+
+
+def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
+    # both sessions start within each other's gameplay window
+    profiles = [
+        SessionProfile(
+            platform="gfn", setup="desktop_app", client_ip="192.0.2.10", base_ts=1000.0,
+            fps_schedule=[(0.0, 60)], resolution_schedule=[(0.0, "fhd")], duration_s=6.0, seed=41,
+        ),
+        SessionProfile(
+            platform="gfn", setup="desktop_app", client_ip="192.0.2.11", base_ts=1000.1,
+            fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "sd")], duration_s=6.0, seed=42,
+        ),
+    ]
+    merged, alone = [], {}
+    for i, profile in enumerate(profiles):
+        records, _ = gen_session(profile)
+        merged.extend(records)
+        path = str(tmp_path / ("alone%d.pcap" % i))
+        pcap.write_capture(records, path)
+        report = _analyze(path)
+        alone[profile.client_ip] = _qoe_rows(report, report.sessions[0])
+    merged.sort(key=lambda r: r[0])
+    path = str(tmp_path / "both.pcap")
+    pcap.write_capture(merged, path)
+    report = _analyze(path)
+
+    assert sorted(s.client_ip for s in report.sessions) == ["192.0.2.10", "192.0.2.11"]
+    for s in report.sessions:
+        udp = [k for k, _ in s.gameplay_flows if k.proto == UDP]
+        assert len(udp) == 4
+        assert {k.client_ip for k in udp} == {s.client_ip}
+        assert _qoe_rows(report, s) == alone[s.client_ip]
+    assert alone["192.0.2.10"] != alone["192.0.2.11"]
+
+
+def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
+    """The registering ClientHello comes later in the file than the first
+    gameplay packet, with the same timestamp: that flow is still listed
+    with its role, but it has missed packets and gives the session no QoE."""
+    records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
+    roles = {(f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]}
+    video = next(port for port, role in roles.items() if role == "down_video")
+
+    def ports(frame):  # (source, destination) of an IPv4 frame
+        return int.from_bytes(frame[20:22], "big"), int.from_bytes(frame[22:24], "big")
+
+    hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and ports(f)[1] == 322 and len(f) > 500)
+    first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
+    assert ports(records[first_udp][1])[::-1] == video  # video flows downstream
+    moved = records[:hello] + records[hello + 1 : first_udp + 1]
+    moved += [(records[first_udp][0], records[hello][1])] + records[first_udp + 1 :]
+    path = str(tmp_path / "late.pcap")
+    pcap.write_capture(moved, path)
+    report = _analyze(path)
+
+    s = report.sessions[0]
+    assert {(k.client_port, k.server_port): role for k, role in s.gameplay_flows} == roles
+    assert report.qoe[s.session_id] == []
+
+
+def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
+    built, fed = [], []
+
+    class Counted(SniReassembler):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+        def feed(self, payload):
+            fed.append(payload)
+            return super().feed(payload)
+
+    monkeypatch.setattr(pipeline, "SniReassembler", Counted)
+    path = str(tmp_path / "t.pcap")
+    frames = [
+        (i * 0.01, ipv4_tcp("192.0.2.10", "198.51.100.1", 40000, 443, 1 + 100 * i, 1, 0x18, b"\x17" * 100))
+        for i in range(30)
+    ]
+    pcap.write_capture(frames, path)
+    _analyze(path)
+    assert (len(built), len(fed)) == (1, 3)
+
+
+def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
+    """A management-port flow gives up its setup signature, is evicted, and
+    comes back with a gameplay ClientHello: it registers."""
+    mgmt = ("192.0.2.10", "203.0.113.7", 51000, 322)
+    frames = []
+    for i in range(4):  # sizes no signature starts with
+        frames.append((0.1 * i, ipv4_tcp(*mgmt, 1 + 100 * i, 1, 0x18, b"\x17" * 100)))
+        frames.append((0.1 * i + 0.05, ipv4_tcp(mgmt[1], mgmt[0], mgmt[3], mgmt[2], 1, 101 + 100 * i, 0x18, b"\x17" * 200)))
+    frames.append((1.0, ipv4_udp("192.0.2.10", "198.51.100.1", 40000, 53, b"q")))
+    hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
+    frames.append((2.0, ipv4_tcp(*mgmt, 401, 1, 0x18, hello)))
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    analyzer.table.cap = 1
+    report = analyzer.analyze_file(path)
+    assert report.counters["flow_evictions"] == 2
+    assert list(analyzer.detector.registrations) == [FlowKey("192.0.2.10", 51000, "203.0.113.7", 322, 6)]
+    assert [s.gameplay_server_ip for s in report.sessions] == ["203.0.113.7"]
 
 
 def test_pipeline_deterministic(tmp_path):
