@@ -61,8 +61,11 @@ class ServiceCodebook:
 
 def wildcard_match(pattern: str, name: str) -> bool:
     """Prefix match on dot-separated labels; a '*' label matches any one label."""
-    plabels = pattern.lower().split(".")
-    nlabels = name.lower().split(".")
+    return labels_match(pattern.lower().split("."), name.lower().split("."))
+
+
+def labels_match(plabels: list[str], nlabels: list[str]) -> bool:
+    """`wildcard_match` on names already lowercased and split into labels."""
     if len(plabels) > len(nlabels):
         return False
     return all(p == "*" or p == n for p, n in zip(plabels, nlabels))

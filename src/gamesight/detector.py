@@ -12,7 +12,7 @@ from .codebook import (
     SETUP_UNKNOWN,
     ServiceCodebook,
     decode_gameplay_name,
-    wildcard_match,
+    labels_match,
 )
 from .flows import FlowKey
 
@@ -82,7 +82,10 @@ class ServerRegistration:
 @dataclass
 class ClientState:
     client_ip: str
-    observed_names: deque = field(default_factory=deque)  # (ts, name)
+    observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns)
+    pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
+    names_seen: int = 0  # names observed so far; observed_names holds the newest of them
+    newest_match: dict = field(default_factory=dict)  # matched patterns -> newest such name's index
     session: Optional[SessionRecord] = None
 
 
@@ -96,6 +99,20 @@ class SessionDetector:
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
         self._ids = itertools.count(1)
+        # every distinct pattern of every codebook, split once and filed by
+        # its first label: a name is matched against them when it is
+        # observed and never again
+        patterns = dict.fromkeys(
+            p
+            for cb in codebooks
+            for table in (cb.core_services, *cb.setup_tables.values())
+            for p in table
+        )
+        self._patterns: dict[str, list[tuple[str, list[str]]]] = {}
+        for p in patterns:
+            plabels = p.lower().split(".")
+            self._patterns.setdefault(plabels[0], []).append((p, plabels))
+        self._any_first = self._patterns.pop("*", [])  # patterns starting with a '*' label
 
     def _client(self, client_ip: str) -> ClientState:
         st = self.clients.get(client_ip)
@@ -108,14 +125,29 @@ class SessionDetector:
 
     def observe_service_name(self, key: FlowKey, name: str, ts: float) -> None:
         st = self._client(key.client_ip)
-        st.observed_names.append((ts, name.lower()))
+        name = name.lower()
+        labels = name.split(".")
+        candidates = itertools.chain(self._patterns.get(labels[0], ()), self._any_first)
+        matches = tuple(p for p, plabels in candidates if labels_match(plabels, labels))
+        st.observed_names.append((ts, name, matches))
+        counts = st.pattern_counts
+        for p in matches:
+            counts[p] = counts.get(p, 0) + 1
+        if matches:
+            st.newest_match[matches] = st.names_seen
+        st.names_seen += 1
         self._prune(st, ts)
 
     def _prune(self, st: ClientState, now: float) -> None:
         horizon = now - self.horizon_s
         names = st.observed_names
+        counts = st.pattern_counts
         while names and names[0][0] < horizon:
-            names.popleft()
+            for p in names.popleft()[2]:
+                if counts[p] == 1:
+                    del counts[p]
+                else:
+                    counts[p] -= 1
 
     # -- codebook evaluation ------------------------------------------
 
@@ -140,9 +172,9 @@ class SessionDetector:
                         st.session.setup_ambiguous = ambiguous
             return None  # idempotent until the session ends
         self._prune(st, ts)
-        names = [n for _, n in st.observed_names]
+        counts = st.pattern_counts
         for cb in self.codebooks:
-            if not all(any(wildcard_match(p, n) for n in names) for p in cb.core_services):
+            if not all(p in counts for p in cb.core_services):
                 continue
             setup, ambiguous = self._pick_setup(cb, st)
             session = SessionRecord(
@@ -160,12 +192,12 @@ class SessionDetector:
 
     def _pick_setup(self, cb: ServiceCodebook, st: ClientState) -> tuple[str, bool]:
         scores: dict[str, float] = {}
-        names = [n for _, n in st.observed_names]
+        counts = st.pattern_counts
         for setup, table in cb.setup_tables.items():
             if not table:
                 scores[setup] = 0.0
                 continue
-            matched = sum(1 for p in table if any(wildcard_match(p, n) for n in names))
+            matched = sum(1 for p in table if p in counts)
             scores[setup] = matched / len(table)
         if not scores:
             return SETUP_UNKNOWN, False
@@ -175,14 +207,19 @@ class SessionDetector:
         top = [s for s, v in scores.items() if v == best]
         if len(top) == 1:
             return top[0], False
-        # tie: most recent domain that discriminates between the tied tables
-        for ts_, name in reversed(st.observed_names):
-            hits = [
-                s for s in top if any(wildcard_match(p, name) for p in cb.setup_tables[s])
-            ]
-            if len(hits) == 1:
-                return hits[0], False
-        return SETUP_UNKNOWN, True
+        # tie: most recent domain that discriminates between the tied tables.
+        # Names with the same matches discriminate alike, so only the newest
+        # name of each set of matches that is still in the window counts.
+        oldest = st.names_seen - len(st.observed_names)
+        newest, pick = -1, None
+        for matches, n in st.newest_match.items():
+            if n >= oldest and n > newest:
+                hits = [s for s in top if any(p in matches for p in cb.setup_tables[s])]
+                if len(hits) == 1:
+                    newest, pick = n, hits[0]
+        if pick is None:
+            return SETUP_UNKNOWN, True
+        return pick, False
 
     # -- gameplay server registration ---------------------------------
 

@@ -1,15 +1,22 @@
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesight.codebook import (
+    ServiceCodebook,
     decode_gameplay_name,
     default_codebooks,
     match_setup_signature,
     wildcard_match,
 )
 from gamesight.detector import (
+    OBSERVATION_HORIZON_S,
     STATE_GAMEPLAY,
     STATE_PLATFORM,
     SessionDetector,
+    SessionRecord,
 )
 from gamesight.flows import FlowKey
 
@@ -188,3 +195,247 @@ def test_register_by_signature():
     reg = det.register_by_signature(key, 3.0, "gfn", "console_app")
     assert reg.via_signature
     assert det.registrations[key] is reg
+
+
+# -- setup tie-break ----------------------------------------------------
+
+
+def test_tie_goes_to_the_most_recent_discriminating_domain():
+    det = _detector()
+    _observe(det, GFN_CORE + ["img.nvidiagrid.net", "play.nvidia.com"])
+    assert det.sessions[0].setup == "browser"  # both tables score 1.0
+    assert not det.sessions[0].setup_ambiguous
+    det = _detector()
+    _observe(det, GFN_CORE + ["play.nvidia.com", "img.nvidiagrid.net"])
+    assert det.sessions[0].setup == "mobile_app"
+
+
+def _tied_codebook():
+    return ServiceCodebook(
+        platform_id="p",
+        core_services=["a.x"],
+        setup_tables={"one": ["b.x"], "two": ["b.x"]},
+        gameplay_name_pattern="{ip}.x",
+        mgmt_ports={},
+    )
+
+
+def test_tie_without_a_discriminating_domain_is_ambiguous():
+    det = SessionDetector([_tied_codebook()])
+    _observe(det, ["b.x.com", "a.x.com"])
+    assert det.sessions[0].setup == "unknown"
+    assert det.sessions[0].setup_ambiguous
+
+
+def test_refinement_ignores_an_ambiguous_tie():
+    # the tie appears only after the core set completed: refinement keeps
+    # the session's setup and its ambiguity flag as they were
+    det = SessionDetector([_tied_codebook()])
+    _observe(det, ["a.x.com", "b.x.com"])
+    assert det.sessions[0].setup == "unknown"
+    assert not det.sessions[0].setup_ambiguous
+
+
+def test_tie_break_reads_only_names_in_the_window():
+    book = ServiceCodebook(
+        platform_id="p",
+        core_services=["a.x"],
+        setup_tables={"one": ["b.x"], "two": ["b.*"]},
+        gameplay_name_pattern="{ip}.x",
+        mgmt_ports={},
+    )
+    # b.x matches both tables; only b.z tells them apart
+    det = SessionDetector([book])
+    _observe(det, ["b.z"])
+    _observe(det, ["b.x", "a.x.com"], t0=OBSERVATION_HORIZON_S, step=0.0)  # b.z on the horizon
+    assert (det.sessions[0].setup, det.sessions[0].setup_ambiguous) == ("two", False)
+    det = SessionDetector([book])
+    _observe(det, ["b.z"])
+    _observe(det, ["b.x", "a.x.com"], t0=OBSERVATION_HORIZON_S + 1.0, step=0.0)
+    assert (det.sessions[0].setup, det.sessions[0].setup_ambiguous) == ("unknown", True)
+
+
+# -- incremental matching against a full rescan -------------------------
+
+
+class RescanDetector:
+    """Reference: rescans the whole name window against every pattern at
+    each evaluation."""
+
+    def __init__(self, codebooks, horizon_s=OBSERVATION_HORIZON_S):
+        self.codebooks = codebooks
+        self.horizon_s = horizon_s
+        self.names = {}  # client -> deque of (ts, name)
+        self.open = {}  # client -> SessionRecord not yet ended
+        self.sessions = []
+
+    def observe(self, client, name, ts):
+        self.names.setdefault(client, deque()).append((ts, name.lower()))
+        self._prune(client, ts)
+
+    def _prune(self, client, now):
+        names = self.names[client]
+        while names and names[0][0] < now - self.horizon_s:
+            names.popleft()
+
+    def evaluate(self, client, ts):
+        if not self.names.get(client):
+            return
+        session = self.open.get(client)
+        if session is not None:
+            if session.state == STATE_PLATFORM:
+                cb = next(c for c in self.codebooks if c.platform_id == session.platform_id)
+                self._prune(client, ts)
+                setup, ambiguous = self._pick_setup(cb, client)
+                if setup != "unknown":
+                    session.setup, session.setup_ambiguous = setup, ambiguous
+            return
+        self._prune(client, ts)
+        names = [n for _, n in self.names[client]]
+        for cb in self.codebooks:
+            if all(any(wildcard_match(p, n) for n in names) for p in cb.core_services):
+                setup, ambiguous = self._pick_setup(cb, client)
+                session = SessionRecord("s", client, cb.platform_id, setup, ts)
+                session.setup_ambiguous = ambiguous
+                self.open[client] = session
+                self.sessions.append(session)
+                return
+
+    def _pick_setup(self, cb, client):
+        names = [n for _, n in self.names[client]]
+        scores = {
+            s: (sum(any(wildcard_match(p, n) for n in names) for p in t) / len(t) if t else 0.0)
+            for s, t in cb.setup_tables.items()
+        }
+        if not scores or max(scores.values()) < cb.setup_score_threshold:
+            return "unknown", False
+        top = [s for s, v in scores.items() if v == max(scores.values())]
+        if len(top) == 1:
+            return top[0], False
+        for _, name in reversed(self.names[client]):
+            hits = [s for s in top if any(wildcard_match(p, name) for p in cb.setup_tables[s])]
+            if len(hits) == 1:
+                return hits[0], False
+        return "unknown", True
+
+    def end(self, client):
+        self.open.pop(client, None)
+
+
+WILD_CODEBOOK = ServiceCodebook(
+    platform_id="wild",
+    core_services=["a.x", "*.y"],
+    # c.x matches a pattern of s1 and one of s2, so it never tells them
+    # apart; s4 and s5 always score alike, so b.x alone is ambiguous
+    setup_tables={"s1": ["b.x", "c.x"], "s2": ["c.*", "d.*"], "s3": [], "s4": ["b.x"], "s5": ["b.x"]},
+    gameplay_name_pattern="{ip}.x",
+    mgmt_ports={},
+    setup_score_threshold=0.5,
+)
+
+CODEBOOK_NAMES = [
+    "login.nvidia.com", "LOGIN.Nvidia.COM", "events.nvidia.com", "EVENTS.Nvidia.COM",
+    "userstore.nvidia.com", "USERSTORE.Nvidia.COM",
+    "gfnpc.api.entitlement-prod.nvidiagrid.net",
+    "GFNPC.api.Entitlement-Prod.NvidiaGrid.net",
+    "cms.nvidia.com", "als.nvidia.com", "gx-target-experiments-frontend-api.nvidia.com",
+    "img.nvidiagrid.net", "IMG.nvidiagrid.net", "play.nvidia.com", "Play.Nvidia.Com",
+    "login.xboxlive.com", "regional-node.xboxlive.com", "xgpu.xboxlive.com",
+    "xgpuweb.xboxlive.com", "XGPUconsole.xboxlive.com",
+    "a.x.com", "A.X", "q.y", "Q.Y.net", "b.x.com", "c.x", "c.z", "d.z", "D.Z.org",
+]  # fmt: skip
+NOISE_NAMES = [
+    "y.net", "nvidia.com", "login", "login.nvidia", "nvidia.login.com", "xgpuweb", "x.a", "example.org",
+]  # fmt: skip
+
+STEP = st.tuples(
+    st.sampled_from(["observe"] * 3 + ["observe+evaluate"] * 3 + ["evaluate", "end"]),
+    st.sampled_from([CLIENT, CLIENT, CLIENT, "192.0.2.11"]),
+    st.one_of(
+        st.sampled_from(CODEBOOK_NAMES), st.sampled_from(CODEBOOK_NAMES), st.sampled_from(NOISE_NAMES)
+    ),
+    # mostly short steps; some out of order, some landing exactly on the horizon
+    st.sampled_from([0.0, 1.0, 1.0, 2.0, 5.0, 10.0, 30.0, 300.0, 600.0, 700.0, -1.0, -30.0, -600.0]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wild=st.booleans(), steps=st.lists(STEP, min_size=40, max_size=120))
+def test_incremental_detector_matches_full_rescan(wild, steps):
+    books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()[0]
+    det, ref = SessionDetector(books), RescanDetector(books)
+    now = 0.0
+    for op, client, name, dt in steps:
+        now += dt
+        if op.startswith("observe"):
+            det.observe_service_name(FlowKey(client, 40000, "203.0.113.20", 443, 6), name, now)
+            ref.observe(client, name, now)
+        if op.endswith("evaluate"):
+            det.evaluate_codebook(client, now)
+            ref.evaluate(client, now)
+        if op == "end":
+            det.end_session(client, now)
+            ref.end(client)
+        assert [
+            (s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in det.sessions
+        ] == [(s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in ref.sessions]
+        for c, names in ref.names.items():
+            assert [e[:2] for e in det.clients[c].observed_names] == list(names)
+
+
+# -- evaluation cost ------------------------------------------------------
+
+
+def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
+    # work = pattern comparisons (calls of whichever matcher the detector
+    # uses) plus stored names visited, inside one evaluate_codebook call
+    import gamesight.detector as detector_module
+
+    work = 0
+    for name in ("wildcard_match", "labels_match"):
+        matcher = getattr(detector_module, name, None)
+        if matcher is not None:
+
+            def counting(*args, _matcher=matcher):
+                nonlocal work
+                work += 1
+                return _matcher(*args)
+
+            monkeypatch.setattr(detector_module, name, counting)
+
+    class Window(deque):
+        def __iter__(self):
+            return self._visit(deque.__iter__(self))
+
+        def __reversed__(self):
+            return self._visit(deque.__reversed__(self))
+
+        def _visit(self, entries):
+            nonlocal work
+            for entry in entries:
+                work += 1
+                yield entry
+
+    def evaluate_work(window):
+        counted = []
+        # detection with no core domain yet, setup refinement, and a
+        # refinement that breaks a tie between the mobile and browser tables
+        for first in ([], GFN_CORE, GFN_CORE + ["img.nvidiagrid.net", "play.nvidia.com"]):
+            det = _detector()
+            _observe(det, first)
+            for i in range(window):
+                det.observe_service_name(_key(cport=1000 + i), "n%d.example.com" % i, 10.0 + i * 0.1)
+            st = det.clients[CLIENT]
+            st.observed_names = Window(st.observed_names)
+            before = work
+            det.evaluate_codebook(CLIENT, 10.0 + window * 0.1)
+            counted.append((work - before, [s.setup for s in det.sessions]))
+        return counted
+
+    small = evaluate_work(400)
+    assert [setups for _, setups in small] == [[], ["unknown"], ["browser"]]
+    assert evaluate_work(4000) == small
+    # the matcher the counter wraps is the one observing a name runs
+    before = work
+    _detector().observe_service_name(_key(), "login.nvidia.com", 0.0)
+    assert work > before
