@@ -9,7 +9,6 @@ from .errors import (
     InseparableClasses,
     InvalidProfile,
     MalformedHeader,
-    NoSuchWindow,
 )
 from .pipeline import AnalysisReport, Analyzer
 from .synth import GroundTruthManifest, SessionProfile, gen_session, write_session
@@ -26,7 +25,6 @@ __all__ = [
     "InseparableClasses",
     "InvalidProfile",
     "MalformedHeader",
-    "NoSuchWindow",
     "SessionProfile",
     "calibrate",
     "gen_session",

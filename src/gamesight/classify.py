@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .detector import ServerRegistration
 from .errors import InseparableClasses
-from .flows import FlowState, VolumetricStats
+from .flows import WINDOW_S, FlowState
 
 ROLE_MGMT = "gameplay_mgmt"
 ROLE_DOWN_VIDEO = "down_video"
@@ -53,22 +53,21 @@ class ClassifierCriteria:
         return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
 
-def _median_profile(windows: list[VolumetricStats]) -> tuple[float, float, float]:
-    """Median (pps_in, pps_out, bps_in) over the given closed windows."""
-    take = windows[:CLASSIFY_WINDOWS]
-    pps_in = statistics.median(w.pps_in for w in take)
-    pps_out = statistics.median(w.pps_out for w in take)
-    bps_in = statistics.median(w.bps_in for w in take)
+def _median_profile(windows: list[list[int]]) -> tuple[float, float, float]:
+    """Median (pps_in, pps_out, bps_in) over the given window count lists
+    (`FlowState.windows` layout)."""
+    pps_in = statistics.median(w[0] / WINDOW_S for w in windows)
+    pps_out = statistics.median(w[1] / WINDOW_S for w in windows)
+    bps_in = statistics.median(w[2] * 8 / WINDOW_S for w in windows)
     return pps_in, pps_out, bps_in
 
 
-def classify_windows(
-    windows: list[VolumetricStats], setup_class: str, criteria: ClassifierCriteria
-) -> str:
-    """Pure volumetric classification given a flow's first closed windows."""
+def classify_windows(windows: list[list[int]], setup_class: str, criteria: ClassifierCriteria) -> str:
+    """Pure volumetric classification given a flow's closed window counts;
+    only the first `CLASSIFY_WINDOWS` of them are read."""
     if not windows:
         return ROLE_UNCLASSIFIED
-    pps_in, pps_out, bps_in = _median_profile(windows)
+    pps_in, pps_out, bps_in = _median_profile(windows[:CLASSIFY_WINDOWS])
     if setup_class == "browser":
         if pps_in + pps_out <= criteria.stun_max_pps:
             return ROLE_STUN
@@ -100,7 +99,7 @@ def starts_gameplay(flow: FlowState, reg: ServerRegistration, criteria: Classifi
 
 def classify_flow(
     flow: FlowState,
-    windows: list[VolumetricStats],
+    windows: list[list[int]],
     reg: ServerRegistration,
     criteria: ClassifierCriteria,
 ) -> str:
@@ -121,7 +120,7 @@ def classify_flow(
 
 @dataclass
 class LabeledFlow:
-    stats: list[VolumetricStats]
+    stats: list[list[int]]  # window count lists, `FlowState.windows` layout
     true_role: str
     setup_class: str = "console_app"
 
@@ -158,7 +157,7 @@ def calibrate(labeled: list[LabeledFlow]) -> ClassifierCriteria:
             raise ValueError("calibration needs at least one %s flow" % role)
 
     def steady_bps_in(lf: LabeledFlow) -> float:
-        return statistics.median(w.bps_in for w in lf.stats)
+        return _median_profile(lf.stats)[2]
 
     video_min = min(steady_bps_in(lf) for lf in by_role[ROLE_DOWN_VIDEO])
     non_video_max = max(
@@ -174,10 +173,8 @@ def calibrate(labeled: list[LabeledFlow]) -> ClassifierCriteria:
         )
     video_threshold = math.sqrt(video_min * non_video_max)
 
-    input_delta = max(
-        abs(statistics.median(w.pps_in for w in lf.stats) - statistics.median(w.pps_out for w in lf.stats))
-        for lf in by_role[ROLE_USER_INPUT]
-    )
+    profiles = [_median_profile(lf.stats) for lf in by_role[ROLE_USER_INPUT]]
+    input_delta = max(abs(pps_in - pps_out) for pps_in, pps_out, _ in profiles)
     delta_threshold = input_delta + 1.0
 
     criteria = ClassifierCriteria(

@@ -54,8 +54,7 @@ def main():
 @click.option("--client-nets", default="", help="Comma-separated client CIDRs.")
 @click.option("--codebook", default=None, type=click.Path(), help="Codebook config file.")
 @click.option("--out", "out_dir", default=".", type=click.Path())
-@click.option("--video-min-mbps", default=None, type=float, help="Override downstream-video threshold.")
-def analyze(pcaps, client_nets, codebook, out_dir, video_min_mbps):
+def analyze(pcaps, client_nets, codebook, out_dir):
     """Run the full pipeline on capture files; writes sessions.jsonl and qoe.csv."""
     codebook = codebook or default_codebook_path()
     if not Path(codebook).exists():
@@ -63,8 +62,6 @@ def analyze(pcaps, client_nets, codebook, out_dir, video_min_mbps):
         sys.exit(1)
     books, crit_dict = load_codebooks(codebook)
     criteria = ClassifierCriteria.from_dict(crit_dict) if crit_dict else ClassifierCriteria()
-    if video_min_mbps is not None:
-        criteria.video_min_bps_in = video_min_mbps * 1e6
 
     nets = tuple(n.strip() for n in client_nets.split(",") if n.strip())
     out = Path(out_dir)

@@ -106,7 +106,7 @@ def match_setup_signature(
     return None
 
 
-# -- serialization -----------------------------------------------------
+# -- loading -----------------------------------------------------------
 
 
 def _codebook_from_dict(d: dict) -> ServiceCodebook:
@@ -132,44 +132,12 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
     )
 
 
-def codebook_to_dict(cb: ServiceCodebook) -> dict:
-    d = {
-        "platform": cb.platform_id,
-        "core": cb.core_services,
-        "setups": cb.setup_tables,
-        "gameplay_pattern": cb.gameplay_name_pattern,
-        "mgmt_ports": [[p, c] for p, c in cb.mgmt_ports.items()],
-        "signatures": [
-            {
-                "os": s.os,
-                "dst_ports": s.dst_ports,
-                "up": s.upstream_sizes,
-                "down": s.downstream_sizes,
-            }
-            for s in cb.signatures
-        ],
-        "setup_score_threshold": cb.setup_score_threshold,
-    }
-    if cb.server_port_range:
-        d["server_port_range"] = list(cb.server_port_range)
-    return d
-
-
 def load_codebooks(path: str) -> tuple[list[ServiceCodebook], dict]:
     """Load codebooks plus an optional classifier `criteria` section."""
     with open(path) as fh:
         data = json.load(fh)
     books = [_codebook_from_dict(d) for d in data["platforms"]]
     return books, data.get("criteria", {})
-
-
-def save_codebooks(books: list[ServiceCodebook], path: str, criteria: Optional[dict] = None) -> None:
-    data = {"platforms": [codebook_to_dict(b) for b in books]}
-    if criteria:
-        data["criteria"] = criteria
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
 
 
 def default_codebook_path() -> str:

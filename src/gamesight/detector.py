@@ -92,9 +92,8 @@ class ClientState:
 class SessionDetector:
     """Per-client stateful matcher over observed service domains."""
 
-    def __init__(self, codebooks: list[ServiceCodebook], horizon_s: float = OBSERVATION_HORIZON_S):
+    def __init__(self, codebooks: list[ServiceCodebook]):
         self.codebooks = codebooks
-        self.horizon_s = horizon_s
         self.clients: dict[str, ClientState] = {}
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
@@ -139,7 +138,7 @@ class SessionDetector:
         self._prune(st, ts)
 
     def _prune(self, st: ClientState, now: float) -> None:
-        horizon = now - self.horizon_s
+        horizon = now - OBSERVATION_HORIZON_S
         names = st.observed_names
         counts = st.pattern_counts
         while names and names[0][0] < horizon:
@@ -244,12 +243,7 @@ class SessionDetector:
                 ip_mismatch_warning=(embedded_ip != key.server_ip),
             )
             self.registrations[key] = reg
-            st = self.clients.get(key.client_ip)
-            if st is not None and st.session is not None and st.session.state != STATE_ENDED:
-                st.session.state = STATE_GAMEPLAY
-                st.session.gameplay_server_ip = reg.server_ip
-                st.session.gameplay_started_at = ts
-                reg.session = st.session
+            self._enter_gameplay(reg)
             return reg
         return None
 
@@ -269,8 +263,20 @@ class SessionDetector:
             server_port_range=cb.server_port_range if cb else None,
             via_signature=True,
         )
-        self.registrations.setdefault(key, reg)
+        if key not in self.registrations:
+            self.registrations[key] = reg
+            self._enter_gameplay(reg)
         return reg
+
+    def _enter_gameplay(self, reg: ServerRegistration) -> None:
+        """A new registration joins its client's open platform session,
+        which enters gameplay."""
+        st = self.clients.get(reg.client_ip)
+        if st is not None and st.session is not None and st.session.state != STATE_ENDED:
+            st.session.state = STATE_GAMEPLAY
+            st.session.gameplay_server_ip = reg.server_ip
+            st.session.gameplay_started_at = reg.registered_at
+            reg.session = st.session
 
     def end_session(self, client_ip: str, ts: float) -> None:
         st = self.clients.get(client_ip)

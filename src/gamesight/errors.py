@@ -9,10 +9,6 @@ class MalformedHeader(GamesightError):
     """Capture file is unreadable (bad magic or truncated global header)."""
 
 
-class NoSuchWindow(GamesightError):
-    """Requested volumetric window is in the future or outside the flow's lifetime."""
-
-
 class InseparableClasses(GamesightError):
     """Calibration cannot find thresholds that separate the labeled roles."""
 

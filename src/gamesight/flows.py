@@ -1,4 +1,4 @@
-"""Bidirectional flow table with per-window volumetric statistics."""
+"""Bidirectional flow table with per-window volumetric counts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import NoSuchWindow
 from .packets import TCP_SYN, Direction, PacketRecord
 
 if TYPE_CHECKING:
@@ -15,7 +14,6 @@ if TYPE_CHECKING:
     from .tls import SniReassembler
 
 WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
-DEFAULT_IDLE_TIMEOUT = 60.0
 DEFAULT_TABLE_CAP = 1_048_576
 FIRST_PAYLOADS_CAP = 4  # longest handshake signature has 4 entries
 
@@ -29,37 +27,13 @@ class FlowKey(NamedTuple):
 
 
 @dataclass(slots=True)
-class VolumetricStats:
-    window_start: float
-    interval: float
-    pkt_count_in: int = 0
-    pkt_count_out: int = 0
-    byte_count_in: int = 0
-    byte_count_out: int = 0
-
-    @property
-    def pps_in(self) -> float:
-        return self.pkt_count_in / self.interval
-
-    @property
-    def pps_out(self) -> float:
-        return self.pkt_count_out / self.interval
-
-    @property
-    def bps_in(self) -> float:
-        return self.byte_count_in * 8 / self.interval
-
-    @property
-    def bps_out(self) -> float:
-        return self.byte_count_out * 8 / self.interval
-
-
-@dataclass(slots=True)
 class FlowState:
     key: FlowKey
     first_ts: float
     last_ts: float
-    # window index -> [pkts_in, pkts_out, bytes_in, bytes_out]
+    # window index (ts // WINDOW_S) -> [pkts_in, pkts_out, bytes_in, bytes_out]:
+    # "in" is downstream, bytes are payload bytes, and a window without
+    # packets has no entry. The classifier reads these lists as they are.
     windows: dict = field(default_factory=dict)
     first_payload_sizes_up: list = field(default_factory=list)
     first_payload_sizes_down: list = field(default_factory=list)
@@ -170,38 +144,9 @@ class FlowTable:
 
     # -- window access -------------------------------------------------
 
-    def _stats_at(self, flow: FlowState, idx: int) -> VolumetricStats:
-        win = flow.windows.get(idx)
-        stats = VolumetricStats(window_start=idx * WINDOW_S, interval=WINDOW_S)
-        if win is not None:
-            stats.pkt_count_in, stats.pkt_count_out = win[0], win[1]
-            stats.byte_count_in, stats.byte_count_out = win[2], win[3]
-        return stats
-
-    def window_stats(self, flow: FlowState, window_end: float) -> VolumetricStats:
-        """Closed window ending at `window_end`; partial windows never returned."""
-        idx = int(round(window_end / WINDOW_S)) - 1
-        current = int(self.now // WINDOW_S)
-        if idx >= current:
-            raise NoSuchWindow("window ending at %s not yet closed" % window_end)
-        if idx < int(flow.first_ts // WINDOW_S) or idx > int(flow.last_ts // WINDOW_S):
-            raise NoSuchWindow("window ending at %s outside flow lifetime" % window_end)
-        return self._stats_at(flow, idx)
-
-    def window_series(self, flow: FlowState, closed_only: bool = True) -> list[VolumetricStats]:
-        """Gap-free window series over the flow's lifetime (zero windows included)."""
-        current = int(self.now // WINDOW_S)
-        out = []
-        for idx in range(int(flow.first_ts // WINDOW_S), int(flow.last_ts // WINDOW_S) + 1):
-            if closed_only and idx >= current:
-                break
-            out.append(self._stats_at(flow, idx))
-        return out
-
-    # -- expiry --------------------------------------------------------
-
-    def expire_idle(self, now: float, idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> list[FlowState]:
-        expired = [f for f in self.flows.values() if f.last_ts < now - idle_timeout]
-        for f in expired:
-            del self.flows[f.key]
-        return expired
+    def window_series(self, flow: FlowState) -> list[list[int]]:
+        """The flow's closed windows, first to last, as count lists (see
+        `FlowState.windows`); a window with no packet reads as zeros."""
+        last = min(int(flow.last_ts // WINDOW_S), int(self.now // WINDOW_S) - 1)
+        first = int(flow.first_ts // WINDOW_S)
+        return [flow.windows.get(idx) or [0, 0, 0, 0] for idx in range(first, last + 1)]

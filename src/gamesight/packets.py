@@ -23,6 +23,8 @@ TCP_SYN = 0x02
 TCP_RST = 0x04
 TCP_ACK = 0x10
 
+FRAG_CACHE_CAP = 4096  # first fragments whose ports are remembered
+
 
 class Direction(Enum):
     UPSTREAM = "up"
@@ -60,15 +62,15 @@ class _FragCache:
     """Maps (src, dst, proto, ip-id) of a first fragment to its ports.
 
     Later fragments of a datagram whose head was seen get attributed to
-    the same flow; unmatched tails are skipped. Bounded FIFO.
+    the same flow; unmatched tails are skipped. A FIFO bounded by
+    `FRAG_CACHE_CAP`.
     """
 
-    def __init__(self, cap: int = 4096):
-        self.cap = cap
+    def __init__(self):
         self.entries: dict[tuple, tuple[int, int]] = {}
 
     def put(self, key: tuple, ports: tuple[int, int]) -> None:
-        if len(self.entries) >= self.cap:
+        if len(self.entries) >= FRAG_CACHE_CAP:
             self.entries.pop(next(iter(self.entries)))
         self.entries[key] = ports
 
@@ -81,8 +83,14 @@ def parse_packet(
     link_type: int,
     ts: float,
     frag_cache: Optional[_FragCache] = None,
+    orig_len: Optional[int] = None,
 ) -> PacketRecord | SkipReason:
-    """Parse one captured frame. Returns a SkipReason instead of raising."""
+    """Parse one captured frame. Returns a SkipReason instead of raising.
+
+    `orig_len` is the frame's length on the wire (the record's orig_len;
+    by default the captured length). Sizes come from the IP header unless
+    it claims more than that; payload bytes are only what was captured.
+    """
     off = 0
     if link_type == pcap.LINKTYPE_ETHERNET:
         if len(raw) < 14:
@@ -111,12 +119,14 @@ def parse_packet(
     else:
         return SkipReason.UNSUPPORTED_LINK
 
+    if orig_len is None:
+        orig_len = len(raw)
     if version == 4:
-        return _parse_ipv4(raw, off, ts, frag_cache)
-    return _parse_ipv6(raw, off, ts)
+        return _parse_ipv4(raw, off, ts, frag_cache, orig_len)
+    return _parse_ipv6(raw, off, ts, orig_len)
 
 
-def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache) -> PacketRecord | SkipReason:
+def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache, orig_len: int) -> PacketRecord | SkipReason:
     if len(raw) < off + 20:
         return SkipReason.TRUNCATED
     ihl = (raw[off] & 0x0F) * 4
@@ -130,7 +140,9 @@ def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache) -> PacketRecord | S
     frag_field = (raw[off + 6] << 8) | raw[off + 7]
     frag_offset = frag_field & 0x1FFF
     more_frags = bool(frag_field & 0x2000)
-    ip_payload_len = min(total_len, len(raw) - off) - ihl
+    if total_len > orig_len - off:  # the header claims more than the wire carried
+        total_len = min(total_len, len(raw) - off)
+    ip_payload_len = total_len - ihl
     if ip_payload_len < 0:
         return SkipReason.TRUNCATED
 
@@ -152,15 +164,16 @@ def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache) -> PacketRecord | S
     return rec
 
 
-def _parse_ipv6(raw: bytes, off: int, ts: float) -> PacketRecord | SkipReason:
+def _parse_ipv6(raw: bytes, off: int, ts: float, orig_len: int) -> PacketRecord | SkipReason:
     if len(raw) < off + 40:
         return SkipReason.TRUNCATED
     payload_len = (raw[off + 4] << 8) | raw[off + 5]
     proto = raw[off + 6]
     src = socket.inet_ntop(socket.AF_INET6, raw[off + 8 : off + 24])
     dst = socket.inet_ntop(socket.AF_INET6, raw[off + 24 : off + 40])
-    avail = min(payload_len, len(raw) - off - 40)
-    return _parse_transport(raw, off + 40, avail, proto, src, dst, ts)
+    if payload_len > orig_len - off - 40:  # the header claims more than the wire carried
+        payload_len = min(payload_len, len(raw) - off - 40)
+    return _parse_transport(raw, off + 40, payload_len, proto, src, dst, ts)
 
 
 def _parse_transport(
@@ -192,6 +205,7 @@ class CaptureStats:
     skipped: int = 0
     skip_reasons: dict = field(default_factory=dict)
     truncated_tail: int = 0  # 1 when the file ends inside a record
+    snaplen_truncated: int = 0  # records cut by the snaplen (orig_len > incl_len)
 
 
 def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
@@ -204,7 +218,9 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[Pa
         frag_cache = _FragCache()
         link = header.link_type
         for ts, raw, orig_len in pcap.read_records(fh, header):
-            rec = parse_packet(raw, link, ts, frag_cache)
+            rec = parse_packet(raw, link, ts, frag_cache, orig_len)
+            if orig_len > len(raw) and stats is not None:
+                stats.snaplen_truncated += 1
             if isinstance(rec, PacketRecord):
                 if stats is not None:
                     stats.packets += 1

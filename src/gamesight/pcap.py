@@ -89,7 +89,8 @@ def write_capture(
 ) -> int:
     """Write time-ordered (ts, frame) records as a classic little-endian PCAP.
 
-    Returns the number of records written.
+    Each frame is cut to `snaplen` bytes, with its full length kept as the
+    record's orig_len. Returns the number of records written.
     """
     count = 0
     with open(path, "wb") as fh:
@@ -102,7 +103,10 @@ def write_capture(
             if usec >= 1_000_000:
                 sec += 1
                 usec -= 1_000_000
-            write(pack(sec, usec, len(frame), len(frame)))
+            orig_len = len(frame)
+            if orig_len > snaplen:
+                frame = frame[:snaplen]
+            write(pack(sec, usec, len(frame), orig_len))
             write(frame)
             count += 1
     return count

@@ -24,8 +24,8 @@ from .qoe import (
     FlowQoe,
     LatencyTracker,
     QoeSample,
-    ResolutionTable,
     fps_band,
+    resolution_band,
 )
 from .tls import SniReassembler
 
@@ -48,7 +48,6 @@ class Analyzer:
         codebooks: Optional[list[ServiceCodebook]] = None,
         criteria: Optional[ClassifierCriteria] = None,
         client_nets: tuple = (),
-        resolution_table: Optional[ResolutionTable] = None,
     ):
         if codebooks is None:
             codebooks, crit_dict = default_codebooks()
@@ -58,7 +57,6 @@ class Analyzer:
         self.criteria = criteria or ClassifierCriteria()
         self.table = FlowTable(client_nets=client_nets)
         self.detector = SessionDetector(codebooks)
-        self.resolution_table = resolution_table or ResolutionTable()
         self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
 
     # -- streaming ----------------------------------------------------
@@ -221,6 +219,7 @@ class Analyzer:
             "skipped": stats.skipped,
             "skip_reasons": dict(stats.skip_reasons),
             "truncated_tail": stats.truncated_tail,
+            "snaplen_truncated": stats.snaplen_truncated,
             "orientation_warnings": self.table.orientation_warnings,
             "flow_evictions": self.table.evictions,
             "unclassified_flows": unclassified,
@@ -254,7 +253,7 @@ class Analyzer:
                     fps=fs.fps,
                     fps_band=fps_band(fs.fps),
                     bitrate_mbps=bits / 1e6,
-                    resolution=self.resolution_table.infer(fs.fps, peak),
+                    resolution=resolution_band(fs.fps, peak),
                     warmup=k < WARMUP_INTERVALS,
                 )
             )

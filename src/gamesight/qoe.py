@@ -21,8 +21,16 @@ RES_SD = "sd"
 RES_UNKNOWN = "unknown"
 
 PENDING_EXPIRY_S = 4.0  # two heartbeat periods
-ACTIVITY_FLOOR_BPS = 2_000_000.0
+FRAME_SIZE_MARGIN = 1  # bytes below the running max that still count as full size
 WARMUP_INTERVALS = 2
+
+# Resolution band edges (bps of peak bitrate) per nominal frame-rate row:
+# sd <= lo < hd <= hi < fhd. Each edge sits at the midpoint of the gap
+# between the observed peak-bandwidth ranges of the two bands.
+RES_EDGES_60 = (13_000_000.0, 22_000_000.0)
+RES_EDGES_30 = (8_000_000.0, 14_000_000.0)
+NOMINAL_FPS_SPLIT = 45.0  # above it the 60 fps row applies
+ACTIVITY_FLOOR_BPS = 2_000_000.0  # below it the resolution is unknown
 
 
 @dataclass(slots=True)
@@ -35,8 +43,7 @@ class LatencyTracker:
     """Pairs upstream management packets with their acknowledging
     downstream packets via expected ack = seq + payload (u32 wrapping)."""
 
-    def __init__(self, expiry_s: float = PENDING_EXPIRY_S):
-        self.expiry_s = expiry_s
+    def __init__(self):
         self.pending: dict[int, float] = {}
         self.samples: list[LatencySample] = []
         self.negative_discarded = 0
@@ -62,7 +69,7 @@ class LatencyTracker:
 
     def _expire(self, now: float) -> None:
         if len(self.pending) > 8:
-            horizon = now - self.expiry_s
+            horizon = now - PENDING_EXPIRY_S
             for ack in [a for a, t in self.pending.items() if t < horizon]:
                 del self.pending[ack]
 
@@ -77,14 +84,13 @@ class FrameRateTracker:
     """Frame counting from the payload-size pattern of a video flow.
 
     A growing running maximum identifies full-size data packets; a drop
-    below (max - margin) right after a full-size packet marks the end of
-    one frame. Fps is emitted per elapsed `WINDOW_S` interval; empty
+    below (max - `FRAME_SIZE_MARGIN`) right after a full-size packet marks
+    the end of one frame. Fps is emitted per elapsed `WINDOW_S` interval; empty
     intervals yield zero. The interval origin advances by whole intervals
     so that rates are per-interval rather than cumulative.
     """
 
-    def __init__(self, size_margin: int = 1):
-        self.size_margin = size_margin
+    def __init__(self):
         self.frame_count = 0
         self.t_start: Optional[float] = None
         self.size_max = 0
@@ -102,7 +108,7 @@ class FrameRateTracker:
         if payload_len > self.size_max:
             self.size_max = payload_len
             return out
-        if payload_len < self.size_max - self.size_margin:
+        if payload_len < self.size_max - FRAME_SIZE_MARGIN:
             if self.flag_max:
                 self.frame_count += 1
                 self.flag_max = False
@@ -150,33 +156,15 @@ def fps_band(fps: float) -> str:
     return FPS_HIGH
 
 
-@dataclass
-class ResolutionTable:
-    """Band edges (bps) per nominal frame rate row.
-
-    Edges between adjacent bands sit at the midpoint of the gap between
-    the observed peak-bandwidth ranges of the two bands.
-    """
-
-    edges_60: tuple[float, float] = (13_000_000.0, 22_000_000.0)  # sd<=, hd<=, fhd>
-    edges_30: tuple[float, float] = (8_000_000.0, 14_000_000.0)
-    nominal_fps_split: float = 45.0
-    activity_floor_bps: float = ACTIVITY_FLOOR_BPS
-
-    def __post_init__(self):
-        for lo, hi in (self.edges_60, self.edges_30):
-            if not lo < hi:
-                raise ValueError("band edges must be strictly increasing")
-
-    def infer(self, fps: float, peak_bitrate_bps: float) -> str:
-        if peak_bitrate_bps < self.activity_floor_bps:
-            return RES_UNKNOWN
-        lo, hi = self.edges_60 if fps > self.nominal_fps_split else self.edges_30
-        if peak_bitrate_bps <= lo:
-            return RES_SD
-        if peak_bitrate_bps <= hi:
-            return RES_HD
-        return RES_FHD
+def resolution_band(fps: float, peak_bitrate_bps: float) -> str:
+    if peak_bitrate_bps < ACTIVITY_FLOOR_BPS:
+        return RES_UNKNOWN
+    lo, hi = RES_EDGES_60 if fps > NOMINAL_FPS_SPLIT else RES_EDGES_30
+    if peak_bitrate_bps <= lo:
+        return RES_SD
+    if peak_bitrate_bps <= hi:
+        return RES_HD
+    return RES_FHD
 
 
 @dataclass(slots=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from gamesight.flows import VolumetricStats
+from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 
 
@@ -32,16 +32,15 @@ def tcp_record(
     )
 
 
-def stats(pps_in=0.0, pps_out=0.0, bps_in=0.0, bps_out=0.0, start=0.0, interval=1.0):
-    """VolumetricStats from target rates (counts derived for a 1 s window)."""
-    return VolumetricStats(
-        window_start=start,
-        interval=interval,
-        pkt_count_in=int(pps_in * interval),
-        pkt_count_out=int(pps_out * interval),
-        byte_count_in=int(bps_in * interval / 8),
-        byte_count_out=int(bps_out * interval / 8),
-    )
+def stats(pps_in=0.0, pps_out=0.0, bps_in=0.0, bps_out=0.0):
+    """One window's counts, `[pkts_in, pkts_out, bytes_in, bytes_out]` as in
+    `FlowState.windows`, derived from target rates."""
+    return [
+        int(pps_in * WINDOW_S),
+        int(pps_out * WINDOW_S),
+        int(bps_in * WINDOW_S / 8),
+        int(bps_out * WINDOW_S / 8),
+    ]
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ CRIT = ClassifierCriteria()
 
 
 def _windows(pps_in, pps_out, bps_in, n=3):
-    return [stats(pps_in=pps_in, pps_out=pps_out, bps_in=bps_in, start=float(i)) for i in range(n)]
+    return [stats(pps_in=pps_in, pps_out=pps_out, bps_in=bps_in) for _ in range(n)]
 
 
 # -- console-class volumetric rules (paper envelope examples) ----------
@@ -82,9 +82,9 @@ def test_empty_windows_unclassified():
 def test_median_skips_startup_transient():
     # first window is a cold partial one; the median ignores it
     windows = [
-        stats(pps_in=10, bps_in=1e5, start=0.0),
-        stats(pps_in=2400, bps_in=28e6, start=1.0),
-        stats(pps_in=2500, bps_in=29e6, start=2.0),
+        stats(pps_in=10, bps_in=1e5),
+        stats(pps_in=2400, bps_in=28e6),
+        stats(pps_in=2500, bps_in=29e6),
     ]
     assert classify_windows(windows, "console_app", CRIT) == ROLE_DOWN_VIDEO
     assert CLASSIFY_WINDOWS == 3
@@ -137,7 +137,7 @@ def test_gate_port_range():
 
 def _labeled(pps_in, pps_out, bps_in, role, n=5):
     return LabeledFlow(
-        stats=[stats(pps_in=pps_in, pps_out=pps_out, bps_in=bps_in, start=float(i)) for i in range(n)],
+        stats=[stats(pps_in=pps_in, pps_out=pps_out, bps_in=bps_in) for _ in range(n)],
         true_role=role,
     )
 

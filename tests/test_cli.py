@@ -145,3 +145,16 @@ def test_analyze_prints_skip_reasons(tmp_path):
     counters = json.loads(res.output.strip().splitlines()[-1])["counters"]
     assert counters["skip_reasons"] == {"truncated": 1}
     assert (counters["packets"], counters["skipped"], counters["truncated_tail"]) == (1, 1, 0)
+
+
+def test_analyze_prints_snaplen_truncated(tmp_path):
+    from gamesight import pcap
+    from gamesight.synth import ipv4_udp
+
+    path = str(tmp_path / "t.pcap")
+    frames = [(i * 0.1, ipv4_udp("192.0.2.10", "203.0.113.7", 1, 2, b"x" * (100 * i))) for i in range(4)]
+    pcap.write_capture(frames, path, snaplen=96)
+    res = _run(["analyze", "--pcap", path, "--client-nets", "192.0.2.0/24", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    counters = json.loads(res.output.strip().splitlines()[-1])["counters"]
+    assert (counters["packets"], counters["snaplen_truncated"]) == (4, 3)

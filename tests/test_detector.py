@@ -197,6 +197,17 @@ def test_register_by_signature():
     assert det.registrations[key] is reg
 
 
+def test_signature_registration_joins_the_open_platform_session():
+    det = _detector()
+    _observe(det, GFN_CORE)
+    session = det.sessions[0]
+    key = _key(server_ip="203.0.113.7", sport=322)
+    reg = det.register_by_signature(key, 30.0, "gfn", "console_app")
+    assert reg.session is session
+    assert session.state == STATE_GAMEPLAY
+    assert (session.gameplay_server_ip, session.gameplay_started_at) == ("203.0.113.7", 30.0)
+
+
 # -- setup tie-break ----------------------------------------------------
 
 

@@ -1,7 +1,6 @@
 import pytest
 
-from gamesight.errors import NoSuchWindow
-from gamesight.flows import FlowTable
+from gamesight.flows import WINDOW_S, FlowTable
 from gamesight.packets import Direction
 
 from conftest import tcp_record, udp_record
@@ -39,10 +38,9 @@ def test_window_rates_example():
     flow = None
     for i in range(600):
         flow = table.update(udp_record(i * (2.0 / 600), SERVER, 443, CLIENT, 5000, 100))
-    table.now = 2.0
-    stats = table.window_stats(flow, 1.0)
-    assert stats.pps_in == pytest.approx(300.0)
-    assert stats.pps_out == 0.0
+    pkts_in, pkts_out, _, _ = flow.windows[0]
+    assert pkts_in / WINDOW_S == pytest.approx(300.0)
+    assert pkts_out / WINDOW_S == 0.0
 
 
 def test_window_bitrate_example():
@@ -51,19 +49,9 @@ def test_window_bitrate_example():
     flow = None
     for i in range(3000):
         flow = table.update(udp_record(i / 3000.0, SERVER, 443, CLIENT, 5000, 1416))
-    table.now = 1.0
-    stats = table.window_stats(flow, 1.0)
-    assert stats.bps_in == pytest.approx(3000 * 1416 * 8)
-    assert stats.bps_in / 1e6 == pytest.approx(33.984)
-
-
-def test_unclosed_window_raises():
-    table = FlowTable(client_nets=NETS)
-    flow = table.update(udp_record(0.5, CLIENT, 1, SERVER, 2, 10))
-    with pytest.raises(NoSuchWindow):
-        table.window_stats(flow, 1.0)  # window [0,1) not closed while now < 1.0
-    with pytest.raises(NoSuchWindow):
-        table.window_stats(flow, 99.0)
+    bps_in = flow.windows[0][2] * 8 / WINDOW_S
+    assert bps_in == pytest.approx(3000 * 1416 * 8)
+    assert bps_in / 1e6 == pytest.approx(33.984)
 
 
 def test_conservation_window_sums_equal_totals():
@@ -83,11 +71,13 @@ def test_conservation_window_sums_equal_totals():
 def test_window_series_gap_free():
     table = FlowTable(client_nets=NETS)
     flow = table.update(udp_record(0.2, CLIENT, 1, SERVER, 2, 10))
+    assert table.window_series(flow) == []  # window [0,1) is still open
     flow = table.update(udp_record(3.7, CLIENT, 1, SERVER, 2, 10))
+    assert [w[1] for w in table.window_series(flow)] == [1, 0, 0]  # open window 3 left out
     table.now = 5.0
     series = table.window_series(flow)
     assert len(series) == 4  # windows 0..3, including the empty 1 and 2
-    assert [s.pkt_count_out for s in series] == [1, 0, 0, 1]
+    assert [w[1] for w in series] == [1, 0, 0, 1]
 
 
 def test_first_payload_sizes_exclude_syn_and_cap_at_four():
@@ -108,13 +98,3 @@ def test_eviction_at_cap():
     assert table.evictions == 1
     ports = {k.client_port for k in table.flows}
     assert 1000 not in ports  # the oldest-idle flow went first
-
-
-def test_expire_idle():
-    table = FlowTable(client_nets=NETS)
-    table.update(udp_record(0.0, CLIENT, 1, SERVER, 2, 10))
-    table.update(udp_record(100.0, CLIENT, 3, SERVER, 2, 10))
-    expired = table.expire_idle(now=100.0)
-    assert len(expired) == 1
-    assert expired[0].key.client_port == 1
-    assert len(table.flows) == 1

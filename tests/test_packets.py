@@ -101,6 +101,36 @@ def test_ipv6_udp():
     assert rec.payload_len == 3
 
 
+def test_headers_only_frames_take_sizes_from_the_ip_header():
+    v4 = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 1000)
+    assert parse_packet(v4[:40], RAW, 0.0, None, len(v4)).payload_len == 1000
+    tcp = ipv4_tcp("10.0.0.1", "10.0.0.2", 1234, 443, 100, 7, 0x18, bytes(range(200)))
+    rec = parse_packet(tcp[:60], RAW, 0.0, None, len(tcp))
+    assert rec.payload_len == 200
+    assert rec.payload == bytes(range(20))  # only the captured bytes
+    src, dst = bytes(range(16)), bytes(range(16, 32))
+    udp = struct.pack("!HHHH", 1000, 2000, 8 + 500, 0) + b"z" * 500
+    v6 = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst + udp
+    assert parse_packet(v6[:64], RAW, 0.0, None, len(v6)).payload_len == 500
+    assert parse_packet(_eth(v4)[:54], ETH, 0.0, None, 14 + len(v4)).payload_len == 1000
+
+
+def test_ip_length_beyond_the_wire_length_keeps_the_captured_size():
+    v4 = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 1000)
+    assert parse_packet(v4[:40], RAW, 0.0, None, 40).payload_len == 12
+    assert parse_packet(v4[:40], RAW, 0.0, None, 600).payload_len == 12
+    assert parse_packet(v4[:40], RAW, 0.0).payload_len == 12  # orig_len defaults to the captured length
+
+
+def test_read_capture_counts_snaplen_cut_records(tmp_pcap):
+    frames = [(i * 0.1, ipv4_udp("10.0.0.1", "10.0.0.2", 1, 2, b"x" * (50 * i))) for i in range(6)]
+    pcap.write_capture(frames, tmp_pcap, snaplen=128)
+    stats = CaptureStats()
+    out = list(read_capture(tmp_pcap, stats))
+    assert [rec.payload_len for rec in out] == [50 * i for i in range(6)]
+    assert stats.snaplen_truncated == sum(1 for _, f in frames if len(f) > 128) == 3
+
+
 def _frag_pair():
     """First fragment (MF set) and tail fragment of one UDP datagram."""
     head = bytearray(ipv4_udp("10.0.0.1", "10.0.0.2", 777, 888, b"A" * 100))

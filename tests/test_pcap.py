@@ -28,6 +28,15 @@ def test_write_returns_count(tmp_pcap):
     assert pcap.write_capture([(0.0, b"x")] * 5, tmp_pcap) == 5
 
 
+def test_snaplen_cuts_frames_and_keeps_the_wire_length(tmp_pcap):
+    pcap.write_capture([(0.0, b"a" * 10), (1.0, b"b" * 4)], tmp_pcap, snaplen=6)
+    with open(tmp_pcap, "rb") as fh:
+        header = pcap.read_header(fh)
+        out = list(pcap.read_records(fh, header))
+    assert header.snaplen == 6
+    assert [(data, orig) for _, data, orig in out] == [(b"aaaaaa", 10), (b"bbbb", 4)]
+
+
 def test_big_endian_header_and_records():
     # hand-built big-endian capture with one 2-byte record
     buf = struct.pack(">IHHiIII", pcap.MAGIC_MICRO, 2, 4, 0, 0, 65535, 1)

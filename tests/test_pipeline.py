@@ -253,3 +253,46 @@ def test_empty_capture(tmp_path):
     report = _analyze(path)
     assert report.sessions == []
     assert report.counters["packets"] == 0
+
+
+# -- headers-only captures ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def snaplen_reports(tmp_path_factory):
+    """One 20 s desktop-app session analyzed whole and cut to 256 and to
+    128 bytes per frame, with the number of frames each cut shortens."""
+    records, _ = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=20.0, seed=5))
+    out = tmp_path_factory.mktemp("snaplen")
+    reports = {}
+    for snaplen in (65535, 256, 128):
+        path = str(out / ("s%d.pcap" % snaplen))
+        pcap.write_capture(records, path, snaplen=snaplen)
+        cut = sum(1 for _, frame in records if len(frame) > snaplen)
+        reports[snaplen] = (_analyze(path), cut)
+    return reports
+
+
+@pytest.mark.parametrize(
+    "snaplen, session",
+    [
+        (65535, ("s1", "desktop_app")),
+        # the management ClientHello loses its SNI: the handshake-size
+        # signature registers the server and joins the platform session
+        (256, ("s1", "desktop_app")),
+        # no platform name survives either: the signature session stands alone
+        (128, ("u1", "console_app")),
+    ],
+    ids=["65535", "256", "128"],
+)
+def test_headers_only_capture_keeps_flows_and_qoe(snaplen_reports, snaplen, session):
+    full = snaplen_reports[65535][0]
+    rep, cut = snaplen_reports[snaplen]
+    assert rep.counters["snaplen_truncated"] == cut
+    assert (cut > 0) is (snaplen < 65535)
+    assert [(s.session_id, s.setup, s.os_hint) for s in rep.sessions] == [(*session, "windows")]
+    roles = [r for _, r in rep.sessions[0].gameplay_flows]
+    assert roles == ["gameplay_mgmt", "down_video", "down_audio", "up_audio", "user_input"]
+    assert rep.sessions[0].gameplay_flows == full.sessions[0].gameplay_flows
+    assert len(rep.qoe[session[0]]) == 19
+    assert rep.qoe[session[0]] == full.qoe["s1"]

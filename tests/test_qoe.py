@@ -10,9 +10,9 @@ from gamesight.qoe import (
     RES_HD,
     RES_SD,
     RES_UNKNOWN,
-    ResolutionTable,
     U32,
     fps_band,
+    resolution_band,
 )
 
 from conftest import tcp_record
@@ -80,7 +80,7 @@ def test_negative_delta_discarded():
 
 
 def test_pending_expiry():
-    t = LatencyTracker(expiry_s=4.0)
+    t = LatencyTracker()
     for i in range(9):
         t.feed(_up(float(i) * 0.1, seq=i * 1000, length=10))
     # pending > 8, so a much later upstream packet purges the stale entries
@@ -150,11 +150,11 @@ def test_interval_origin_advances():
 
 
 def test_size_margin_boundary():
-    # a drop of exactly `margin` below max is NOT a marker; one more byte is
-    tr = FrameRateTracker(size_margin=1)
+    # a drop of exactly the 1-byte margin below max is NOT a marker; one more byte is
+    tr = FrameRateTracker()
     _run(tr, [(1466, 0.0), (1465, 0.001)])
     assert tr.frame_count == 0
-    tr = FrameRateTracker(size_margin=1)
+    tr = FrameRateTracker()
     _run(tr, [(1466, 0.0), (1464, 0.001)])
     assert tr.frame_count == 1
 
@@ -172,35 +172,26 @@ def test_fps_bands():
 
 
 def test_resolution_edges_60fps_row():
-    table = ResolutionTable()
-    assert table.infer(60.0, 22.0e6) == RES_HD  # inclusive upper edge
-    assert table.infer(60.0, 22.1e6) == RES_FHD
-    assert table.infer(60.0, 13.0e6) == RES_SD
-    assert table.infer(60.0, 13.1e6) == RES_HD
+    assert resolution_band(60.0, 22.0e6) == RES_HD  # inclusive upper edge
+    assert resolution_band(60.0, 22.1e6) == RES_FHD
+    assert resolution_band(60.0, 13.0e6) == RES_SD
+    assert resolution_band(60.0, 13.1e6) == RES_HD
 
 
 def test_resolution_edges_30fps_row():
-    table = ResolutionTable()
-    assert table.infer(30.0, 8.0e6) == RES_SD
-    assert table.infer(30.0, 9.0e6) == RES_HD
-    assert table.infer(30.0, 15.0e6) == RES_FHD
+    assert resolution_band(30.0, 8.0e6) == RES_SD
+    assert resolution_band(30.0, 9.0e6) == RES_HD
+    assert resolution_band(30.0, 15.0e6) == RES_FHD
 
 
 def test_resolution_nominal_split():
-    table = ResolutionTable()
     # 12 Mbps peak: HD on the 60 fps row, HD on the 30 fps row too; 13.5 Mbps
     # differs: SD-ish on 60 row edges vs FHD-ish threshold on 30 row
-    assert table.infer(46.0, 13.5e6) == RES_HD  # 60 fps row
-    assert table.infer(44.0, 13.5e6) == RES_HD  # 30 fps row (< 14 M edge)
-    assert table.infer(44.0, 14.5e6) == RES_FHD
-    assert table.infer(46.0, 14.5e6) == RES_HD
+    assert resolution_band(46.0, 13.5e6) == RES_HD  # 60 fps row
+    assert resolution_band(44.0, 13.5e6) == RES_HD  # 30 fps row (< 14 M edge)
+    assert resolution_band(44.0, 14.5e6) == RES_FHD
+    assert resolution_band(46.0, 14.5e6) == RES_HD
 
 
 def test_resolution_activity_floor():
-    table = ResolutionTable()
-    assert table.infer(60.0, 1.9e6) == RES_UNKNOWN
-
-
-def test_resolution_table_validates_edges():
-    with pytest.raises(ValueError):
-        ResolutionTable(edges_60=(22e6, 13e6))
+    assert resolution_band(60.0, 1.9e6) == RES_UNKNOWN
