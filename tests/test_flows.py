@@ -54,6 +54,18 @@ def test_window_bitrate_example():
     assert bps_in / 1e6 == pytest.approx(33.984)
 
 
+def test_unclosed_window_raises():
+    # An open window, or one past the flow's last packet, is never served;
+    # a window no packet fell in has no entry of its own.
+    table = FlowTable(client_nets=NETS)
+    flow = table.update(udp_record(0.5, CLIENT, 1, SERVER, 2, 10))
+    assert table.window_series(flow) == []  # window [0,1) not closed while now < 1.0
+    table.now = 99.5
+    assert table.window_series(flow) == [[0, 1, 0, 10]]  # window 99 lies past the flow
+    with pytest.raises(KeyError):
+        flow.windows[99]
+
+
 def test_conservation_window_sums_equal_totals():
     table = FlowTable(client_nets=NETS)
     flow = None
