@@ -40,6 +40,7 @@ class FlowState:
     sni: Optional[str] = None
     total_pkts: int = 0
     total_bytes: int = 0
+    guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     # analyzer state, dropped with the flow when it is evicted
     reasm: Optional[SniReassembler] = None  # the one ClientHello reassembly of a TCP flow
     latency: Optional[LatencyTracker] = None  # on a registered management flow
@@ -61,37 +62,39 @@ class FlowTable:
         client_nets: Iterable[str] = (),
         cap: int = DEFAULT_TABLE_CAP,
     ):
-        self.client_nets = [ipaddress.ip_network(n) for n in client_nets]
+        # each client net as an integer range: (IP version, first, last address)
+        self.client_nets = [
+            (net.version, int(net.network_address), int(net.broadcast_address))
+            for net in map(ipaddress.ip_network, client_nets)
+        ]
         self.cap = cap
         self.flows: dict[FlowKey, FlowState] = {}
         self.now = 0.0
         self.orientation_warnings = 0
         self.evictions = 0
-        self._client_cache: dict[str, bool] = {}
 
     # -- orientation ---------------------------------------------------
 
     def _is_client(self, ip: str) -> bool:
-        hit = self._client_cache.get(ip)
-        if hit is None:
-            addr = ipaddress.ip_address(ip)
-            hit = any(addr in net for net in self.client_nets)
-            self._client_cache[ip] = hit
-        return hit
+        addr = ipaddress.ip_address(ip)
+        version, value = addr.version, int(addr)
+        return any(v == version and lo <= value <= hi for v, lo, hi in self.client_nets)
+
+    def _orient(self, src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> tuple[bool, bool]:
+        """(upstream, guessed): upstream iff the source is client-side. When
+        neither (or both) side is in the configured nets the lower
+        (ip, port) is deemed the client, so that the key stays
+        involution-stable, and the orientation counts as guessed."""
+        src_is_client = self._is_client(src_ip)
+        if src_is_client != self._is_client(dst_ip):
+            return src_is_client, False
+        return (src_ip, src_port) < (dst_ip, dst_port), True
 
     def canonical_key(self, pkt: PacketRecord) -> tuple[FlowKey, Direction]:
         """Same key for both directions; Upstream iff the source is client-side."""
-        src_is_client = self._is_client(pkt.src_ip)
-        dst_is_client = self._is_client(pkt.dst_ip)
-        if src_is_client and not dst_is_client:
-            up = True
-        elif dst_is_client and not src_is_client:
-            up = False
-        else:
-            # neither (or both) side in the configured nets: lower IP is
-            # deemed the client so that the key stays involution-stable
+        up, guessed = self._orient(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port)
+        if guessed:
             self.orientation_warnings += 1
-            up = (pkt.src_ip, pkt.src_port) < (pkt.dst_ip, pkt.dst_port)
         if up:
             key = FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
             return key, Direction.UPSTREAM
@@ -101,40 +104,57 @@ class FlowTable:
     # -- updates -------------------------------------------------------
 
     def update(self, pkt: PacketRecord) -> FlowState:
-        key, direction = self.canonical_key(pkt)
-        pkt.direction = direction
-        if pkt.ts > self.now:
-            self.now = pkt.ts
-        flow = self.flows.get(key)
-        if flow is None:
-            if len(self.flows) >= self.cap:
-                self._evict_oldest()
-            flow = FlowState(key=key, first_ts=pkt.ts, last_ts=pkt.ts)
-            self.flows[key] = flow
-        flow.last_ts = max(flow.last_ts, pkt.ts)
-        flow.total_pkts += 1
-        flow.total_bytes += pkt.payload_len
+        """Count `pkt` in its flow and set its direction.
 
-        idx = int(pkt.ts // WINDOW_S)
+        A flow is keyed as `canonical_key` has it once, when it is created; a
+        packet and its reply never key two flows, so a later packet finds
+        its flow under its reversed five-tuple (downstream) or under its
+        own (upstream). The reversed tuple is tried first, which keeps a
+        self-addressed packet downstream, as `canonical_key` has it.
+        """
+        src, sport, dst, dport, proto = pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto
+        ts = pkt.ts
+        flows = self.flows
+        flow = flows.get((dst, dport, src, sport, proto))
+        if flow is not None:
+            down = True
+        else:
+            flow = flows.get((src, sport, dst, dport, proto))
+            if flow is not None:
+                down = False
+            else:
+                up, guessed = self._orient(src, sport, dst, dport)
+                key = FlowKey(src, sport, dst, dport, proto) if up else FlowKey(dst, dport, src, sport, proto)
+                if len(flows) >= self.cap:
+                    self._evict_oldest()
+                flow = flows[key] = FlowState(key=key, first_ts=ts, last_ts=ts, guessed=guessed)
+                down = not up
+        if flow.guessed:
+            self.orientation_warnings += 1
+        pkt.direction = Direction.DOWNSTREAM if down else Direction.UPSTREAM
+        if ts > self.now:
+            self.now = ts
+        if ts > flow.last_ts:
+            flow.last_ts = ts
+        size = pkt.payload_len
+        flow.total_pkts += 1
+        flow.total_bytes += size
+
+        idx = int(ts // WINDOW_S)
         win = flow.windows.get(idx)
         if win is None:
-            win = [0, 0, 0, 0]
-            flow.windows[idx] = win
-        if direction is Direction.DOWNSTREAM:
+            win = flow.windows[idx] = [0, 0, 0, 0]
+        if down:
             win[0] += 1
-            win[2] += pkt.payload_len
+            win[2] += size
         else:
             win[1] += 1
-            win[3] += pkt.payload_len
+            win[3] += size
 
-        if pkt.payload_len > 0 and not (pkt.flags is not None and pkt.flags & TCP_SYN):
-            sizes = (
-                flow.first_payload_sizes_up
-                if direction is Direction.UPSTREAM
-                else flow.first_payload_sizes_down
-            )
+        if size > 0 and not (pkt.flags is not None and pkt.flags & TCP_SYN):
+            sizes = flow.first_payload_sizes_down if down else flow.first_payload_sizes_up
             if len(sizes) < FIRST_PAYLOADS_CAP:
-                sizes.append(pkt.payload_len)
+                sizes.append(size)
         return flow
 
     def _evict_oldest(self) -> None:

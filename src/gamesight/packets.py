@@ -25,6 +25,15 @@ TCP_ACK = 0x10
 
 FRAG_CACHE_CAP = 4096  # first fragments whose ports are remembered
 
+# One unpack per header: IPv4 (version/IHL, total length, id, fragment
+# field, protocol, source, destination), IPv6 (payload length, next
+# header, source, destination), the UDP ports and the TCP header up to its
+# flags (ports, seq, ack, data offset, flags).
+_IPV4 = struct.Struct("!BxHHHxB2x4s4s")
+_IPV6 = struct.Struct("!4xHBx16s16s")
+_PORTS = struct.Struct("!HH")
+_TCP_HDR = struct.Struct("!HHIIBB")
+
 
 class Direction(Enum):
     UPSTREAM = "up"
@@ -91,14 +100,21 @@ def parse_packet(
     by default the captured length). Sizes come from the IP header unless
     it claims more than that; payload bytes are only what was captured.
     """
+    n = len(raw)
     off = 0
-    if link_type == pcap.LINKTYPE_ETHERNET:
-        if len(raw) < 14:
+    if link_type == pcap.LINKTYPE_RAW_IP:
+        if not n:
+            return SkipReason.TRUNCATED
+        version = raw[0] >> 4
+        if version != 4 and version != 6:
+            return SkipReason.NON_IP
+    elif link_type == pcap.LINKTYPE_ETHERNET:
+        if n < 14:
             return SkipReason.TRUNCATED
         ethertype = (raw[12] << 8) | raw[13]
         off = 14
         if ethertype == ETH_VLAN:
-            if len(raw) < 18:
+            if n < 18:
                 return SkipReason.TRUNCATED
             ethertype = (raw[16] << 8) | raw[17]
             off = 18
@@ -110,93 +126,68 @@ def parse_packet(
             version = 6
         else:
             return SkipReason.NON_IP
-    elif link_type == pcap.LINKTYPE_RAW_IP:
-        if not raw:
-            return SkipReason.TRUNCATED
-        version = raw[0] >> 4
-        if version not in (4, 6):
-            return SkipReason.NON_IP
     else:
         return SkipReason.UNSUPPORTED_LINK
 
     if orig_len is None:
-        orig_len = len(raw)
+        orig_len = n
     if version == 4:
-        return _parse_ipv4(raw, off, ts, frag_cache, orig_len)
-    return _parse_ipv6(raw, off, ts, orig_len)
+        if n < off + 20:
+            return SkipReason.TRUNCATED
+        ver_ihl, ip_len, ip_id, frag_field, proto, src, dst = _IPV4.unpack_from(raw, off)
+        ihl = (ver_ihl & 0x0F) * 4
+        if ihl < 20 or n < off + ihl:
+            return SkipReason.TRUNCATED
+        src = socket.inet_ntoa(src)
+        dst = socket.inet_ntoa(dst)
+        if ip_len > orig_len - off:  # the header claims more than the wire carried
+            ip_len = min(ip_len, n - off)
+        ip_len -= ihl  # from here on, the IP payload length
+        if ip_len < 0:
+            return SkipReason.TRUNCATED
+        if frag_field & 0x1FFF:  # a fragment past the first
+            if frag_cache is None:
+                return SkipReason.FRAGMENT
+            ports = frag_cache.get((src, dst, proto, ip_id))
+            if ports is None:
+                return SkipReason.FRAGMENT
+            if proto != TCP and proto != UDP:
+                return SkipReason.NON_TCP_UDP
+            return PacketRecord(ts, src, ports[0], dst, ports[1], proto, ip_len)
+        off += ihl
+        more_frags = frag_field & 0x2000
+    else:
+        if n < off + 40:
+            return SkipReason.TRUNCATED
+        ip_len, proto, src, dst = _IPV6.unpack_from(raw, off)
+        src = socket.inet_ntop(socket.AF_INET6, src)
+        dst = socket.inet_ntop(socket.AF_INET6, dst)
+        off += 40
+        if ip_len > orig_len - off:  # the header claims more than the wire carried
+            ip_len = min(ip_len, n - off)
+        more_frags = 0
 
-
-def _parse_ipv4(raw: bytes, off: int, ts: float, frag_cache, orig_len: int) -> PacketRecord | SkipReason:
-    if len(raw) < off + 20:
-        return SkipReason.TRUNCATED
-    ihl = (raw[off] & 0x0F) * 4
-    if ihl < 20 or len(raw) < off + ihl:
-        return SkipReason.TRUNCATED
-    total_len = (raw[off + 2] << 8) | raw[off + 3]
-    proto = raw[off + 9]
-    src = socket.inet_ntoa(raw[off + 12 : off + 16])
-    dst = socket.inet_ntoa(raw[off + 16 : off + 20])
-
-    frag_field = (raw[off + 6] << 8) | raw[off + 7]
-    frag_offset = frag_field & 0x1FFF
-    more_frags = bool(frag_field & 0x2000)
-    if total_len > orig_len - off:  # the header claims more than the wire carried
-        total_len = min(total_len, len(raw) - off)
-    ip_payload_len = total_len - ihl
-    if ip_payload_len < 0:
-        return SkipReason.TRUNCATED
-
-    if frag_offset > 0:
-        if frag_cache is None:
-            return SkipReason.FRAGMENT
-        ip_id = (raw[off + 4] << 8) | raw[off + 5]
-        ports = frag_cache.get((src, dst, proto, ip_id))
-        if ports is None:
-            return SkipReason.FRAGMENT
-        if proto not in (TCP, UDP):
-            return SkipReason.NON_TCP_UDP
-        return PacketRecord(ts, src, ports[0], dst, ports[1], proto, ip_payload_len)
-
-    rec = _parse_transport(raw, off + ihl, ip_payload_len, proto, src, dst, ts)
-    if more_frags and isinstance(rec, PacketRecord) and frag_cache is not None:
-        ip_id = (raw[off + 4] << 8) | raw[off + 5]
-        frag_cache.put((src, dst, proto, ip_id), (rec.src_port, rec.dst_port))
-    return rec
-
-
-def _parse_ipv6(raw: bytes, off: int, ts: float, orig_len: int) -> PacketRecord | SkipReason:
-    if len(raw) < off + 40:
-        return SkipReason.TRUNCATED
-    payload_len = (raw[off + 4] << 8) | raw[off + 5]
-    proto = raw[off + 6]
-    src = socket.inet_ntop(socket.AF_INET6, raw[off + 8 : off + 24])
-    dst = socket.inet_ntop(socket.AF_INET6, raw[off + 24 : off + 40])
-    if payload_len > orig_len - off - 40:  # the header claims more than the wire carried
-        payload_len = min(payload_len, len(raw) - off - 40)
-    return _parse_transport(raw, off + 40, payload_len, proto, src, dst, ts)
-
-
-def _parse_transport(
-    raw: bytes, off: int, ip_payload_len: int, proto: int, src: str, dst: str, ts: float
-) -> PacketRecord | SkipReason:
     if proto == UDP:
-        if ip_payload_len < 8 or len(raw) < off + 8:
+        if ip_len < 8 or n < off + 8:
             return SkipReason.TRUNCATED
-        sport = (raw[off] << 8) | raw[off + 1]
-        dport = (raw[off + 2] << 8) | raw[off + 3]
-        return PacketRecord(ts, src, sport, dst, dport, UDP, ip_payload_len - 8)
-    if proto == TCP:
-        if ip_payload_len < 20 or len(raw) < off + 20:
+        sport, dport = _PORTS.unpack_from(raw, off)
+        rec = PacketRecord(ts, src, sport, dst, dport, UDP, ip_len - 8)
+    elif proto == TCP:
+        if ip_len < 20 or n < off + 20:
             return SkipReason.TRUNCATED
-        sport, dport, seq, ack = struct.unpack_from("!HHII", raw, off)
-        data_off = (raw[off + 12] >> 4) * 4
-        if data_off < 20 or ip_payload_len < data_off:
+        sport, dport, seq, ack, data_off, flags = _TCP_HDR.unpack_from(raw, off)
+        data_off = (data_off >> 4) * 4
+        if data_off < 20 or ip_len < data_off:
             return SkipReason.TRUNCATED
-        flags = raw[off + 13]
-        payload_len = ip_payload_len - data_off
-        payload = raw[off + data_off : off + data_off + payload_len] if payload_len else None
-        return PacketRecord(ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
-    return SkipReason.NON_TCP_UDP
+        payload_len = ip_len - data_off
+        off += data_off
+        payload = raw[off : off + payload_len] if payload_len else None
+        rec = PacketRecord(ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
+    else:
+        return SkipReason.NON_TCP_UDP
+    if more_frags and frag_cache is not None:
+        frag_cache.put((src, dst, proto, ip_id), (sport, dport))
+    return rec
 
 
 @dataclass
@@ -210,23 +201,33 @@ class CaptureStats:
 
 def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
     """Stream PacketRecords from a PCAP file, skipping non-IP/non-TCP-UDP frames
-    and dropping a final record cut short by the end of the file."""
+    and dropping a final record cut short by the end of the file. `stats`
+    is brought up to date when the stream ends or is closed."""
     with open(path, "rb") as fh:
         header = pcap.read_header(fh)
         if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
             raise MalformedHeader("unsupported link type %d" % header.link_type)
         frag_cache = _FragCache()
         link = header.link_type
-        for ts, raw, orig_len in pcap.read_records(fh, header):
-            rec = parse_packet(raw, link, ts, frag_cache, orig_len)
-            if orig_len > len(raw) and stats is not None:
-                stats.snaplen_truncated += 1
-            if isinstance(rec, PacketRecord):
-                if stats is not None:
-                    stats.packets += 1
-                yield rec
-            elif stats is not None:
-                stats.skipped += 1
-                stats.skip_reasons[rec.value] = stats.skip_reasons.get(rec.value, 0) + 1
-        if stats is not None and fh.tell() < fh.seek(0, 2):
-            stats.truncated_tail = 1  # read_records stopped at the start of a cut-short record
+        parsed = skipped = snaplen_cut = 0
+        reasons: dict[str, int] = {}
+        try:
+            for ts, raw, orig_len in pcap.read_records(fh, header):
+                rec = parse_packet(raw, link, ts, frag_cache, orig_len)
+                if orig_len > len(raw):
+                    snaplen_cut += 1
+                if rec.__class__ is PacketRecord:
+                    parsed += 1
+                    yield rec
+                else:
+                    skipped += 1
+                    reasons[rec.value] = reasons.get(rec.value, 0) + 1
+            if stats is not None and fh.tell() < fh.seek(0, 2):
+                stats.truncated_tail = 1  # read_records stopped at the start of a cut-short record
+        finally:
+            if stats is not None:
+                stats.packets += parsed
+                stats.skipped += skipped
+                stats.snaplen_truncated += snaplen_cut
+                for reason, count in reasons.items():
+                    stats.skip_reasons[reason] = stats.skip_reasons.get(reason, 0) + count

@@ -24,6 +24,8 @@ _GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
 _REC_HDR_LE = struct.Struct("<IIII")
 _REC_HDR_BE = struct.Struct(">IIII")
 
+CHUNK_SIZE = 1 << 16  # bytes read_records asks of the file at a time
+
 
 @dataclass
 class PcapHeader:
@@ -57,28 +59,38 @@ def read_header(fh: BinaryIO) -> PcapHeader:
 def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int]]:
     """Yield (timestamp, captured bytes, original length) per record.
 
-    A record whose header or body is cut short by EOF is not yielded: the
-    stream ends with `fh` moved back to the start of that record, so a
-    caller can tell a cut-short tail from a clean end by comparing
-    `fh.tell()` with the file size.
+    The file is read in `CHUNK_SIZE` pieces (or one record, if a record is
+    longer), so `fh` runs ahead of the records yielded so far. A record
+    whose header or body is cut short by EOF is not yielded: the stream
+    ends with `fh` moved back to the start of that record, so a caller can
+    tell a cut-short tail from a clean end by comparing `fh.tell()` with
+    the file size.
     """
-    rec = _REC_HDR_LE if header.byte_order == "<" else _REC_HDR_BE
-    div = 1e9 if header.ts_resolution == "nano" else 1e6
+    unpack_from = (_REC_HDR_LE if header.byte_order == "<" else _REC_HDR_BE).unpack_from
+    nano = header.ts_resolution == "nano"
     read = fh.read
-    unpack = rec.unpack
+    buf = b""
+    pos = end = 0
     while True:
-        raw = read(16)
-        if len(raw) < 16:
-            fh.seek(-len(raw), 1)
+        short = 0  # bytes the record at `pos` still lacks past `end`
+        while pos + 16 <= end:
+            ts_sec, ts_frac, incl_len, orig_len = unpack_from(buf, pos)
+            stop = pos + 16 + incl_len
+            if stop > end:
+                short = stop - end
+                break
+            if nano:  # nanosecond stamps are truncated to microsecond precision
+                ts_frac //= 1000
+            yield ts_sec + ts_frac / 1e6, buf[pos + 16 : stop], orig_len
+            pos = stop
+        more = read(max(CHUNK_SIZE, short))
+        if not more:
+            if pos < end:
+                fh.seek(pos - end, 1)
             return
-        ts_sec, ts_frac, incl_len, orig_len = unpack(raw)
-        data = read(incl_len)
-        if len(data) < incl_len:
-            fh.seek(-16 - len(data), 1)
-            return
-        # nanosecond stamps are truncated to microsecond precision
-        frac = (ts_frac // 1000) / 1e6 if div == 1e9 else ts_frac / 1e6
-        yield ts_sec + frac, data, orig_len
+        buf = buf[pos:] + more if pos < end else more
+        more = None  # the chunk lives on in `buf` alone, and goes before the next is read
+        pos, end = 0, len(buf)
 
 
 def write_capture(

@@ -69,7 +69,7 @@ class Analyzer:
 
     def _feed(self, pkt) -> None:
         flow = self.table.update(pkt)
-        if flow.key.proto == UDP:
+        if pkt.proto == UDP:
             if flow.total_pkts == 1:
                 self._join(flow)
             if flow.gameplay is None:

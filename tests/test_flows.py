@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gamesight.flows import WINDOW_S, FlowTable
@@ -30,6 +32,69 @@ def test_orientation_warning_when_no_net_matches():
     k2, _ = table.canonical_key(b)
     assert k1 == k2  # still involution-stable via lower-IP rule
     assert table.orientation_warnings == 2
+
+
+def _random_packets(rng: random.Random, count: int) -> list:
+    """Packets among client and server addresses of both IP versions: one
+    side in the client nets, both sides, neither, and self-addressed."""
+    hosts = {
+        4: (["192.0.2.%d" % i for i in (1, 2, 10)], ["203.0.113.%d" % i for i in (1, 7, 200)]),
+        6: (["2001:db8:1::%x" % i for i in (1, 2, 0xA)], ["2001:db8:2::%x" % i for i in (1, 7, 0xC8)]),
+    }
+    ports = (53, 443, 5000, 49003)
+    out = []
+    for i in range(count):
+        clients, servers = hosts[rng.choice((4, 6))]
+        pool = rng.choice((clients + servers, clients, servers))
+        src, dst = rng.choice(pool), rng.choice(pool)
+        sport, dport = rng.choice(ports), rng.choice(ports)
+        if i % 17 == 0:
+            dst, dport = src, sport  # self-addressed
+        proto = rng.choice((udp_record, tcp_record))
+        out.append(proto(i * 0.01, src, sport, dst, dport, rng.randrange(0, 1400)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_update_direction_matches_canonical_key(seed):
+    nets = ("192.0.2.0/24", "2001:db8:1::/64")
+    reference = FlowTable(client_nets=nets)
+    table = FlowTable(client_nets=nets)
+    keys = set()
+    for pkt in _random_packets(random.Random(seed), 2000):
+        key, direction = reference.canonical_key(pkt)
+        flow = table.update(pkt)
+        assert flow.key == key
+        assert pkt.direction is direction
+        if pkt.src_ip == pkt.dst_ip and pkt.src_port == pkt.dst_port:
+            assert direction is Direction.DOWNSTREAM
+        keys.add(key)
+    assert set(table.flows) == keys
+    # one warning per packet whose orientation was guessed, not one per flow
+    assert table.orientation_warnings == reference.orientation_warnings > sum(
+        f.guessed for f in table.flows.values()
+    )
+
+
+def test_orientation_warnings_count_each_guessed_packet():
+    table = FlowTable(client_nets=NETS)
+    for i in range(3):
+        table.update(udp_record(i, "10.0.0.1", 1, "10.0.0.2", 2, 5))
+        table.update(udp_record(i, "10.0.0.2", 2, "10.0.0.1", 1, 5))
+        table.update(udp_record(i, CLIENT, 1, SERVER, 2, 5))
+    assert len(table.flows) == 2
+    assert table.orientation_warnings == 6
+
+
+def test_client_nets_match_by_version_and_range():
+    table = FlowTable(client_nets=("10.0.0.0/8", "2001:db8::/32"))
+    assert table._is_client("10.0.0.0")
+    assert table._is_client("10.255.255.255")
+    assert not table._is_client("11.0.0.0")
+    assert not table._is_client("9.255.255.255")
+    assert table._is_client("2001:db8:ffff::1")
+    assert not table._is_client("2001:db9::1")
+    assert not table._is_client("::a00:1")  # 10.0.0.1's value, but IPv6
 
 
 def test_window_rates_example():

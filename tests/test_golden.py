@@ -9,11 +9,13 @@ its QoE comes from the packets still waiting when the capture ends.
 """
 
 import hashlib
+import struct
 
 import pytest
 
-from gamesight import cli
-from gamesight.synth import SessionProfile, write_session
+from gamesight import cli, pcap
+from gamesight.packets import ETH_IPV4, ETH_IPV6
+from gamesight.synth import SessionProfile, gen_session, write_session
 
 CASES = {
     "console": (
@@ -43,12 +45,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def analyze_digests(tmp_path, monkeypatch, profile_kw) -> tuple[str, str]:
-    """Generate one GFN session (8 s unless given) and analyze it from inside
-    `tmp_path`, so that the relative capture name written to sessions.jsonl
-    is stable."""
-    profile = SessionProfile(**{"platform": "gfn", "duration_s": 8.0, **profile_kw})
-    write_session(profile, str(tmp_path / "s.pcap"), str(tmp_path / "s.manifest.json"))
+def _profile(profile_kw) -> SessionProfile:
+    return SessionProfile(**{"platform": "gfn", "duration_s": 8.0, **profile_kw})
+
+
+def _analyze(tmp_path, monkeypatch) -> tuple[str, str]:
+    """Analyze `tmp_path/s.pcap` from inside `tmp_path`, so that the relative
+    capture name written to sessions.jsonl is stable."""
     monkeypatch.chdir(tmp_path)
     cli.main(
         ["analyze", "--pcap", "s.pcap", "--client-nets", "192.0.2.0/24", "--out", "out"],
@@ -57,7 +60,33 @@ def analyze_digests(tmp_path, monkeypatch, profile_kw) -> tuple[str, str]:
     return _sha256(tmp_path / "out" / "sessions.jsonl"), _sha256(tmp_path / "out" / "qoe.csv")
 
 
+def analyze_digests(tmp_path, monkeypatch, profile_kw) -> tuple[str, str]:
+    """Generate one GFN session (8 s unless given) and analyze it."""
+    write_session(_profile(profile_kw), str(tmp_path / "s.pcap"), str(tmp_path / "s.manifest.json"))
+    return _analyze(tmp_path, monkeypatch)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_byte_identical(tmp_path, monkeypatch, case):
     profile_kw, sessions_sha, qoe_sha = CASES[case]
     assert analyze_digests(tmp_path, monkeypatch, profile_kw) == (sessions_sha, qoe_sha)
+
+
+# Ethernet header (destination, source MAC) before the EtherType, and the
+# same with one 802.1Q tag (TPID 0x8100, VLAN 1).
+LINK_HEADERS = {
+    "ethernet": b"\x02" * 6 + b"\x04" * 6,
+    "vlan": b"\x02" * 6 + b"\x04" * 6 + struct.pack("!HH", 0x8100, 1),
+}
+
+
+@pytest.mark.parametrize("link", sorted(LINK_HEADERS))
+def test_link_layer_leaves_outputs_byte_identical(tmp_path, monkeypatch, link):
+    # the analyzer ignores the link layer: the console case's records in
+    # Ethernet frames give that case's recorded digests
+    profile_kw, sessions_sha, qoe_sha = CASES["console"]
+    records, _ = gen_session(_profile(profile_kw))
+    head = LINK_HEADERS[link]
+    frames = [(ts, head + struct.pack("!H", ETH_IPV4 if ip[0] >> 4 == 4 else ETH_IPV6) + ip) for ts, ip in records]
+    pcap.write_capture(frames, str(tmp_path / "s.pcap"), link_type=pcap.LINKTYPE_ETHERNET)
+    assert _analyze(tmp_path, monkeypatch) == (sessions_sha, qoe_sha)

@@ -1,3 +1,4 @@
+import ipaddress
 import struct
 
 import pytest
@@ -97,6 +98,7 @@ def test_ipv6_udp():
     hdr = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst
     rec = parse_packet(hdr + udp, RAW, 0.0)
     assert isinstance(rec, PacketRecord)
+    assert (rec.src_ip, rec.dst_ip) == (str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)))
     assert rec.src_port == 1000
     assert rec.payload_len == 3
 

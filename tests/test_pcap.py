@@ -5,6 +5,8 @@ import pytest
 
 from gamesight import pcap
 from gamesight.errors import MalformedHeader
+from gamesight.packets import CaptureStats, read_capture
+from gamesight.synth import ipv4_udp
 
 
 def _roundtrip(records, tmp_pcap, link_type=pcap.LINKTYPE_RAW_IP):
@@ -91,3 +93,87 @@ def test_timestamp_microsecond_rounding(tmp_pcap):
     # write path must not emit usec == 1_000_000
     header, out = _roundtrip([(0.9999996, b"z")], tmp_pcap)
     assert out[0][0] == pytest.approx(1.0, abs=1e-9)
+
+
+# -- chunked reading ------------------------------------------------------
+
+CHUNK = pcap.CHUNK_SIZE
+
+
+def _frames(sizes):
+    return [(i * 0.25, bytes([i % 251]) * size) for i, size in enumerate(sizes)]
+
+
+def _read_all(fh):
+    header = pcap.read_header(fh)
+    return header, list(pcap.read_records(fh, header))
+
+
+@pytest.mark.parametrize("first", [CHUNK - 16 - 8, CHUNK - 16 - 20])
+def test_record_straddles_a_chunk_boundary(tmp_pcap, first):
+    # The first chunk holds the first record and part of the second: for
+    # `CHUNK - 24` the boundary falls inside the second record's header,
+    # for `CHUNK - 36` inside its body.
+    records = _frames([first, 100, 10])
+    header, out = _roundtrip(records, tmp_pcap)
+    assert [(ts, data) for ts, data, _ in out] == records
+
+
+def test_every_boundary_offset(tmp_pcap, monkeypatch):
+    # with chunks of 1..70 bytes a boundary falls on every offset of these records
+    records = _frames([0, 1, 7, 15, 16, 17, 40, 3])
+    pcap.write_capture(records, tmp_pcap)
+    for size in range(1, 71):
+        monkeypatch.setattr(pcap, "CHUNK_SIZE", size)
+        with open(tmp_pcap, "rb") as fh:
+            _, out = _read_all(fh)
+        assert [(ts, data) for ts, data, _ in out] == records, size
+
+
+def test_record_longer_than_a_chunk(tmp_pcap):
+    records = _frames([50, 70_000, 200_000, 30])
+    pcap.write_capture(records, tmp_pcap, snaplen=262144)
+    with open(tmp_pcap, "rb") as fh:
+        _, out = _read_all(fh)
+    assert [(ts, data, orig) for ts, data, orig in out] == [(ts, f, len(f)) for ts, f in records]
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("magic", [pcap.MAGIC_MICRO, pcap.MAGIC_NANO])
+def test_byte_orders_and_resolutions_across_chunks(order, magic):
+    # 200 records of 1000 bytes span four chunks; the nanosecond stamps
+    # are truncated to whole microseconds
+    buf = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 101)
+    for i in range(200):
+        usec = i * 4999 + 7
+        frac = usec * 1000 + 999 if magic == pcap.MAGIC_NANO else usec
+        buf += struct.pack(order + "IIII", 100 + i, frac, 1000, 1500) + bytes([i % 251]) * 1000
+    header, out = _read_all(io.BytesIO(buf))
+    assert header.byte_order == order
+    assert len(out) == 200
+    for i, (ts, data, orig) in enumerate(out):
+        assert ts == 100 + i + (i * 4999 + 7) / 1e6
+        assert (data, orig) == (bytes([i % 251]) * 1000, 1500)
+
+
+@pytest.mark.parametrize("back, cut_into", [(4, 8), (30, 16 + 40)])
+def test_cut_short_just_past_a_chunk_boundary(tmp_path, back, cut_into):
+    # 64 records of 16 + 1000 bytes and a filler put the last record's start
+    # `back` bytes before the first chunk's end (24 + CHUNK), so the boundary
+    # falls inside its header (4) or its body (30); the file ends
+    # `cut_into` bytes into that record, just past the boundary.
+    start = 24 + CHUNK - back
+    filler = start - (24 + 64 * 1016) - 16
+    frames = [ipv4_udp("10.0.0.1", "10.0.0.2", 1, 2, b"x" * 972)] * 64
+    frames += [ipv4_udp("10.0.0.1", "10.0.0.2", 1, 2, b"y" * (filler - 28))] * 2
+    path = tmp_path / "cut.pcap"
+    pcap.write_capture([(i * 0.01, f) for i, f in enumerate(frames)], str(path))
+    path.write_bytes(path.read_bytes()[: start + cut_into])
+
+    with open(path, "rb") as fh:
+        _, out = _read_all(fh)
+        assert fh.tell() == start
+    assert len(out) == 65
+    stats = CaptureStats()
+    assert len(list(read_capture(str(path), stats))) == 65
+    assert (stats.packets, stats.skipped, stats.truncated_tail) == (65, 0, 1)
