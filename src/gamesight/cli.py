@@ -103,7 +103,8 @@ def analyze(pcaps, client_nets, codebook, out_dir):
                     merged[reason] = merged.get(reason, 0) + n
             else:
                 counters[k] = counters.get(k, 0) + v
-        log.info("%s: %d sessions, %d qoe samples", path, len(rep.sessions), len(rep.qoe))
+        rows = sum(len(samples) for samples in rep.qoe.values())
+        log.info("%s: %d sessions, %d qoe samples", path, len(rep.sessions), rows)
 
     write_sessions_jsonl(str(out / "sessions.jsonl"), sessions)
     write_qoe_csv(str(out / "qoe.csv"), qoe_rows)

@@ -33,7 +33,8 @@ class FlowState:
     last_ts: float
     # window index (ts // WINDOW_S) -> [pkts_in, pkts_out, bytes_in, bytes_out]:
     # "in" is downstream, bytes are payload bytes, and a window without
-    # packets has no entry. The classifier reads these lists as they are.
+    # packets has no entry. The classifier, and QoE for a video flow, read
+    # these lists as they are.
     windows: dict = field(default_factory=dict)
     first_payload_sizes_up: list = field(default_factory=list)
     first_payload_sizes_down: list = field(default_factory=list)

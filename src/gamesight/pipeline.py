@@ -17,19 +17,13 @@ from .classify import (
 )
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
-from .flows import WINDOW_S, FlowTable
+from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import UDP, CaptureStats, Direction, read_capture
-from .qoe import (
-    WARMUP_INTERVALS,
-    FlowQoe,
-    LatencyTracker,
-    QoeSample,
-    fps_band,
-    resolution_band,
-)
+from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
 from .tls import SniReassembler
 
 PEAK_WINDOW_INTERVALS = 10
+NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 
 
 @dataclass
@@ -205,7 +199,7 @@ class Analyzer:
                     unclassified += 1
                 session.gameplay_flows.append((flow.key, flow.role))
                 if flow.role in VIDEO_ROLES:
-                    video = flow.qoe
+                    video = flow
             report.qoe[session.session_id] = self._session_qoe(mgmt.latency, video)
 
         for session in self.detector.sessions:
@@ -227,34 +221,33 @@ class Analyzer:
         }
         return report
 
-    def _session_qoe(self, latency: Optional[LatencyTracker], state: Optional[FlowQoe]) -> list[QoeSample]:
-        if state is None or state.t0 is None:
+    def _session_qoe(self, latency: Optional[LatencyTracker], video: Optional[FlowState]) -> list[QoeSample]:
+        """One sample per whole window of the video flow, on the flow table's
+        grid: its bitrate and trailing peak come from the flow's own windows."""
+        if video is None or video.qoe is None:
             return []
-        t0, interval_bytes = state.t0, state.interval_bytes
+        windows = video.windows
 
         latency_buckets: dict[int, list[float]] = {}
         if latency is not None:
             for sample in latency.samples:
-                idx = int((sample.ts - t0) // WINDOW_S)
-                latency_buckets.setdefault(idx, []).append(sample.latency_ms)
+                latency_buckets.setdefault(int(sample.ts // WINDOW_S), []).append(sample.latency_ms)
 
         samples = []
-        for k, fs in enumerate(state.fps_samples):
-            bits = interval_bytes.get(k, 0) * 8
+        for fs in video.qoe.fps_samples:
+            idx = fs.window
             peak = max(
-                interval_bytes.get(j, 0) * 8
-                for j in range(max(0, k - PEAK_WINDOW_INTERVALS + 1), k + 1)
+                windows.get(j, NO_PACKETS)[2] * 8 for j in range(idx - PEAK_WINDOW_INTERVALS + 1, idx + 1)
             )
-            lat_vals = latency_buckets.get(k)
+            lat_vals = latency_buckets.get(idx)
             samples.append(
                 QoeSample(
-                    ts=fs.interval_start,
+                    ts=idx * WINDOW_S,
                     latency_ms=sum(lat_vals) / len(lat_vals) if lat_vals else None,
                     fps=fs.fps,
                     fps_band=fps_band(fs.fps),
-                    bitrate_mbps=bits / 1e6,
+                    bitrate_mbps=windows.get(idx, NO_PACKETS)[2] * 8 / 1e6,
                     resolution=resolution_band(fs.fps, peak),
-                    warmup=k < WARMUP_INTERVALS,
                 )
             )
         return samples

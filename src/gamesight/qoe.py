@@ -76,7 +76,7 @@ class LatencyTracker:
 
 @dataclass(slots=True)
 class FpsSample:
-    interval_start: float
+    window: int  # index on the flow table's grid (ts // WINDOW_S)
     fps: float
 
 
@@ -85,26 +85,33 @@ class FrameRateTracker:
 
     A growing running maximum identifies full-size data packets; a drop
     below (max - `FRAME_SIZE_MARGIN`) right after a full-size packet marks
-    the end of one frame. Fps is emitted per elapsed `WINDOW_S` interval; empty
-    intervals yield zero. The interval origin advances by whole intervals
-    so that rates are per-interval rather than cumulative.
+    the end of one frame. Frames are counted per window of the flow table's
+    grid (`ts // WINDOW_S`), and fps is emitted for a window once a later
+    packet closes it; windows without packets yield zero. Only windows the
+    flow covers whole are emitted: not the one holding its first packet,
+    nor the last one, which never closes.
     """
 
     def __init__(self):
         self.frame_count = 0
-        self.t_start: Optional[float] = None
+        self.window: Optional[int] = None  # grid index of the open window
+        self.whole = False  # the open window began after the first packet, so the flow covers it
         self.size_max = 0
         self.flag_max = False
 
     def feed(self, payload_len: int, ts: float) -> list[FpsSample]:
         out: list[FpsSample] = []
-        if self.t_start is None:
-            self.t_start = ts
+        idx = int(ts // WINDOW_S)
+        if self.window is None:
+            self.window = idx
             self.size_max = payload_len
-        while ts > self.t_start + WINDOW_S:
-            out.append(FpsSample(self.t_start, self.frame_count / WINDOW_S))
+        elif idx > self.window:
+            if self.whole:
+                out.append(FpsSample(self.window, self.frame_count / WINDOW_S))
+            out.extend(FpsSample(w, 0.0) for w in range(self.window + 1, idx))
             self.frame_count = 0
-            self.t_start += WINDOW_S
+            self.window = idx
+            self.whole = True
         if payload_len > self.size_max:
             self.size_max = payload_len
             return out
@@ -118,28 +125,21 @@ class FrameRateTracker:
 
 
 class FlowQoe:
-    """Streaming QoE inputs of one candidate gameplay flow, fed with its
-    downstream packets in capture order: the frame-rate samples and the
-    bytes per interval, both counted from the first downstream packet.
-    Packets wait in `pending` until `start`, once the flow's role is known."""
+    """Frame-rate samples of one candidate gameplay flow, fed with its
+    downstream packets in capture order. Packets wait in `pending` until
+    `start`, once the flow's role is known."""
 
-    __slots__ = ("tracker", "fps_samples", "t0", "interval_bytes", "pending")
+    __slots__ = ("tracker", "fps_samples", "pending")
 
     def __init__(self):
         self.tracker = FrameRateTracker()
         self.fps_samples: list[FpsSample] = []
-        self.t0: Optional[float] = None
-        self.interval_bytes: dict[int, int] = {}
         self.pending: Optional[list[tuple[int, float]]] = []
 
     def feed(self, payload_len: int, ts: float) -> None:
         if self.pending is not None:
             self.pending.append((payload_len, ts))
             return
-        if self.t0 is None:
-            self.t0 = ts
-        idx = int((ts - self.t0) / WINDOW_S)
-        self.interval_bytes[idx] = self.interval_bytes.get(idx, 0) + payload_len
         self.fps_samples.extend(self.tracker.feed(payload_len, ts))
 
     def start(self) -> None:
@@ -175,4 +175,3 @@ class QoeSample:
     fps_band: Optional[str]
     bitrate_mbps: float
     resolution: str
-    warmup: bool = False

@@ -9,7 +9,8 @@ from typing import Optional
 
 from .qoe import WARMUP_INTERVALS
 
-QOE_SCHEMA = "gamesight-qoe/1"
+QOE_SCHEMA = "gamesight-qoe/2"  # /2: rows on the flow table's whole one-second windows
+QOE_SCHEMAS_READ = ("gamesight-qoe/1", QOE_SCHEMA)
 SESSIONS_SCHEMA = "gamesight-sessions/1"
 
 QOE_COLUMNS = ["ts", "session_id", "latency_ms", "fps", "fps_band", "bitrate_mbps", "resolution"]
@@ -31,7 +32,7 @@ def write_qoe_csv(path: str, rows: list[dict]) -> None:
 def load_qoe_csv(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         first = fh.readline().strip()
-        if not first.startswith("# schema=%s" % QOE_SCHEMA):
+        if first not in ["# schema=%s" % schema for schema in QOE_SCHEMAS_READ]:
             raise SchemaError("unexpected qoe schema header: %r" % first)
         reader = csv.DictReader(fh)
         if reader.fieldnames != QOE_COLUMNS:

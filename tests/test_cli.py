@@ -1,4 +1,5 @@
 import json
+import logging
 
 from click.testing import CliRunner
 
@@ -31,7 +32,7 @@ def test_generate_analyze_report_roundtrip(tmp_path):
     assert summary["qoe_samples"] > 0
 
     with open(tmp_path / "out" / "qoe.csv") as fh:
-        assert fh.readline().startswith("# schema=gamesight-qoe/1")
+        assert fh.readline().startswith("# schema=gamesight-qoe/2")
     first = open(tmp_path / "out" / "sessions.jsonl").readline()
     assert json.loads(first) == {"schema": "gamesight-sessions/1"}
 
@@ -128,6 +129,16 @@ def test_cgl_log_env_accepted(tmp_path):
         env={"CGL_LOG": "DEBUG"},
     )
     assert res.exit_code == 0
+
+
+def test_analyze_logs_qoe_row_count(tmp_path, caplog):
+    pcap_path, _ = _generate(tmp_path)
+    caplog.set_level(logging.INFO, logger="gamesight")
+    res = _run(["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output.strip().splitlines()[-1])["qoe_samples"]
+    assert rows > 1  # one session, so a session count would read 1
+    assert caplog.messages == ["%s: 1 sessions, %d qoe samples" % (pcap_path, rows)]
 
 
 def test_analyze_prints_skip_reasons(tmp_path):

@@ -1,11 +1,13 @@
 """Byte-identity of `analyze` outputs on short fixed-seed sessions.
 
-The digests were recorded with the analyzer that buffered every UDP packet
-until the end of the capture and replayed the video flow into the frame
-detector. The streaming analyzer must reproduce them byte for byte; a
-change that alters an output on purpose re-records them and says why. The
-short session ends before its video flow's classifying windows close, so
-its QoE comes from the packets still waiting when the capture ends.
+The analyzer reads the capture in one pass and decides each gameplay flow's
+role once, holding a joined flow's downstream packets until then. A change
+that alters an output on purpose re-records the digests it changes and says
+why. The qoe.csv digests were last re-recorded when QoE rows moved onto the
+flow table's whole one-second windows (schema gamesight-qoe/2); the
+sessions.jsonl digests are older. The short session ends before its video
+flow's classifying windows close, so its QoE comes from the packets still
+waiting when the capture ends.
 """
 
 import hashlib
@@ -21,22 +23,22 @@ CASES = {
     "console": (
         dict(setup="desktop_app", resolution_schedule=[(0.0, "fhd")], rtt_ms=20.0, seed=31),
         "cbe04ed2718f958ab73b781adb5e61d1e6359caa0ceb2d6939bdbb2c0e709fc6",
-        "c715dbff6741c2cacc6de592c44fa7a74a6e519ec80b48c53f495ac4ff8bdadd",
+        "8ce05b28def2890635b2f8714d357e2d45f53ae61d05bbdd22d720b848368966",
     ),
     "browser": (
         dict(setup="browser", fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "hd")], rtt_ms=80.0, seed=32),
         "b4cc7d3405646742a6fe6d9d31e6efe474cd406b5557ee3dbe7ad787a5a4861b",
-        "12e9534b1c7bda8f9d9c20cce1dfce7c9187a2b3e02e7952f780865632fdf18b",
+        "523b024a7078c51d86cce51e9a13fbd54b7fed1f24d1456377d40721a1f08644",
     ),
     "short": (
         dict(setup="desktop_app", rtt_ms=20.0, seed=34, duration_s=2.5),
         "8140acc5c351cfde7de8512a0a4f1eb3ea03fa70577ecf3ba441879950c4a3b3",
-        "930b3f3ca9a87d420af8c3223db9f7740e354932b6c4d7aae8864fcdd85ae36a",
+        "666eab5f003a2914bb0aa7fc1b1c5d790b40bf89583fbb185d07070338912ced",
     ),
     "strip-sni": (
         dict(setup="mobile_app", os="android", rtt_ms=5.0, seed=33, strip_sni=True),
         "d46cd601d04109dbd27708a727404d3c05830fff8106d8438c0bb68fd6a5f395",
-        "1432d00c9f38a65c01b874b6010e0380a3861763807a2f9805ad32487e9199a2",
+        "6a537ff0c89f05c3ecef7f70c97904722f0a2d9ee15e9205fe5f469568e77c79",
     ),
 }
 

@@ -1,10 +1,11 @@
 import pytest
 
 from gamesight import pcap, pipeline
-from gamesight.flows import FlowKey
+from gamesight.classify import VIDEO_ROLES
+from gamesight.flows import WINDOW_S, FlowKey
 from gamesight.packets import UDP
 from gamesight.pipeline import Analyzer
-from gamesight.qoe import FrameRateTracker
+from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
 from gamesight.synth import (
     SessionProfile,
     build_client_hello,
@@ -68,7 +69,7 @@ def test_qoe_matches_manifest(tmp_path):
     truth = manifest.data["qoe"]
     assert len(samples) >= len(truth) - 2  # final partial interval never emitted
     for k, s in enumerate(samples):
-        if s.warmup:
+        if k < WARMUP_INTERVALS:
             continue
         assert s.fps == pytest.approx(truth[k]["fps"], abs=5)
         assert s.resolution == truth[k]["resolution"] or k < 10
@@ -76,6 +77,26 @@ def test_qoe_matches_manifest(tmp_path):
     lat = [s.latency_ms for s in samples if s.latency_ms is not None]
     assert lat
     assert sum(lat) / len(lat) == pytest.approx(20.0, abs=1.0)
+
+
+def test_qoe_rows_are_the_video_flows_whole_windows(tmp_path):
+    # one time grid: every row is a window of the flow table's grid, its
+    # bitrate is the video flow's downstream bytes in that window, and the
+    # partial windows holding the flow's first and last downstream packets
+    # give no row
+    path, _ = _capture(tmp_path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    session = report.sessions[0]
+    (key,) = [k for k, role in session.gameplay_flows if role in VIDEO_ROLES]
+    windows = analyzer.table.flows[key].windows
+    down = sorted(idx for idx, counts in windows.items() if counts[0])
+    rows = report.qoe[session.session_id]
+    idxs = [int(s.ts // WINDOW_S) for s in rows]
+    assert idxs == list(range(down[0] + 1, down[-1]))
+    for idx, s in zip(idxs, rows):
+        assert s.ts == idx * WINDOW_S
+        assert s.bitrate_mbps == windows[idx][2] * 8 / 1e6
 
 
 def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):

@@ -100,14 +100,16 @@ def _run(tracker, events):
 
 
 def test_thirty_frame_groups_measure_30fps():
-    # [DERIVED] 30 groups/s of (full, full, marker) -> 30 fps
+    # [DERIVED] 30 groups/s of (full, full, marker) -> 30 fps in every whole
+    # window; the stream starts mid-window, so window 0 is partial
     events = []
-    for sec in range(3):
+    for sec in range(4):
         for k in range(30):
-            base = sec + k / 30.0
+            base = 0.5 + sec + k / 30.0
             events += [(1466, base), (1466, base + 1e-4), (400, base + 2e-4)]
     samples = _run(FrameRateTracker(), events)
     assert len(samples) >= 2
+    assert [s.window for s in samples] == [1, 2, 3]
     for s in samples:
         assert s.fps == pytest.approx(30.0)
 
@@ -134,18 +136,25 @@ def test_growing_max_packets_not_counted_as_markers():
 
 
 def test_empty_interval_emits_zero():
-    samples = _run(FrameRateTracker(), [(1466, 0.0), (400, 0.001), (1466, 5.0), (400, 5.001)])
+    samples = _run(
+        FrameRateTracker(),
+        [(1466, 0.5), (1466, 1.0), (400, 1.001), (1466, 5.0), (400, 5.001)],
+    )
     assert samples[0].fps == pytest.approx(1.0)
     assert [s.fps for s in samples[1:4]] == [0.0, 0.0, 0.0]
+    assert [s.window for s in samples] == [1, 2, 3, 4]
 
 
 def test_interval_origin_advances():
+    # windows sit on the wall grid (ts // WINDOW_S), not at the first packet;
+    # the window holding the first packet is partial and never emitted, even
+    # though it holds a frame, and the last window never closes
     tr = FrameRateTracker()
     samples = _run(
         tr,
-        [(1466, 0.0), (400, 0.001), (1466, 1.05), (400, 1.051), (1466, 2.05)],
+        [(1466, 0.3), (400, 0.301), (1466, 1.05), (400, 1.051), (1466, 2.05), (400, 2.051), (1466, 3.05)],
     )
-    assert [s.interval_start for s in samples] == [0.0, 1.0]
+    assert [s.window for s in samples] == [1, 2]
     assert [s.fps for s in samples] == [1.0, 1.0]
 
 

@@ -34,7 +34,7 @@ def test_qoe_csv_roundtrip(tmp_path):
     write_qoe_csv(path, _rows())
     out = load_qoe_csv(path)
     assert out == _rows()
-    assert open(path).readline().startswith("# schema=gamesight-qoe/1")
+    assert open(path).readline().startswith("# schema=gamesight-qoe/2")
 
 
 def test_qoe_csv_schema_rejected(tmp_path):
@@ -43,6 +43,24 @@ def test_qoe_csv_schema_rejected(tmp_path):
         fh.write("# schema=other/9\nts\n1\n")
     with pytest.raises(SchemaError):
         load_qoe_csv(path)
+
+
+@pytest.mark.parametrize("schema", ["gamesight-qoe/1", "gamesight-qoe/2"])
+def test_qoe_csv_reads_both_schemas(tmp_path, schema):
+    path = tmp_path / "q.csv"
+    write_qoe_csv(str(path), _rows())
+    _, body = path.read_text().split("\n", 1)
+    path.write_text("# schema=%s\n%s" % (schema, body))
+    assert load_qoe_csv(str(path)) == _rows()
+
+
+def test_qoe_csv_schema_prefix_rejected(tmp_path):
+    path = tmp_path / "q.csv"
+    write_qoe_csv(str(path), _rows())
+    _, body = path.read_text().split("\n", 1)
+    path.write_text("# schema=gamesight-qoe/10\n" + body)
+    with pytest.raises(SchemaError):
+        load_qoe_csv(str(path))
 
 
 def test_sessions_jsonl_roundtrip(tmp_path):
