@@ -15,6 +15,7 @@ from .codebook import (
     labels_match,
 )
 from .flows import FlowKey
+from .packets import ip_text
 
 OBSERVATION_HORIZON_S = 600.0
 
@@ -25,36 +26,40 @@ STATE_ENDED = "ended"
 
 @dataclass
 class SessionRecord:
+    """One detected session. Its addresses stay packed (see `PacketRecord`)
+    until `to_dict` writes them as text."""
+
     session_id: str
-    client_ip: str
+    client_ip: bytes
     platform_id: str
     setup: str
     detected_at: float
     state: str = STATE_PLATFORM
     setup_ambiguous: bool = False
     os_hint: Optional[str] = None  # from a handshake-size signature match
-    gameplay_server_ip: Optional[str] = None
+    gameplay_server_ip: Optional[bytes] = None
     gameplay_started_at: Optional[float] = None
     ended_at: Optional[float] = None
     gameplay_flows: list = field(default_factory=list)  # (FlowKey, role)
 
     def to_dict(self) -> dict:
+        server = self.gameplay_server_ip
         return {
             "session_id": self.session_id,
-            "client_ip": self.client_ip,
+            "client_ip": ip_text(self.client_ip),
             "platform": self.platform_id,
             "setup": self.setup,
             "os_hint": self.os_hint,
             "detected_at": self.detected_at,
             "state": self.state,
-            "gameplay_server_ip": self.gameplay_server_ip,
+            "gameplay_server_ip": None if server is None else ip_text(server),
             "gameplay_started_at": self.gameplay_started_at,
             "ended_at": self.ended_at,
             "gameplay_flows": [
                 {
-                    "client_ip": k.client_ip,
+                    "client_ip": ip_text(k.client_ip),
                     "client_port": k.client_port,
-                    "server_ip": k.server_ip,
+                    "server_ip": ip_text(k.server_ip),
                     "server_port": k.server_port,
                     "proto": "TCP" if k.proto == 6 else "UDP",
                     "role": role,
@@ -66,8 +71,8 @@ class SessionRecord:
 
 @dataclass
 class ServerRegistration:
-    client_ip: str
-    server_ip: str
+    client_ip: bytes  # packed, as in FlowKey
+    server_ip: bytes
     registered_at: float
     setup_class: str  # console_app | browser
     mgmt_key: FlowKey
@@ -81,7 +86,7 @@ class ServerRegistration:
 
 @dataclass
 class ClientState:
-    client_ip: str
+    client_ip: bytes
     observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns)
     pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
     names_seen: int = 0  # names observed so far; observed_names holds the newest of them
@@ -94,7 +99,7 @@ class SessionDetector:
 
     def __init__(self, codebooks: list[ServiceCodebook]):
         self.codebooks = codebooks
-        self.clients: dict[str, ClientState] = {}
+        self.clients: dict[bytes, ClientState] = {}  # by packed client address
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
         self._ids = itertools.count(1)
@@ -113,7 +118,7 @@ class SessionDetector:
             self._patterns.setdefault(plabels[0], []).append((p, plabels))
         self._any_first = self._patterns.pop("*", [])  # patterns starting with a '*' label
 
-    def _client(self, client_ip: str) -> ClientState:
+    def _client(self, client_ip: bytes) -> ClientState:
         st = self.clients.get(client_ip)
         if st is None:
             st = ClientState(client_ip=client_ip)
@@ -150,7 +155,7 @@ class SessionDetector:
 
     # -- codebook evaluation ------------------------------------------
 
-    def evaluate_codebook(self, client_ip: str, ts: float) -> Optional[SessionRecord]:
+    def evaluate_codebook(self, client_ip: bytes, ts: float) -> Optional[SessionRecord]:
         """Fires once per platform-session start when all core services match."""
         st = self.clients.get(client_ip)
         if st is None or not st.observed_names:
@@ -240,7 +245,7 @@ class SessionDetector:
                 mgmt_key=key,
                 platform_id=cb.platform_id,
                 server_port_range=cb.server_port_range,
-                ip_mismatch_warning=(embedded_ip != key.server_ip),
+                ip_mismatch_warning=(embedded_ip != ip_text(key.server_ip)),
             )
             self.registrations[key] = reg
             self._enter_gameplay(reg)
@@ -278,7 +283,7 @@ class SessionDetector:
             st.session.gameplay_started_at = reg.registered_at
             reg.session = st.session
 
-    def end_session(self, client_ip: str, ts: float) -> None:
+    def end_session(self, client_ip: bytes, ts: float) -> None:
         st = self.clients.get(client_ip)
         if st is not None and st.session is not None:
             st.session.state = STATE_ENDED

@@ -6,7 +6,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .packets import TCP_SYN, Direction, PacketRecord
+from .packets import TCP_SYN, Direction, PacketRecord, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
@@ -19,9 +19,12 @@ FIRST_PAYLOADS_CAP = 4  # longest handshake signature has 4 entries
 
 
 class FlowKey(NamedTuple):
-    client_ip: str
+    """A flow's five-tuple, client side first. Addresses are packed as in
+    `PacketRecord`; `SessionRecord.to_dict` writes their text."""
+
+    client_ip: bytes
     client_port: int
-    server_ip: str
+    server_ip: bytes
     server_port: int
     proto: int
 
@@ -76,20 +79,22 @@ class FlowTable:
 
     # -- orientation ---------------------------------------------------
 
-    def _is_client(self, ip: str) -> bool:
-        addr = ipaddress.ip_address(ip)
-        version, value = addr.version, int(addr)
+    def _is_client(self, ip: bytes) -> bool:
+        version = 4 if len(ip) == 4 else 6
+        value = int.from_bytes(ip, "big")
         return any(v == version and lo <= value <= hi for v, lo, hi in self.client_nets)
 
-    def _orient(self, src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> tuple[bool, bool]:
+    def _orient(self, src_ip: bytes, src_port: int, dst_ip: bytes, dst_port: int) -> tuple[bool, bool]:
         """(upstream, guessed): upstream iff the source is client-side. When
         neither (or both) side is in the configured nets the lower
         (ip, port) is deemed the client, so that the key stays
-        involution-stable, and the orientation counts as guessed."""
+        involution-stable, and the orientation counts as guessed. That
+        order compares address text, which is not the packed bytes' order
+        (10.0.0.10 < 10.0.0.9)."""
         src_is_client = self._is_client(src_ip)
         if src_is_client != self._is_client(dst_ip):
             return src_is_client, False
-        return (src_ip, src_port) < (dst_ip, dst_port), True
+        return (ip_text(src_ip), src_port) < (ip_text(dst_ip), dst_port), True
 
     def canonical_key(self, pkt: PacketRecord) -> tuple[FlowKey, Direction]:
         """Same key for both directions; Upstream iff the source is client-side."""

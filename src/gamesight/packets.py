@@ -48,15 +48,23 @@ class SkipReason(Enum):
     UNSUPPORTED_LINK = "unsupported_link"
 
 
+def ip_text(addr: bytes) -> str:
+    """The text form of a packed address: dotted IPv4 for 4 bytes,
+    compressed IPv6 for 16."""
+    return socket.inet_ntop(socket.AF_INET if len(addr) == 4 else socket.AF_INET6, addr)
+
+
 @dataclass(slots=True)
 class PacketRecord:
-    """One parsed packet. `seq`, `ack` and `flags` are None when it carries
-    no TCP header: on UDP, and on the tail fragments of a TCP segment."""
+    """One parsed packet. Addresses are packed, in network order, as the IP
+    header carries them: 4 bytes for IPv4, 16 for IPv6 (`ip_text` gives
+    their text). `seq`, `ack` and `flags` are None when it carries no TCP
+    header: on UDP, and on the tail fragments of a TCP segment."""
 
     ts: float
-    src_ip: str
+    src_ip: bytes
     src_port: int
-    dst_ip: str
+    dst_ip: bytes
     dst_port: int
     proto: int  # TCP or UDP
     payload_len: int
@@ -138,8 +146,6 @@ def parse_packet(
         ihl = (ver_ihl & 0x0F) * 4
         if ihl < 20 or n < off + ihl:
             return SkipReason.TRUNCATED
-        src = socket.inet_ntoa(src)
-        dst = socket.inet_ntoa(dst)
         if ip_len > orig_len - off:  # the header claims more than the wire carried
             ip_len = min(ip_len, n - off)
         ip_len -= ihl  # from here on, the IP payload length
@@ -160,8 +166,6 @@ def parse_packet(
         if n < off + 40:
             return SkipReason.TRUNCATED
         ip_len, proto, src, dst = _IPV6.unpack_from(raw, off)
-        src = socket.inet_ntop(socket.AF_INET6, src)
-        dst = socket.inet_ntop(socket.AF_INET6, dst)
         off += 40
         if ip_len > orig_len - off:  # the header claims more than the wire carried
             ip_len = min(ip_len, n - off)

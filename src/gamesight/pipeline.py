@@ -30,7 +30,7 @@ NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 class AnalysisReport:
     sessions: list[SessionRecord] = field(default_factory=list)
     qoe: dict[str, list[QoeSample]] = field(default_factory=dict)
-    signature_matches: list[dict] = field(default_factory=list)
+    signature_matches: list[dict] = field(default_factory=list)  # addresses packed, as in FlowKey
     counters: dict = field(default_factory=dict)
 
 
@@ -161,6 +161,7 @@ class Analyzer:
         fallback_ids = itertools.count(1)
         unclassified = 0
         negative_latency = 0
+        latency_unreported = 0
 
         for reg in self.detector.registrations.values():
             session = reg.session
@@ -200,7 +201,9 @@ class Analyzer:
                 session.gameplay_flows.append((flow.key, flow.role))
                 if flow.role in VIDEO_ROLES:
                     video = flow
-            report.qoe[session.session_id] = self._session_qoe(mgmt.latency, video)
+            rows, unreported = self._session_qoe(mgmt.latency, video)
+            report.qoe[session.session_id] = rows
+            latency_unreported += unreported
 
         for session in self.detector.sessions:
             session.state = STATE_ENDED
@@ -218,15 +221,22 @@ class Analyzer:
             "flow_evictions": self.table.evictions,
             "unclassified_flows": unclassified,
             "negative_latency_discarded": negative_latency,
+            "latency_unreported": latency_unreported,
         }
         return report
 
-    def _session_qoe(self, latency: Optional[LatencyTracker], video: Optional[FlowState]) -> list[QoeSample]:
+    def _session_qoe(
+        self, latency: Optional[LatencyTracker], video: Optional[FlowState]
+    ) -> tuple[list[QoeSample], int]:
         """One sample per whole window of the video flow, on the flow table's
-        grid: its bitrate and trailing peak come from the flow's own windows."""
+        grid: its bitrate and trailing peak come from the flow's own windows.
+        Also returns how many latency samples no row reports: those in a
+        window without a row, or all of them when there is no video flow."""
+        lat_total = 0 if latency is None else len(latency.samples)
         if video is None or video.qoe is None:
-            return []
+            return [], lat_total
         windows = video.windows
+        lat_reported = 0
 
         latency_buckets: dict[int, list[float]] = {}
         if latency is not None:
@@ -240,6 +250,8 @@ class Analyzer:
                 windows.get(j, NO_PACKETS)[2] * 8 for j in range(idx - PEAK_WINDOW_INTERVALS + 1, idx + 1)
             )
             lat_vals = latency_buckets.get(idx)
+            if lat_vals:
+                lat_reported += len(lat_vals)
             samples.append(
                 QoeSample(
                     ts=idx * WINDOW_S,
@@ -250,4 +262,4 @@ class Analyzer:
                     resolution=resolution_band(fs.fps, peak),
                 )
             )
-        return samples
+        return samples, lat_total - lat_reported

@@ -1,7 +1,14 @@
+import ipaddress
+
 import pytest
 
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
+
+
+def packed(ip: str) -> bytes:
+    """An address's text as the packed bytes the analyzer keeps."""
+    return ipaddress.ip_address(ip).packed
 
 
 def udp_record(
@@ -12,7 +19,7 @@ def udp_record(
     dport: int,
     payload_len: int,
 ) -> PacketRecord:
-    return PacketRecord(ts, src, sport, dst, dport, UDP, payload_len)
+    return PacketRecord(ts, packed(src), sport, packed(dst), dport, UDP, payload_len)
 
 
 def tcp_record(
@@ -28,7 +35,7 @@ def tcp_record(
     payload: bytes = None,
 ) -> PacketRecord:
     return PacketRecord(
-        ts, src, sport, dst, dport, TCP, payload_len, seq=seq, ack=ack, flags=flags, payload=payload
+        ts, packed(src), sport, packed(dst), dport, TCP, payload_len, seq=seq, ack=ack, flags=flags, payload=payload
     )
 
 

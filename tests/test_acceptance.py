@@ -18,6 +18,8 @@ from gamesight.flows import FlowTable
 from gamesight.packets import PacketRecord, UDP
 from gamesight.synth import SessionProfile, write_session
 
+from conftest import packed
+
 NETS = ("192.0.2.0/24",)
 SETUPS = ("desktop_app", "mobile_app", "browser")
 FPS_VALUES = (30, 60)
@@ -313,8 +315,8 @@ def test_criterion_8_flow_accounting():
             b = rng.choice(endpoints)
             if a == b:
                 continue
-            pkt = PacketRecord(ts, a[0], a[1], b[0], b[1], UDP, rng.randrange(0, 1500))
-            mirror = PacketRecord(ts, b[0], b[1], a[0], a[1], UDP, 0)
+            pkt = PacketRecord(ts, packed(a[0]), a[1], packed(b[0]), b[1], UDP, rng.randrange(0, 1500))
+            mirror = PacketRecord(ts, packed(b[0]), b[1], packed(a[0]), a[1], UDP, 0)
             k1, d1 = table.canonical_key(pkt)
             k2, d2 = table.canonical_key(mirror)
             if k1 != k2 or d1 is d2:  # canonicalization must be an involution

@@ -21,7 +21,7 @@ from gamesight.detector import ServerRegistration
 from gamesight.errors import InseparableClasses
 from gamesight.flows import FlowKey, FlowState
 
-from conftest import stats
+from conftest import packed, stats
 
 CRIT = ClassifierCriteria()
 
@@ -95,18 +95,18 @@ def test_median_skips_startup_transient():
 
 def _reg(server_ip="203.0.113.7", port_range=None):
     return ServerRegistration(
-        client_ip="192.0.2.10",
-        server_ip=server_ip,
+        client_ip=packed("192.0.2.10"),
+        server_ip=packed(server_ip),
         registered_at=100.0,
         setup_class="console_app",
-        mgmt_key=FlowKey("192.0.2.10", 51000, server_ip, 322, 6),
+        mgmt_key=FlowKey(packed("192.0.2.10"), 51000, packed(server_ip), 322, 6),
         platform_id="gfn",
         server_port_range=port_range,
     )
 
 
 def _flow(server_ip="203.0.113.7", sport=47000, first_ts=100.2):
-    key = FlowKey("192.0.2.10", 49005, server_ip, sport, 17)
+    key = FlowKey(packed("192.0.2.10"), 49005, packed(server_ip), sport, 17)
     return FlowState(key=key, first_ts=first_ts, last_ts=first_ts + 5)
 
 
@@ -116,7 +116,7 @@ def test_gate_server_ip():
 
 
 def test_gate_client_ip():
-    flow = FlowState(key=FlowKey("192.0.2.11", 49005, "203.0.113.7", 47000, 17), first_ts=100.2, last_ts=105.2)
+    flow = FlowState(key=FlowKey(packed("192.0.2.11"), 49005, packed("203.0.113.7"), 47000, 17), first_ts=100.2, last_ts=105.2)
     assert classify_flow(flow, _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
 
 

@@ -19,8 +19,11 @@ from gamesight.detector import (
     SessionRecord,
 )
 from gamesight.flows import FlowKey
+from gamesight.packets import ip_text
 
-CLIENT = "192.0.2.10"
+from conftest import packed
+
+CLIENT = packed("192.0.2.10")
 
 
 def _detector():
@@ -29,7 +32,7 @@ def _detector():
 
 
 def _key(server_ip="203.0.113.20", sport=443, cport=40000, proto=6):
-    return FlowKey(CLIENT, cport, server_ip, sport, proto)
+    return FlowKey(CLIENT, cport, packed(server_ip), sport, proto)
 
 
 GFN_CORE = [
@@ -135,7 +138,7 @@ def test_register_gameplay_server_console_port():
     assert reg.setup_class == "console_app"
     assert not reg.ip_mismatch_warning
     assert det.sessions[0].state == STATE_GAMEPLAY
-    assert det.sessions[0].gameplay_server_ip == "203.0.113.7"
+    assert ip_text(det.sessions[0].gameplay_server_ip) == "203.0.113.7"
 
 
 def test_register_flags_ip_mismatch():
@@ -205,7 +208,7 @@ def test_signature_registration_joins_the_open_platform_session():
     reg = det.register_by_signature(key, 30.0, "gfn", "console_app")
     assert reg.session is session
     assert session.state == STATE_GAMEPLAY
-    assert (session.gameplay_server_ip, session.gameplay_started_at) == ("203.0.113.7", 30.0)
+    assert (ip_text(session.gameplay_server_ip), session.gameplay_started_at) == ("203.0.113.7", 30.0)
 
 
 # -- setup tie-break ----------------------------------------------------
@@ -361,7 +364,7 @@ NOISE_NAMES = [
 
 STEP = st.tuples(
     st.sampled_from(["observe"] * 3 + ["observe+evaluate"] * 3 + ["evaluate", "end"]),
-    st.sampled_from([CLIENT, CLIENT, CLIENT, "192.0.2.11"]),
+    st.sampled_from([CLIENT, CLIENT, CLIENT, packed("192.0.2.11")]),
     st.one_of(
         st.sampled_from(CODEBOOK_NAMES), st.sampled_from(CODEBOOK_NAMES), st.sampled_from(NOISE_NAMES)
     ),
@@ -379,7 +382,7 @@ def test_incremental_detector_matches_full_rescan(wild, steps):
     for op, client, name, dt in steps:
         now += dt
         if op.startswith("observe"):
-            det.observe_service_name(FlowKey(client, 40000, "203.0.113.20", 443, 6), name, now)
+            det.observe_service_name(FlowKey(client, 40000, packed("203.0.113.20"), 443, 6), name, now)
             ref.observe(client, name, now)
         if op.endswith("evaluate"):
             det.evaluate_codebook(client, now)

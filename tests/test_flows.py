@@ -3,9 +3,9 @@ import random
 import pytest
 
 from gamesight.flows import WINDOW_S, FlowTable
-from gamesight.packets import Direction
+from gamesight.packets import Direction, ip_text
 
-from conftest import tcp_record, udp_record
+from conftest import packed, tcp_record, udp_record
 
 CLIENT = "192.0.2.10"
 SERVER = "203.0.113.7"
@@ -21,7 +21,7 @@ def test_canonical_key_involution():
     assert k1 == k2
     assert d1 is Direction.UPSTREAM
     assert d2 is Direction.DOWNSTREAM
-    assert (k1.client_ip, k1.server_ip) == (CLIENT, SERVER)
+    assert (ip_text(k1.client_ip), ip_text(k1.server_ip)) == (CLIENT, SERVER)
 
 
 def test_orientation_warning_when_no_net_matches():
@@ -32,6 +32,25 @@ def test_orientation_warning_when_no_net_matches():
     k2, _ = table.canonical_key(b)
     assert k1 == k2  # still involution-stable via lower-IP rule
     assert table.orientation_warnings == 2
+
+
+@pytest.mark.parametrize(
+    "low_text, high_text",
+    [("10.0.0.10", "10.0.0.9"), ("2001:db8::10", "2001:db8::a"), ("2001:db8::10", "2001:db8::9")],
+)
+def test_guessed_orientation_follows_address_text_order(low_text, high_text):
+    # the packed bytes order these pairs the other way round; the client
+    # side of a guessed flow is the lower address text, either way the
+    # flow's first packet goes
+    assert packed(low_text) > packed(high_text)
+    for first, second in ((low_text, high_text), (high_text, low_text)):
+        table = FlowTable(client_nets=NETS)
+        flow = table.update(udp_record(0.0, first, 5000, second, 5000, 10))
+        table.update(udp_record(0.1, second, 5000, first, 5000, 10))
+        assert flow.guessed
+        assert (ip_text(flow.key.client_ip), ip_text(flow.key.server_ip)) == (low_text, high_text)
+        assert len(table.flows) == 1
+        assert table.orientation_warnings == 2
 
 
 def _random_packets(rng: random.Random, count: int) -> list:
@@ -88,13 +107,13 @@ def test_orientation_warnings_count_each_guessed_packet():
 
 def test_client_nets_match_by_version_and_range():
     table = FlowTable(client_nets=("10.0.0.0/8", "2001:db8::/32"))
-    assert table._is_client("10.0.0.0")
-    assert table._is_client("10.255.255.255")
-    assert not table._is_client("11.0.0.0")
-    assert not table._is_client("9.255.255.255")
-    assert table._is_client("2001:db8:ffff::1")
-    assert not table._is_client("2001:db9::1")
-    assert not table._is_client("::a00:1")  # 10.0.0.1's value, but IPv6
+    assert table._is_client(packed("10.0.0.0"))
+    assert table._is_client(packed("10.255.255.255"))
+    assert not table._is_client(packed("11.0.0.0"))
+    assert not table._is_client(packed("9.255.255.255"))
+    assert table._is_client(packed("2001:db8:ffff::1"))
+    assert not table._is_client(packed("2001:db9::1"))
+    assert not table._is_client(packed("::a00:1"))  # 10.0.0.1's value, but IPv6
 
 
 def test_window_rates_example():

@@ -7,7 +7,9 @@ why. The qoe.csv digests were last re-recorded when QoE rows moved onto the
 flow table's whole one-second windows (schema gamesight-qoe/2); the
 sessions.jsonl digests are older. The short session ends before its video
 flow's classifying windows close, so its QoE comes from the packets still
-waiting when the capture ends.
+waiting when the capture ends. The console capture also pins two per-run
+counts: the address-to-text conversions and the latency samples no QoE
+row reports.
 """
 
 import hashlib
@@ -15,8 +17,11 @@ import struct
 
 import pytest
 
-from gamesight import cli, pcap
+import gamesight
+from gamesight import cli, packets, pcap
+from gamesight.flows import WINDOW_S
 from gamesight.packets import ETH_IPV4, ETH_IPV6
+from gamesight.pipeline import Analyzer
 from gamesight.synth import SessionProfile, gen_session, write_session
 
 CASES = {
@@ -92,3 +97,47 @@ def test_link_layer_leaves_outputs_byte_identical(tmp_path, monkeypatch, link):
     frames = [(ts, head + struct.pack("!H", ETH_IPV4 if ip[0] >> 4 == 4 else ETH_IPV6) + ip) for ts, ip in records]
     pcap.write_capture(frames, str(tmp_path / "s.pcap"), link_type=pcap.LINKTYPE_ETHERNET)
     assert _analyze(tmp_path, monkeypatch) == (sessions_sha, qoe_sha)
+
+
+def _analyze_console(tmp_path, client_nets=("192.0.2.0/24",)):
+    records, _ = gen_session(_profile(CASES["console"][0]))
+    pcap.write_capture(records, str(tmp_path / "s.pcap"))
+    analyzer = Analyzer(client_nets=client_nets)
+    return analyzer, analyzer.analyze_file(str(tmp_path / "s.pcap"))
+
+
+@pytest.mark.parametrize("client_nets", [("192.0.2.0/24",), ()])
+def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, client_nets):
+    # addresses stay packed from parse to output: text is made twice for
+    # each flow whose orientation is guessed, once for each gameplay
+    # name's embedded address, and twice for each session and listed flow
+    calls = 0
+    real = packets.ip_text
+
+    def counting(addr):
+        nonlocal calls
+        calls += 1
+        return real(addr)
+
+    for module in vars(gamesight).values():
+        if getattr(module, "ip_text", None) is real:
+            monkeypatch.setattr(module, "ip_text", counting)
+    analyzer, report = _analyze_console(tmp_path, client_nets)
+    sessions = [s.to_dict() for s in report.sessions]
+    guessed = sum(f.guessed for f in analyzer.table.flows.values())
+    listed = sum(len(s["gameplay_flows"]) for s in sessions)
+    assert analyzer.table.evictions == 0
+    assert calls == 2 * guessed + len(analyzer.detector.registrations) + 2 * (len(sessions) + listed)
+    assert 0 < calls < report.counters["packets"] / 100
+
+
+def test_latency_samples_without_a_row_are_counted(tmp_path):
+    analyzer, report = _analyze_console(tmp_path)
+    (reg,) = analyzer.detector.registrations.values()
+    samples = reg.flows[0].latency.samples
+    (session,) = report.sessions
+    windows = {int(row.ts // WINDOW_S) for row in report.qoe[session.session_id]}
+    averaged = sum(int(s.ts // WINDOW_S) in windows for s in samples)
+    assert report.counters["latency_unreported"] == len(samples) - averaged > 0
+    # a session without a video flow reports none of its samples
+    assert analyzer._session_qoe(reg.flows[0].latency, None) == ([], len(samples))

@@ -12,6 +12,7 @@ from gamesight.packets import (
     TCP,
     UDP,
     _FragCache,
+    ip_text,
     parse_packet,
     read_capture,
 )
@@ -40,7 +41,7 @@ def test_rawip_udp():
     frame = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 40)
     rec = parse_packet(frame, RAW, 1.0)
     assert isinstance(rec, PacketRecord)
-    assert (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port, rec.proto) == (
+    assert (ip_text(rec.src_ip), rec.src_port, ip_text(rec.dst_ip), rec.dst_port, rec.proto) == (
         "10.0.0.1", 1234, "10.0.0.2", 53, UDP,
     )
     assert rec.payload_len == 40
@@ -98,7 +99,7 @@ def test_ipv6_udp():
     hdr = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst
     rec = parse_packet(hdr + udp, RAW, 0.0)
     assert isinstance(rec, PacketRecord)
-    assert (rec.src_ip, rec.dst_ip) == (str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)))
+    assert (ip_text(rec.src_ip), ip_text(rec.dst_ip)) == (str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)))
     assert rec.src_port == 1000
     assert rec.payload_len == 3
 

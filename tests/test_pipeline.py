@@ -1,9 +1,12 @@
+import struct
+
 import pytest
 
 from gamesight import pcap, pipeline
 from gamesight.classify import VIDEO_ROLES
-from gamesight.flows import WINDOW_S, FlowKey
-from gamesight.packets import UDP
+from gamesight.detector import SessionRecord
+from gamesight.flows import WINDOW_S, FlowKey, FlowTable
+from gamesight.packets import UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
 from gamesight.synth import (
@@ -15,6 +18,8 @@ from gamesight.synth import (
     write_session,
 )
 from gamesight.tls import SniReassembler
+
+from conftest import packed
 
 NETS = ("192.0.2.0/24",)
 
@@ -47,7 +52,7 @@ def test_full_console_session(tmp_path):
     s = report.sessions[0]
     assert s.platform_id == "gfn"
     assert s.setup == "desktop_app"
-    assert s.gameplay_server_ip == "203.0.113.7"
+    assert ip_text(s.gameplay_server_ip) == "203.0.113.7"
     assert s.state == "ended"
 
     got = {
@@ -145,12 +150,12 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
     pcap.write_capture(merged, path)
     report = _analyze(path)
 
-    assert sorted(s.client_ip for s in report.sessions) == ["192.0.2.10", "192.0.2.11"]
+    assert sorted(ip_text(s.client_ip) for s in report.sessions) == ["192.0.2.10", "192.0.2.11"]
     for s in report.sessions:
         udp = [k for k, _ in s.gameplay_flows if k.proto == UDP]
         assert len(udp) == 4
         assert {k.client_ip for k in udp} == {s.client_ip}
-        assert _qoe_rows(report, s) == alone[s.client_ip]
+        assert _qoe_rows(report, s) == alone[ip_text(s.client_ip)]
     assert alone["192.0.2.10"] != alone["192.0.2.11"]
 
 
@@ -219,8 +224,43 @@ def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
     analyzer.table.cap = 1
     report = analyzer.analyze_file(path)
     assert report.counters["flow_evictions"] == 2
-    assert list(analyzer.detector.registrations) == [FlowKey("192.0.2.10", 51000, "203.0.113.7", 322, 6)]
-    assert [s.gameplay_server_ip for s in report.sessions] == ["203.0.113.7"]
+    assert list(analyzer.detector.registrations) == [FlowKey(packed("192.0.2.10"), 51000, packed("203.0.113.7"), 322, 6)]
+    assert [ip_text(s.gameplay_server_ip) for s in report.sessions] == ["203.0.113.7"]
+
+
+@pytest.mark.parametrize(
+    "client, server, written",
+    [
+        ("192.0.2.10", "203.0.113.7", ("192.0.2.10", "203.0.113.7")),
+        ("2001:db8::a", "2001:db8:0:1:0:0:0:c8", ("2001:db8::a", "2001:db8:0:1::c8")),
+        ("2001:db8:0:0:1:0:0:1", "2001:db8:1::", ("2001:db8::1:0:0:1", "2001:db8:1::")),
+    ],
+)
+def test_session_addresses_are_written_as_address_text(client, server, written):
+    # a packet parsed from the wire, counted in a flow and listed in a
+    # session reaches to_dict as inet_ntop text: compressed for IPv6
+    src, dst = packed(client), packed(server)
+    if len(src) == 4:
+        frame = ipv4_udp(client, server, 49005, 47000, b"x")
+    else:
+        udp = struct.pack("!HHHH", 49005, 47000, 9, 0) + b"x"
+        frame = struct.pack("!IHBB", 0x60000000, len(udp), UDP, 64) + src + dst + udp
+    table = FlowTable(client_nets=(client,))
+    flow = table.update(parse_packet(frame, pcap.LINKTYPE_RAW_IP, 0.0))
+    session = SessionRecord(
+        session_id="s1",
+        client_ip=flow.key.client_ip,
+        platform_id="gfn",
+        setup="browser",
+        detected_at=0.0,
+        gameplay_server_ip=flow.key.server_ip,
+        gameplay_flows=[(flow.key, "combined_media_input")],
+    )
+    d = session.to_dict()
+    assert (d["client_ip"], d["gameplay_server_ip"]) == written
+    (listed,) = d["gameplay_flows"]
+    assert (listed["client_ip"], listed["server_ip"]) == written
+    assert SessionRecord("s2", src, "gfn", "browser", 0.0).to_dict()["gameplay_server_ip"] is None
 
 
 def test_pipeline_deterministic(tmp_path):
