@@ -6,7 +6,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .packets import TCP_SYN, Direction, PacketRecord, ip_text
+from .packets import TCP_SYN, Direction, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
@@ -31,6 +31,12 @@ class FlowKey(NamedTuple):
 
 @dataclass(slots=True)
 class FlowState:
+    """One bidirectional flow, keyed client side first. A packet tuple
+    carries no direction: `FlowTable.update` finds it with the flow and
+    keeps it in `down` (True: downstream, server to client), so `down` is
+    the direction of the packet counted last, which the analyzer reads
+    right after the update."""
+
     key: FlowKey
     first_ts: float
     last_ts: float
@@ -45,6 +51,7 @@ class FlowState:
     total_pkts: int = 0
     total_bytes: int = 0
     guessed: bool = False  # orientation guessed: each packet counts an orientation warning
+    down: bool = False  # the last counted packet went server to client
     # analyzer state, dropped with the flow when it is evicted
     reasm: Optional[SniReassembler] = None  # the one ClientHello reassembly of a TCP flow
     latency: Optional[LatencyTracker] = None  # on a registered management flow
@@ -96,21 +103,22 @@ class FlowTable:
             return src_is_client, False
         return (ip_text(src_ip), src_port) < (ip_text(dst_ip), dst_port), True
 
-    def canonical_key(self, pkt: PacketRecord) -> tuple[FlowKey, Direction]:
-        """Same key for both directions; Upstream iff the source is client-side."""
-        up, guessed = self._orient(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port)
+    def canonical_key(self, pkt: tuple) -> tuple[FlowKey, Direction]:
+        """Same key for both directions of a packet tuple (`PacketRecord`
+        layout); Upstream iff the source is client-side."""
+        _, src, sport, dst, dport, proto = pkt[:6]
+        up, guessed = self._orient(src, sport, dst, dport)
         if guessed:
             self.orientation_warnings += 1
         if up:
-            key = FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
-            return key, Direction.UPSTREAM
-        key = FlowKey(pkt.dst_ip, pkt.dst_port, pkt.src_ip, pkt.src_port, pkt.proto)
-        return key, Direction.DOWNSTREAM
+            return FlowKey(src, sport, dst, dport, proto), Direction.UPSTREAM
+        return FlowKey(dst, dport, src, sport, proto), Direction.DOWNSTREAM
 
     # -- updates -------------------------------------------------------
 
-    def update(self, pkt: PacketRecord) -> FlowState:
-        """Count `pkt` in its flow and set its direction.
+    def update(self, pkt: tuple) -> FlowState:
+        """Count a packet tuple (`PacketRecord` layout) in its flow, and keep
+        its direction there as `FlowState.down`.
 
         A flow is keyed as `canonical_key` has it once, when it is created; a
         packet and its reply never key two flows, so a later packet finds
@@ -118,8 +126,7 @@ class FlowTable:
         own (upstream). The reversed tuple is tried first, which keeps a
         self-addressed packet downstream, as `canonical_key` has it.
         """
-        src, sport, dst, dport, proto = pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto
-        ts = pkt.ts
+        ts, src, sport, dst, dport, proto, size, _, _, flags, _ = pkt
         flows = self.flows
         flow = flows.get((dst, dport, src, sport, proto))
         if flow is not None:
@@ -137,12 +144,11 @@ class FlowTable:
                 down = not up
         if flow.guessed:
             self.orientation_warnings += 1
-        pkt.direction = Direction.DOWNSTREAM if down else Direction.UPSTREAM
+        flow.down = down
         if ts > self.now:
             self.now = ts
         if ts > flow.last_ts:
             flow.last_ts = ts
-        size = pkt.payload_len
         flow.total_pkts += 1
         flow.total_bytes += size
 
@@ -157,7 +163,7 @@ class FlowTable:
             win[1] += 1
             win[3] += size
 
-        if size > 0 and not (pkt.flags is not None and pkt.flags & TCP_SYN):
+        if size > 0 and not (flags is not None and flags & TCP_SYN):
             sizes = flow.first_payload_sizes_down if down else flow.first_payload_sizes_up
             if len(sizes) < FIRST_PAYLOADS_CAP:
                 sizes.append(size)

@@ -1,4 +1,5 @@
-"""Frame parsing: link/network/transport layers into PacketRecord values."""
+"""Frame parsing: link/network/transport layers into packet tuples laid out
+as `PacketRecord`."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import socket
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import pcap
 from .errors import MalformedHeader
@@ -54,12 +55,16 @@ def ip_text(addr: bytes) -> str:
     return socket.inet_ntop(socket.AF_INET if len(addr) == 4 else socket.AF_INET6, addr)
 
 
-@dataclass(slots=True)
-class PacketRecord:
-    """One parsed packet. Addresses are packed, in network order, as the IP
-    header carries them: 4 bytes for IPv4, 16 for IPv6 (`ip_text` gives
-    their text). `seq`, `ack` and `flags` are None when it carries no TCP
-    header: on UDP, and on the tail fragments of a TCP segment."""
+class PacketRecord(NamedTuple):
+    """The layout of one parsed packet. `parse_packet` returns a plain tuple
+    with these fields in this order, and the analyzer reads it by position,
+    so no object is built per packet; this class names the positions, and
+    tests build packets with it. Addresses are packed, in network order, as
+    the IP header carries them: 4 bytes for IPv4, 16 for IPv6 (`ip_text`
+    gives their text). `seq`, `ack` and `flags` are None when it carries no
+    TCP header: on UDP, and on the tail fragments of a TCP segment. A
+    packet's direction is not in it: `FlowTable.update` finds it and keeps
+    it on the flow as `FlowState.down`."""
 
     ts: float
     src_ip: bytes
@@ -72,7 +77,6 @@ class PacketRecord:
     ack: Optional[int] = None
     flags: Optional[int] = None
     payload: Optional[bytes] = None  # TCP only; raw bytes for SNI extraction
-    direction: Optional[Direction] = None  # assigned by the flow engine
 
 
 class _FragCache:
@@ -101,8 +105,9 @@ def parse_packet(
     ts: float,
     frag_cache: Optional[_FragCache] = None,
     orig_len: Optional[int] = None,
-) -> PacketRecord | SkipReason:
-    """Parse one captured frame. Returns a SkipReason instead of raising.
+) -> tuple | SkipReason:
+    """Parse one captured frame into a plain tuple laid out as
+    `PacketRecord`. Returns a SkipReason instead of raising.
 
     `orig_len` is the frame's length on the wire (the record's orig_len;
     by default the captured length). Sizes come from the IP header unless
@@ -159,7 +164,7 @@ def parse_packet(
                 return SkipReason.FRAGMENT
             if proto != TCP and proto != UDP:
                 return SkipReason.NON_TCP_UDP
-            return PacketRecord(ts, src, ports[0], dst, ports[1], proto, ip_len)
+            return (ts, src, ports[0], dst, ports[1], proto, ip_len, None, None, None, None)
         off += ihl
         more_frags = frag_field & 0x2000
     else:
@@ -175,7 +180,7 @@ def parse_packet(
         if ip_len < 8 or n < off + 8:
             return SkipReason.TRUNCATED
         sport, dport = _PORTS.unpack_from(raw, off)
-        rec = PacketRecord(ts, src, sport, dst, dport, UDP, ip_len - 8)
+        rec = (ts, src, sport, dst, dport, UDP, ip_len - 8, None, None, None, None)
     elif proto == TCP:
         if ip_len < 20 or n < off + 20:
             return SkipReason.TRUNCATED
@@ -186,7 +191,7 @@ def parse_packet(
         payload_len = ip_len - data_off
         off += data_off
         payload = raw[off : off + payload_len] if payload_len else None
-        rec = PacketRecord(ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
+        rec = (ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
     else:
         return SkipReason.NON_TCP_UDP
     if more_frags and frag_cache is not None:
@@ -203,10 +208,11 @@ class CaptureStats:
     snaplen_truncated: int = 0  # records cut by the snaplen (orig_len > incl_len)
 
 
-def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[PacketRecord]:
-    """Stream PacketRecords from a PCAP file, skipping non-IP/non-TCP-UDP frames
-    and dropping a final record cut short by the end of the file. `stats`
-    is brought up to date when the stream ends or is closed."""
+def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[tuple]:
+    """Stream packet tuples (`PacketRecord` layout) from a PCAP file,
+    skipping non-IP/non-TCP-UDP frames and dropping a final record cut short
+    by the end of the file. `stats` is brought up to date when the stream
+    ends or is closed."""
     with open(path, "rb") as fh:
         header = pcap.read_header(fh)
         if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
@@ -220,7 +226,7 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[Pa
                 rec = parse_packet(raw, link, ts, frag_cache, orig_len)
                 if orig_len > len(raw):
                     snaplen_cut += 1
-                if rec.__class__ is PacketRecord:
+                if rec.__class__ is tuple:
                     parsed += 1
                     yield rec
                 else:

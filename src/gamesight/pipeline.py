@@ -18,7 +18,7 @@ from .classify import (
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
 from .flows import WINDOW_S, FlowState, FlowTable
-from .packets import UDP, CaptureStats, Direction, read_capture
+from .packets import UDP, CaptureStats, read_capture
 from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
 from .tls import SniReassembler
 
@@ -30,7 +30,6 @@ NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 class AnalysisReport:
     sessions: list[SessionRecord] = field(default_factory=list)
     qoe: dict[str, list[QoeSample]] = field(default_factory=dict)
-    signature_matches: list[dict] = field(default_factory=list)  # addresses packed, as in FlowKey
     counters: dict = field(default_factory=dict)
 
 
@@ -61,38 +60,38 @@ class Analyzer:
             self._feed(pkt)
         return self._finalize(stats)
 
-    def _feed(self, pkt) -> None:
+    def _feed(self, pkt: tuple) -> None:
+        """One packet tuple (`PacketRecord` layout). The flow table counts
+        it first and leaves its direction in `flow.down`."""
         flow = self.table.update(pkt)
-        if pkt.proto == UDP:
+        ts, _, _, _, _, proto, payload_len, _, _, _, payload = pkt
+        if proto == UDP:
             if flow.total_pkts == 1:
                 self._join(flow)
             if flow.gameplay is None:
                 return
-            if (
-                flow.role is None
-                and int(pkt.ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS
-            ):
+            if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                 self._decide(flow)  # the windows that classify the flow have closed
-            if flow.qoe is not None and pkt.direction is Direction.DOWNSTREAM:
-                flow.qoe.feed(pkt.payload_len, pkt.ts)  # upstream never feeds the frame detector
+            if flow.qoe is not None and flow.down:
+                flow.qoe.feed(payload_len, ts)  # upstream never feeds the frame detector
             return
 
         if flow.latency is not None:
-            flow.latency.feed(pkt)
-        if pkt.payload_len == 0:
+            flow.latency.feed(pkt, flow.down)
+        if payload_len == 0:
             return
 
-        if flow.sni is None and pkt.direction is Direction.UPSTREAM:
+        if flow.sni is None and not flow.down:
             reasm = flow.reasm
             if reasm is None and flow.signature is None:
                 reasm = flow.reasm = SniReassembler()
-            if reasm is not None and not reasm.done and pkt.payload is not None:
-                name = reasm.feed(pkt.payload)
+            if reasm is not None and not reasm.done and payload is not None:
+                name = reasm.feed(payload)
                 if name:
                     self._on_sni(flow, name, pkt)
 
         if flow.signature is None and flow.key.server_port in self.mgmt_ports:
-            self._try_signature(flow, pkt.ts)
+            self._try_signature(flow, ts)
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
@@ -123,18 +122,19 @@ class Analyzer:
         else:
             flow.qoe = None
 
-    def _on_sni(self, flow, name: str, pkt) -> None:
+    def _on_sni(self, flow, name: str, pkt: tuple) -> None:
         flow.sni = name
         key = flow.key
-        self.detector.observe_service_name(key, name, pkt.ts)
-        self.detector.evaluate_codebook(key.client_ip, pkt.ts)
+        ts = pkt[0]
+        self.detector.observe_service_name(key, name, ts)
+        self.detector.evaluate_codebook(key.client_ip, ts)
         if key.server_port in self.mgmt_ports:
-            reg = self.detector.register_gameplay_server(name, key, pkt.ts)
+            reg = self.detector.register_gameplay_server(name, key, ts)
             if reg is not None:
                 self._registered(reg, flow)
                 if flow.latency is None:
                     flow.latency = LatencyTracker()
-                    flow.latency.feed(pkt)  # the registering packet starts a pending pair
+                    flow.latency.feed(pkt, flow.down)  # the registering packet starts a pending pair
 
     def _try_signature(self, flow, ts: float) -> None:
         key = flow.key
@@ -178,17 +178,7 @@ class Analyzer:
                 self.detector.sessions.append(session)
             mgmt, *joined = reg.flows
             if mgmt.signature:
-                os_name, setup_class = mgmt.signature
-                session.os_hint = os_name
-                report.signature_matches.append(
-                    {
-                        "client_ip": reg.client_ip,
-                        "server_ip": reg.server_ip,
-                        "server_port": mgmt.key.server_port,
-                        "os": os_name,
-                        "setup_class": setup_class,
-                    }
-                )
+                session.os_hint = mgmt.signature[0]
             if mgmt.latency is not None:
                 negative_latency += mgmt.latency.negative_discarded
             session.gameplay_flows.append((mgmt.key, ROLE_MGMT))

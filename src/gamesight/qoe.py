@@ -4,10 +4,9 @@ from payload-size patterns, and resolution band from peak bitrate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .flows import WINDOW_S
-from .packets import Direction, PacketRecord
 
 U32 = 1 << 32
 
@@ -48,22 +47,25 @@ class LatencyTracker:
         self.samples: list[LatencySample] = []
         self.negative_discarded = 0
 
-    def feed(self, pkt: PacketRecord) -> Optional[LatencySample]:
-        if pkt.flags is None or pkt.direction is None:
+    def feed(self, pkt: tuple, down: bool) -> Optional[LatencySample]:
+        """One packet tuple (`PacketRecord` layout) of the flow; `down` is its
+        direction, as `FlowState.down` has it after the flow table counted it."""
+        ts, _, _, _, _, _, payload_len, seq, ack, flags, _ = pkt
+        if flags is None:
             return None
-        if pkt.direction is Direction.UPSTREAM:
-            if pkt.payload_len > 0:  # pure ACKs are never registered
-                self.pending[(pkt.seq + pkt.payload_len) % U32] = pkt.ts
-                self._expire(pkt.ts)
+        if not down:
+            if payload_len > 0:  # pure ACKs are never registered
+                self.pending[(seq + payload_len) % U32] = ts
+                self._expire(ts)
             return None
-        t_up = self.pending.pop(pkt.ack, None)
+        t_up = self.pending.pop(ack, None)
         if t_up is None:
             return None
-        delta = pkt.ts - t_up
+        delta = ts - t_up
         if delta < 0:
             self.negative_discarded += 1
             return None
-        sample = LatencySample(ts=pkt.ts, latency_ms=delta * 1000.0)
+        sample = LatencySample(ts=ts, latency_ms=delta * 1000.0)
         self.samples.append(sample)
         return sample
 
@@ -80,6 +82,9 @@ class FpsSample:
     fps: float
 
 
+NO_SAMPLES = ()  # what `FrameRateTracker.feed` returns while no window closes
+
+
 class FrameRateTracker:
     """Frame counting from the payload-size pattern of a video flow.
 
@@ -89,7 +94,8 @@ class FrameRateTracker:
     grid (`ts // WINDOW_S`), and fps is emitted for a window once a later
     packet closes it; windows without packets yield zero. Only windows the
     flow covers whole are emitted: not the one holding its first packet,
-    nor the last one, which never closes.
+    nor the last one, which never closes. A packet that closes no window
+    gets the shared empty `NO_SAMPLES`, so no list is made per packet.
     """
 
     def __init__(self):
@@ -99,15 +105,14 @@ class FrameRateTracker:
         self.size_max = 0
         self.flag_max = False
 
-    def feed(self, payload_len: int, ts: float) -> list[FpsSample]:
-        out: list[FpsSample] = []
+    def feed(self, payload_len: int, ts: float) -> Sequence[FpsSample]:
+        out = NO_SAMPLES
         idx = int(ts // WINDOW_S)
         if self.window is None:
             self.window = idx
             self.size_max = payload_len
         elif idx > self.window:
-            if self.whole:
-                out.append(FpsSample(self.window, self.frame_count / WINDOW_S))
+            out = [FpsSample(self.window, self.frame_count / WINDOW_S)] if self.whole else []
             out.extend(FpsSample(w, 0.0) for w in range(self.window + 1, idx))
             self.frame_count = 0
             self.window = idx
@@ -140,7 +145,9 @@ class FlowQoe:
         if self.pending is not None:
             self.pending.append((payload_len, ts))
             return
-        self.fps_samples.extend(self.tracker.feed(payload_len, ts))
+        samples = self.tracker.feed(payload_len, ts)
+        if samples:
+            self.fps_samples.extend(samples)
 
     def start(self) -> None:
         pending, self.pending = self.pending, None

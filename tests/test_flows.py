@@ -84,7 +84,7 @@ def test_update_direction_matches_canonical_key(seed):
         key, direction = reference.canonical_key(pkt)
         flow = table.update(pkt)
         assert flow.key == key
-        assert pkt.direction is direction
+        assert flow.down is (direction is Direction.DOWNSTREAM)
         if pkt.src_ip == pkt.dst_ip and pkt.src_port == pkt.dst_port:
             assert direction is Direction.DOWNSTREAM
         keys.add(key)

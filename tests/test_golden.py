@@ -9,7 +9,8 @@ sessions.jsonl digests are older. The short session ends before its video
 flow's classifying windows close, so its QoE comes from the packets still
 waiting when the capture ends. The console capture also pins two per-run
 counts: the address-to-text conversions and the latency samples no QoE
-row reports.
+row reports, and it checks that packets travel as plain tuples, with no
+record object built per packet.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 import gamesight
 from gamesight import cli, packets, pcap
 from gamesight.flows import WINDOW_S
-from gamesight.packets import ETH_IPV4, ETH_IPV6
+from gamesight.packets import ETH_IPV4, ETH_IPV6, PacketRecord
 from gamesight.pipeline import Analyzer
 from gamesight.synth import SessionProfile, gen_session, write_session
 
@@ -97,6 +98,30 @@ def test_link_layer_leaves_outputs_byte_identical(tmp_path, monkeypatch, link):
     frames = [(ts, head + struct.pack("!H", ETH_IPV4 if ip[0] >> 4 == 4 else ETH_IPV6) + ip) for ts, ip in records]
     pcap.write_capture(frames, str(tmp_path / "s.pcap"), link_type=pcap.LINKTYPE_ETHERNET)
     assert _analyze(tmp_path, monkeypatch) == (sessions_sha, qoe_sha)
+
+
+def test_no_record_object_is_built_per_packet(tmp_path, monkeypatch):
+    # parse_packet returns plain tuples laid out as PacketRecord, and the
+    # analyzer reads them by position: the console capture gives its
+    # recorded digests without one PacketRecord being built
+    profile_kw, sessions_sha, qoe_sha = CASES["console"]
+    records, _ = gen_session(_profile(profile_kw))
+    pcap.write_capture(records, str(tmp_path / "s.pcap"))
+    built = 0
+    real = PacketRecord.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PacketRecord, "__new__", counting)
+    assert _analyze(tmp_path, monkeypatch) == (sessions_sha, qoe_sha)
+    assert built == 0
+    PacketRecord(0.0, b"\0" * 4, 1, b"\0" * 4, 2, packets.UDP, 0)
+    assert built == 1  # the count does see a record being built
+    shapes = {(rec.__class__, len(rec)) for rec in packets.read_capture(str(tmp_path / "s.pcap"))}
+    assert shapes == {(tuple, len(PacketRecord._fields))}
 
 
 def _analyze_console(tmp_path, client_nets=("192.0.2.0/24",)):

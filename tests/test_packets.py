@@ -6,7 +6,6 @@ import pytest
 from gamesight import pcap
 from gamesight.packets import (
     CaptureStats,
-    Direction,
     PacketRecord,
     SkipReason,
     TCP,
@@ -40,7 +39,8 @@ def _vlan(frame: bytes, inner_ethertype: int = 0x0800) -> bytes:
 def test_rawip_udp():
     frame = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 40)
     rec = parse_packet(frame, RAW, 1.0)
-    assert isinstance(rec, PacketRecord)
+    assert rec.__class__ is tuple
+    rec = PacketRecord._make(rec)
     assert (ip_text(rec.src_ip), rec.src_port, ip_text(rec.dst_ip), rec.dst_port, rec.proto) == (
         "10.0.0.1", 1234, "10.0.0.2", 53, UDP,
     )
@@ -50,7 +50,7 @@ def test_rawip_udp():
 
 def test_rawip_tcp_with_payload_bytes():
     frame = ipv4_tcp("10.0.0.1", "10.0.0.2", 1234, 443, 100, 7, 0x18, b"hello")
-    rec = parse_packet(frame, RAW, 1.0)
+    rec = PacketRecord._make(parse_packet(frame, RAW, 1.0))
     assert rec.payload_len == 5
     assert rec.payload == b"hello"
     assert rec.proto == TCP
@@ -61,15 +61,15 @@ def test_rawip_tcp_with_payload_bytes():
 
 def test_tcp_empty_payload_has_no_bytes():
     frame = ipv4_tcp("10.0.0.1", "10.0.0.2", 1, 2, 0, 0, 0x10)
-    rec = parse_packet(frame, RAW, 0.0)
+    rec = PacketRecord._make(parse_packet(frame, RAW, 0.0))
     assert rec.payload_len == 0
     assert rec.payload is None
 
 
 def test_ethernet_and_single_vlan():
     inner = ipv4_udp("10.0.0.1", "10.0.0.2", 5, 6, b"x")
-    assert isinstance(parse_packet(_eth(inner), ETH, 0.0), PacketRecord)
-    assert isinstance(parse_packet(_vlan(inner), ETH, 0.0), PacketRecord)
+    assert parse_packet(_eth(inner), ETH, 0.0).__class__ is tuple
+    assert parse_packet(_vlan(inner), ETH, 0.0).__class__ is tuple
 
 
 def test_qinq_rejected():
@@ -98,7 +98,8 @@ def test_ipv6_udp():
     udp = struct.pack("!HHHH", 1000, 2000, 8 + 3, 0) + b"abc"
     hdr = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst
     rec = parse_packet(hdr + udp, RAW, 0.0)
-    assert isinstance(rec, PacketRecord)
+    assert rec.__class__ is tuple
+    rec = PacketRecord._make(rec)
     assert (ip_text(rec.src_ip), ip_text(rec.dst_ip)) == (str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)))
     assert rec.src_port == 1000
     assert rec.payload_len == 3
@@ -106,23 +107,23 @@ def test_ipv6_udp():
 
 def test_headers_only_frames_take_sizes_from_the_ip_header():
     v4 = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 1000)
-    assert parse_packet(v4[:40], RAW, 0.0, None, len(v4)).payload_len == 1000
+    assert PacketRecord._make(parse_packet(v4[:40], RAW, 0.0, None, len(v4))).payload_len == 1000
     tcp = ipv4_tcp("10.0.0.1", "10.0.0.2", 1234, 443, 100, 7, 0x18, bytes(range(200)))
-    rec = parse_packet(tcp[:60], RAW, 0.0, None, len(tcp))
+    rec = PacketRecord._make(parse_packet(tcp[:60], RAW, 0.0, None, len(tcp)))
     assert rec.payload_len == 200
     assert rec.payload == bytes(range(20))  # only the captured bytes
     src, dst = bytes(range(16)), bytes(range(16, 32))
     udp = struct.pack("!HHHH", 1000, 2000, 8 + 500, 0) + b"z" * 500
     v6 = struct.pack("!IHBB", 0x60000000, len(udp), 17, 64) + src + dst + udp
-    assert parse_packet(v6[:64], RAW, 0.0, None, len(v6)).payload_len == 500
-    assert parse_packet(_eth(v4)[:54], ETH, 0.0, None, 14 + len(v4)).payload_len == 1000
+    assert PacketRecord._make(parse_packet(v6[:64], RAW, 0.0, None, len(v6))).payload_len == 500
+    assert PacketRecord._make(parse_packet(_eth(v4)[:54], ETH, 0.0, None, 14 + len(v4))).payload_len == 1000
 
 
 def test_ip_length_beyond_the_wire_length_keeps_the_captured_size():
     v4 = ipv4_udp("10.0.0.1", "10.0.0.2", 1234, 53, b"q" * 1000)
-    assert parse_packet(v4[:40], RAW, 0.0, None, 40).payload_len == 12
-    assert parse_packet(v4[:40], RAW, 0.0, None, 600).payload_len == 12
-    assert parse_packet(v4[:40], RAW, 0.0).payload_len == 12  # orig_len defaults to the captured length
+    assert PacketRecord._make(parse_packet(v4[:40], RAW, 0.0, None, 40)).payload_len == 12
+    assert PacketRecord._make(parse_packet(v4[:40], RAW, 0.0, None, 600)).payload_len == 12
+    assert PacketRecord._make(parse_packet(v4[:40], RAW, 0.0)).payload_len == 12  # orig_len defaults to the captured length
 
 
 def test_read_capture_counts_snaplen_cut_records(tmp_pcap):
@@ -130,7 +131,7 @@ def test_read_capture_counts_snaplen_cut_records(tmp_pcap):
     pcap.write_capture(frames, tmp_pcap, snaplen=128)
     stats = CaptureStats()
     out = list(read_capture(tmp_pcap, stats))
-    assert [rec.payload_len for rec in out] == [50 * i for i in range(6)]
+    assert [PacketRecord._make(rec).payload_len for rec in out] == [50 * i for i in range(6)]
     assert stats.snaplen_truncated == sum(1 for _, f in frames if len(f) > 128) == 3
 
 
@@ -149,9 +150,10 @@ def test_fragment_tail_attributed_via_head():
     head, tail = _frag_pair()
     cache = _FragCache()
     rec1 = parse_packet(head, RAW, 0.0, cache)
-    assert isinstance(rec1, PacketRecord)
+    assert rec1.__class__ is tuple
     rec2 = parse_packet(tail, RAW, 0.1, cache)
-    assert isinstance(rec2, PacketRecord)
+    assert rec2.__class__ is tuple
+    rec2 = PacketRecord._make(rec2)
     assert rec2.src_port == 777
     assert rec2.dst_port == 888
     assert rec2.payload_len == 68  # the tail's whole IP payload
@@ -167,12 +169,11 @@ def test_tcp_fragment_tail_has_no_tcp_header_fields():
     tail[9] = TCP
     cache = _FragCache()
     parse_packet(bytes(head), RAW, 0.0, cache)
-    rec = parse_packet(bytes(tail), RAW, 0.1, cache)
+    rec = PacketRecord._make(parse_packet(bytes(tail), RAW, 0.1, cache))
     assert (rec.proto, rec.src_port, rec.dst_port) == (TCP, 1234, 443)
     assert (rec.seq, rec.ack, rec.flags, rec.payload) == (None, None, None, None)
-    rec.direction = Direction.UPSTREAM
     tracker = LatencyTracker()
-    assert tracker.feed(rec) is None
+    assert tracker.feed(rec, False) is None  # upstream
     assert tracker.pending == {}  # no sequence number, so no pending pair
 
 

@@ -290,8 +290,6 @@ def test_strip_sni_signature_fallback(tmp_path):
     assert s.os_hint == "windows"
     assert s.setup == "console_app"  # only the agent class is knowable without SNIs
     assert s.session_id.startswith("u")
-    assert report.signature_matches
-    assert report.signature_matches[0]["os"] == "windows"
     roles = sorted(r for _, r in s.gameplay_flows)
     assert roles == ["down_audio", "down_video", "gameplay_mgmt", "up_audio", "user_input"]
 

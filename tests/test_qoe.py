@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from gamesight.flows import WINDOW_S
 from gamesight.qoe import (
     FPS_HIGH,
     FPS_LOW,
     FPS_MEDIUM,
+    NO_SAMPLES,
+    FlowQoe,
     FrameRateTracker,
     LatencyTracker,
     RES_FHD,
@@ -19,20 +24,15 @@ from conftest import tcp_record
 
 CLIENT = "192.0.2.10"
 SERVER = "203.0.113.7"
-
-from gamesight.packets import Direction
+UP, DOWN = False, True  # a packet's direction, as `FlowState.down` has it
 
 
 def _up(ts, seq, length):
-    pkt = tcp_record(ts, CLIENT, 51000, SERVER, 322, length, seq=seq)
-    pkt.direction = Direction.UPSTREAM
-    return pkt
+    return tcp_record(ts, CLIENT, 51000, SERVER, 322, length, seq=seq)
 
 
 def _down(ts, ack, length=0):
-    pkt = tcp_record(ts, SERVER, 322, CLIENT, 51000, length, ack=ack)
-    pkt.direction = Direction.DOWNSTREAM
-    return pkt
+    return tcp_record(ts, SERVER, 322, CLIENT, 51000, length, ack=ack)
 
 
 # -- latency ------------------------------------------------------------
@@ -40,8 +40,8 @@ def _down(ts, ack, length=0):
 
 def test_latency_pairing_20ms():
     t = LatencyTracker()
-    t.feed(_up(10.0, seq=1000, length=51))
-    sample = t.feed(_down(10.020, ack=1051))
+    t.feed(_up(10.0, seq=1000, length=51), UP)
+    sample = t.feed(_down(10.020, ack=1051), DOWN)
     assert sample is not None
     assert sample.latency_ms == pytest.approx(20.0)
     assert t.samples == [sample]
@@ -49,15 +49,15 @@ def test_latency_pairing_20ms():
 
 def test_pure_acks_never_registered():
     t = LatencyTracker()
-    t.feed(_up(10.0, seq=1000, length=0))
-    assert t.feed(_down(10.020, ack=1000)) is None
+    t.feed(_up(10.0, seq=1000, length=0), UP)
+    assert t.feed(_down(10.020, ack=1000), DOWN) is None
     assert t.samples == []
 
 
 def test_unmatched_ack_ignored():
     t = LatencyTracker()
-    t.feed(_up(10.0, seq=1000, length=51))
-    assert t.feed(_down(10.1, ack=9999)) is None
+    t.feed(_up(10.0, seq=1000, length=51), UP)
+    assert t.feed(_down(10.1, ack=9999), DOWN) is None
     assert t.pending  # original pair still waiting
 
 
@@ -65,16 +65,16 @@ def test_sequence_wraparound():
     # [DERIVED] seq near 2^32: expected ack wraps to (seq + len) mod 2^32
     t = LatencyTracker()
     seq = U32 - 5
-    t.feed(_up(1.0, seq=seq, length=10))
+    t.feed(_up(1.0, seq=seq, length=10), UP)
     assert (seq + 10) % U32 == 5
-    sample = t.feed(_down(1.008, ack=5))
+    sample = t.feed(_down(1.008, ack=5), DOWN)
     assert sample.latency_ms == pytest.approx(8.0)
 
 
 def test_negative_delta_discarded():
     t = LatencyTracker()
-    t.feed(_up(10.0, seq=1, length=5))
-    assert t.feed(_down(9.5, ack=6)) is None
+    t.feed(_up(10.0, seq=1, length=5), UP)
+    assert t.feed(_down(9.5, ack=6), DOWN) is None
     assert t.negative_discarded == 1
     assert t.samples == []
 
@@ -82,11 +82,11 @@ def test_negative_delta_discarded():
 def test_pending_expiry():
     t = LatencyTracker()
     for i in range(9):
-        t.feed(_up(float(i) * 0.1, seq=i * 1000, length=10))
+        t.feed(_up(float(i) * 0.1, seq=i * 1000, length=10), UP)
     # pending > 8, so a much later upstream packet purges the stale entries
-    t.feed(_up(100.0, seq=990000, length=10))
+    t.feed(_up(100.0, seq=990000, length=10), UP)
     assert len(t.pending) == 1
-    assert t.feed(_down(100.01, ack=10 + 0 * 1000)) is None  # expired pair
+    assert t.feed(_down(100.01, ack=10 + 0 * 1000), DOWN) is None  # expired pair
 
 
 # -- frame rate (running-max / marker state machine) -------------------
@@ -166,6 +166,35 @@ def test_size_margin_boundary():
     tr = FrameRateTracker()
     _run(tr, [(1466, 0.0), (1464, 0.001)])
     assert tr.frame_count == 1
+
+
+def test_flow_qoe_collects_what_its_tracker_returns():
+    # a packet that closes no window gets the shared empty result; FlowQoe
+    # keeps exactly the samples its tracker returns, whether the packets
+    # were held until start() or fed after it
+    rng = random.Random(11)
+    events, ts = [], 0.3
+    for _ in range(4000):
+        ts += rng.uniform(1.0, 3.5) if rng.random() < 0.003 else rng.expovariate(300.0)
+        events.append((rng.choice((400, 1200, 1465, 1466, rng.randrange(0, 1500))), ts))
+    tracker = FrameRateTracker()
+    returns = [tracker.feed(size, t) for size, t in events]
+    windows = [int(t // WINDOW_S) for _, t in events]
+    quiet = [r for i, r in enumerate(returns) if i == 0 or windows[i] == windows[i - 1]]
+    assert len(quiet) > len(events) - 100
+    assert all(not r and len(r) == 0 and r is NO_SAMPLES for r in quiet)
+    assert sum(len(r) for r in returns) > 20  # gaps give windows of zero fps too
+
+    half = len(events) // 2
+    qoe = FlowQoe()
+    for size, t in events[:half]:
+        qoe.feed(size, t)
+    assert qoe.fps_samples == []  # held until the role is known
+    qoe.start()
+    assert qoe.fps_samples == [s for r in returns[:half] for s in r]
+    for size, t in events[half:]:
+        qoe.feed(size, t)
+    assert qoe.fps_samples == [s for r in returns for s in r]
 
 
 # -- bands --------------------------------------------------------------
