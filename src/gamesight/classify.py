@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .detector import ServerRegistration
 from .errors import InseparableClasses
 from .flows import WINDOW_S, FlowState
+
+if TYPE_CHECKING:
+    from .detector import ServerRegistration
 
 ROLE_MGMT = "gameplay_mgmt"
 ROLE_DOWN_VIDEO = "down_video"
@@ -23,34 +26,24 @@ CONSOLE_ROLES = (ROLE_DOWN_VIDEO, ROLE_DOWN_AUDIO, ROLE_UP_AUDIO, ROLE_USER_INPU
 VIDEO_ROLES = (ROLE_DOWN_VIDEO, ROLE_COMBINED)  # the flows QoE is measured on
 
 CLASSIFY_WINDOWS = 3  # median over the first closed windows skips the startup transient
+STUN_MAX_PPS = 2.0  # browser class: total pps at or below this is the STUN flow
+COMBINED_MIN_PPS = 100.0  # browser class: total pps at or above this is the combined flow
+MGMT_WINDOW_S = 0.5  # a gameplay UDP flow starts at most this long after its registration
 
 
 @dataclass
 class ClassifierCriteria:
+    """The console-class thresholds `calibrate` derives from labelled flows."""
+
     video_min_bps_in: float = 5_000_000.0
     input_pps_delta_max: float = 10.0
     audio_dominance_pps_delta: float = 10.0
-    stun_max_pps: float = 2.0
-    combined_min_pps: float = 100.0
-    mgmt_window_s: float = 0.5
-
-    def __post_init__(self):
-        if self.stun_max_pps >= self.combined_min_pps:
-            raise ValueError("stun_max_pps must be below combined_min_pps")
-
-    def to_dict(self) -> dict:
-        return {
-            "video_min_bps_in": self.video_min_bps_in,
-            "input_pps_delta_max": self.input_pps_delta_max,
-            "audio_dominance_pps_delta": self.audio_dominance_pps_delta,
-            "stun_max_pps": self.stun_max_pps,
-            "combined_min_pps": self.combined_min_pps,
-            "mgmt_window_s": self.mgmt_window_s,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierCriteria":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        """Raises TypeError on a key that is not a field, ValueError on a
+        value that is not a number."""
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def _median_profile(windows: list[list[int]]) -> tuple[float, float, float]:
@@ -69,9 +62,9 @@ def classify_windows(windows: list[list[int]], setup_class: str, criteria: Class
         return ROLE_UNCLASSIFIED
     pps_in, pps_out, bps_in = _median_profile(windows[:CLASSIFY_WINDOWS])
     if setup_class == "browser":
-        if pps_in + pps_out <= criteria.stun_max_pps:
+        if pps_in + pps_out <= STUN_MAX_PPS:
             return ROLE_STUN
-        if pps_in + pps_out >= criteria.combined_min_pps:
+        if pps_in + pps_out >= COMBINED_MIN_PPS:
             return ROLE_COMBINED
         return ROLE_UNCLASSIFIED
     # console application: four single-purpose flows
@@ -87,13 +80,13 @@ def classify_windows(windows: list[list[int]], setup_class: str, criteria: Class
     return ROLE_UNCLASSIFIED
 
 
-def starts_gameplay(flow: FlowState, reg: ServerRegistration, criteria: ClassifierCriteria) -> bool:
+def starts_gameplay(flow: FlowState, reg: ServerRegistration) -> bool:
     """Whether `flow` goes from the registration's client to the registered
-    gameplay server and starts within `mgmt_window_s` of the registration."""
+    gameplay server and starts within `MGMT_WINDOW_S` of the registration."""
     return (
         flow.key.server_ip == reg.server_ip
         and flow.key.client_ip == reg.client_ip
-        and reg.registered_at <= flow.first_ts <= reg.registered_at + criteria.mgmt_window_s
+        and reg.registered_at <= flow.first_ts <= reg.registered_at + MGMT_WINDOW_S
     )
 
 
@@ -103,11 +96,9 @@ def classify_flow(
     reg: ServerRegistration,
     criteria: ClassifierCriteria,
 ) -> str:
-    """Role of a candidate gameplay UDP flow, or unclassified when the flow
-    does not start the registered server's gameplay or its server port is
-    outside the platform's gameplay port range."""
-    if not starts_gameplay(flow, reg, criteria):
-        return ROLE_UNCLASSIFIED
+    """Role of a gameplay UDP flow that joined `reg` (see `starts_gameplay`),
+    or unclassified when its server port is outside the platform's gameplay
+    port range."""
     if reg.server_port_range is not None:
         lo, hi = reg.server_port_range
         if not lo <= flow.key.server_port <= hi:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import click
 
-from .classify import ClassifierCriteria
 from .codebook import default_codebook_path, load_codebooks
 from .errors import BandMismatch, InvalidProfile, MalformedHeader
 from .pipeline import Analyzer
@@ -60,8 +59,11 @@ def analyze(pcaps, client_nets, codebook, out_dir):
     if not Path(codebook).exists():
         click.echo("codebook not found: %s" % codebook, err=True)
         sys.exit(1)
-    books, crit_dict = load_codebooks(codebook)
-    criteria = ClassifierCriteria.from_dict(crit_dict) if crit_dict else ClassifierCriteria()
+    try:
+        books, criteria = load_codebooks(codebook)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        click.echo("malformed codebook %s: %s: %s" % (codebook, type(exc).__name__, exc), err=True)
+        sys.exit(1)
 
     nets = tuple(n.strip() for n in client_nets.split(",") if n.strip())
     out = Path(out_dir)

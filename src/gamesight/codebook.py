@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
+from .classify import ClassifierCriteria
+
 SETUP_UNKNOWN = "unknown"
 
-CLASS_CONSOLE_APP = "console_app"
 CLASS_BROWSER = "browser"
 
 DEFAULT_SETUP_SCORE_THRESHOLD = 0.6
@@ -132,17 +133,18 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
     )
 
 
-def load_codebooks(path: str) -> tuple[list[ServiceCodebook], dict]:
-    """Load codebooks plus an optional classifier `criteria` section."""
+def load_codebooks(path: str) -> tuple[list[ServiceCodebook], ClassifierCriteria]:
+    """Load codebooks and the classifier thresholds: those of an optional
+    `criteria` section, the `ClassifierCriteria` defaults for the rest."""
     with open(path) as fh:
         data = json.load(fh)
     books = [_codebook_from_dict(d) for d in data["platforms"]]
-    return books, data.get("criteria", {})
+    return books, ClassifierCriteria.from_dict(data.get("criteria", {}))
 
 
 def default_codebook_path() -> str:
     return str(resources.files("gamesight").joinpath("data/codebooks.json"))
 
 
-def default_codebooks() -> tuple[list[ServiceCodebook], dict]:
+def default_codebooks() -> tuple[list[ServiceCodebook], ClassifierCriteria]:
     return load_codebooks(default_codebook_path())

@@ -75,7 +75,6 @@ class ServerRegistration:
     server_ip: bytes
     registered_at: float
     setup_class: str  # console_app | browser
-    mgmt_key: FlowKey
     platform_id: str
     server_port_range: Optional[tuple[int, int]] = None
     ip_mismatch_warning: bool = False
@@ -86,7 +85,6 @@ class ServerRegistration:
 
 @dataclass
 class ClientState:
-    client_ip: bytes
     observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns)
     pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
     names_seen: int = 0  # names observed so far; observed_names holds the newest of them
@@ -121,8 +119,7 @@ class SessionDetector:
     def _client(self, client_ip: bytes) -> ClientState:
         st = self.clients.get(client_ip)
         if st is None:
-            st = ClientState(client_ip=client_ip)
-            self.clients[client_ip] = st
+            st = self.clients[client_ip] = ClientState()
         return st
 
     # -- service name observation -------------------------------------
@@ -242,7 +239,6 @@ class SessionDetector:
                 server_ip=key.server_ip,
                 registered_at=ts,
                 setup_class=setup_class,
-                mgmt_key=key,
                 platform_id=cb.platform_id,
                 server_port_range=cb.server_port_range,
                 ip_mismatch_warning=(embedded_ip != ip_text(key.server_ip)),
@@ -263,7 +259,6 @@ class SessionDetector:
             server_ip=key.server_ip,
             registered_at=ts,
             setup_class=setup_class,
-            mgmt_key=key,
             platform_id=platform_id,
             server_port_range=cb.server_port_range if cb else None,
             via_signature=True,

@@ -6,7 +6,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .packets import TCP_SYN, Direction, ip_text
+from .packets import TCP_SYN, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
@@ -103,16 +103,17 @@ class FlowTable:
             return src_is_client, False
         return (ip_text(src_ip), src_port) < (ip_text(dst_ip), dst_port), True
 
-    def canonical_key(self, pkt: tuple) -> tuple[FlowKey, Direction]:
+    def canonical_key(self, pkt: tuple) -> tuple[FlowKey, bool]:
         """Same key for both directions of a packet tuple (`PacketRecord`
-        layout); Upstream iff the source is client-side."""
+        layout), and whether the packet goes downstream (as `FlowState.down`):
+        upstream iff the source is client-side."""
         _, src, sport, dst, dport, proto = pkt[:6]
         up, guessed = self._orient(src, sport, dst, dport)
         if guessed:
             self.orientation_warnings += 1
         if up:
-            return FlowKey(src, sport, dst, dport, proto), Direction.UPSTREAM
-        return FlowKey(dst, dport, src, sport, proto), Direction.DOWNSTREAM
+            return FlowKey(src, sport, dst, dport, proto), False
+        return FlowKey(dst, dport, src, sport, proto), True
 
     # -- updates -------------------------------------------------------
 

@@ -36,11 +36,6 @@ _PORTS = struct.Struct("!HH")
 _TCP_HDR = struct.Struct("!HHIIBB")
 
 
-class Direction(Enum):
-    UPSTREAM = "up"
-    DOWNSTREAM = "down"
-
-
 class SkipReason(Enum):
     NON_IP = "non_ip"
     NON_TCP_UDP = "non_tcp_udp"

@@ -30,7 +30,6 @@ CHUNK_SIZE = 1 << 16  # bytes read_records asks of the file at a time
 @dataclass
 class PcapHeader:
     link_type: int
-    snaplen: int
     byte_order: str  # "<" or ">"
     ts_resolution: str  # "micro" or "nano"
 
@@ -49,11 +48,11 @@ def read_header(fh: BinaryIO) -> PcapHeader:
         else:
             raise MalformedHeader("bad pcap magic 0x%08x" % magic)
     hdr = _GLOBAL_HDR if order == "<" else _GLOBAL_HDR_BE
-    _, vmaj, vmin, _tz, _sig, snaplen, network = hdr.unpack(raw)
+    _, vmaj, vmin, _tz, _sig, _snaplen, network = hdr.unpack(raw)
     if vmaj != 2:
         raise MalformedHeader("unsupported pcap version %d.%d" % (vmaj, vmin))
     res = "nano" if magic == MAGIC_NANO else "micro"
-    return PcapHeader(link_type=network, snaplen=snaplen, byte_order=order, ts_resolution=res)
+    return PcapHeader(link_type=network, byte_order=order, ts_resolution=res)
 
 
 def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int]]:

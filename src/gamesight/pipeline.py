@@ -43,9 +43,8 @@ class Analyzer:
         client_nets: tuple = (),
     ):
         if codebooks is None:
-            codebooks, crit_dict = default_codebooks()
-            if criteria is None and crit_dict:
-                criteria = ClassifierCriteria.from_dict(crit_dict)
+            codebooks, loaded = default_codebooks()
+            criteria = criteria or loaded
         self.codebooks = codebooks
         self.criteria = criteria or ClassifierCriteria()
         self.table = FlowTable(client_nets=client_nets)
@@ -97,7 +96,7 @@ class Analyzer:
         """A new UDP flow joins the first registration whose gameplay it starts,
         with QoE state to hold its downstream packets until its role is known."""
         for reg in self.detector.registrations.values():
-            if starts_gameplay(flow, reg, self.criteria):
+            if starts_gameplay(flow, reg):
                 flow.gameplay = reg
                 flow.qoe = FlowQoe()
                 reg.flows.append(flow)
@@ -109,7 +108,7 @@ class Analyzer:
         came before the registering packet); having missed packets, they get no QoE."""
         reg.flows.append(mgmt_flow)
         for flow in self.table.flows.values():
-            if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg, self.criteria):
+            if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
                 flow.gameplay = reg
                 reg.flows.append(flow)
 

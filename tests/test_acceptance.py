@@ -105,10 +105,13 @@ def test_criterion_1_detection_accuracy(corpus):
 
 
 def _qoe_vs_truth(r):
-    """Pairs (sample, truth_entry, k) indexed from gameplay start."""
+    """Pairs (sample, truth_entry, k): k counts the truth seconds from
+    gameplay start to the sample's window, as `report.truth_errors` pairs them."""
     samples = r.qoe[r.sessions[0]["session_id"]]
     truth = r.manifest["qoe"]
-    return [(s, truth[k], k) for k, s in enumerate(samples) if k < len(truth)]
+    t_start = truth[0]["ts"]
+    pairs = [(s, round(s.ts - t_start)) for s in samples]
+    return [(s, truth[k], k) for s, k in pairs if 0 <= k < len(truth)]
 
 
 def test_criterion_2_frame_rate(corpus):

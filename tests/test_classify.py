@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,7 +17,9 @@ from gamesight.classify import (
     calibrate,
     classify_flow,
     classify_windows,
+    starts_gameplay,
 )
+from gamesight.codebook import default_codebook_path, load_codebooks
 from gamesight.detector import ServerRegistration
 from gamesight.errors import InseparableClasses
 from gamesight.flows import FlowKey, FlowState
@@ -99,7 +102,6 @@ def _reg(server_ip="203.0.113.7", port_range=None):
         server_ip=packed(server_ip),
         registered_at=100.0,
         setup_class="console_app",
-        mgmt_key=FlowKey(packed("192.0.2.10"), 51000, packed(server_ip), 322, 6),
         platform_id="gfn",
         server_port_range=port_range,
     )
@@ -112,18 +114,18 @@ def _flow(server_ip="203.0.113.7", sport=47000, first_ts=100.2):
 
 def test_gate_server_ip():
     flow = _flow(server_ip="203.0.113.99")
-    assert classify_flow(flow, _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
+    assert not starts_gameplay(flow, _reg())
 
 
 def test_gate_client_ip():
     flow = FlowState(key=FlowKey(packed("192.0.2.11"), 49005, packed("203.0.113.7"), 47000, 17), first_ts=100.2, last_ts=105.2)
-    assert classify_flow(flow, _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
+    assert not starts_gameplay(flow, _reg())
 
 
 def test_gate_start_window():
-    assert classify_flow(_flow(first_ts=101.0), _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
-    assert classify_flow(_flow(first_ts=99.0), _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_UNCLASSIFIED
-    assert classify_flow(_flow(first_ts=100.4), _windows(2400, 2, 28e6), _reg(), CRIT) == ROLE_DOWN_VIDEO
+    assert not starts_gameplay(_flow(first_ts=101.0), _reg())
+    assert not starts_gameplay(_flow(first_ts=99.0), _reg())
+    assert starts_gameplay(_flow(first_ts=100.4), _reg())
 
 
 def test_gate_port_range():
@@ -187,10 +189,21 @@ def test_labeled_flow_needs_five_windows():
 
 
 def test_criteria_roundtrip():
-    crit = ClassifierCriteria(video_min_bps_in=7e6, stun_max_pps=3.0)
-    assert ClassifierCriteria.from_dict(crit.to_dict()) == crit
+    crit = ClassifierCriteria(video_min_bps_in=7e6, input_pps_delta_max=3.0)
+    assert ClassifierCriteria.from_dict(dataclasses.asdict(crit)) == crit
+    assert [f.name for f in dataclasses.fields(ClassifierCriteria)] == [
+        "video_min_bps_in",
+        "input_pps_delta_max",
+        "audio_dominance_pps_delta",
+    ]  # the thresholds `calibrate` sets, and no other
 
 
 def test_criteria_validation():
-    with pytest.raises(ValueError):
-        ClassifierCriteria(stun_max_pps=200.0, combined_min_pps=100.0)
+    # a key that is not a calibrated threshold is rejected, not ignored
+    for key in ("mgmt_window_s", "video_min_bps"):
+        with pytest.raises(TypeError, match=key):
+            ClassifierCriteria.from_dict({"video_min_bps_in": 7e6, key: 1.0})
+
+
+def test_shipped_codebook_carries_the_default_criteria():
+    assert load_codebooks(default_codebook_path())[1] == ClassifierCriteria()

@@ -1,9 +1,11 @@
 import json
 import logging
 
+import pytest
 from click.testing import CliRunner
 
 from gamesight.cli import main
+from gamesight.codebook import default_codebook_path
 
 
 def _run(args, env=None):
@@ -93,6 +95,50 @@ def test_missing_codebook_exit_1(tmp_path):
         ["analyze", "--pcap", pcap_path, "--codebook", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
     )
     assert res.exit_code == 1
+
+
+def _shipped_codebook(edit) -> str:
+    """The shipped codebook's text after `edit` changes its parsed form."""
+    with open(default_codebook_path()) as fh:
+        data = json.load(fh)
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ('{"platforms": [', "JSONDecodeError"),
+        (_shipped_codebook(lambda d: d["platforms"][1].pop("core")), "KeyError: 'core'"),
+        (_shipped_codebook(lambda d: d.update(criteria={"mgmt_window_s": 0.5})), "mgmt_window_s"),
+        (_shipped_codebook(lambda d: d.update(criteria={"video_min_bps": 5e6})), "video_min_bps"),
+        (_shipped_codebook(lambda d: d.update(criteria={"video_min_bps_in": "fast"})), "'fast'"),
+        (_shipped_codebook(lambda d: d.update(criteria=["video_min_bps_in"])), "AttributeError"),
+    ],
+    ids=["invalid-json", "missing-key", "removed-key", "misspelled-key", "non-numeric", "not-a-mapping"],
+)
+def test_malformed_codebook_exit_1(tmp_path, text, names):
+    path = tmp_path / "codebook.json"
+    path.write_text(text)
+    # the codebook is read before any capture: a missing one would exit 2
+    res = _run(["analyze", "--pcap", str(tmp_path / "nope.pcap"), "--codebook", str(path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("malformed codebook %s: " % path) and names in line
+
+
+def test_codebook_criteria_reach_the_classifier(tmp_path):
+    # no flow carries 1 Tbps, so the console video flow loses its role and
+    # the session has no QoE rows
+    pcap_path, _ = _generate(tmp_path)
+    path = tmp_path / "codebook.json"
+    path.write_text(_shipped_codebook(lambda d: d.update(criteria={"video_min_bps_in": 1e12})))
+    args = ["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24"]
+    default = json.loads(_run(args + ["--out", str(tmp_path / "a")]).output)
+    raised = json.loads(_run(args + ["--codebook", str(path), "--out", str(tmp_path / "b")]).output)
+    assert (default["sessions"], raised["sessions"]) == (1, 1)
+    assert default["qoe_samples"] > 0 and raised["qoe_samples"] == 0
 
 
 def test_report_schema_mismatch_exit_1(tmp_path):
