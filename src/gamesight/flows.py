@@ -1,12 +1,12 @@
-"""Bidirectional flow table with per-window volumetric counts."""
+"""Bidirectional flow table with per-window volumetric counts on UDP flows."""
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .packets import TCP_SYN, ip_text
+from .packets import UDP, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
@@ -15,7 +15,6 @@ if TYPE_CHECKING:
 
 WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
 DEFAULT_TABLE_CAP = 1_048_576
-FIRST_PAYLOADS_CAP = 4  # longest handshake signature has 4 entries
 
 
 class FlowKey(NamedTuple):
@@ -43,17 +42,22 @@ class FlowState:
     # window index (ts // WINDOW_S) -> [pkts_in, pkts_out, bytes_in, bytes_out]:
     # "in" is downstream, bytes are payload bytes, and a window without
     # packets has no entry. The classifier, and QoE for a video flow, read
-    # these lists as they are.
-    windows: dict = field(default_factory=dict)
-    first_payload_sizes_up: list = field(default_factory=list)
-    first_payload_sizes_down: list = field(default_factory=list)
+    # these lists as they are. Only a UDP flow has them (None on TCP), and
+    # the analyzer drops them from a joined flow it decides is not video.
+    windows: Optional[dict] = None
+    # payload sizes of the first data packets each way (a SYN's data left
+    # out), which setup signatures match: the analyzer records them on a
+    # management-port TCP flow while its signature is undecided; elsewhere
+    # they stay None
+    first_payload_sizes_up: Optional[list] = None
+    first_payload_sizes_down: Optional[list] = None
     sni: Optional[str] = None
     total_pkts: int = 0
     total_bytes: int = 0
     guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     down: bool = False  # the last counted packet went server to client
     # analyzer state, dropped with the flow when it is evicted
-    reasm: Optional[SniReassembler] = None  # the one ClientHello reassembly of a TCP flow
+    reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once its SNI is found
     latency: Optional[LatencyTracker] = None  # on a registered management flow
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # UDP: the gameplay start it joined
@@ -64,8 +68,9 @@ class FlowState:
 class FlowTable:
     """Single-writer flow accumulator keyed by canonical five-tuple.
 
-    Windows are aligned to multiples of `WINDOW_S` in absolute capture
-    time, so every flow's window grid lines up for cross-flow comparison.
+    Only UDP flows count windows. They are aligned to multiples of
+    `WINDOW_S` in absolute capture time, so every flow's window grid lines
+    up for cross-flow comparison.
     """
 
     def __init__(
@@ -127,7 +132,7 @@ class FlowTable:
         own (upstream). The reversed tuple is tried first, which keeps a
         self-addressed packet downstream, as `canonical_key` has it.
         """
-        ts, src, sport, dst, dport, proto, size, _, _, flags, _ = pkt
+        ts, src, sport, dst, dport, proto, size, _, _, _, _ = pkt
         flows = self.flows
         flow = flows.get((dst, dport, src, sport, proto))
         if flow is not None:
@@ -141,7 +146,9 @@ class FlowTable:
                 key = FlowKey(src, sport, dst, dport, proto) if up else FlowKey(dst, dport, src, sport, proto)
                 if len(flows) >= self.cap:
                     self._evict_oldest()
-                flow = flows[key] = FlowState(key=key, first_ts=ts, last_ts=ts, guessed=guessed)
+                flow = flows[key] = FlowState(
+                    key=key, first_ts=ts, last_ts=ts, guessed=guessed, windows={} if proto == UDP else None
+                )
                 down = not up
         if flow.guessed:
             self.orientation_warnings += 1
@@ -153,21 +160,18 @@ class FlowTable:
         flow.total_pkts += 1
         flow.total_bytes += size
 
-        idx = int(ts // WINDOW_S)
-        win = flow.windows.get(idx)
-        if win is None:
-            win = flow.windows[idx] = [0, 0, 0, 0]
-        if down:
-            win[0] += 1
-            win[2] += size
-        else:
-            win[1] += 1
-            win[3] += size
-
-        if size > 0 and not (flags is not None and flags & TCP_SYN):
-            sizes = flow.first_payload_sizes_down if down else flow.first_payload_sizes_up
-            if len(sizes) < FIRST_PAYLOADS_CAP:
-                sizes.append(size)
+        windows = flow.windows
+        if windows is not None:
+            idx = int(ts // WINDOW_S)
+            win = windows.get(idx)
+            if win is None:
+                win = windows[idx] = [0, 0, 0, 0]
+            if down:
+                win[0] += 1
+                win[2] += size
+            else:
+                win[1] += 1
+                win[3] += size
         return flow
 
     def _evict_oldest(self) -> None:

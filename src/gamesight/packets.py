@@ -86,9 +86,10 @@ class _FragCache:
         self.entries: dict[tuple, tuple[int, int]] = {}
 
     def put(self, key: tuple, ports: tuple[int, int]) -> None:
-        if len(self.entries) >= FRAG_CACHE_CAP:
-            self.entries.pop(next(iter(self.entries)))
-        self.entries[key] = ports
+        entries = self.entries
+        if key not in entries and len(entries) >= FRAG_CACHE_CAP:
+            entries.pop(next(iter(entries)))  # a re-put key (duplicate head) evicts nothing
+        entries[key] = ports
 
     def get(self, key: tuple) -> Optional[tuple[int, int]]:
         return self.entries.get(key)

@@ -18,11 +18,12 @@ from .classify import (
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
 from .flows import WINDOW_S, FlowState, FlowTable
-from .packets import UDP, CaptureStats, read_capture
+from .packets import TCP_SYN, UDP, CaptureStats, read_capture
 from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
 from .tls import SniReassembler
 
 PEAK_WINDOW_INTERVALS = 10
+FIRST_PAYLOADS_CAP = 4  # handshake sizes kept each way: the longest signature has 4 entries
 NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 
 
@@ -63,7 +64,7 @@ class Analyzer:
         """One packet tuple (`PacketRecord` layout). The flow table counts
         it first and leaves its direction in `flow.down`."""
         flow = self.table.update(pkt)
-        ts, _, _, _, _, proto, payload_len, _, _, _, payload = pkt
+        ts, _, _, _, _, proto, payload_len, _, _, flags, payload = pkt
         if proto == UDP:
             if flow.total_pkts == 1:
                 self._join(flow)
@@ -90,6 +91,14 @@ class Analyzer:
                     self._on_sni(flow, name, pkt)
 
         if flow.signature is None and flow.key.server_port in self.mgmt_ports:
+            # the handshake sizes a setup signature matches; a SYN's data is
+            # left out, a tail fragment (no TCP header, so no flags) is not
+            if flow.first_payload_sizes_up is None:
+                flow.first_payload_sizes_up, flow.first_payload_sizes_down = [], []
+            if flags is None or not flags & TCP_SYN:
+                sizes = flow.first_payload_sizes_down if flow.down else flow.first_payload_sizes_up
+                if len(sizes) < FIRST_PAYLOADS_CAP:
+                    sizes.append(payload_len)
             self._try_signature(flow, ts)
 
     def _join(self, flow) -> None:
@@ -114,15 +123,17 @@ class Analyzer:
 
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
-        only a video flow keeps its QoE state."""
+        only a video flow keeps its windows and QoE state."""
         flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay, self.criteria)
-        if flow.qoe is not None and flow.role in VIDEO_ROLES:
-            flow.qoe.start()
-        else:
+        if flow.role not in VIDEO_ROLES:
+            flow.windows = None  # only the video flow's windows feed QoE
             flow.qoe = None
+        elif flow.qoe is not None:
+            flow.qoe.start()
 
     def _on_sni(self, flow, name: str, pkt: tuple) -> None:
-        flow.sni = name
+        flow.sni = name  # reassembly never starts again on this flow
+        flow.reasm = None
         key = flow.key
         ts = pkt[0]
         self.detector.observe_service_name(key, name, ts)
@@ -149,7 +160,7 @@ class Analyzer:
                 if flow.latency is None:
                     flow.latency = LatencyTracker()
                 return
-        if len(down) >= 4 and len(up) >= 4:
+        if len(down) >= FIRST_PAYLOADS_CAP and len(up) >= FIRST_PAYLOADS_CAP:
             flow.signature = ()  # no signature will ever prefix-match now
 
     # -- finalization -------------------------------------------------

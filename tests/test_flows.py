@@ -176,14 +176,14 @@ def test_window_series_gap_free():
     assert [w[1] for w in series] == [1, 0, 0, 1]
 
 
-def test_first_payload_sizes_exclude_syn_and_cap_at_four():
+def test_only_udp_flows_count_windows():
     table = FlowTable(client_nets=NETS)
-    flow = table.update(tcp_record(0.0, CLIENT, 1, SERVER, 322, 12, flags=0x02))  # SYN w/ data
-    for i, size in enumerate([517, 100, 200, 300, 400]):
-        flow = table.update(tcp_record(0.1 + i * 0.1, CLIENT, 1, SERVER, 322, size))
-    assert flow.first_payload_sizes_up == [517, 100, 200, 300]
-    flow = table.update(tcp_record(1.0, SERVER, 322, CLIENT, 1, 1460))
-    assert flow.first_payload_sizes_down == [1460]
+    tcp = table.update(tcp_record(0.0, CLIENT, 1, SERVER, 443, 100))
+    udp = table.update(udp_record(0.0, CLIENT, 1, SERVER, 443, 100))
+    table.update(tcp_record(1.5, SERVER, 443, CLIENT, 1, 1460))
+    assert tcp.windows is None
+    assert (tcp.total_pkts, tcp.total_bytes) == (2, 1560)
+    assert udp.windows == {0: [0, 1, 0, 100]}
 
 
 def test_eviction_at_cap():

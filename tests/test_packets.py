@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from gamesight import pcap
+from gamesight import packets, pcap
 from gamesight.packets import (
     CaptureStats,
     PacketRecord,
@@ -181,6 +181,30 @@ def test_fragment_tail_without_head_skipped():
     _, tail = _frag_pair()
     assert parse_packet(tail, RAW, 0.0, _FragCache()) is SkipReason.FRAGMENT
     assert parse_packet(tail, RAW, 0.0, None) is SkipReason.FRAGMENT
+
+
+def test_frag_cache_reput_key_evicts_nothing(monkeypatch):
+    monkeypatch.setattr(packets, "FRAG_CACHE_CAP", 2)
+    cache = _FragCache()
+    cache.put("a", (1, 2))
+    cache.put("b", (3, 4))
+    cache.put("a", (1, 2))  # a duplicated first fragment, with the cache full
+    assert list(cache.entries.items()) == [("a", (1, 2)), ("b", (3, 4))]
+    cache.put("c", (5, 6))  # a new key still evicts the oldest
+    assert list(cache.entries.items()) == [("b", (3, 4)), ("c", (5, 6))]
+
+    # end to end: a duplicated head leaves the other datagram's tail attributed
+    head, tail = _frag_pair()
+    other_head, other_tail = bytearray(head), bytearray(tail)
+    other_head[4:6] = other_tail[4:6] = struct.pack("!H", 99)
+    cache = _FragCache()
+    parse_packet(bytes(other_head), RAW, 0.0, cache)
+    parse_packet(head, RAW, 0.1, cache)
+    parse_packet(head, RAW, 0.2, cache)
+    rec = parse_packet(bytes(other_tail), RAW, 0.3, cache)
+    assert rec is not SkipReason.FRAGMENT
+    rec = PacketRecord._make(rec)
+    assert (rec.src_port, rec.dst_port) == (777, 888)
 
 
 def test_truncated_frames_skipped():

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import pytest
@@ -6,7 +7,7 @@ from gamesight import pcap, pipeline
 from gamesight.classify import VIDEO_ROLES
 from gamesight.detector import SessionRecord
 from gamesight.flows import WINDOW_S, FlowKey, FlowTable
-from gamesight.packets import UDP, ip_text, parse_packet
+from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
 from gamesight.synth import (
@@ -19,7 +20,7 @@ from gamesight.synth import (
 )
 from gamesight.tls import SniReassembler
 
-from conftest import packed
+from conftest import packed, tcp_record, udp_record
 
 NETS = ("192.0.2.0/24",)
 
@@ -207,6 +208,89 @@ def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
     pcap.write_capture(frames, path)
     _analyze(path)
     assert (len(built), len(fed)) == (1, 3)
+
+
+def test_first_payload_sizes_exclude_syn_and_cap_at_four():
+    # the analyzer records handshake sizes on management-port TCP flows
+    # only, where a setup signature can match them
+    client, server = "192.0.2.10", "203.0.113.7"
+    analyzer = Analyzer(client_nets=NETS)
+    flows = analyzer.table.flows
+    analyzer._feed(tcp_record(0.0, client, 1, server, 322, 12, flags=0x02))  # SYN with data
+    for i, size in enumerate([517, 100, 200, 300, 400]):
+        analyzer._feed(tcp_record(0.1 + i * 0.1, client, 1, server, 322, size))
+    analyzer._feed(tcp_record(1.0, server, 322, client, 1, 1460))
+    mgmt = flows[FlowKey(packed(client), 1, packed(server), 322, TCP)]
+    assert mgmt.signature is None
+    assert mgmt.first_payload_sizes_up == [517, 100, 200, 300]
+    assert mgmt.first_payload_sizes_down == [1460]
+
+    analyzer._feed(tcp_record(2.0, client, 2, server, 322, 700, seq=None, ack=None, flags=None))  # tail fragment
+    assert flows[FlowKey(packed(client), 2, packed(server), 322, TCP)].first_payload_sizes_up == [700]
+
+    analyzer._feed(tcp_record(3.0, client, 3, server, 443, 517))
+    analyzer._feed(tcp_record(3.1, server, 443, client, 3, 1460))
+    analyzer._feed(udp_record(3.2, client, 4, server, 322, 517))
+    analyzer._feed(udp_record(3.3, server, 322, client, 4, 1460))
+    for key in (FlowKey(packed(client), 3, packed(server), 443, TCP), FlowKey(packed(client), 4, packed(server), 322, UDP)):
+        assert (flows[key].first_payload_sizes_up, flows[key].first_payload_sizes_down) == (None, None)
+
+
+def _short_tls_flows(count, base_ts, span_s, seed):
+    """Short TLS connections of clients in NETS to non-gaming servers:
+    handshake, ClientHello, two server segments and a FIN each."""
+    rng = random.Random(seed)
+    records = []
+    for k in range(count):
+        client = "192.0.2.%d" % (50 + k % 20)
+        server = "198.18.0.%d" % (1 + k % 200)
+        cport, rtt = 20000 + k, rng.uniform(0.005, 0.05)
+        t = base_ts + rng.uniform(0.0, span_s)
+        cseq, sseq = rng.getrandbits(31), rng.getrandbits(31)
+        hello = build_client_hello("www%03d.news.example" % k, rng=rng)
+        records += [
+            (t, ipv4_tcp(client, server, cport, 443, cseq, 0, 0x02)),
+            (t + rtt, ipv4_tcp(server, client, 443, cport, sseq, cseq + 1, 0x12)),
+            (t + rtt + 0.001, ipv4_tcp(client, server, cport, 443, cseq + 1, sseq + 1, 0x18, hello)),
+            (t + 2 * rtt, ipv4_tcp(server, client, 443, cport, sseq + 1, cseq + 1 + len(hello), 0x18, b"\x17" * 1460)),
+            (t + 2 * rtt + 0.002, ipv4_tcp(client, server, cport, 443, cseq + 1 + len(hello), sseq + 1461, 0x11)),
+        ]
+    return records
+
+
+def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
+    profile = SessionProfile(platform="gfn", setup="desktop_app", duration_s=8.0, seed=13)
+    session, _ = gen_session(profile)
+    alone_path = str(tmp_path / "alone.pcap")
+    pcap.write_capture(session, alone_path)
+    alone = _analyze(alone_path)
+
+    mixed = sorted(session + _short_tls_flows(300, profile.base_ts - 2.0, 14.0, seed=5), key=lambda r: r[0])
+    path = str(tmp_path / "mixed.pcap")
+    pcap.write_capture(mixed, path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    flows = analyzer.table.flows.values()
+
+    tcp = [f for f in flows if f.key.proto == TCP]
+    assert len(tcp) > 300
+    assert all(f.windows is None for f in tcp)
+    found = [f for f in tcp if f.sni is not None]
+    assert len(found) > 300
+    assert all(f.reasm is None for f in found)
+    assert all(f.first_payload_sizes_up is None for f in tcp if f.key.server_port != 322)
+
+    (s,) = report.sessions
+    roles = {key: role for key, role in s.gameplay_flows if key.proto == UDP}
+    assert len(roles) == 4
+    for key, role in roles.items():
+        windows = analyzer.table.flows[key].windows
+        if role in VIDEO_ROLES:
+            assert windows
+        else:
+            assert windows is None
+    assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
+    assert report.qoe[s.session_id]
 
 
 def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
