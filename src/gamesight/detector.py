@@ -126,7 +126,8 @@ class SessionDetector:
 
     def observe_service_name(self, key: FlowKey, name: str, ts: float) -> None:
         st = self._client(key.client_ip)
-        name = name.lower()
+        if not name.islower():  # extract_sni lowercases: hold its string, not a copy
+            name = name.lower()
         labels = name.split(".")
         candidates = itertools.chain(self._patterns.get(labels[0], ()), self._any_first)
         matches = tuple(p for p, plabels in candidates if labels_match(plabels, labels))

@@ -25,6 +25,7 @@ _REC_HDR_LE = struct.Struct("<IIII")
 _REC_HDR_BE = struct.Struct(">IIII")
 
 CHUNK_SIZE = 1 << 16  # bytes read_records asks of the file at a time
+WRITE_BLOCK = 1 << 20  # bytes write_capture gathers before each write
 
 
 @dataclass
@@ -101,23 +102,30 @@ def write_capture(
     """Write time-ordered (ts, frame) records as a classic little-endian PCAP.
 
     Each frame is cut to `snaplen` bytes, with its full length kept as the
-    record's orig_len. Returns the number of records written.
+    record's orig_len. Records are gathered into blocks of about
+    `WRITE_BLOCK` bytes, one write each. Returns the number of records
+    written.
     """
     count = 0
     with open(path, "wb") as fh:
         fh.write(_GLOBAL_HDR.pack(MAGIC_MICRO, 2, 4, 0, 0, snaplen, link_type))
         pack = _REC_HDR_LE.pack
         write = fh.write
+        block = bytearray()
         for ts, frame in records:
             sec = int(ts)
-            usec = int(round((ts - sec) * 1e6))
+            usec = round((ts - sec) * 1e6)
             if usec >= 1_000_000:
                 sec += 1
                 usec -= 1_000_000
             orig_len = len(frame)
             if orig_len > snaplen:
                 frame = frame[:snaplen]
-            write(pack(sec, usec, len(frame), orig_len))
-            write(frame)
+            block += pack(sec, usec, len(frame), orig_len)
+            block += frame
             count += 1
+            if len(block) >= WRITE_BLOCK:
+                write(block)
+                block.clear()
+        write(block)
     return count

@@ -12,6 +12,8 @@ import json
 import random
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
+from socket import inet_aton
 from typing import Optional
 
 from . import pcap
@@ -83,6 +85,15 @@ GFN_SETUPS = ("desktop_app", "mobile_app", "browser")
 XBOX_SETUPS = ("hardware_console", "pc_browser", "mobile_browser")
 
 
+def _dotted_quad(ip) -> bool:
+    """Four decimal labels from 0 to 255. A leading zero is refused, since
+    `inet_aton` reads such a label as octal."""
+    labels = ip.split(".") if isinstance(ip, str) else ()
+    return len(labels) == 4 and all(
+        label.isascii() and label.isdigit() and str(int(label)) == label and int(label) <= 255 for label in labels
+    )
+
+
 @dataclass
 class SessionProfile:
     platform: str  # "gfn" | "xbox"
@@ -110,6 +121,9 @@ class SessionProfile:
             raise InvalidProfile("unknown platform %r" % self.platform)
         if self.os not in MGMT_DOWN_SIZES:
             raise InvalidProfile("unknown os %r" % self.os)
+        for name, ip in (("client_ip", self.client_ip), ("server_ip", self.server_ip)):
+            if not _dotted_quad(ip):
+                raise InvalidProfile("%s must be a dotted-quad IPv4 address, not %r" % (name, ip))
         if self.duration_s <= 0:
             raise InvalidProfile("duration must be positive")
         if not self.fps_schedule or self.fps_schedule[0][0] != 0.0:
@@ -134,20 +148,16 @@ class SessionProfile:
 
 # -- raw packet builders (IPv4 over RawIP link) ------------------------
 
-_IPV4_HDR = struct.Struct("!BBHHHBBH4s4s")
-_UDP_HDR = struct.Struct("!HHHH")
-_TCP_HDR = struct.Struct("!HHIIBBHHH")
-
-
-def _ip_bytes(ip: str) -> bytes:
-    return bytes(int(p) for p in ip.split("."))
+# IPv4 header and the transport header after it, packed in one call
+_IPV4_UDP = struct.Struct("!BBHHHBBH4s4sHHHH")
+_IPV4_TCP = struct.Struct("!BBHHHBBH4s4sHHIIBBHHH")
 
 
 def ipv4_udp(src: str, dst: str, sport: int, dport: int, payload: bytes) -> bytes:
-    udp = _UDP_HDR.pack(sport, dport, 8 + len(payload), 0) + payload
-    total = 20 + len(udp)
-    hdr = _IPV4_HDR.pack(0x45, 0, total, 0, 0, 64, 17, 0, _ip_bytes(src), _ip_bytes(dst))
-    return hdr + udp
+    n = len(payload)
+    return _IPV4_UDP.pack(
+        0x45, 0, 28 + n, 0, 0, 64, 17, 0, inet_aton(src), inet_aton(dst), sport, dport, 8 + n, 0
+    ) + payload
 
 
 def ipv4_tcp(
@@ -160,10 +170,26 @@ def ipv4_tcp(
     flags: int,
     payload: bytes = b"",
 ) -> bytes:
-    tcp = _TCP_HDR.pack(sport, dport, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 65535, 0, 0)
-    total = 20 + len(tcp) + len(payload)
-    hdr = _IPV4_HDR.pack(0x45, 0, total, 0, 0, 64, 6, 0, _ip_bytes(src), _ip_bytes(dst))
-    return hdr + tcp + payload
+    return _IPV4_TCP.pack(
+        0x45, 0, 40 + len(payload), 0, 0, 64, 6, 0, inet_aton(src), inet_aton(dst),
+        sport, dport, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 65535, 0, 0,
+    ) + payload
+
+
+class _UdpFrames(dict):
+    """Zero-payload UDP frames of one flow direction, keyed by payload size.
+
+    Each size is built once and the same `bytes` object is handed out for
+    every packet of that size, so the plan's memory grows with the distinct
+    sizes, not with the packet count."""
+
+    def __init__(self, src: str, dst: str, sport: int, dport: int):
+        super().__init__()
+        self.ends = (src, dst, sport, dport)
+
+    def __missing__(self, size: int) -> bytes:
+        frame = self[size] = ipv4_udp(*self.ends, b"\x00" * size)
+        return frame
 
 
 def build_client_hello(server_name: str, pad_to: Optional[int] = None, rng: Optional[random.Random] = None) -> bytes:
@@ -197,16 +223,15 @@ def build_client_hello(server_name: str, pad_to: Optional[int] = None, rng: Opti
 
 class _Plan:
     def __init__(self):
-        self.items: list[tuple[float, int, bytes]] = []
-        self._seq = 0
+        self.items: list[tuple[float, bytes]] = []
 
     def emit(self, ts: float, frame: bytes) -> None:
-        self.items.append((ts, self._seq, frame))
-        self._seq += 1
+        self.items.append((ts, frame))
 
     def sorted_records(self) -> list[tuple[float, bytes]]:
-        self.items.sort(key=lambda it: (it[0], it[1]))
-        return [(ts, frame) for ts, _, frame in self.items]
+        # the sort is stable: records with equal timestamps keep emission order
+        self.items.sort(key=itemgetter(0))
+        return self.items
 
 
 class _TcpConv:
@@ -378,16 +403,14 @@ def _cbr_stream(plan, profile, rng, cport, sport, t0, duration, up_pps, up_len, 
     def emit_dir(pps, length, upstream, phase):
         if pps <= 0:
             return
-        n = int(duration * pps)
         gap = 1.0 / pps
         payload = b"\x00" * length
-        for i in range(n):
-            t = t0 + phase + i * gap
-            if upstream:
-                frame = ipv4_udp(profile.client_ip, profile.server_ip, cport, sport, payload)
-            else:
-                frame = ipv4_udp(profile.server_ip, profile.client_ip, sport, cport, payload)
-            plan.emit(t, frame)
+        if upstream:
+            frame = ipv4_udp(profile.client_ip, profile.server_ip, cport, sport, payload)
+        else:
+            frame = ipv4_udp(profile.server_ip, profile.client_ip, sport, cport, payload)
+        start = t0 + phase
+        plan.items.extend((start + i * gap, frame) for i in range(int(duration * pps)))
 
     emit_dir(up_pps, up_len, True, rng.uniform(0, 0.01))
     emit_dir(down_pps, down_len, False, rng.uniform(0, 0.01))
@@ -477,11 +500,8 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         audio_down_sport = rng.randrange(47000, 48900)
         audio_up_sport = rng.randrange(47000, 48900)
         input_sport = rng.randrange(47000, 48900)
-        for toff, size in video_pkts:
-            plan.emit(
-                t_play + toff,
-                ipv4_udp(profile.server_ip, profile.client_ip, video_sport, 49005, b"\x00" * size),
-            )
+        video = _UdpFrames(profile.server_ip, profile.client_ip, video_sport, 49005)
+        plan.items.extend((t_play + toff, video[size]) for toff, size in video_pkts)
         # sparse upstream receiver feedback on the video flow
         _cbr_stream(plan, profile, rng, 49005, video_sport, t_play, duration, 2, 24, 0, 0)
         _cbr_stream(
@@ -515,39 +535,24 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
             media_sport = rng.randrange(47000, 48900)
             stun_sport = rng.randrange(49200, 49900)
         media_cport = 50100
-        for toff, size in video_pkts:
-            plan.emit(
-                t_play + toff,
-                ipv4_udp(profile.server_ip, profile.client_ip, media_sport, media_cport, b"\x00" * size),
-            )
+        down = _UdpFrames(profile.server_ip, profile.client_ip, media_sport, media_cport)
+        up = _UdpFrames(profile.client_ip, profile.server_ip, media_cport, media_sport)
+        plan.items.extend((t_play + toff, down[size]) for toff, size in video_pkts)
         # per frame-group companions: downstream audio, upstream audio, input
         frame_times = sorted({round(toff, 6) for toff, size in video_pkts if size < VIDEO_FULL_SIZE})
         for toff in frame_times:
             base = t_play + toff
-            plan.emit(
-                base + 5e-4,
-                ipv4_udp(profile.server_ip, profile.client_ip, media_sport, media_cport, b"\x00" * DOWN_AUDIO_PAYLOAD),
-            )
-            plan.emit(
-                base + 7e-4,
-                ipv4_udp(profile.client_ip, profile.server_ip, media_cport, media_sport, b"\x00" * UP_AUDIO_PAYLOAD),
-            )
-            plan.emit(
-                base + 9e-4,
-                ipv4_udp(profile.client_ip, profile.server_ip, media_cport, media_sport, b"\x00" * INPUT_UP_PAYLOAD),
-            )
+            plan.emit(base + 5e-4, down[DOWN_AUDIO_PAYLOAD])
+            plan.emit(base + 7e-4, up[UP_AUDIO_PAYLOAD])
+            plan.emit(base + 9e-4, up[INPUT_UP_PAYLOAD])
         # low-rate STUN helper flow
         stun_cport = 3478
+        stun_up = ipv4_udp(profile.client_ip, profile.server_ip, stun_cport, stun_sport, b"\x00" * STUN_PAYLOAD)
+        stun_down = ipv4_udp(profile.server_ip, profile.client_ip, stun_sport, stun_cport, b"\x00" * STUN_PAYLOAD)
         hb = t_play + rng.uniform(0, 0.3)
         while hb < gameplay_end:
-            plan.emit(
-                hb,
-                ipv4_udp(profile.client_ip, profile.server_ip, stun_cport, stun_sport, b"\x00" * STUN_PAYLOAD),
-            )
-            plan.emit(
-                hb + rtt_s,
-                ipv4_udp(profile.server_ip, profile.client_ip, stun_sport, stun_cport, b"\x00" * STUN_PAYLOAD),
-            )
+            plan.emit(hb, stun_up)
+            plan.emit(hb + rtt_s, stun_down)
             hb += STUN_PERIOD_S
         flow_entry(ROLE_COMBINED, media_cport, media_sport)
         flow_entry(ROLE_STUN, stun_cport, stun_sport)

@@ -99,8 +99,8 @@ def test_criterion_1_detection_accuracy(corpus):
     _report_line(
         1,
         ok,
-        "detected %d/90, setup correct %d/90, analyze runtime %.1f s (limit 300 s)"
-        % (detected, setup_ok, runtime),
+        "detected %d/90, setup correct %d/90, analyze runtime %.1f s (limit 300 s), generated in %.1f s"
+        % (detected, setup_ok, runtime, corpus["generate_s"]),
     )
 
 
@@ -345,7 +345,9 @@ def test_criterion_9_throughput(tmp_path):
         seed=9,
     )
     path = str(tmp_path / "big.pcap")
+    t0 = time.perf_counter()
     manifest = write_session(profile, path, str(tmp_path / "big.json"))
+    generate_s = time.perf_counter() - t0
     size_gb = os.path.getsize(path) / 1e9
     packets = manifest.data["packet_count"]
 
@@ -363,5 +365,6 @@ def test_criterion_9_throughput(tmp_path):
     _report_line(
         9,
         ok,
-        "%.2f GB / %d packets analyzed in %.1f s (limit 60 s)" % (size_gb, packets, elapsed),
+        "%.2f GB / %d packets analyzed in %.1f s (limit 60 s), generated in %.1f s"
+        % (size_gb, packets, elapsed, generate_s),
     )

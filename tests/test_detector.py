@@ -453,3 +453,14 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
     before = work
     _detector().observe_service_name(_key(), "login.nvidia.com", 0.0)
     assert work > before
+
+
+def test_observed_name_keeps_the_lowercase_string_it_was_given():
+    # extract_sni lowercases the name: the history holds that string, not a copy
+    det = _detector()
+    lower = "".join(["login", ".nvidia.com"])
+    det.observe_service_name(_key(), lower, 0.0)
+    det.observe_service_name(_key(cport=40001), "Events.NVIDIA.com", 1.0)
+    (_, first, _), (_, second, matches) = det.clients[CLIENT].observed_names
+    assert first is lower
+    assert second == "events.nvidia.com" and matches

@@ -179,3 +179,26 @@ def test_cut_short_just_past_a_chunk_boundary(tmp_path, back, cut_into):
     stats = CaptureStats()
     assert len(list(read_capture(str(path), stats))) == 65
     assert (stats.packets, stats.skipped, stats.truncated_tail) == (65, 0, 1)
+
+
+# -- block writing --------------------------------------------------------
+
+
+def test_block_writer_matches_records_packed_directly(tmp_pcap):
+    # more than two blocks of records, one record longer than a block, and a
+    # stamp whose microseconds round up into the next second
+    stamps = [(1000 + i, i * 997 % 1_000_000) for i in range(2500)]
+    frames = [bytes([i % 251]) * (900 + i % 300) for i in range(2500)]
+    frames[1200] = bytes(range(256)) * (pcap.WRITE_BLOCK // 256 + 100)
+    records = [(sec + usec / 1e6, frame) for (sec, usec), frame in zip(stamps, frames)]
+    records.append((5.9999996, b"last"))
+    stamps.append((6, 0))
+    assert sum(len(f) for _, f in records) > 2 * pcap.WRITE_BLOCK
+
+    snaplen = 2 * pcap.WRITE_BLOCK
+    assert pcap.write_capture(records, tmp_pcap, link_type=pcap.LINKTYPE_ETHERNET, snaplen=snaplen) == 2501
+    expected = [struct.pack("<IHHiIII", pcap.MAGIC_MICRO, 2, 4, 0, 0, snaplen, pcap.LINKTYPE_ETHERNET)]
+    for (sec, usec), (_, frame) in zip(stamps, records):
+        expected += [struct.pack("<IIII", sec, usec, len(frame), len(frame)), frame]
+    with open(tmp_pcap, "rb") as fh:
+        assert fh.read() == b"".join(expected)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -84,6 +85,21 @@ def test_profile_validation_errors():
         _profile(duration_s=0).validate()
 
 
+@pytest.mark.parametrize(
+    "ip",
+    ["10.0.1", "10.0.0.256", "10.0.0.01", "1.2.3.4.5", "2001:db8::1", "\u0661.2.3.4", None],
+)
+@pytest.mark.parametrize("field", ["client_ip", "server_ip"])
+def test_profile_rejects_malformed_addresses(field, ip):
+    # inet_aton would read "10.0.1" as 10.0.0.1 and "01" as octal
+    with pytest.raises(InvalidProfile, match=field):
+        gen_session(_profile(**{field: ip}))
+
+
+def test_profile_accepts_dotted_quads():
+    _profile(client_ip="0.0.0.0", server_ip="255.255.255.255").validate()
+
+
 def test_mgmt_port_selection():
     assert _profile(setup="desktop_app").mgmt_port() == 322
     assert _profile(setup="mobile_app").mgmt_port() == 322
@@ -143,6 +159,19 @@ def test_xbox_udp_ports_in_range():
             assert 1040 <= f["server_port"] <= 1190
 
 
+@pytest.mark.parametrize("setup", ["desktop_app", "browser"])
+def test_repeated_udp_frames_are_built_once(setup):
+    # each flow builds one frame per payload size and hands the same object
+    # to every packet of that size; the console's input stream builds its
+    # two frames once a second, as its rate changes
+    duration = 10.0
+    records, _ = gen_session(_profile(setup=setup, duration_s=duration))
+    udp = [frame for _, frame in records if frame[9] == 17]
+    objects = len({id(frame) for frame in udp})
+    assert objects <= len(set(udp)) + 2 * int(duration)
+    assert objects < len(udp) / 20
+
+
 def test_manifest_roundtrip(tmp_path):
     _, manifest = gen_session(_profile())
     path = str(tmp_path / "m.json")
@@ -167,3 +196,52 @@ def test_schedule_change_reflected_in_truth():
     q = manifest.data["qoe"]
     assert [e["fps"] for e in q] == [60] * 4 + [30] * 4
     assert [e["resolution"] for e in q] == ["fhd"] * 4 + ["hd"] * 4
+
+
+# -- pinned generator bytes ---------------------------------------------
+
+# sha256 of the .pcap and the manifest JSON that `write_session` writes for
+# 8 s sessions: the four profiles of tests/test_golden.py's CASES and two
+# XBox profiles. The generator is the analyzer's oracle, so a change that
+# only makes it faster must leave these bytes as they are.
+GENERATOR_PINS = {
+    "console": (
+        dict(setup="desktop_app", resolution_schedule=[(0.0, "fhd")], rtt_ms=20.0, seed=31),
+        "bd13596557172e13729a1bac520a293450026ae4d917d58dc9fd0bba019d135f",
+        "02f677aa6baabcdd3f187fb7843789b2b4259d8222ea6d074319814e3c09dfeb",
+    ),
+    "browser": (
+        dict(setup="browser", fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "hd")], rtt_ms=80.0, seed=32),
+        "43815d3cee9930e8939ce90fcc4fcd3cf714757fc849faceaeeda18692bfd514",
+        "557220f0594ae64b41169022e701627de717f0cc4164c2a9d0d52d1c59177e5b",
+    ),
+    "short": (
+        dict(setup="desktop_app", rtt_ms=20.0, seed=34, duration_s=2.5),
+        "1183c6a35d77c376f031066a918ccb1151e46cc7ab26e9338e6a3c8a7f685f5f",
+        "4214427fbefb8c50783ab4974acd5bd4b5d14b6237d1b7aa5c4ffe042033119d",
+    ),
+    "strip-sni": (
+        dict(setup="mobile_app", os="android", rtt_ms=5.0, seed=33, strip_sni=True),
+        "43b2e1f01b2284eeb8a7b9e2927bc3492b682c93e3086f4e5979f70df4e0ba2b",
+        "414dfd176c863572391c13acfe9582f7c512b1f2319c2e446894307e813b2bf5",
+    ),
+    "xbox-console": (
+        dict(platform="xbox", setup="hardware_console"),
+        "182a978717407c369a4b3a00be89aaa7707842451fac75bf11346cffd3cf9454",
+        "b2348d10fed07d62925da5e39597f3a19435c7742f65961bd6e9b281355ec172",
+    ),
+    "xbox-pc-browser-strip-sni": (
+        dict(platform="xbox", setup="pc_browser", strip_sni=True),
+        "537648e5e36c9884a3ef0e7b6d44beaa3597617aef50a58849233b88f24e64f3",
+        "4c67ef92ce8e83ffbcafc83e44d4db702185c087f0e8a6b64069b273a16e81b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_PINS))
+def test_generator_bytes_pinned(tmp_path, case):
+    profile_kw, pcap_sha, manifest_sha = GENERATOR_PINS[case]
+    profile = SessionProfile(**{"platform": "gfn", "duration_s": 8.0, **profile_kw})
+    write_session(profile, str(tmp_path / "s.pcap"), str(tmp_path / "s.json"))
+    assert hashlib.sha256((tmp_path / "s.pcap").read_bytes()).hexdigest() == pcap_sha
+    assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == manifest_sha
