@@ -76,7 +76,7 @@ def analyze(pcaps, client_nets, codebook, out_dir):
         analyzer = Analyzer(codebooks=books, criteria=criteria, client_nets=nets)
         try:
             rep = analyzer.analyze_file(path)
-        except (MalformedHeader, FileNotFoundError) as exc:
+        except (MalformedHeader, OSError) as exc:
             click.echo("malformed capture %s: %s" % (path, exc), err=True)
             sys.exit(2)
         prefix = "" if len(pcaps) == 1 else "c%d-" % i

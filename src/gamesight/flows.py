@@ -6,7 +6,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .packets import UDP, ip_text
+from .packets import TCP_FIN, TCP_RST, UDP, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
@@ -15,6 +15,10 @@ if TYPE_CHECKING:
 
 WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
 DEFAULT_TABLE_CAP = 1_048_576
+SWEEP_S = 5.0  # capture seconds between expiry sweeps
+CLOSED_LINGER_S = 10.0  # a closed flow expires this long after its last packet
+IDLE_TIMEOUT_S = 60.0  # any other flow expires this long after its last packet
+CLOSING = TCP_FIN | TCP_RST
 
 
 class FlowKey(NamedTuple):
@@ -56,11 +60,12 @@ class FlowState:
     total_bytes: int = 0
     guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     down: bool = False  # the last counted packet went server to client
-    # analyzer state, dropped with the flow when it is evicted
+    closed: bool = False  # a TCP packet of the flow carried FIN or RST
+    # analyzer state, dropped with the flow when it is evicted or expires
     reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once its SNI is found
     latency: Optional[LatencyTracker] = None  # on a registered management flow
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
-    gameplay: Optional[ServerRegistration] = None  # UDP: the gameplay start it joined
+    gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
     role: Optional[str] = None  # decided once, when its classifying windows close
     qoe: Optional[FlowQoe] = None  # frame-rate inputs while it may be the video flow
 
@@ -71,6 +76,13 @@ class FlowTable:
     Only UDP flows count windows. They are aligned to multiples of
     `WINDOW_S` in absolute capture time, so every flow's window grid lines
     up for cross-flow comparison.
+
+    The first packet, and then the first packet `SWEEP_S` or more after the
+    last sweep, sweeps the table before it is counted: the flows that no
+    registration holds (`FlowState.gameplay` is None) and whose last packet
+    is more than `CLOSED_LINGER_S` (closed flows) or `IDLE_TIMEOUT_S` (the
+    others) older than that packet expire. A later packet on an expired
+    five-tuple starts a new flow.
     """
 
     def __init__(
@@ -88,6 +100,8 @@ class FlowTable:
         self.now = 0.0
         self.orientation_warnings = 0
         self.evictions = 0
+        self.expiries = 0
+        self._next_sweep = 0.0
 
     # -- orientation ---------------------------------------------------
 
@@ -132,7 +146,9 @@ class FlowTable:
         own (upstream). The reversed tuple is tried first, which keeps a
         self-addressed packet downstream, as `canonical_key` has it.
         """
-        ts, src, sport, dst, dport, proto, size, _, _, _, _ = pkt
+        ts, src, sport, dst, dport, proto, size, _, _, flags, _ = pkt
+        if ts >= self._next_sweep:
+            self._sweep(ts)
         flows = self.flows
         flow = flows.get((dst, dport, src, sport, proto))
         if flow is not None:
@@ -159,6 +175,8 @@ class FlowTable:
             flow.last_ts = ts
         flow.total_pkts += 1
         flow.total_bytes += size
+        if flags and flags & CLOSING:
+            flow.closed = True
 
         windows = flow.windows
         if windows is not None:
@@ -173,6 +191,20 @@ class FlowTable:
                 win[1] += 1
                 win[3] += size
         return flow
+
+    def _sweep(self, now: float) -> None:
+        """Drop the flows that have expired by `now` (see the class doc)."""
+        self._next_sweep = now + SWEEP_S
+        closed_cutoff = now - CLOSED_LINGER_S
+        idle_cutoff = now - IDLE_TIMEOUT_S
+        expired = [
+            key
+            for key, flow in self.flows.items()
+            if flow.gameplay is None and flow.last_ts < (closed_cutoff if flow.closed else idle_cutoff)
+        ]
+        for key in expired:
+            del self.flows[key]
+        self.expiries += len(expired)
 
     def _evict_oldest(self) -> None:
         victim = min(self.flows.values(), key=lambda f: f.last_ts)

@@ -114,7 +114,9 @@ class Analyzer:
     def _registered(self, reg: ServerRegistration, mgmt_flow) -> None:
         """Record a new registration's management flow and adopt the UDP flows
         already in the table that start its gameplay (out of time order, they
-        came before the registering packet); having missed packets, they get no QoE."""
+        came before the registering packet); having missed packets, they get no QoE.
+        Marked with the registration, none of these flows expires."""
+        mgmt_flow.gameplay = reg
         reg.flows.append(mgmt_flow)
         for flow in self.table.flows.values():
             if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
@@ -219,6 +221,7 @@ class Analyzer:
             "snaplen_truncated": stats.snaplen_truncated,
             "orientation_warnings": self.table.orientation_warnings,
             "flow_evictions": self.table.evictions,
+            "flows_expired": self.table.expiries,
             "unclassified_flows": unclassified,
             "negative_latency_discarded": negative_latency,
             "latency_unreported": latency_unreported,

@@ -89,6 +89,14 @@ def test_missing_capture_exit_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_directory_as_capture_exit_2(tmp_path):
+    res = _run(["analyze", "--pcap", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("malformed capture %s: " % tmp_path)
+    assert "Is a directory" in line
+
+
 def test_missing_codebook_exit_1(tmp_path):
     pcap_path, _ = _generate(tmp_path)
     res = _run(

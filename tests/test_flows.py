@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gamesight.flows import WINDOW_S, FlowTable
-from gamesight.packets import ip_text
+from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowTable
+from gamesight.packets import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, ip_text
 
 from conftest import packed, tcp_record, udp_record
 
@@ -194,3 +194,53 @@ def test_eviction_at_cap():
     assert table.evictions == 1
     ports = {k.client_port for k in table.flows}
     assert 1000 not in ports  # the oldest-idle flow went first
+
+
+# -- expiry --------------------------------------------------------------
+
+
+def _tick(table, ts):
+    """A packet of another, busy flow that moves the capture clock to `ts`."""
+    table.update(udp_record(ts, "192.0.2.99", 53, SERVER, 53, 1))
+
+
+@pytest.mark.parametrize("flags", [TCP_FIN | TCP_ACK, TCP_RST], ids=["fin", "rst"])
+def test_a_closed_flow_expires_a_linger_after_its_last_packet(flags):
+    table = FlowTable(client_nets=NETS)
+    flow = table.update(tcp_record(0.0, CLIENT, 1, SERVER, 443, 0, flags=TCP_SYN))  # sweeps; next sweep at 5
+    table.update(tcp_record(1.0, SERVER, 443, CLIENT, 1, 0, flags=flags))
+    assert flow.closed
+    _tick(table, 1.0 + CLOSED_LINGER_S - SWEEP_S)  # sweep at 6; next at 11
+    _tick(table, 1.0 + CLOSED_LINGER_S)  # sweep at 11: the last packet is exactly the linger old
+    assert table.flows[flow.key] is flow
+    assert table.expiries == 0
+    _tick(table, 1.0 + CLOSED_LINGER_S + SWEEP_S)
+    assert flow.key not in table.flows
+    assert table.expiries == 1
+
+
+@pytest.mark.parametrize("record", [udp_record, tcp_record], ids=["udp", "tcp"])
+def test_an_idle_flow_expires_after_the_idle_timeout(record):
+    table = FlowTable(client_nets=NETS)
+    flow = table.update(record(0.0, CLIENT, 1, SERVER, 443, 100))
+    for k in range(1, int(IDLE_TIMEOUT_S / SWEEP_S) + 1):
+        _tick(table, k * SWEEP_S)  # sweeps up to the one at exactly the timeout
+    assert table.flows[flow.key] is flow
+    assert not flow.closed
+    _tick(table, IDLE_TIMEOUT_S + SWEEP_S)
+    assert flow.key not in table.flows
+    assert table.expiries == 1
+    assert len(table.flows) == 1  # the clock's own flow
+
+
+def test_a_packet_on_an_expired_five_tuple_starts_a_new_flow():
+    table = FlowTable(client_nets=NETS)
+    old = table.update(udp_record(0.0, CLIENT, 1, SERVER, 443, 100))
+    table.update(udp_record(0.5, SERVER, 443, CLIENT, 1, 200))
+    _tick(table, IDLE_TIMEOUT_S + 1.0)
+    new = table.update(udp_record(IDLE_TIMEOUT_S + 2.0, SERVER, 443, CLIENT, 1, 300))
+    assert new is not old
+    assert new.key == old.key  # oriented afresh, by the client nets
+    assert (new.total_pkts, new.total_bytes, new.first_ts) == (1, 300, IDLE_TIMEOUT_S + 2.0)
+    assert new.windows == {int(IDLE_TIMEOUT_S + 2.0): [1, 0, 300, 0]}
+    assert table.expiries == 1

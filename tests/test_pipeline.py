@@ -6,7 +6,7 @@ import pytest
 from gamesight import pcap, pipeline
 from gamesight.classify import VIDEO_ROLES
 from gamesight.detector import SessionRecord
-from gamesight.flows import WINDOW_S, FlowKey, FlowTable
+from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowKey, FlowTable
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
@@ -312,6 +312,134 @@ def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
     assert report.counters["flow_evictions"] == 2
     assert list(analyzer.detector.registrations) == [FlowKey(packed("192.0.2.10"), 51000, packed("203.0.113.7"), 322, 6)]
     assert [ip_text(s.gameplay_server_ip) for s in report.sessions] == ["203.0.113.7"]
+
+
+def _clock(start, stop, step=SWEEP_S):
+    """DNS queries of a host outside the sessions, one every `step` from
+    `start` up to `stop`, that move the capture clock on."""
+    t, frames = start, []
+    while t <= stop:
+        frames.append((t, ipv4_udp("192.0.2.99", "198.51.100.53", 33000, 53, b"q")))
+        t += step
+    return frames
+
+
+def test_expired_flows_leave_no_state_to_their_five_tuples(tmp_path):
+    """A FIN'd TLS flow with its SNI and a management-port flow that gave up
+    its setup signature expire; a bare ACK on either five-tuple later makes
+    a new flow with no SNI, reassembler or signature."""
+    frames = _short_tls_flows(1, 0.0, 0.0, seed=1)
+    mgmt = ("192.0.2.10", "203.0.113.7", 51000, 322)
+    for i in range(4):  # sizes no signature starts with
+        frames.append((0.1 * i, ipv4_tcp(*mgmt, 1 + 100 * i, 1, 0x18, b"\x17" * 100)))
+        frames.append((0.1 * i + 0.05, ipv4_tcp(mgmt[1], mgmt[0], mgmt[3], mgmt[2], 1, 101 + 100 * i, 0x18, b"\x17" * 200)))
+    frames.sort(key=lambda r: r[0])
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    analyzer.analyze_file(path)
+    old = {f.key: f for f in analyzer.table.flows.values()}
+    tls_key, mgmt_key = sorted(old, key=lambda k: k.server_port == 322)
+    assert old[tls_key].sni == "www000.news.example" and old[tls_key].closed
+    assert old[mgmt_key].signature == () and old[mgmt_key].reasm is not None
+
+    later = IDLE_TIMEOUT_S + 2 * SWEEP_S
+    frames += _clock(SWEEP_S, later)
+    frames.append((later + 1.0, ipv4_tcp(ip_text(tls_key.client_ip), ip_text(tls_key.server_ip), tls_key.client_port, 443, 9, 9, 0x10)))
+    frames.append((later + 1.0, ipv4_tcp(*mgmt, 9, 9, 0x10)))
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    assert report.counters["flows_expired"] == 2
+    for key in (tls_key, mgmt_key):
+        flow = analyzer.table.flows[key]
+        assert flow.total_pkts == 1
+        assert (flow.sni, flow.reasm, flow.signature, flow.first_payload_sizes_up) == (None, None, None, None)
+        assert not flow.closed
+    assert report.sessions == []
+
+
+def test_registered_flows_never_expire(tmp_path):
+    profile = SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7)
+    session, _ = gen_session(profile)
+    end = session[-1][0]
+    frames = session + _clock(end + 1.0, end + IDLE_TIMEOUT_S + CLOSED_LINGER_S + 2 * SWEEP_S)
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+
+    (reg,) = analyzer.detector.registrations.values()
+    mgmt, *joined = reg.flows
+    assert mgmt.gameplay is reg and len(joined) == 4
+    assert all(analyzer.table.flows[f.key] is f for f in reg.flows)
+    # every other flow of the session expired: only the clock's is left
+    assert len(analyzer.table.flows) == len(reg.flows) + 1
+    assert report.counters["flows_expired"] > 0
+    (s,) = report.sessions
+    assert [key for key, _ in s.gameplay_flows] == [f.key for f in reg.flows]
+    assert report.qoe[s.session_id]
+
+
+def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypatch):
+    """3,000 short TLS connections over 600 s around one desktop session: the
+    table at EOF holds the session's flows and the last few seconds' worth
+    of connections, and the session comes out as it does alone."""
+    profile = SessionProfile(platform="gfn", setup="desktop_app", duration_s=8.0, seed=13)
+    session, _ = gen_session(profile)
+    alone_path = str(tmp_path / "alone.pcap")
+    pcap.write_capture(session, alone_path)
+    alone = _analyze(alone_path)
+
+    created = []
+    update = FlowTable.update
+
+    def counted(self, pkt):
+        flow = update(self, pkt)
+        if flow.total_pkts == 1:
+            created.append(flow)
+        return flow
+
+    monkeypatch.setattr(FlowTable, "update", counted)
+    background = _short_tls_flows(3000, profile.base_ts - 300.0, 600.0, seed=5)
+    path = str(tmp_path / "mixed.pcap")
+    pcap.write_capture(sorted(session + background, key=lambda r: r[0]), path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+
+    assert len(created) > 3000
+    assert len(analyzer.table.flows) < 150  # about 5 connections/s, each held 10 to 15 s after its FIN
+    assert report.counters["flows_expired"] == len(created) - len(analyzer.table.flows)
+    (s,) = report.sessions
+    assert s.gameplay_flows == alone.sessions[0].gameplay_flows
+    assert (s.setup, s.os_hint) == (alone.sessions[0].setup, alone.sessions[0].os_hint)
+    assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
+    assert report.qoe[s.session_id]
+
+
+def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
+    """Two desktop sessions of one client, 30 min apart on the same
+    five-tuples: the registered flows never expire, so the output is still
+    one session with the first session's flows and QoE rows, though the
+    platform flows between them expire (ROADMAP item 2 keeps this case)."""
+    first, _ = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
+    second, _ = gen_session(
+        SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=8, base_ts=1_700_001_800.0)
+    )
+    alone_path = str(tmp_path / "alone.pcap")
+    pcap.write_capture(first, alone_path)
+    alone = _analyze(alone_path)
+    path = str(tmp_path / "both.pcap")
+    pcap.write_capture(first + second, path)
+    report = _analyze(path)
+
+    assert report.counters["flows_expired"] > 0
+    (s,) = report.sessions
+    (a,) = alone.sessions
+    assert s.gameplay_flows == a.gameplay_flows
+    assert (s.session_id, s.setup, s.gameplay_started_at) == (a.session_id, a.setup, a.gameplay_started_at)
+    assert s.ended_at == second[-1][0]
+    assert _qoe_rows(report, s) == _qoe_rows(alone, a)
 
 
 @pytest.mark.parametrize(
