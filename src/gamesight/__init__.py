@@ -2,14 +2,7 @@
 classification and per-second QoE estimation from packet captures, plus a
 ground-truth-annotated synthetic capture generator."""
 
-from .classify import ClassifierCriteria, calibrate
-from .errors import (
-    BandMismatch,
-    GamesightError,
-    InseparableClasses,
-    InvalidProfile,
-    MalformedHeader,
-)
+from .errors import BandMismatch, GamesightError, InvalidProfile, MalformedHeader
 from .pipeline import AnalysisReport, Analyzer
 from .synth import GroundTruthManifest, SessionProfile, gen_session, write_session
 
@@ -19,14 +12,11 @@ __all__ = [
     "AnalysisReport",
     "Analyzer",
     "BandMismatch",
-    "ClassifierCriteria",
     "GamesightError",
     "GroundTruthManifest",
-    "InseparableClasses",
     "InvalidProfile",
     "MalformedHeader",
     "SessionProfile",
-    "calibrate",
     "gen_session",
     "write_session",
     "__version__",

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
 import statistics
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InseparableClasses
 from .flows import WINDOW_S, FlowState
 
 if TYPE_CHECKING:
@@ -22,28 +19,14 @@ ROLE_COMBINED = "combined_media_input"
 ROLE_STUN = "stun_webrtc"
 ROLE_UNCLASSIFIED = "unclassified"
 
-CONSOLE_ROLES = (ROLE_DOWN_VIDEO, ROLE_DOWN_AUDIO, ROLE_UP_AUDIO, ROLE_USER_INPUT)
 VIDEO_ROLES = (ROLE_DOWN_VIDEO, ROLE_COMBINED)  # the flows QoE is measured on
 
 CLASSIFY_WINDOWS = 3  # median over the first closed windows skips the startup transient
 STUN_MAX_PPS = 2.0  # browser class: total pps at or below this is the STUN flow
 COMBINED_MIN_PPS = 100.0  # browser class: total pps at or above this is the combined flow
+VIDEO_MIN_BPS_IN = 5e6  # console class: inbound bps above this is the video flow
+INPUT_PPS_DELTA_MAX = 10.0  # console class: |pps in - pps out| at or below this is user input
 MGMT_WINDOW_S = 0.5  # a gameplay UDP flow starts at most this long after its registration
-
-
-@dataclass
-class ClassifierCriteria:
-    """The console-class thresholds `calibrate` derives from labelled flows."""
-
-    video_min_bps_in: float = 5_000_000.0
-    input_pps_delta_max: float = 10.0
-    audio_dominance_pps_delta: float = 10.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierCriteria":
-        """Raises TypeError on a key that is not a field, ValueError on a
-        value that is not a number."""
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def _median_profile(windows: list[list[int]]) -> tuple[float, float, float]:
@@ -55,7 +38,7 @@ def _median_profile(windows: list[list[int]]) -> tuple[float, float, float]:
     return pps_in, pps_out, bps_in
 
 
-def classify_windows(windows: list[list[int]], setup_class: str, criteria: ClassifierCriteria) -> str:
+def classify_windows(windows: list[list[int]], setup_class: str) -> str:
     """Pure volumetric classification given a flow's closed window counts;
     only the first `CLASSIFY_WINDOWS` of them are read."""
     if not windows:
@@ -68,16 +51,12 @@ def classify_windows(windows: list[list[int]], setup_class: str, criteria: Class
             return ROLE_COMBINED
         return ROLE_UNCLASSIFIED
     # console application: four single-purpose flows
-    if bps_in > criteria.video_min_bps_in:
+    if bps_in > VIDEO_MIN_BPS_IN:
         return ROLE_DOWN_VIDEO
     delta = pps_in - pps_out
-    if abs(delta) <= criteria.input_pps_delta_max:
+    if abs(delta) <= INPUT_PPS_DELTA_MAX:
         return ROLE_USER_INPUT
-    if delta > criteria.audio_dominance_pps_delta:
-        return ROLE_DOWN_AUDIO
-    if -delta > criteria.audio_dominance_pps_delta:
-        return ROLE_UP_AUDIO
-    return ROLE_UNCLASSIFIED
+    return ROLE_DOWN_AUDIO if delta > 0 else ROLE_UP_AUDIO
 
 
 def starts_gameplay(flow: FlowState, reg: ServerRegistration) -> bool:
@@ -90,12 +69,7 @@ def starts_gameplay(flow: FlowState, reg: ServerRegistration) -> bool:
     )
 
 
-def classify_flow(
-    flow: FlowState,
-    windows: list[list[int]],
-    reg: ServerRegistration,
-    criteria: ClassifierCriteria,
-) -> str:
+def classify_flow(flow: FlowState, windows: list[list[int]], reg: ServerRegistration) -> str:
     """Role of a gameplay UDP flow that joined `reg` (see `starts_gameplay`),
     or unclassified when its server port is outside the platform's gameplay
     port range."""
@@ -103,85 +77,4 @@ def classify_flow(
         lo, hi = reg.server_port_range
         if not lo <= flow.key.server_port <= hi:
             return ROLE_UNCLASSIFIED
-    return classify_windows(windows, reg.setup_class, criteria)
-
-
-# -- calibration -------------------------------------------------------
-
-
-@dataclass
-class LabeledFlow:
-    stats: list[list[int]]  # window count lists, `FlowState.windows` layout
-    true_role: str
-    setup_class: str = "console_app"
-
-    def __post_init__(self):
-        if len(self.stats) < 5:
-            raise ValueError("labeled flows need at least 5 windows")
-
-
-@dataclass
-class CalibrationConflict:
-    flow: LabeledFlow
-    predicted: str
-
-    def __repr__(self):
-        return "CalibrationConflict(true=%s, predicted=%s)" % (
-            self.flow.true_role,
-            self.predicted,
-        )
-
-
-def calibrate(labeled: list[LabeledFlow]) -> ClassifierCriteria:
-    """Derive classification thresholds from labeled flows.
-
-    The video threshold is the geometric mean of the loudest non-video
-    flow and the quietest steady video flow; packet-rate deltas come from
-    the widest spread seen on true user-input flows plus a 1 pps margin.
-    Raises InseparableClasses when the result cannot reproduce the labels.
-    """
-    by_role: dict[str, list[LabeledFlow]] = {}
-    for lf in labeled:
-        by_role.setdefault(lf.true_role, []).append(lf)
-    for role in CONSOLE_ROLES:
-        if not by_role.get(role):
-            raise ValueError("calibration needs at least one %s flow" % role)
-
-    def steady_bps_in(lf: LabeledFlow) -> float:
-        return _median_profile(lf.stats)[2]
-
-    video_min = min(steady_bps_in(lf) for lf in by_role[ROLE_DOWN_VIDEO])
-    non_video_max = max(
-        steady_bps_in(lf)
-        for role in CONSOLE_ROLES
-        if role != ROLE_DOWN_VIDEO
-        for lf in by_role[role]
-    )
-    if non_video_max >= video_min:
-        raise InseparableClasses(
-            "video inbound throughput overlaps non-video flows "
-            "(%.0f bps vs %.0f bps)" % (non_video_max, video_min)
-        )
-    video_threshold = math.sqrt(video_min * non_video_max)
-
-    profiles = [_median_profile(lf.stats) for lf in by_role[ROLE_USER_INPUT]]
-    input_delta = max(abs(pps_in - pps_out) for pps_in, pps_out, _ in profiles)
-    delta_threshold = input_delta + 1.0
-
-    criteria = ClassifierCriteria(
-        video_min_bps_in=video_threshold,
-        input_pps_delta_max=delta_threshold,
-        audio_dominance_pps_delta=delta_threshold,
-    )
-
-    conflicts = []
-    for lf in labeled:
-        predicted = classify_windows(lf.stats, lf.setup_class, criteria)
-        if predicted != lf.true_role:
-            conflicts.append(CalibrationConflict(flow=lf, predicted=predicted))
-    if conflicts:
-        raise InseparableClasses(
-            "calibrated criteria misclassify %d training flows" % len(conflicts),
-            conflicts=conflicts,
-        )
-    return criteria
+    return classify_windows(windows, reg.setup_class)

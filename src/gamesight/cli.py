@@ -17,7 +17,6 @@ from .codebook import default_codebook_path, load_codebooks
 from .errors import BandMismatch, InvalidProfile, MalformedHeader
 from .pipeline import Analyzer
 from .report import (
-    QOE_COLUMNS,
     SchemaError,
     load_qoe_csv,
     load_sessions_jsonl,
@@ -60,20 +59,24 @@ def analyze(pcaps, client_nets, codebook, out_dir):
         click.echo("codebook not found: %s" % codebook, err=True)
         sys.exit(1)
     try:
-        books, criteria = load_codebooks(codebook)
+        books = load_codebooks(codebook)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         click.echo("malformed codebook %s: %s: %s" % (codebook, type(exc).__name__, exc), err=True)
         sys.exit(1)
 
     nets = tuple(n.strip() for n in client_nets.split(",") if n.strip())
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo("cannot write to %s: %s" % (out, exc), err=True)
+        sys.exit(1)
 
     sessions = []
     qoe_rows = []
     counters = {}
     for i, path in enumerate(pcaps):
-        analyzer = Analyzer(codebooks=books, criteria=criteria, client_nets=nets)
+        analyzer = Analyzer(codebooks=books, client_nets=nets)
         try:
             rep = analyzer.analyze_file(path)
         except (MalformedHeader, OSError) as exc:

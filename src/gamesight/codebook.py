@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .classify import ClassifierCriteria
-
 SETUP_UNKNOWN = "unknown"
 
 CLASS_BROWSER = "browser"
@@ -109,17 +107,35 @@ def match_setup_signature(
 
 # -- loading -----------------------------------------------------------
 
+# the keys the file format has at each level; any other key is refused
+CODEBOOK_KEYS = {"platforms"}
+PLATFORM_KEYS = {
+    "platform", "core", "setups", "gameplay_pattern", "mgmt_ports",
+    "signatures", "server_port_range", "setup_score_threshold",
+}
+SIGNATURE_KEYS = {"os", "dst_ports", "up", "down"}
+
+
+def _check_keys(d: dict, keys: set, where: str) -> None:
+    """Raise ValueError naming the keys of `d` outside `keys`."""
+    unknown = sorted(d.keys() - keys)
+    if unknown:
+        raise ValueError("unknown key %s in %s" % (", ".join(map(repr, unknown)), where))
+
+
+def _signature_from_dict(s: dict, platform: str) -> SetupSignature:
+    _check_keys(s, SIGNATURE_KEYS, "a %s signature" % platform)
+    return SetupSignature(
+        os=s["os"],
+        dst_ports=list(s["dst_ports"]),
+        upstream_sizes=list(s["up"]),
+        downstream_sizes=list(s["down"]),
+    )
+
 
 def _codebook_from_dict(d: dict) -> ServiceCodebook:
-    sigs = [
-        SetupSignature(
-            os=s["os"],
-            dst_ports=list(s["dst_ports"]),
-            upstream_sizes=list(s["up"]),
-            downstream_sizes=list(s["down"]),
-        )
-        for s in d.get("signatures", [])
-    ]
+    _check_keys(d, PLATFORM_KEYS, "platform %r" % d.get("platform"))
+    sigs = [_signature_from_dict(s, d["platform"]) for s in d.get("signatures", [])]
     rng = d.get("server_port_range")
     return ServiceCodebook(
         platform_id=d["platform"],
@@ -133,18 +149,18 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
     )
 
 
-def load_codebooks(path: str) -> tuple[list[ServiceCodebook], ClassifierCriteria]:
-    """Load codebooks and the classifier thresholds: those of an optional
-    `criteria` section, the `ClassifierCriteria` defaults for the rest."""
+def load_codebooks(path: str) -> list[ServiceCodebook]:
+    """Load a codebook file. Raises ValueError on a key the format does not
+    have, at any level, and KeyError on a missing one."""
     with open(path) as fh:
         data = json.load(fh)
-    books = [_codebook_from_dict(d) for d in data["platforms"]]
-    return books, ClassifierCriteria.from_dict(data.get("criteria", {}))
+    _check_keys(data, CODEBOOK_KEYS, "the codebook")
+    return [_codebook_from_dict(d) for d in data["platforms"]]
 
 
 def default_codebook_path() -> str:
     return str(resources.files("gamesight").joinpath("data/codebooks.json"))
 
 
-def default_codebooks() -> tuple[list[ServiceCodebook], ClassifierCriteria]:
+def default_codebooks() -> list[ServiceCodebook]:
     return load_codebooks(default_codebook_path())

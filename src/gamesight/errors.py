@@ -9,14 +9,6 @@ class MalformedHeader(GamesightError):
     """Capture file is unreadable (bad magic or truncated global header)."""
 
 
-class InseparableClasses(GamesightError):
-    """Calibration cannot find thresholds that separate the labeled roles."""
-
-    def __init__(self, message, conflicts=None):
-        super().__init__(message)
-        self.conflicts = conflicts or []
-
-
 class InvalidProfile(GamesightError):
     """Synthetic session profile is internally inconsistent."""
 

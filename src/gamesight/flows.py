@@ -57,7 +57,6 @@ class FlowState:
     first_payload_sizes_down: Optional[list] = None
     sni: Optional[str] = None
     total_pkts: int = 0
-    total_bytes: int = 0
     guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     down: bool = False  # the last counted packet went server to client
     closed: bool = False  # a TCP packet of the flow carried FIN or RST
@@ -174,7 +173,6 @@ class FlowTable:
         if ts > flow.last_ts:
             flow.last_ts = ts
         flow.total_pkts += 1
-        flow.total_bytes += size
         if flags and flags & CLOSING:
             flow.closed = True
 

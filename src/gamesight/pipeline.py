@@ -8,7 +8,6 @@ from typing import Optional
 
 from .classify import (
     CLASSIFY_WINDOWS,
-    ClassifierCriteria,
     ROLE_MGMT,
     ROLE_UNCLASSIFIED,
     VIDEO_ROLES,
@@ -40,14 +39,11 @@ class Analyzer:
     def __init__(
         self,
         codebooks: Optional[list[ServiceCodebook]] = None,
-        criteria: Optional[ClassifierCriteria] = None,
         client_nets: tuple = (),
     ):
         if codebooks is None:
-            codebooks, loaded = default_codebooks()
-            criteria = criteria or loaded
+            codebooks = default_codebooks()
         self.codebooks = codebooks
-        self.criteria = criteria or ClassifierCriteria()
         self.table = FlowTable(client_nets=client_nets)
         self.detector = SessionDetector(codebooks)
         self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
@@ -126,7 +122,7 @@ class Analyzer:
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
         only a video flow keeps its windows and QoE state."""
-        flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay, self.criteria)
+        flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay)
         if flow.role not in VIDEO_ROLES:
             flow.windows = None  # only the video flow's windows feed QoE
             flow.qoe = None

@@ -311,6 +311,7 @@ def test_criterion_8_flow_accounting():
             ("203.0.113.%d" % rng.randrange(1, 40), rng.randrange(1, 65000))
             for _ in range(3)
         ]
+        fed = {}  # canonical key -> [packets, payload bytes] fed to the table
         ts = 0.0
         for _ in range(rng.randrange(20, 200)):
             ts += rng.random() * 0.2
@@ -325,10 +326,15 @@ def test_criterion_8_flow_accounting():
             if k1 != k2 or d1 is d2:  # canonicalization must be an involution
                 failures += 1
             table.update(pkt)
-        for flow in table.flows.values():
+            tally = fed.setdefault(k1, [0, 0])
+            tally[0] += 1
+            tally[1] += pkt.payload_len
+        if table.flows.keys() != fed.keys():
+            failures += 1
+        for key, flow in table.flows.items():
             pkts = sum(w[0] + w[1] for w in flow.windows.values())
             bts = sum(w[2] + w[3] for w in flow.windows.values())
-            if pkts != flow.total_pkts or bts != flow.total_bytes:
+            if [pkts, bts] != fed.get(key) or pkts != flow.total_pkts:
                 failures += 1
     _report_line(8, failures == 0, "1000 fuzzed streams, %d conservation/involution failures" % failures)
 

@@ -113,17 +113,41 @@ def _shipped_codebook(edit) -> str:
     return json.dumps(data)
 
 
+def _rename(entry: dict, old: str, new: str) -> None:
+    entry[new] = entry.pop(old)
+
+
+def _set(container, key, value) -> None:
+    container[key] = value
+
+
 @pytest.mark.parametrize(
     "text, names",
     [
         ('{"platforms": [', "JSONDecodeError"),
         (_shipped_codebook(lambda d: d["platforms"][1].pop("core")), "KeyError: 'core'"),
-        (_shipped_codebook(lambda d: d.update(criteria={"mgmt_window_s": 0.5})), "mgmt_window_s"),
-        (_shipped_codebook(lambda d: d.update(criteria={"video_min_bps": 5e6})), "video_min_bps"),
-        (_shipped_codebook(lambda d: d.update(criteria={"video_min_bps_in": "fast"})), "'fast'"),
-        (_shipped_codebook(lambda d: d.update(criteria=["video_min_bps_in"])), "AttributeError"),
+        # thresholds are constants in `classify`, so a `criteria` section is refused, not ignored
+        (_shipped_codebook(lambda d: d.update(criteria={"video_min_bps_in": 5e6})), "unknown key 'criteria' in the codebook"),
+        (
+            _shipped_codebook(lambda d: _rename(d["platforms"][1], "server_port_range", "server_port_rang")),
+            "unknown key 'server_port_rang' in platform 'xbox'",
+        ),
+        (
+            _shipped_codebook(lambda d: _rename(d["platforms"][0]["signatures"][0], "up", "upstream")),
+            "unknown key 'upstream' in a gfn signature",
+        ),
+        (_shipped_codebook(lambda d: _set(d["platforms"][0]["mgmt_ports"][0], 0, "fast")), "'fast'"),
+        (_shipped_codebook(lambda d: _set(d["platforms"], 0, ["gfn"])), "AttributeError"),
     ],
-    ids=["invalid-json", "missing-key", "removed-key", "misspelled-key", "non-numeric", "not-a-mapping"],
+    ids=[
+        "invalid-json",
+        "missing-key",
+        "removed-key",
+        "misspelled-key",
+        "misspelled-signature-key",
+        "non-numeric",
+        "not-a-mapping",
+    ],
 )
 def test_malformed_codebook_exit_1(tmp_path, text, names):
     path = tmp_path / "codebook.json"
@@ -136,17 +160,16 @@ def test_malformed_codebook_exit_1(tmp_path, text, names):
     assert line.startswith("malformed codebook %s: " % path) and names in line
 
 
-def test_codebook_criteria_reach_the_classifier(tmp_path):
-    # no flow carries 1 Tbps, so the console video flow loses its role and
-    # the session has no QoE rows
-    pcap_path, _ = _generate(tmp_path)
-    path = tmp_path / "codebook.json"
-    path.write_text(_shipped_codebook(lambda d: d.update(criteria={"video_min_bps_in": 1e12})))
-    args = ["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24"]
-    default = json.loads(_run(args + ["--out", str(tmp_path / "a")]).output)
-    raised = json.loads(_run(args + ["--codebook", str(path), "--out", str(tmp_path / "b")]).output)
-    assert (default["sessions"], raised["sessions"]) == (1, 1)
-    assert default["qoe_samples"] > 0 and raised["qoe_samples"] == 0
+def test_out_naming_a_file_exit_1(tmp_path):
+    # refused before any capture is read: a missing one would exit 2
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    res = _run(["analyze", "--pcap", str(tmp_path / "nope.pcap"), "--out", str(taken)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("cannot write to %s: " % taken)
+    assert taken.read_text() == ""
 
 
 def test_report_schema_mismatch_exit_1(tmp_path):

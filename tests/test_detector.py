@@ -27,7 +27,7 @@ CLIENT = packed("192.0.2.10")
 
 
 def _detector():
-    books, _ = default_codebooks()
+    books = default_codebooks()
     return SessionDetector(books)
 
 
@@ -187,7 +187,7 @@ def test_wrong_port_not_registered():
     ],
 )
 def test_signature_matching(up, down, port, expect):
-    books, _ = default_codebooks()
+    books = default_codebooks()
     gfn = books[0]
     assert match_setup_signature(gfn.signatures, up, down, port, gfn.mgmt_ports) == expect
 
@@ -376,7 +376,7 @@ STEP = st.tuples(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(wild=st.booleans(), steps=st.lists(STEP, min_size=40, max_size=120))
 def test_incremental_detector_matches_full_rescan(wild, steps):
-    books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()[0]
+    books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()
     det, ref = SessionDetector(books), RescanDetector(books)
     now = 0.0
     for op, client, name, dt in steps:

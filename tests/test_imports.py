@@ -36,3 +36,8 @@ def test_guard_sees_imports_inside_functions():
     source = "from . import pcap\nimport json, click.core\n\ndef f():\n    import numpy.linalg as la\n"
     assert _top_level_imports(source) == {"json", "click", "numpy"}
     assert _foreign(_top_level_imports(source)) == {"numpy"}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in gamesight.__all__ if not hasattr(gamesight, name)]
+    assert missing == []
