@@ -88,12 +88,12 @@ def analyze(pcaps, client_nets, codebook, out_dir):
             d["session_id"] = prefix + d["session_id"]
             d["capture"] = str(path)
             sessions.append(d)
-        for sid, samples in rep.qoe.items():
-            for s in samples:
+        for reg in rep.gameplays:
+            for s in reg.rows:
                 qoe_rows.append(
                     {
                         "ts": round(s.ts, 6),
-                        "session_id": prefix + sid,
+                        "session_id": prefix + reg.session.session_id,
                         "latency_ms": None if s.latency_ms is None else round(s.latency_ms, 3),
                         "fps": None if s.fps is None else round(s.fps, 3),
                         "fps_band": s.fps_band,
@@ -108,7 +108,7 @@ def analyze(pcaps, client_nets, codebook, out_dir):
                     merged[reason] = merged.get(reason, 0) + n
             else:
                 counters[k] = counters.get(k, 0) + v
-        rows = sum(len(samples) for samples in rep.qoe.values())
+        rows = sum(len(reg.rows) for reg in rep.gameplays)
         log.info("%s: %d sessions, %d qoe samples", path, len(rep.sessions), rows)
 
     write_sessions_jsonl(str(out / "sessions.jsonl"), sessions)

@@ -50,12 +50,25 @@ class ServiceCodebook:
     setup_score_threshold: float = DEFAULT_SETUP_SCORE_THRESHOLD
 
     def __post_init__(self):
+        where = "platform %r" % self.platform_id
+        self.core_services = _lowered(self.core_services, "core of " + where)
         if not self.core_services:
             raise ValueError("core_services must be non-empty")
-        self.core_services = [p.lower() for p in self.core_services]
         self.setup_tables = {
-            k: [p.lower() for p in v] for k, v in self.setup_tables.items()
+            k: _lowered(v, "setup %r of %s" % (k, where)) for k, v in self.setup_tables.items()
         }
+        rng, threshold = self.server_port_range, self.setup_score_threshold
+        if rng is not None and not (len(rng) == 2 and all(type(p) is int for p in rng) and rng[0] <= rng[1]):
+            raise ValueError("server_port_range of %s must be two ports lo <= hi, not %r" % (where, list(rng)))
+        if type(threshold) not in (int, float):  # a bool is not a threshold
+            raise ValueError("setup_score_threshold of %s must be a number, not %r" % (where, threshold))
+
+
+def _lowered(patterns, what: str) -> list[str]:
+    """`patterns` lowercased; ValueError naming `what` unless it is a list of strings."""
+    if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+        raise ValueError("%s must be a list of strings, not %r" % (what, patterns))
+    return [p.lower() for p in patterns]
 
 
 def wildcard_match(pattern: str, name: str) -> bool:
@@ -139,19 +152,19 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
     rng = d.get("server_port_range")
     return ServiceCodebook(
         platform_id=d["platform"],
-        core_services=list(d["core"]),
-        setup_tables={k: list(v) for k, v in d["setups"].items()},
+        core_services=d["core"],
+        setup_tables=d["setups"],
         gameplay_name_pattern=d["gameplay_pattern"],
         mgmt_ports={int(p): c for p, c in d["mgmt_ports"]},
         signatures=sigs,
-        server_port_range=(rng[0], rng[1]) if rng else None,
+        server_port_range=None if rng is None else tuple(rng),
         setup_score_threshold=d.get("setup_score_threshold", DEFAULT_SETUP_SCORE_THRESHOLD),
     )
 
 
 def load_codebooks(path: str) -> list[ServiceCodebook]:
     """Load a codebook file. Raises ValueError on a key the format does not
-    have, at any level, and KeyError on a missing one."""
+    have, at any level, or a malformed value, and KeyError on a missing key."""
     with open(path) as fh:
         data = json.load(fh)
     _check_keys(data, CODEBOOK_KEYS, "the codebook")

@@ -26,51 +26,60 @@ STATE_ENDED = "ended"
 
 @dataclass
 class SessionRecord:
-    """One detected session. Its addresses stay packed (see `PacketRecord`)
-    until `to_dict` writes them as text."""
+    """One platform session, as its codebook match decided it. `to_dict` reads
+    its gameplay fields from `gameplays` and writes its packed addresses as text."""
 
     session_id: str
     client_ip: bytes
     platform_id: str
     setup: str
     detected_at: float
-    state: str = STATE_PLATFORM
     setup_ambiguous: bool = False
-    os_hint: Optional[str] = None  # from a handshake-size signature match
-    gameplay_server_ip: Optional[bytes] = None
-    gameplay_started_at: Optional[float] = None
     ended_at: Optional[float] = None
-    gameplay_flows: list = field(default_factory=list)  # (FlowKey, role)
+    gameplays: list = field(default_factory=list)  # ServerRegistration, in registration order
+
+    @property
+    def state(self) -> str:
+        if self.ended_at is not None:
+            return STATE_ENDED
+        return STATE_GAMEPLAY if self.gameplays else STATE_PLATFORM
 
     def to_dict(self) -> dict:
-        server = self.gameplay_server_ip
+        last = self.gameplays[-1] if self.gameplays else None
+        # the last handshake-size signature match of a management flow
+        hints = [reg.flows[0].signature[0] for reg in self.gameplays if reg.flows[0].signature]
         return {
             "session_id": self.session_id,
             "client_ip": ip_text(self.client_ip),
             "platform": self.platform_id,
             "setup": self.setup,
-            "os_hint": self.os_hint,
+            "os_hint": hints[-1] if hints else None,
             "detected_at": self.detected_at,
             "state": self.state,
-            "gameplay_server_ip": None if server is None else ip_text(server),
-            "gameplay_started_at": self.gameplay_started_at,
+            "gameplay_server_ip": None if last is None else ip_text(last.server_ip),
+            "gameplay_started_at": None if last is None else last.registered_at,
             "ended_at": self.ended_at,
             "gameplay_flows": [
                 {
-                    "client_ip": ip_text(k.client_ip),
-                    "client_port": k.client_port,
-                    "server_ip": ip_text(k.server_ip),
-                    "server_port": k.server_port,
-                    "proto": "TCP" if k.proto == 6 else "UDP",
-                    "role": role,
+                    "client_ip": ip_text(f.key.client_ip),
+                    "client_port": f.key.client_port,
+                    "server_ip": ip_text(f.key.server_ip),
+                    "server_port": f.key.server_port,
+                    "proto": "TCP" if f.key.proto == 6 else "UDP",
+                    "role": f.role,
                 }
-                for k, role in self.gameplay_flows
+                for reg in self.gameplays
+                for f in reg.flows
             ],
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class ServerRegistration:
+    """One gameplay: a registered gameplay server, its management flow and the
+    UDP flows that joined it (`flows`, each with its `FlowState.role`), the QoE
+    `rows` the analyzer gives it, and the platform `session` it joined."""
+
     client_ip: bytes  # packed, as in FlowKey
     server_ip: bytes
     registered_at: float
@@ -81,6 +90,7 @@ class ServerRegistration:
     via_signature: bool = False
     session: Optional[SessionRecord] = None
     flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
+    rows: list = field(default_factory=list)  # QoeSample, one per whole window of its video flow
 
 
 @dataclass
@@ -158,10 +168,10 @@ class SessionDetector:
         st = self.clients.get(client_ip)
         if st is None or not st.observed_names:
             return None
-        if st.session is not None and st.session.state != STATE_ENDED:
+        if st.session is not None:
             # setup-specific services may show up after the core set is
             # complete; keep refining the setup until gameplay starts
-            if st.session.state == STATE_PLATFORM:
+            if not st.session.gameplays:
                 cb = next(
                     (c for c in self.codebooks if c.platform_id == st.session.platform_id),
                     None,
@@ -244,8 +254,7 @@ class SessionDetector:
                 server_port_range=cb.server_port_range,
                 ip_mismatch_warning=(embedded_ip != ip_text(key.server_ip)),
             )
-            self.registrations[key] = reg
-            self._enter_gameplay(reg)
+            self._add_gameplay(key, reg)
             return reg
         return None
 
@@ -265,23 +274,20 @@ class SessionDetector:
             via_signature=True,
         )
         if key not in self.registrations:
-            self.registrations[key] = reg
-            self._enter_gameplay(reg)
+            self._add_gameplay(key, reg)
         return reg
 
-    def _enter_gameplay(self, reg: ServerRegistration) -> None:
-        """A new registration joins its client's open platform session,
-        which enters gameplay."""
+    def _add_gameplay(self, key: FlowKey, reg: ServerRegistration) -> None:
+        """Keep a new registration under its management flow's key; it joins
+        its client's open platform session, which enters gameplay."""
+        self.registrations[key] = reg
         st = self.clients.get(reg.client_ip)
-        if st is not None and st.session is not None and st.session.state != STATE_ENDED:
-            st.session.state = STATE_GAMEPLAY
-            st.session.gameplay_server_ip = reg.server_ip
-            st.session.gameplay_started_at = reg.registered_at
+        if st is not None and st.session is not None:
             reg.session = st.session
+            st.session.gameplays.append(reg)
 
     def end_session(self, client_ip: bytes, ts: float) -> None:
         st = self.clients.get(client_ip)
         if st is not None and st.session is not None:
-            st.session.state = STATE_ENDED
             st.session.ended_at = ts
             st.session = None

@@ -65,7 +65,7 @@ class FlowState:
     latency: Optional[LatencyTracker] = None  # on a registered management flow
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
-    role: Optional[str] = None  # decided once, when its classifying windows close
+    role: Optional[str] = None  # set at registration on the mgmt flow; decided once its classifying windows close
     qoe: Optional[FlowQoe] = None  # frame-rate inputs while it may be the video flow
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .classify import (
@@ -15,7 +15,7 @@ from .classify import (
     starts_gameplay,
 )
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
-from .detector import STATE_ENDED, ServerRegistration, SessionDetector, SessionRecord
+from .detector import ServerRegistration, SessionDetector, SessionRecord
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
 from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
@@ -28,9 +28,12 @@ NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 
 @dataclass
 class AnalysisReport:
-    sessions: list[SessionRecord] = field(default_factory=list)
-    qoe: dict[str, list[QoeSample]] = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
+    """One capture's sessions, fallback sessions last, and its gameplays: the
+    registrations in registration order, each holding its QoE rows."""
+
+    sessions: list[SessionRecord]
+    gameplays: list[ServerRegistration]
+    counters: dict
 
 
 class Analyzer:
@@ -113,6 +116,7 @@ class Analyzer:
         came before the registering packet); having missed packets, they get no QoE.
         Marked with the registration, none of these flows expires."""
         mgmt_flow.gameplay = reg
+        mgmt_flow.role = ROLE_MGMT
         reg.flows.append(mgmt_flow)
         for flow in self.table.flows.values():
             if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
@@ -164,52 +168,42 @@ class Analyzer:
     # -- finalization -------------------------------------------------
 
     def _finalize(self, stats: CaptureStats) -> AnalysisReport:
-        report = AnalysisReport()
-        now = self.table.now
+        gameplays = list(self.detector.registrations.values())
         fallback_ids = itertools.count(1)
         unclassified = 0
         negative_latency = 0
         latency_unreported = 0
 
-        for reg in self.detector.registrations.values():
-            session = reg.session
-            if session is None:
-                session = SessionRecord(
+        for reg in gameplays:
+            if reg.session is None:
+                reg.session = SessionRecord(
                     session_id="u%d" % next(fallback_ids),
                     client_ip=reg.client_ip,
                     platform_id=reg.platform_id,
                     setup=reg.setup_class if reg.via_signature else "unknown",
                     detected_at=reg.registered_at,
-                    gameplay_server_ip=reg.server_ip,
-                    gameplay_started_at=reg.registered_at,
+                    gameplays=[reg],
                 )
-                self.detector.sessions.append(session)
-            mgmt, *joined = reg.flows
-            if mgmt.signature:
-                session.os_hint = mgmt.signature[0]
-            if mgmt.latency is not None:
-                negative_latency += mgmt.latency.negative_discarded
-            session.gameplay_flows.append((mgmt.key, ROLE_MGMT))
+                self.detector.sessions.append(reg.session)
+            latency = reg.flows[0].latency
+            if latency is not None:
+                negative_latency += latency.negative_discarded
             video = None
-            for flow in joined:
+            for flow in reg.flows:
                 if flow.role is None:
                     self._decide(flow)  # ended before its classifying windows closed
                 if flow.role == ROLE_UNCLASSIFIED:
                     unclassified += 1
-                session.gameplay_flows.append((flow.key, flow.role))
                 if flow.role in VIDEO_ROLES:
                     video = flow
-            rows, unreported = self._session_qoe(mgmt.latency, video)
-            report.qoe[session.session_id] = rows
+            reg.rows, unreported = self._session_qoe(latency, video)
             latency_unreported += unreported
 
         for session in self.detector.sessions:
-            session.state = STATE_ENDED
             if session.ended_at is None:
-                session.ended_at = now
-            report.sessions.append(session)
+                session.ended_at = self.table.now
 
-        report.counters = {
+        counters = {
             "packets": stats.packets,
             "skipped": stats.skipped,
             "skip_reasons": dict(stats.skip_reasons),
@@ -222,7 +216,7 @@ class Analyzer:
             "negative_latency_discarded": negative_latency,
             "latency_unreported": latency_unreported,
         }
-        return report
+        return AnalysisReport(list(self.detector.sessions), gameplays, counters)
 
     def _session_qoe(
         self, latency: Optional[LatencyTracker], video: Optional[FlowState]

@@ -1,9 +1,14 @@
 import ipaddress
+import json
+from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 
+from gamesight import cli
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
+from gamesight.pipeline import Analyzer
 
 
 def packed(ip: str) -> bytes:
@@ -53,3 +58,41 @@ def stats(pps_in=0.0, pps_out=0.0, bps_in=0.0, bps_out=0.0):
 @pytest.fixture
 def tmp_pcap(tmp_path):
     return str(tmp_path / "t.pcap")
+
+
+def check_gameplays(analyzer, report, qoe_samples: int) -> None:
+    """The invariants of one analyzed capture's gameplays: the report lists
+    the registrations in registration order; each is in the `gameplays` of
+    exactly one session, its own `session`; each of its flows points back to
+    it; its rows' windows strictly increase; and all rows together are the
+    `qoe_samples` that `analyze` printed."""
+    regs = list(analyzer.detector.registrations.values())
+    assert report.gameplays == regs
+    held = [(reg, session) for session in report.sessions for reg in session.gameplays]
+    assert sorted(id(reg) for reg, _ in held) == sorted(map(id, regs))
+    assert all(reg.session is session for reg, session in held)
+    for reg in regs:
+        assert all(flow.gameplay is reg for flow in reg.flows)
+        windows = [int(row.ts // WINDOW_S) for row in reg.rows]
+        assert all(a < b for a, b in zip(windows, windows[1:]))
+    assert sum(len(reg.rows) for reg in regs) == qoe_samples
+
+
+def analyze_checked(pcap_path: str, out_dir: str):
+    """Run `gamesight analyze` on one capture of clients in 192.0.2.0/24
+    in-process, check its report with `check_gameplays`, and return the
+    report."""
+    runs = []
+
+    class Recorded(Analyzer):
+        def analyze_file(self, path):
+            runs.append((self, super().analyze_file(path)))
+            return runs[-1][1]
+
+    args = ["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", out_dir]
+    with mock.patch.object(cli, "Analyzer", Recorded):
+        res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    ((analyzer, report),) = runs
+    check_gameplays(analyzer, report, json.loads(res.stdout.splitlines()[-1])["qoe_samples"])
+    return report

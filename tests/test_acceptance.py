@@ -43,7 +43,7 @@ class SessionResult:
         self.rtt_ms = rtt_ms
         self.manifest = manifest.data
         self.sessions = [s.to_dict() for s in report.sessions]
-        self.qoe = report.qoe
+        self.qoe = {reg.session.session_id: reg.rows for reg in report.gameplays}
         self.flow_roles = [
             {(f["client_port"], f["server_port"]): f["role"] for f in s["gameplay_flows"]}
             for s in self.sessions
@@ -233,7 +233,7 @@ def test_criterion_6_signature_fallback(tmp_path):
         report = Analyzer(client_nets=NETS).analyze_file(path)
         if (
             len(report.sessions) == 1
-            and report.sessions[0].os_hint == os_name
+            and report.sessions[0].to_dict()["os_hint"] == os_name
             and report.sessions[0].setup == agent
         ):
             hits += 1

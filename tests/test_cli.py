@@ -138,6 +138,35 @@ def _set(container, key, value) -> None:
         ),
         (_shipped_codebook(lambda d: _set(d["platforms"][0]["mgmt_ports"][0], 0, "fast")), "'fast'"),
         (_shipped_codebook(lambda d: _set(d["platforms"], 0, ["gfn"])), "AttributeError"),
+        # value types and shapes are checked when the codebook is read
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0], "setup_score_threshold", "fast")),
+            "setup_score_threshold of platform 'gfn' must be a number, not 'fast'",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0], "setup_score_threshold", True)),
+            "setup_score_threshold of platform 'gfn' must be a number, not True",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][1], "server_port_range", [1040])),
+            "server_port_range of platform 'xbox' must be two ports",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][1], "server_port_range", [1040, 2000, 3000])),
+            "server_port_range of platform 'xbox' must be two ports",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][1], "server_port_range", [1190, 1040])),
+            "server_port_range of platform 'xbox' must be two ports",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0], "core", "abc")),
+            "core of platform 'gfn' must be a list of strings, not 'abc'",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["setups"], "browser", "play.nvidia")),
+            "setup 'browser' of platform 'gfn' must be a list of strings",
+        ),
     ],
     ids=[
         "invalid-json",
@@ -147,6 +176,13 @@ def _set(container, key, value) -> None:
         "misspelled-signature-key",
         "non-numeric",
         "not-a-mapping",
+        "threshold-not-a-number",
+        "threshold-a-bool",
+        "range-of-one-port",
+        "range-of-three-ports",
+        "range-reversed",
+        "core-a-string",
+        "setup-table-a-string",
     ],
 )
 def test_malformed_codebook_exit_1(tmp_path, text, names):

@@ -138,7 +138,7 @@ def test_register_gameplay_server_console_port():
     assert reg.setup_class == "console_app"
     assert not reg.ip_mismatch_warning
     assert det.sessions[0].state == STATE_GAMEPLAY
-    assert ip_text(det.sessions[0].gameplay_server_ip) == "203.0.113.7"
+    assert ip_text(det.sessions[0].gameplays[-1].server_ip) == "203.0.113.7"
 
 
 def test_register_flags_ip_mismatch():
@@ -208,7 +208,7 @@ def test_signature_registration_joins_the_open_platform_session():
     reg = det.register_by_signature(key, 30.0, "gfn", "console_app")
     assert reg.session is session
     assert session.state == STATE_GAMEPLAY
-    assert (ip_text(session.gameplay_server_ip), session.gameplay_started_at) == ("203.0.113.7", 30.0)
+    assert (ip_text(session.gameplays[-1].server_ip), session.gameplays[-1].registered_at) == ("203.0.113.7", 30.0)
 
 
 # -- setup tie-break ----------------------------------------------------

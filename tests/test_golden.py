@@ -19,11 +19,13 @@ import struct
 import pytest
 
 import gamesight
-from gamesight import cli, packets, pcap
+from gamesight import packets, pcap
 from gamesight.flows import WINDOW_S
 from gamesight.packets import ETH_IPV4, ETH_IPV6, PacketRecord
 from gamesight.pipeline import Analyzer
 from gamesight.synth import SessionProfile, gen_session, write_session
+
+from conftest import analyze_checked
 
 CASES = {
     "console": (
@@ -59,12 +61,10 @@ def _profile(profile_kw) -> SessionProfile:
 
 def _analyze(tmp_path, monkeypatch) -> tuple[str, str]:
     """Analyze `tmp_path/s.pcap` from inside `tmp_path`, so that the relative
-    capture name written to sessions.jsonl is stable."""
+    capture name written to sessions.jsonl is stable; the report is checked
+    with `check_gameplays`."""
     monkeypatch.chdir(tmp_path)
-    cli.main(
-        ["analyze", "--pcap", "s.pcap", "--client-nets", "192.0.2.0/24", "--out", "out"],
-        standalone_mode=False,
-    )
+    analyze_checked("s.pcap", "out")
     return _sha256(tmp_path / "out" / "sessions.jsonl"), _sha256(tmp_path / "out" / "qoe.csv")
 
 
@@ -161,7 +161,7 @@ def test_latency_samples_without_a_row_are_counted(tmp_path):
     (reg,) = analyzer.detector.registrations.values()
     samples = reg.flows[0].latency.samples
     (session,) = report.sessions
-    windows = {int(row.ts // WINDOW_S) for row in report.qoe[session.session_id]}
+    windows = {int(row.ts // WINDOW_S) for row in session.gameplays[0].rows}
     averaged = sum(int(s.ts // WINDOW_S) in windows for s in samples)
     assert report.counters["latency_unreported"] == len(samples) - averaged > 0
     # a session without a video flow reports none of its samples

@@ -1,15 +1,17 @@
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
 from gamesight import pcap, pipeline
 from gamesight.classify import VIDEO_ROLES
-from gamesight.detector import SessionRecord
+from gamesight.detector import ServerRegistration, SessionRecord
 from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowKey, FlowTable
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
+from gamesight.report import load_qoe_csv
 from gamesight.synth import (
     SessionProfile,
     build_client_hello,
@@ -20,7 +22,7 @@ from gamesight.synth import (
 )
 from gamesight.tls import SniReassembler
 
-from conftest import packed, tcp_record, udp_record
+from conftest import analyze_checked, packed, tcp_record, udp_record
 
 NETS = ("192.0.2.0/24",)
 
@@ -43,7 +45,20 @@ def _capture(tmp_path, **kw):
 
 
 def _analyze(path):
-    return Analyzer(client_nets=NETS).analyze_file(path)
+    """`analyze` on the capture, writing its outputs next to it; the report
+    is checked with `check_gameplays`."""
+    return analyze_checked(path, str(Path(path).parent / "out"))
+
+
+def _flows(session):
+    """(FlowKey, role) of each flow of the session's gameplays, in the order
+    `to_dict` lists them."""
+    return [(f.key, f.role) for reg in session.gameplays for f in reg.flows]
+
+
+def _rows(session):
+    """The QoE rows of the session's gameplays, in registration order."""
+    return [row for reg in session.gameplays for row in reg.rows]
 
 
 def test_full_console_session(tmp_path):
@@ -53,12 +68,12 @@ def test_full_console_session(tmp_path):
     s = report.sessions[0]
     assert s.platform_id == "gfn"
     assert s.setup == "desktop_app"
-    assert ip_text(s.gameplay_server_ip) == "203.0.113.7"
+    assert s.to_dict()["gameplay_server_ip"] == "203.0.113.7"
     assert s.state == "ended"
 
     got = {
         (f.client_port, f.server_port): role
-        for (f, role) in [(k, r) for k, r in s.gameplay_flows]
+        for (f, role) in _flows(s)
     }
     want = {
         (f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]
@@ -71,7 +86,7 @@ def test_full_console_session(tmp_path):
 def test_qoe_matches_manifest(tmp_path):
     path, manifest = _capture(tmp_path)
     report = _analyze(path)
-    samples = report.qoe[report.sessions[0].session_id]
+    samples = _rows(report.sessions[0])
     truth = manifest.data["qoe"]
     assert len(samples) >= len(truth) - 2  # final partial interval never emitted
     t_start = truth[0]["ts"]
@@ -96,10 +111,10 @@ def test_qoe_rows_are_the_video_flows_whole_windows(tmp_path):
     analyzer = Analyzer(client_nets=NETS)
     report = analyzer.analyze_file(path)
     session = report.sessions[0]
-    (key,) = [k for k, role in session.gameplay_flows if role in VIDEO_ROLES]
+    (key,) = [k for k, role in _flows(session) if role in VIDEO_ROLES]
     windows = analyzer.table.flows[key].windows
     down = sorted(idx for idx, counts in windows.items() if counts[0])
-    rows = report.qoe[session.session_id]
+    rows = _rows(session)
     idxs = [int(s.ts // WINDOW_S) for s in rows]
     assert idxs == list(range(down[0] + 1, down[-1]))
     for idx, s in zip(idxs, rows):
@@ -121,11 +136,11 @@ def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
     report = _analyze(path)
     # audio and input flows pass the gameplay gate too, but are dropped
     # once classified; every frame-rate sample becomes a QoE row
-    assert len(emitted) == len(report.qoe[report.sessions[0].session_id]) > 0
+    assert len(emitted) == len(_rows(report.sessions[0])) > 0
 
 
 def _qoe_rows(report, session):
-    return [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in report.qoe[session.session_id]]
+    return [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in _rows(session)]
 
 
 def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
@@ -155,7 +170,7 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
 
     assert sorted(ip_text(s.client_ip) for s in report.sessions) == ["192.0.2.10", "192.0.2.11"]
     for s in report.sessions:
-        udp = [k for k, _ in s.gameplay_flows if k.proto == UDP]
+        udp = [k for k, _ in _flows(s) if k.proto == UDP]
         assert len(udp) == 4
         assert {k.client_ip for k in udp} == {s.client_ip}
         assert _qoe_rows(report, s) == alone[ip_text(s.client_ip)]
@@ -183,8 +198,8 @@ def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
     report = _analyze(path)
 
     s = report.sessions[0]
-    assert {(k.client_port, k.server_port): role for k, role in s.gameplay_flows} == roles
-    assert report.qoe[s.session_id] == []
+    assert {(k.client_port, k.server_port): role for k, role in _flows(s)} == roles
+    assert _rows(s) == []
 
 
 def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
@@ -281,7 +296,7 @@ def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
     assert all(f.first_payload_sizes_up is None for f in tcp if f.key.server_port != 322)
 
     (s,) = report.sessions
-    roles = {key: role for key, role in s.gameplay_flows if key.proto == UDP}
+    roles = {key: role for key, role in _flows(s) if key.proto == UDP}
     assert len(roles) == 4
     for key, role in roles.items():
         windows = analyzer.table.flows[key].windows
@@ -290,7 +305,7 @@ def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
         else:
             assert windows is None
     assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
-    assert report.qoe[s.session_id]
+    assert _rows(s)
 
 
 def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
@@ -311,7 +326,7 @@ def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
     report = analyzer.analyze_file(path)
     assert report.counters["flow_evictions"] == 2
     assert list(analyzer.detector.registrations) == [FlowKey(packed("192.0.2.10"), 51000, packed("203.0.113.7"), 322, 6)]
-    assert [ip_text(s.gameplay_server_ip) for s in report.sessions] == ["203.0.113.7"]
+    assert [s.to_dict()["gameplay_server_ip"] for s in report.sessions] == ["203.0.113.7"]
 
 
 def _clock(start, stop, step=SWEEP_S):
@@ -377,8 +392,8 @@ def test_registered_flows_never_expire(tmp_path):
     assert len(analyzer.table.flows) == len(reg.flows) + 1
     assert report.counters["flows_expired"] > 0
     (s,) = report.sessions
-    assert [key for key, _ in s.gameplay_flows] == [f.key for f in reg.flows]
-    assert report.qoe[s.session_id]
+    assert [key for key, _ in _flows(s)] == [f.key for f in reg.flows]
+    assert _rows(s)
 
 
 def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypatch):
@@ -411,17 +426,18 @@ def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypat
     assert len(analyzer.table.flows) < 150  # about 5 connections/s, each held 10 to 15 s after its FIN
     assert report.counters["flows_expired"] == len(created) - len(analyzer.table.flows)
     (s,) = report.sessions
-    assert s.gameplay_flows == alone.sessions[0].gameplay_flows
-    assert (s.setup, s.os_hint) == (alone.sessions[0].setup, alone.sessions[0].os_hint)
+    assert _flows(s) == _flows(alone.sessions[0])
+    assert s.setup == alone.sessions[0].setup
+    assert s.to_dict()["os_hint"] == alone.sessions[0].to_dict()["os_hint"]
     assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
-    assert report.qoe[s.session_id]
+    assert _rows(s)
 
 
 def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
     """Two desktop sessions of one client, 30 min apart on the same
     five-tuples: the registered flows never expire, so the output is still
     one session with the first session's flows and QoE rows, though the
-    platform flows between them expire (ROADMAP item 2 keeps this case)."""
+    platform flows between them expire (ROADMAP item 3 keeps this case)."""
     first, _ = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
     second, _ = gen_session(
         SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=8, base_ts=1_700_001_800.0)
@@ -436,10 +452,46 @@ def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
     assert report.counters["flows_expired"] > 0
     (s,) = report.sessions
     (a,) = alone.sessions
-    assert s.gameplay_flows == a.gameplay_flows
-    assert (s.session_id, s.setup, s.gameplay_started_at) == (a.session_id, a.setup, a.gameplay_started_at)
+    assert _flows(s) == _flows(a)
+    assert (s.session_id, s.setup) == (a.session_id, a.setup)
+    assert s.to_dict()["gameplay_started_at"] == a.to_dict()["gameplay_started_at"]
     assert s.ended_at == second[-1][0]
     assert _qoe_rows(report, s) == _qoe_rows(alone, a)
+
+
+def test_two_gameplays_of_one_session_keep_their_own_rows(tmp_path):
+    """A desktop-app session, then a browser session of the same client 30
+    min later: the second gameplay joins the still open platform session,
+    so the output is one session listing both gameplays' flows, and each
+    gameplay keeps the QoE rows of its session analyzed alone."""
+    desktop = SessionProfile(platform="gfn", setup="desktop_app", duration_s=20.0, seed=3)
+    browser = SessionProfile(
+        platform="gfn", setup="browser", duration_s=20.0, seed=4, base_ts=desktop.base_ts + 1800.0
+    )
+    records, alone = [], []
+    for i, profile in enumerate((desktop, browser)):
+        session, _ = gen_session(profile)
+        records += session
+        path = str(tmp_path / ("alone%d.pcap" % i))
+        pcap.write_capture(session, path)
+        alone.append(_analyze(path))
+    path = str(tmp_path / "both.pcap")
+    pcap.write_capture(records, path)
+    report = _analyze(path)
+
+    (s,) = report.sessions
+    first, second = (a.sessions[0].to_dict() for a in alone)
+    assert s.to_dict() == {
+        **first,
+        "gameplay_started_at": second["gameplay_started_at"],
+        "ended_at": second["ended_at"],
+        "gameplay_flows": first["gameplay_flows"] + second["gameplay_flows"],
+    }
+    assert [len(reg.rows) for reg in report.gameplays] == [19, 19]
+    assert [reg.rows for reg in report.gameplays] == [a.gameplays[0].rows for a in alone]
+    assert [row["session_id"] for row in load_qoe_csv(str(tmp_path / "out" / "qoe.csv"))] == ["s1"] * 38
+    assert [a.counters["latency_unreported"] for a in alone] == [1, 2]
+    assert report.counters["latency_unreported"] == 3
 
 
 @pytest.mark.parametrize(
@@ -461,14 +513,15 @@ def test_session_addresses_are_written_as_address_text(client, server, written):
         frame = struct.pack("!IHBB", 0x60000000, len(udp), UDP, 64) + src + dst + udp
     table = FlowTable(client_nets=(client,))
     flow = table.update(parse_packet(frame, pcap.LINKTYPE_RAW_IP, 0.0))
+    flow.role = "combined_media_input"
+    reg = ServerRegistration(flow.key.client_ip, flow.key.server_ip, 0.0, "browser", "gfn", flows=[flow])
     session = SessionRecord(
         session_id="s1",
         client_ip=flow.key.client_ip,
         platform_id="gfn",
         setup="browser",
         detected_at=0.0,
-        gameplay_server_ip=flow.key.server_ip,
-        gameplay_flows=[(flow.key, "combined_media_input")],
+        gameplays=[reg],
     )
     d = session.to_dict()
     assert (d["client_ip"], d["gameplay_server_ip"]) == written
@@ -480,8 +533,8 @@ def test_session_addresses_are_written_as_address_text(client, server, written):
 def test_pipeline_deterministic(tmp_path):
     path, _ = _capture(tmp_path)
     r1, r2 = _analyze(path), _analyze(path)
-    q1 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in list(r1.qoe.values())[0]]
-    q2 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in list(r2.qoe.values())[0]]
+    q1 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in r1.gameplays[0].rows]
+    q2 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in r2.gameplays[0].rows]
     assert q1 == q2
     assert [s.to_dict() for s in r1.sessions] == [s.to_dict() for s in r2.sessions]
 
@@ -491,9 +544,9 @@ def test_browser_session_combined_flow(tmp_path):
     report = _analyze(path)
     s = report.sessions[0]
     assert s.setup == "browser"
-    roles = sorted(r for _, r in s.gameplay_flows)
+    roles = sorted(r for _, r in _flows(s))
     assert roles == ["combined_media_input", "gameplay_mgmt", "stun_webrtc"]
-    assert report.qoe[s.session_id]  # QoE comes from the combined flow
+    assert _rows(s)  # QoE comes from the combined flow
 
 
 def test_strip_sni_signature_fallback(tmp_path):
@@ -501,10 +554,10 @@ def test_strip_sni_signature_fallback(tmp_path):
     report = _analyze(path)
     assert len(report.sessions) == 1
     s = report.sessions[0]
-    assert s.os_hint == "windows"
+    assert s.to_dict()["os_hint"] == "windows"
     assert s.setup == "console_app"  # only the agent class is knowable without SNIs
     assert s.session_id.startswith("u")
-    roles = sorted(r for _, r in s.gameplay_flows)
+    roles = sorted(r for _, r in _flows(s))
     assert roles == ["down_audio", "down_video", "gameplay_mgmt", "up_audio", "user_input"]
 
 
@@ -514,7 +567,7 @@ def test_xbox_session(tmp_path):
     s = report.sessions[0]
     assert s.platform_id == "xbox"
     assert s.setup == "hardware_console"
-    roles = sorted(r for _, r in s.gameplay_flows)
+    roles = sorted(r for _, r in _flows(s))
     assert roles == ["combined_media_input", "gameplay_mgmt", "stun_webrtc"]
 
 
@@ -563,9 +616,9 @@ def test_headers_only_capture_keeps_flows_and_qoe(snaplen_reports, snaplen, sess
     rep, cut = snaplen_reports[snaplen]
     assert rep.counters["snaplen_truncated"] == cut
     assert (cut > 0) is (snaplen < 65535)
-    assert [(s.session_id, s.setup, s.os_hint) for s in rep.sessions] == [(*session, "windows")]
-    roles = [r for _, r in rep.sessions[0].gameplay_flows]
+    assert [(s.session_id, s.setup, s.to_dict()["os_hint"]) for s in rep.sessions] == [(*session, "windows")]
+    roles = [r for _, r in _flows(rep.sessions[0])]
     assert roles == ["gameplay_mgmt", "down_video", "down_audio", "up_audio", "user_input"]
-    assert rep.sessions[0].gameplay_flows == full.sessions[0].gameplay_flows
-    assert len(rep.qoe[session[0]]) == 19
-    assert rep.qoe[session[0]] == full.qoe["s1"]
+    assert _flows(rep.sessions[0]) == _flows(full.sessions[0])
+    assert len(_rows(rep.sessions[0])) == 19
+    assert _rows(rep.sessions[0]) == _rows(full.sessions[0])
