@@ -95,9 +95,9 @@ class ServerRegistration:
 
 @dataclass
 class ClientState:
-    observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns)
+    observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns), each matching one or more
     pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
-    names_seen: int = 0  # names observed so far; observed_names holds the newest of them
+    names_seen: int = 0  # matching names observed so far; observed_names holds the newest of them
     newest_match: dict = field(default_factory=dict)  # matched patterns -> newest such name's index
     session: Optional[SessionRecord] = None
 
@@ -110,6 +110,7 @@ class SessionDetector:
         self.clients: dict[bytes, ClientState] = {}  # by packed client address
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
+        self.repeated_registrations = 0  # refused: their management flow's key has one already
         self._ids = itertools.count(1)
         # every distinct pattern of every codebook, split once and filed by
         # its first label: a name is matched against them when it is
@@ -126,27 +127,26 @@ class SessionDetector:
             self._patterns.setdefault(plabels[0], []).append((p, plabels))
         self._any_first = self._patterns.pop("*", [])  # patterns starting with a '*' label
 
-    def _client(self, client_ip: bytes) -> ClientState:
-        st = self.clients.get(client_ip)
-        if st is None:
-            st = self.clients[client_ip] = ClientState()
-        return st
-
     # -- service name observation -------------------------------------
 
     def observe_service_name(self, key: FlowKey, name: str, ts: float) -> None:
-        st = self._client(key.client_ip)
+        """Keep the name in its client's window if it matches a codebook
+        pattern; no score and no tie-break reads any other name."""
         if not name.islower():  # extract_sni lowercases: hold its string, not a copy
             name = name.lower()
         labels = name.split(".")
         candidates = itertools.chain(self._patterns.get(labels[0], ()), self._any_first)
         matches = tuple(p for p, plabels in candidates if labels_match(plabels, labels))
+        if not matches:
+            return
+        st = self.clients.get(key.client_ip)
+        if st is None:
+            st = self.clients[key.client_ip] = ClientState()
         st.observed_names.append((ts, name, matches))
         counts = st.pattern_counts
         for p in matches:
             counts[p] = counts.get(p, 0) + 1
-        if matches:
-            st.newest_match[matches] = st.names_seen
+        st.newest_match[matches] = st.names_seen
         st.names_seen += 1
         self._prune(st, ts)
 
@@ -166,7 +166,7 @@ class SessionDetector:
     def evaluate_codebook(self, client_ip: bytes, ts: float) -> Optional[SessionRecord]:
         """Fires once per platform-session start when all core services match."""
         st = self.clients.get(client_ip)
-        if st is None or not st.observed_names:
+        if st is None:
             return None
         if st.session is not None:
             # setup-specific services may show up after the core set is
@@ -254,8 +254,7 @@ class SessionDetector:
                 server_port_range=cb.server_port_range,
                 ip_mismatch_warning=(embedded_ip != ip_text(key.server_ip)),
             )
-            self._add_gameplay(key, reg)
-            return reg
+            return reg if self._add_gameplay(key, reg) else None
         return None
 
     def register_by_signature(
@@ -273,18 +272,23 @@ class SessionDetector:
             server_port_range=cb.server_port_range if cb else None,
             via_signature=True,
         )
-        if key not in self.registrations:
-            self._add_gameplay(key, reg)
+        self._add_gameplay(key, reg)
         return reg
 
-    def _add_gameplay(self, key: FlowKey, reg: ServerRegistration) -> None:
-        """Keep a new registration under its management flow's key; it joins
-        its client's open platform session, which enters gameplay."""
+    def _add_gameplay(self, key: FlowKey, reg: ServerRegistration) -> bool:
+        """Keep a new registration under its management flow's key, unless
+        the key has one already: the first one stays, and the repeat is
+        counted. A kept registration joins its client's open platform
+        session, which enters gameplay."""
+        if key in self.registrations:
+            self.repeated_registrations += 1
+            return False
         self.registrations[key] = reg
         st = self.clients.get(reg.client_ip)
         if st is not None and st.session is not None:
             reg.session = st.session
             st.session.gameplays.append(reg)
+        return True
 
     def end_session(self, client_ip: bytes, ts: float) -> None:
         st = self.clients.get(client_ip)

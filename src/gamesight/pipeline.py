@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .classify import (
     CLASSIFY_WINDOWS,
+    MGMT_WINDOW_S,
     ROLE_MGMT,
     ROLE_UNCLASSIFIED,
     VIDEO_ROLES,
@@ -50,6 +52,9 @@ class Analyzer:
         self.table = FlowTable(client_nets=client_nets)
         self.detector = SessionDetector(codebooks)
         self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
+        self._unjoined: deque[FlowState] = deque()  # UDP flows that joined nothing at their first packet, in creation order
+        self.unadopted = 0  # flows a registration could not adopt: see `_registered`
+        self.sni_given_up = 0  # ClientHello reassemblies that hit their segment or byte cap
 
     # -- streaming ----------------------------------------------------
 
@@ -68,6 +73,9 @@ class Analyzer:
             if flow.total_pkts == 1:
                 self._join(flow)
             if flow.gameplay is None:
+                unjoined = self._unjoined
+                if unjoined and unjoined[0].first_ts < self.table.now - MGMT_WINDOW_S:
+                    self._drop_unadoptable()
                 return
             if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                 self._decide(flow)  # the windows that classify the flow have closed
@@ -88,6 +96,8 @@ class Analyzer:
                 name = reasm.feed(payload)
                 if name:
                     self._on_sni(flow, name, pkt)
+                elif reasm.done:
+                    self.sni_given_up += 1
 
         if flow.signature is None and flow.key.server_port in self.mgmt_ports:
             # the handshake sizes a setup signature matches; a SYN's data is
@@ -102,26 +112,44 @@ class Analyzer:
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
-        with QoE state to hold its downstream packets until its role is known."""
+        with QoE state to hold its downstream packets until its role is known.
+        A flow that joins none waits in `_unjoined` for a registration to adopt it."""
         for reg in self.detector.registrations.values():
             if starts_gameplay(flow, reg):
                 flow.gameplay = reg
                 flow.qoe = FlowQoe()
                 reg.flows.append(flow)
                 return
+        self._unjoined.append(flow)
+
+    def _drop_unadoptable(self) -> None:
+        """Take the flows that started more than `MGMT_WINDOW_S` of capture
+        time ago off the front of `_unjoined`; those that nothing adopted
+        drop their windows, which only an adoption could read."""
+        unjoined = self._unjoined
+        bound = self.table.now - MGMT_WINDOW_S
+        while unjoined and unjoined[0].first_ts < bound:
+            flow = unjoined.popleft()
+            if flow.gameplay is None:
+                flow.windows = None
 
     def _registered(self, reg: ServerRegistration, mgmt_flow) -> None:
         """Record a new registration's management flow and adopt the UDP flows
         already in the table that start its gameplay (out of time order, they
         came before the registering packet); having missed packets, they get no QoE.
-        Marked with the registration, none of these flows expires."""
+        Marked with the registration, none of these flows expires. A flow
+        that has dropped its windows (`_drop_unadoptable`) cannot be
+        classified: it is counted in `unadopted` instead."""
         mgmt_flow.gameplay = reg
         mgmt_flow.role = ROLE_MGMT
         reg.flows.append(mgmt_flow)
         for flow in self.table.flows.values():
             if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
-                flow.gameplay = reg
-                reg.flows.append(flow)
+                if flow.windows is None:
+                    self.unadopted += 1
+                else:
+                    flow.gameplay = reg
+                    reg.flows.append(flow)
 
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
@@ -168,6 +196,10 @@ class Analyzer:
     # -- finalization -------------------------------------------------
 
     def _finalize(self, stats: CaptureStats) -> AnalysisReport:
+        # out of time order, a flow made before older ones keeps them from
+        # the drop until it is past the bound itself
+        self._unjoined = deque(sorted(self._unjoined, key=lambda f: f.first_ts))
+        self._drop_unadoptable()
         gameplays = list(self.detector.registrations.values())
         fallback_ids = itertools.count(1)
         unclassified = 0
@@ -212,6 +244,9 @@ class Analyzer:
             "orientation_warnings": self.table.orientation_warnings,
             "flow_evictions": self.table.evictions,
             "flows_expired": self.table.expiries,
+            "unadopted_flows": self.unadopted,
+            "repeated_registrations": self.detector.repeated_registrations,
+            "sni_reassembly_given_up": self.sni_given_up,
             "unclassified_flows": unclassified,
             "negative_latency_discarded": negative_latency,
             "latency_unreported": latency_unreported,

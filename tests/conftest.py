@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from gamesight import cli
+from gamesight.classify import MGMT_WINDOW_S
+from gamesight.codebook import wildcard_match
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
@@ -65,7 +67,11 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     the registrations in registration order; each is in the `gameplays` of
     exactly one session, its own `session`; each of its flows points back to
     it; its rows' windows strictly increase; and all rows together are the
-    `qoe_samples` that `analyze` printed."""
+    `qoe_samples` that `analyze` printed. Beside them, the analyzer holds
+    only state an output can read: every name a detector client holds
+    matches a codebook pattern, and no UDP flow that joined nothing and
+    started more than `MGMT_WINDOW_S` before the capture's end keeps its
+    windows."""
     regs = list(analyzer.detector.registrations.values())
     assert report.gameplays == regs
     held = [(reg, session) for session in report.sessions for reg in session.gameplays]
@@ -76,6 +82,16 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
         windows = [int(row.ts // WINDOW_S) for row in reg.rows]
         assert all(a < b for a, b in zip(windows, windows[1:]))
     assert sum(len(reg.rows) for reg in regs) == qoe_samples
+
+    patterns = [p for cb in analyzer.codebooks for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
+    for st in analyzer.detector.clients.values():
+        assert all(any(wildcard_match(p, name) for p in patterns) for _, name, _ in st.observed_names)
+    bound = analyzer.table.now - MGMT_WINDOW_S
+    assert not [
+        flow
+        for flow in analyzer.table.flows.values()
+        if flow.key.proto == UDP and flow.gameplay is None and flow.first_ts < bound and flow.windows is not None
+    ]
 
 
 def analyze_checked(pcap_path: str, out_dir: str):

@@ -378,12 +378,14 @@ STEP = st.tuples(
 def test_incremental_detector_matches_full_rescan(wild, steps):
     books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()
     det, ref = SessionDetector(books), RescanDetector(books)
+    patterns = [p for cb in books for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
     now = 0.0
     for op, client, name, dt in steps:
         now += dt
         if op.startswith("observe"):
             det.observe_service_name(FlowKey(client, 40000, packed("203.0.113.20"), 443, 6), name, now)
-            ref.observe(client, name, now)
+            if any(wildcard_match(p, name.lower()) for p in patterns):  # the detector keeps no other name
+                ref.observe(client, name, now)
         if op.endswith("evaluate"):
             det.evaluate_codebook(client, now)
             ref.evaluate(client, now)
@@ -437,8 +439,8 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
         for first in ([], GFN_CORE, GFN_CORE + ["img.nvidiagrid.net", "play.nvidia.com"]):
             det = _detector()
             _observe(det, first)
-            for i in range(window):
-                det.observe_service_name(_key(cport=1000 + i), "n%d.example.com" % i, 10.0 + i * 0.1)
+            for i in range(window):  # names that match a core pattern, so that the window holds them
+                det.observe_service_name(_key(cport=1000 + i), "login.nvidia.n%d.com" % i, 10.0 + i * 0.1)
             st = det.clients[CLIENT]
             st.observed_names = Window(st.observed_names)
             before = work
@@ -453,6 +455,20 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
     before = work
     _detector().observe_service_name(_key(), "login.nvidia.com", 0.0)
     assert work > before
+
+
+def test_names_that_match_no_pattern_are_not_kept():
+    """130 names a second for 600 s from 300 clients (the SNI rate of a
+    campus tap), none of them in a codebook: the detector keeps no name and
+    no client."""
+    det = _detector()
+    keys = [FlowKey(packed("10.0.%d.%d" % divmod(c, 256)), 40000, packed("198.51.100.1"), 443, 6) for c in range(300)]
+    for i in range(130 * 600):
+        key = keys[i % 300]
+        det.observe_service_name(key, "www%d.news.example" % (i % 5000), i / 130)
+        det.evaluate_codebook(key.client_ip, i / 130)
+    assert det.clients == {}
+    assert det.sessions == []
 
 
 def test_observed_name_keeps_the_lowercase_string_it_was_given():

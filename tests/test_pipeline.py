@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gamesight import pcap, pipeline
-from gamesight.classify import VIDEO_ROLES
+from gamesight.classify import MGMT_WINDOW_S, VIDEO_ROLES
 from gamesight.detector import ServerRegistration, SessionRecord
 from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowKey, FlowTable
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
@@ -20,9 +20,9 @@ from gamesight.synth import (
     ipv4_udp,
     write_session,
 )
-from gamesight.tls import SniReassembler
+from gamesight.tls import MAX_BUFFER, MAX_SEGMENTS, SniReassembler
 
-from conftest import analyze_checked, packed, tcp_record, udp_record
+from conftest import analyze_checked, check_gameplays, packed, tcp_record, udp_record
 
 NETS = ("192.0.2.0/24",)
 
@@ -200,6 +200,153 @@ def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
     s = report.sessions[0]
     assert {(k.client_port, k.server_port): role for k, role in _flows(s)} == roles
     assert _rows(s) == []
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp_path, late):
+    """The registering ClientHello keeps its timestamp, before the gameplay
+    flows start, but comes later in the file. Right after the first
+    gameplay packet, it adopts that packet's flow, the video flow, with its
+    role and no QoE. Once a gameplay packet more than `MGMT_WINDOW_S` after
+    that one has come, the video flow has dropped its windows: it is not
+    adopted, and `unadopted_flows` counts it. The other flows started later
+    and are still adopted."""
+    records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
+    roles = {(f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]}
+    hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and f[22:24] == (322).to_bytes(2, "big") and len(f) > 500)
+    first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
+    start = records[first_udp][0]
+    assert records[hello][0] < start <= records[hello][0] + MGMT_WINDOW_S
+    if late:
+        at = next(i for i in range(first_udp, len(records)) if records[i][1][9] == UDP and records[i][0] > start + MGMT_WINDOW_S)
+    else:
+        at = first_udp
+    moved = records[:hello] + records[hello + 1 : at + 1] + [records[hello]] + records[at + 1 :]
+    path = str(tmp_path / "late.pcap")
+    pcap.write_capture(moved, path)
+    report = _analyze(path)
+
+    (s,) = report.sessions
+    listed = {(k.client_port, k.server_port): role for k, role in _flows(s)}
+    video = next(port for port, role in roles.items() if role == "down_video")
+    if late:
+        assert listed == {port: role for port, role in roles.items() if port != video}
+        assert report.counters["unadopted_flows"] == 1
+    else:
+        assert listed == roles
+        assert report.counters["unadopted_flows"] == 0
+    assert _rows(s) == []
+
+
+@pytest.mark.parametrize("platform", [False, True])
+def test_a_repeated_registration_keeps_the_first(tmp_path, platform):
+    """A registered management flow is evicted at the table cap and sends
+    its gameplay ClientHello again on the same five-tuple: the first
+    registration stays the flow key's one, and the repeat is counted. With
+    a platform session open, that session lists the first registration
+    once, and no other."""
+    client, server = "192.0.2.10", "203.0.113.7"
+    hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
+    frames = []
+    if platform:
+        core = ["login.nvidia.com", "events.nvidia.com", "userstore.nvidia.com", "gfnpc.api.entitlement-prod.nvidiagrid.net"]
+        for i, name in enumerate(core):
+            frames.append((0.1 * i, ipv4_tcp(client, "203.0.113.%d" % (10 + i), 40000 + i, 443, 1, 1, 0x18, build_client_hello(name))))
+    frames += [
+        (1.0, ipv4_tcp(client, server, 51000, 322, 1, 1, 0x18, hello)),
+        (1.1, ipv4_udp(client, "198.51.100.1", 40000, 53, b"q")),
+        (1.2, ipv4_tcp(client, server, 51000, 322, 1, 1, 0x18, hello)),
+    ]
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    analyzer.table.cap = 1
+    report = analyzer.analyze_file(path)
+
+    check_gameplays(analyzer, report, sum(len(reg.rows) for reg in report.gameplays))
+    (reg,) = report.gameplays
+    assert reg.registered_at == 1.0
+    assert report.counters["repeated_registrations"] == 1
+    (s,) = report.sessions
+    assert s.gameplays == [reg]
+    assert s.session_id == ("s1" if platform else "u1")
+
+
+def test_client_hello_reassemblies_that_give_up_are_counted(tmp_path):
+    """One ClientHello cut into more than `MAX_SEGMENTS` segments and one
+    whose first `MAX_BUFFER` bytes do not hold it whole are given up and
+    counted; a whole ClientHello is found and not counted."""
+    client, server = "192.0.2.10", "198.51.100.1"
+    split = build_client_hello("split.example")
+    big = build_client_hello("big.example", pad_to=MAX_BUFFER + 100)
+    step = len(split) // (MAX_SEGMENTS + 1) + 1
+    segments = [(1, split[i : i + step]) for i in range(0, len(split), step)]
+    segments += [(2, big[:MAX_BUFFER]), (2, big[MAX_BUFFER:]), (3, build_client_hello("whole.example"))]
+    frames = []
+    seqs = {}
+    for i, (k, payload) in enumerate(segments):
+        seq = seqs.get(k, 1)
+        seqs[k] = seq + len(payload)
+        frames.append((0.01 * i, ipv4_tcp(client, server, 40000 + k, 443, seq, 1, 0x18, payload)))
+    assert len(segments) == MAX_SEGMENTS + 1 + 3
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    assert report.counters["sni_reassembly_given_up"] == 2
+    assert sorted(f.sni for f in analyzer.table.flows.values() if f.sni) == ["whole.example"]
+
+
+def test_udp_flows_that_join_nothing_keep_no_windows():
+    """200 UDP flows that join no registration, one packet each a second
+    for 300 s: a bare flow table keeps a window per second on each, the
+    analyzer none once the flows are more than `MGMT_WINDOW_S` old."""
+    records = [
+        udp_record(t + k * 0.001, "192.0.2.%d" % (k % 100 + 1), 30000 + k, "198.51.100.1", 5000 + k, 100)
+        for t in range(300)
+        for k in range(200)
+    ]
+    table = FlowTable(client_nets=NETS)
+    analyzer = Analyzer(client_nets=NETS)
+    for pkt in records:
+        table.update(pkt)
+        analyzer._feed(pkt)
+    assert sum(len(f.windows) for f in table.flows.values()) == 200 * 300
+    flows = analyzer.table.flows.values()
+    assert len(flows) == 200 and all(f.total_pkts == 300 for f in flows)
+    assert all(f.windows is None for f in flows)
+    assert not analyzer._unjoined
+
+
+def test_the_unjoined_queue_holds_only_flows_young_enough_to_adopt():
+    """A new one-packet UDP flow every 0.1 s for 600 s: the queue of flows a
+    registration could still adopt never holds more than those of the last
+    `MGMT_WINDOW_S`, so it keeps no expired flow alive."""
+    analyzer = Analyzer(client_nets=NETS)
+    longest = 0
+    for i in range(6000):
+        analyzer._feed(udp_record(i * 0.1, "192.0.2.10", 1024 + i, "198.51.100.53", 53, 40))
+        longest = max(longest, len(analyzer._unjoined))
+    assert longest <= MGMT_WINDOW_S / 0.1 + 1
+    assert len(analyzer.table.flows) < 700  # the table expires them after 60 s idle
+
+
+def test_an_unjoined_flow_made_out_of_time_order_drops_its_windows_by_the_end(tmp_path):
+    """A UDP flow whose first packet comes after a later-started flow's in
+    the file waits behind it; at the end of the capture it is past
+    `MGMT_WINDOW_S` and drops its windows all the same."""
+    frames = [
+        (1.0, ipv4_udp("192.0.2.10", "198.51.100.1", 30000, 5000, b"x" * 100)),
+        (0.2, ipv4_udp("192.0.2.10", "198.51.100.1", 30001, 5001, b"x" * 100)),
+        (1.3, ipv4_udp("192.0.2.10", "198.51.100.1", 30000, 5000, b"x" * 100)),
+    ]
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    check_gameplays(analyzer, report, 0)
+    windows = {f.key.client_port: f.windows for f in analyzer.table.flows.values()}
+    assert windows == {30000: {1: [0, 2, 0, 200]}, 30001: None}
 
 
 def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
