@@ -25,7 +25,6 @@ from .report import (
     write_qoe_csv,
     write_sessions_jsonl,
 )
-from .synth import DEFAULT_BITRATES, SessionProfile, write_session
 
 log = logging.getLogger("gamesight")
 
@@ -133,6 +132,8 @@ def analyze(pcaps, client_nets, codebook, out_dir):
 @click.option("--strip-sni", is_flag=True, help="Emit opaque bytes instead of ClientHellos.")
 def generate(profile, fps, resolution, rtt_ms, duration, seed, out_path, os_name, bitrate_mbps, strip_sni):
     """Generate a synthetic session capture plus its ground-truth manifest."""
+    from .synth import DEFAULT_BITRATES, SessionProfile, write_session
+
     platform, setup, default_os = PROFILES[profile]
     fps = int(fps)
     if (fps, resolution) not in DEFAULT_BITRATES:

@@ -95,9 +95,11 @@ class ServerRegistration:
 
 @dataclass
 class ClientState:
-    observed_names: deque = field(default_factory=deque)  # (ts, name, matched patterns), each matching one or more
+    # (ts, name, matched patterns) for a name that matches one or more; a
+    # run of names that match none is one (newest ts of the run, None, ())
+    observed_names: deque = field(default_factory=deque)
     pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
-    names_seen: int = 0  # matching names observed so far; observed_names holds the newest of them
+    names_seen: int = 0  # entries appended so far; observed_names holds the newest of them
     newest_match: dict = field(default_factory=dict)  # matched patterns -> newest such name's index
     session: Optional[SessionRecord] = None
 
@@ -111,6 +113,7 @@ class SessionDetector:
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
         self.repeated_registrations = 0  # refused: their management flow's key has one already
+        self._unmatched: dict[bytes, float] = {}  # client with no state -> its run of names that match none
         self._ids = itertools.count(1)
         # every distinct pattern of every codebook, split once and filed by
         # its first label: a name is matched against them when it is
@@ -131,23 +134,46 @@ class SessionDetector:
 
     def observe_service_name(self, key: FlowKey, name: str, ts: float) -> None:
         """Keep the name in its client's window if it matches a codebook
-        pattern; no score and no tie-break reads any other name."""
+        pattern; no score and no tie-break reads any other name. A run of
+        names that match none is kept as the newest time among them: the
+        window prunes from its oldest end up to the first entry within the
+        horizon, so out of time order such a run holds back the matching
+        names behind it, just as its names would."""
         if not name.islower():  # extract_sni lowercases: hold its string, not a copy
             name = name.lower()
         labels = name.split(".")
         candidates = itertools.chain(self._patterns.get(labels[0], ()), self._any_first)
         matches = tuple(p for p, plabels in candidates if labels_match(plabels, labels))
-        if not matches:
-            return
-        st = self.clients.get(key.client_ip)
+        client = key.client_ip
+        st = self.clients.get(client)
         if st is None:
-            st = self.clients[key.client_ip] = ClientState()
-        st.observed_names.append((ts, name, matches))
-        counts = st.pattern_counts
-        for p in matches:
-            counts[p] = counts.get(p, 0) + 1
-        st.newest_match[matches] = st.names_seen
-        st.names_seen += 1
+            if not matches:
+                run = self._unmatched.get(client)
+                if run is None or ts > run:
+                    self._unmatched[client] = ts
+                return  # the prune pops nothing: the run is within the horizon of ts
+            st = self.clients[client] = ClientState()
+            run = self._unmatched.pop(client, None)
+            if run is not None:
+                st.observed_names.append((run, None, ()))
+                st.names_seen = 1
+        names = st.observed_names
+        run = names[-1][0] if names and names[-1][1] is None else None
+        if matches:
+            if run is not None and run <= ts:  # a run no newer than the name holds back nothing the name does not
+                names.pop()
+                st.names_seen -= 1
+            names.append((ts, name, matches))
+            counts = st.pattern_counts
+            for p in matches:
+                counts[p] = counts.get(p, 0) + 1
+            st.newest_match[matches] = st.names_seen
+            st.names_seen += 1
+        elif run is None:
+            names.append((ts, None, ()))
+            st.names_seen += 1
+        elif ts > run:
+            names[-1] = (ts, None, ())
         self._prune(st, ts)
 
     def _prune(self, st: ClientState, now: float) -> None:
@@ -167,6 +193,9 @@ class SessionDetector:
         """Fires once per platform-session start when all core services match."""
         st = self.clients.get(client_ip)
         if st is None:
+            run = self._unmatched.get(client_ip)
+            if run is not None and run < ts - OBSERVATION_HORIZON_S:
+                del self._unmatched[client_ip]  # as `_prune` pops it
             return None
         if st.session is not None:
             # setup-specific services may show up after the core set is
@@ -259,9 +288,10 @@ class SessionDetector:
 
     def register_by_signature(
         self, key: FlowKey, ts: float, platform_id: str, setup_class: str
-    ) -> ServerRegistration:
+    ) -> Optional[ServerRegistration]:
         """Encryption-agnostic fallback: a handshake-size signature match on
-        a management-port flow registers its server without an SNI."""
+        a management-port flow registers its server without an SNI; None
+        when the flow's key is registered already."""
         cb = next((c for c in self.codebooks if c.platform_id == platform_id), None)
         reg = ServerRegistration(
             client_ip=key.client_ip,
@@ -272,8 +302,7 @@ class SessionDetector:
             server_port_range=cb.server_port_range if cb else None,
             via_signature=True,
         )
-        self._add_gameplay(key, reg)
-        return reg
+        return reg if self._add_gameplay(key, reg) else None
 
     def _add_gameplay(self, key: FlowKey, reg: ServerRegistration) -> bool:
         """Keep a new registration under its management flow's key, unless

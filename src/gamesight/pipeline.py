@@ -96,7 +96,7 @@ class Analyzer:
                 name = reasm.feed(payload)
                 if name:
                     self._on_sni(flow, name, pkt)
-                elif reasm.done:
+                elif reasm.gave_up:
                     self.sni_given_up += 1
 
         if flow.signature is None and flow.key.server_port in self.mgmt_ports:
@@ -184,8 +184,8 @@ class Analyzer:
             hit = match_setup_signature(cb.signatures, up, down, key.server_port, cb.mgmt_ports)
             if hit is not None:
                 flow.signature = hit
-                if key not in self.detector.registrations:
-                    reg = self.detector.register_by_signature(key, ts, cb.platform_id, hit[1])
+                reg = self.detector.register_by_signature(key, ts, cb.platform_id, hit[1])
+                if reg is not None:
                     self._registered(reg, flow)
                 if flow.latency is None:
                     flow.latency = LatencyTracker()
@@ -196,10 +196,6 @@ class Analyzer:
     # -- finalization -------------------------------------------------
 
     def _finalize(self, stats: CaptureStats) -> AnalysisReport:
-        # out of time order, a flow made before older ones keeps them from
-        # the drop until it is past the bound itself
-        self._unjoined = deque(sorted(self._unjoined, key=lambda f: f.first_ts))
-        self._drop_unadoptable()
         gameplays = list(self.detector.registrations.values())
         fallback_ids = itertools.count(1)
         unclassified = 0

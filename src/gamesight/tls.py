@@ -87,14 +87,17 @@ def _parse_sni_ext(data: bytes) -> Optional[str]:
 
 class SniReassembler:
     """Accumulates the first upstream TCP payload bytes of a flow until a
-    ClientHello parse succeeds or the segment/byte cap is reached."""
+    ClientHello parse succeeds or the segment/byte cap is reached.
+    `gave_up` tells a handshake record that reached the cap unread from a
+    flow that carries no TLS."""
 
-    __slots__ = ("buf", "segments", "done")
+    __slots__ = ("buf", "segments", "done", "gave_up")
 
     def __init__(self):
         self.buf = b""
         self.segments = 0
         self.done = False
+        self.gave_up = False
 
     def feed(self, payload: bytes) -> Optional[str]:
         if self.done:
@@ -108,5 +111,6 @@ class SniReassembler:
             return name
         if self.segments >= MAX_SEGMENTS or len(self.buf) >= MAX_BUFFER:
             self.done = True
+            self.gave_up = bool(self.buf) and self.buf[0] == HANDSHAKE
             self.buf = b""
         return None

@@ -6,7 +6,6 @@ import pytest
 from click.testing import CliRunner
 
 from gamesight import cli
-from gamesight.classify import MGMT_WINDOW_S
 from gamesight.codebook import wildcard_match
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
@@ -69,9 +68,9 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     it; its rows' windows strictly increase; and all rows together are the
     `qoe_samples` that `analyze` printed. Beside them, the analyzer holds
     only state an output can read: every name a detector client holds
-    matches a codebook pattern, and no UDP flow that joined nothing and
-    started more than `MGMT_WINDOW_S` before the capture's end keeps its
-    windows."""
+    matches a codebook pattern (a run of names that match none is held as
+    a time alone), and no UDP flow that joined nothing and has left the
+    queue of flows a registration could still adopt keeps its windows."""
     regs = list(analyzer.detector.registrations.values())
     assert report.gameplays == regs
     held = [(reg, session) for session in report.sessions for reg in session.gameplays]
@@ -85,12 +84,12 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
 
     patterns = [p for cb in analyzer.codebooks for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
     for st in analyzer.detector.clients.values():
-        assert all(any(wildcard_match(p, name) for p in patterns) for _, name, _ in st.observed_names)
-    bound = analyzer.table.now - MGMT_WINDOW_S
+        assert all(any(wildcard_match(p, name) for p in patterns) for _, name, _ in st.observed_names if name is not None)
+    waiting = set(map(id, analyzer._unjoined))
     assert not [
         flow
         for flow in analyzer.table.flows.values()
-        if flow.key.proto == UDP and flow.gameplay is None and flow.first_ts < bound and flow.windows is not None
+        if flow.key.proto == UDP and flow.gameplay is None and id(flow) not in waiting and flow.windows is not None
     ]
 
 

@@ -198,6 +198,11 @@ def test_register_by_signature():
     reg = det.register_by_signature(key, 3.0, "gfn", "console_app")
     assert reg.via_signature
     assert det.registrations[key] is reg
+    # a repeat on the same key is refused, as by name, and counted
+    assert det.register_by_signature(key, 4.0, "gfn", "console_app") is None
+    assert det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", key, 5.0) is None
+    assert det.registrations == {key: reg}
+    assert det.repeated_registrations == 2
 
 
 def test_signature_registration_joins_the_open_platform_session():
@@ -379,13 +384,13 @@ def test_incremental_detector_matches_full_rescan(wild, steps):
     books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()
     det, ref = SessionDetector(books), RescanDetector(books)
     patterns = [p for cb in books for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
+    matching = lambda name: any(wildcard_match(p, name) for p in patterns)  # noqa: E731
     now = 0.0
     for op, client, name, dt in steps:
         now += dt
         if op.startswith("observe"):
             det.observe_service_name(FlowKey(client, 40000, packed("203.0.113.20"), 443, 6), name, now)
-            if any(wildcard_match(p, name.lower()) for p in patterns):  # the detector keeps no other name
-                ref.observe(client, name, now)
+            ref.observe(client, name, now)
         if op.endswith("evaluate"):
             det.evaluate_codebook(client, now)
             ref.evaluate(client, now)
@@ -395,8 +400,9 @@ def test_incremental_detector_matches_full_rescan(wild, steps):
         assert [
             (s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in det.sessions
         ] == [(s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in ref.sessions]
-        for c, names in ref.names.items():
-            assert [e[:2] for e in det.clients[c].observed_names] == list(names)
+        for c, names in ref.names.items():  # the detector keeps the names that match a pattern
+            held = det.clients[c].observed_names if c in det.clients else ()
+            assert [e[:2] for e in held if e[1] is not None] == [e for e in names if matching(e[1])]
 
 
 # -- evaluation cost ------------------------------------------------------
@@ -460,7 +466,7 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
 def test_names_that_match_no_pattern_are_not_kept():
     """130 names a second for 600 s from 300 clients (the SNI rate of a
     campus tap), none of them in a codebook: the detector keeps no name and
-    no client."""
+    no client state, only each client's newest time."""
     det = _detector()
     keys = [FlowKey(packed("10.0.%d.%d" % divmod(c, 256)), 40000, packed("198.51.100.1"), 443, 6) for c in range(300)]
     for i in range(130 * 600):
@@ -468,7 +474,22 @@ def test_names_that_match_no_pattern_are_not_kept():
         det.observe_service_name(key, "www%d.news.example" % (i % 5000), i / 130)
         det.evaluate_codebook(key.client_ip, i / 130)
     assert det.clients == {}
+    assert sorted(det._unmatched.values()) == [(130 * 600 - 300 + c) / 130 for c in range(300)]
     assert det.sessions == []
+
+
+@pytest.mark.parametrize("noise_at, sessions", [(1000.0, ["gfn"]), (300.0, [])])
+def test_a_newer_name_that_matches_nothing_holds_back_older_names(noise_at, sessions):
+    """The window prunes from its oldest end up to the first name within the
+    horizon. Out of time order, a name that matches nothing, seen before
+    login.nvidia.com but newer than it, holds it in the window 1100 s
+    later, so the rest of the core set opens a session; an older one
+    holds back nothing."""
+    det = _detector()
+    det.observe_service_name(_key(cport=1), "news.example.org", noise_at)
+    det.observe_service_name(_key(cport=2), "login.nvidia.com", 400.0)
+    _observe(det, GFN_CORE[1:], t0=1500.0)
+    assert [s.platform_id for s in det.sessions] == sessions
 
 
 def test_observed_name_keeps_the_lowercase_string_it_was_given():

@@ -2,6 +2,8 @@
 in the `gamesight` package must name one of those or the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,14 @@ def test_guard_sees_imports_inside_functions():
 def test_every_exported_name_resolves():
     missing = [name for name in gamesight.__all__ if not hasattr(gamesight, name)]
     assert missing == []
+
+
+def test_analyze_does_not_import_the_generator():
+    """`analyze` never compiles the capture generator; the package still
+    exports the generator's names and loads them on first use."""
+    code = (
+        "import sys; from gamesight import cli; assert 'gamesight.synth' not in sys.modules; "
+        "from gamesight import SessionProfile; assert 'gamesight.synth' in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gamesight.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -275,26 +275,32 @@ def test_a_repeated_registration_keeps_the_first(tmp_path, platform):
 def test_client_hello_reassemblies_that_give_up_are_counted(tmp_path):
     """One ClientHello cut into more than `MAX_SEGMENTS` segments and one
     whose first `MAX_BUFFER` bytes do not hold it whole are given up and
-    counted; a whole ClientHello is found and not counted."""
+    counted. A whole ClientHello is found, one with an empty server name
+    is read, and a flow that carries no TLS is given up: none of them is
+    counted."""
     client, server = "192.0.2.10", "198.51.100.1"
     split = build_client_hello("split.example")
     big = build_client_hello("big.example", pad_to=MAX_BUFFER + 100)
     step = len(split) // (MAX_SEGMENTS + 1) + 1
     segments = [(1, split[i : i + step]) for i in range(0, len(split), step)]
     segments += [(2, big[:MAX_BUFFER]), (2, big[MAX_BUFFER:]), (3, build_client_hello("whole.example"))]
+    segments += [(4, build_client_hello(""))] + [(5, b"GET / HTTP/1.1\r\n")] * MAX_SEGMENTS
     frames = []
     seqs = {}
     for i, (k, payload) in enumerate(segments):
         seq = seqs.get(k, 1)
         seqs[k] = seq + len(payload)
         frames.append((0.01 * i, ipv4_tcp(client, server, 40000 + k, 443, seq, 1, 0x18, payload)))
-    assert len(segments) == MAX_SEGMENTS + 1 + 3
+    assert len(segments) == MAX_SEGMENTS + 1 + 4 + MAX_SEGMENTS
     path = str(tmp_path / "t.pcap")
     pcap.write_capture(frames, path)
     analyzer = Analyzer(client_nets=NETS)
     report = analyzer.analyze_file(path)
     assert report.counters["sni_reassembly_given_up"] == 2
-    assert sorted(f.sni for f in analyzer.table.flows.values() if f.sni) == ["whole.example"]
+    flows = {f.key.client_port - 40000: f for f in analyzer.table.flows.values()}
+    assert flows.pop(3).sni == "whole.example"
+    given_up = {k: (f.reasm.done, f.reasm.gave_up) for k, f in flows.items()}
+    assert given_up == {1: (True, True), 2: (True, True), 4: (True, False), 5: (True, False)}
 
 
 def test_udp_flows_that_join_nothing_keep_no_windows():
@@ -331,22 +337,18 @@ def test_the_unjoined_queue_holds_only_flows_young_enough_to_adopt():
     assert len(analyzer.table.flows) < 700  # the table expires them after 60 s idle
 
 
-def test_an_unjoined_flow_made_out_of_time_order_drops_its_windows_by_the_end(tmp_path):
+def test_an_unjoined_flow_made_out_of_time_order_waits_behind_a_later_one():
     """A UDP flow whose first packet comes after a later-started flow's in
-    the file waits behind it; at the end of the capture it is past
-    `MGMT_WINDOW_S` and drops its windows all the same."""
-    frames = [
-        (1.0, ipv4_udp("192.0.2.10", "198.51.100.1", 30000, 5000, b"x" * 100)),
-        (0.2, ipv4_udp("192.0.2.10", "198.51.100.1", 30001, 5001, b"x" * 100)),
-        (1.3, ipv4_udp("192.0.2.10", "198.51.100.1", 30000, 5000, b"x" * 100)),
-    ]
-    path = str(tmp_path / "t.pcap")
-    pcap.write_capture(frames, path)
+    the file waits behind it in the queue: it keeps its windows until that
+    flow is more than `MGMT_WINDOW_S` old as well, and then both drop them."""
     analyzer = Analyzer(client_nets=NETS)
-    report = analyzer.analyze_file(path)
-    check_gameplays(analyzer, report, 0)
-    windows = {f.key.client_port: f.windows for f in analyzer.table.flows.values()}
-    assert windows == {30000: {1: [0, 2, 0, 200]}, 30001: None}
+    windows = lambda: {f.key.client_port: f.windows for f in analyzer.table.flows.values()}  # noqa: E731
+    for ts, port in [(1.0, 30000), (0.2, 30001), (1.3, 30000)]:
+        analyzer._feed(udp_record(ts, "192.0.2.10", port, "198.51.100.1", port - 25000, 100))
+    assert windows() == {30000: {1: [0, 2, 0, 200]}, 30001: {0: [0, 1, 0, 100]}}
+    analyzer._feed(udp_record(1.6, "192.0.2.10", 30000, "198.51.100.1", 5000, 100))
+    assert windows() == {30000: None, 30001: None}
+    assert not analyzer._unjoined
 
 
 def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
