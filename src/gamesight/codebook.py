@@ -62,6 +62,12 @@ class ServiceCodebook:
             raise ValueError("server_port_range of %s must be two ports lo <= hi, not %r" % (where, list(rng)))
         if type(threshold) not in (int, float):  # a bool is not a threshold
             raise ValueError("setup_score_threshold of %s must be a number, not %r" % (where, threshold))
+        pattern = self.gameplay_name_pattern
+        if not (isinstance(pattern, str) and "{ip}" in pattern):
+            raise ValueError("gameplay_pattern of %s must be a string containing {ip}, not %r" % (where, pattern))
+        bad = [[p, c] for p, c in self.mgmt_ports.items() if not (type(p) is int and isinstance(c, str))]
+        if bad:
+            raise ValueError("mgmt_ports of %s must pair an int port with a string class, not %r" % (where, bad[0]))
 
 
 def _lowered(patterns, what: str) -> list[str]:
@@ -69,6 +75,13 @@ def _lowered(patterns, what: str) -> list[str]:
     if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
         raise ValueError("%s must be a list of strings, not %r" % (what, patterns))
     return [p.lower() for p in patterns]
+
+
+def _ints(values, what: str) -> list[int]:
+    """`values`; ValueError naming `what` unless it is a list of ints."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError("%s must be a list of ints, not %r" % (what, values))
+    return values
 
 
 def wildcard_match(pattern: str, name: str) -> bool:
@@ -137,12 +150,15 @@ def _check_keys(d: dict, keys: set, where: str) -> None:
 
 
 def _signature_from_dict(s: dict, platform: str) -> SetupSignature:
-    _check_keys(s, SIGNATURE_KEYS, "a %s signature" % platform)
+    where = "a %s signature" % platform
+    _check_keys(s, SIGNATURE_KEYS, where)
+    if not isinstance(s["os"], str):
+        raise ValueError("os of %s must be a string, not %r" % (where, s["os"]))
     return SetupSignature(
         os=s["os"],
-        dst_ports=list(s["dst_ports"]),
-        upstream_sizes=list(s["up"]),
-        downstream_sizes=list(s["down"]),
+        dst_ports=_ints(s["dst_ports"], "dst_ports of " + where),
+        upstream_sizes=_ints(s["up"], "up of " + where),
+        downstream_sizes=_ints(s["down"], "down of " + where),
     )
 
 
@@ -155,7 +171,7 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
         core_services=d["core"],
         setup_tables=d["setups"],
         gameplay_name_pattern=d["gameplay_pattern"],
-        mgmt_ports={int(p): c for p, c in d["mgmt_ports"]},
+        mgmt_ports=dict(d["mgmt_ports"]),
         signatures=sigs,
         server_port_range=None if rng is None else tuple(rng),
         setup_score_threshold=d.get("setup_score_threshold", DEFAULT_SETUP_SCORE_THRESHOLD),

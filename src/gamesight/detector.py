@@ -4,7 +4,6 @@ identification and gameplay-server registration."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,12 +94,8 @@ class ServerRegistration:
 
 @dataclass
 class ClientState:
-    # (ts, name, matched patterns) for a name that matches one or more; a
-    # run of names that match none is one (newest ts of the run, None, ())
-    observed_names: deque = field(default_factory=deque)
-    pattern_counts: dict = field(default_factory=dict)  # pattern -> observed names it matches
-    names_seen: int = 0  # entries appended so far; observed_names holds the newest of them
-    newest_match: dict = field(default_factory=dict)  # matched patterns -> newest such name's index
+    observed_names: dict = field(default_factory=dict)  # codebook pattern -> newest ts of a name it matched
+    newest_match: dict = field(default_factory=dict)  # matched patterns -> (ts, arrival) of the newest such name
     session: Optional[SessionRecord] = None
 
 
@@ -113,8 +108,8 @@ class SessionDetector:
         self.sessions: list[SessionRecord] = []
         self.registrations: dict[FlowKey, ServerRegistration] = {}
         self.repeated_registrations = 0  # refused: their management flow's key has one already
-        self._unmatched: dict[bytes, float] = {}  # client with no state -> its run of names that match none
         self._ids = itertools.count(1)
+        self._arrivals = itertools.count()  # orders names of equal time for the setup tie-break
         # every distinct pattern of every codebook, split once and filed by
         # its first label: a name is matched against them when it is
         # observed and never again
@@ -133,91 +128,50 @@ class SessionDetector:
     # -- service name observation -------------------------------------
 
     def observe_service_name(self, key: FlowKey, name: str, ts: float) -> None:
-        """Keep the name in its client's window if it matches a codebook
-        pattern; no score and no tie-break reads any other name. A run of
-        names that match none is kept as the newest time among them: the
-        window prunes from its oldest end up to the first entry within the
-        horizon, so out of time order such a run holds back the matching
-        names behind it, just as its names would."""
-        if not name.islower():  # extract_sni lowercases: hold its string, not a copy
-            name = name.lower()
-        labels = name.split(".")
+        """Record, for each codebook pattern the name matches, the newest time
+        a name matched it. No score and no tie-break reads a name that
+        matches none, so such a name changes nothing."""
+        labels = name.lower().split(".")
         candidates = itertools.chain(self._patterns.get(labels[0], ()), self._any_first)
         matches = tuple(p for p, plabels in candidates if labels_match(plabels, labels))
-        client = key.client_ip
-        st = self.clients.get(client)
+        if not matches:
+            return
+        st = self.clients.get(key.client_ip)
         if st is None:
-            if not matches:
-                run = self._unmatched.get(client)
-                if run is None or ts > run:
-                    self._unmatched[client] = ts
-                return  # the prune pops nothing: the run is within the horizon of ts
-            st = self.clients[client] = ClientState()
-            run = self._unmatched.pop(client, None)
-            if run is not None:
-                st.observed_names.append((run, None, ()))
-                st.names_seen = 1
-        names = st.observed_names
-        run = names[-1][0] if names and names[-1][1] is None else None
-        if matches:
-            if run is not None and run <= ts:  # a run no newer than the name holds back nothing the name does not
-                names.pop()
-                st.names_seen -= 1
-            names.append((ts, name, matches))
-            counts = st.pattern_counts
-            for p in matches:
-                counts[p] = counts.get(p, 0) + 1
-            st.newest_match[matches] = st.names_seen
-            st.names_seen += 1
-        elif run is None:
-            names.append((ts, None, ()))
-            st.names_seen += 1
-        elif ts > run:
-            names[-1] = (ts, None, ())
-        self._prune(st, ts)
-
-    def _prune(self, st: ClientState, now: float) -> None:
-        horizon = now - OBSERVATION_HORIZON_S
-        names = st.observed_names
-        counts = st.pattern_counts
-        while names and names[0][0] < horizon:
-            for p in names.popleft()[2]:
-                if counts[p] == 1:
-                    del counts[p]
-                else:
-                    counts[p] -= 1
+            st = self.clients[key.client_ip] = ClientState()
+        held = st.observed_names
+        for p in matches:
+            held[p] = max(held.get(p, ts), ts)
+        stamp = (ts, next(self._arrivals))
+        st.newest_match[matches] = max(st.newest_match.get(matches, stamp), stamp)
 
     # -- codebook evaluation ------------------------------------------
 
     def evaluate_codebook(self, client_ip: bytes, ts: float) -> Optional[SessionRecord]:
-        """Fires once per platform-session start when all core services match."""
+        """Open a platform session, and return it, when every core pattern of
+        a codebook matched a name no older than `OBSERVATION_HORIZON_S`
+        before `ts`; a client has one open session until `end_session`.
+        While the open session has no gameplay, refine its setup from the
+        names within the same horizon."""
         st = self.clients.get(client_ip)
-        if st is None:
-            run = self._unmatched.get(client_ip)
-            if run is not None and run < ts - OBSERVATION_HORIZON_S:
-                del self._unmatched[client_ip]  # as `_prune` pops it
+        if st is None or (st.session is not None and st.session.gameplays):
             return None
+        horizon = ts - OBSERVATION_HORIZON_S
+        present = {p for p, newest in st.observed_names.items() if newest >= horizon}
         if st.session is not None:
             # setup-specific services may show up after the core set is
             # complete; keep refining the setup until gameplay starts
-            if not st.session.gameplays:
-                cb = next(
-                    (c for c in self.codebooks if c.platform_id == st.session.platform_id),
-                    None,
-                )
-                if cb is not None:
-                    self._prune(st, ts)
-                    setup, ambiguous = self._pick_setup(cb, st)
-                    if setup != SETUP_UNKNOWN:
-                        st.session.setup = setup
-                        st.session.setup_ambiguous = ambiguous
+            cb = next((c for c in self.codebooks if c.platform_id == st.session.platform_id), None)
+            if cb is not None:
+                setup, ambiguous = self._pick_setup(cb, st, present, horizon)
+                if setup != SETUP_UNKNOWN:
+                    st.session.setup = setup
+                    st.session.setup_ambiguous = ambiguous
             return None  # idempotent until the session ends
-        self._prune(st, ts)
-        counts = st.pattern_counts
         for cb in self.codebooks:
-            if not all(p in counts for p in cb.core_services):
+            if not all(p in present for p in cb.core_services):
                 continue
-            setup, ambiguous = self._pick_setup(cb, st)
+            setup, ambiguous = self._pick_setup(cb, st, present, horizon)
             session = SessionRecord(
                 session_id="s%d" % next(self._ids),
                 client_ip=client_ip,
@@ -231,14 +185,15 @@ class SessionDetector:
             return session
         return None
 
-    def _pick_setup(self, cb: ServiceCodebook, st: ClientState) -> tuple[str, bool]:
+    def _pick_setup(
+        self, cb: ServiceCodebook, st: ClientState, present: set, horizon: float
+    ) -> tuple[str, bool]:
         scores: dict[str, float] = {}
-        counts = st.pattern_counts
         for setup, table in cb.setup_tables.items():
             if not table:
                 scores[setup] = 0.0
                 continue
-            matched = sum(1 for p in table if p in counts)
+            matched = sum(1 for p in table if p in present)
             scores[setup] = matched / len(table)
         if not scores:
             return SETUP_UNKNOWN, False
@@ -250,14 +205,13 @@ class SessionDetector:
             return top[0], False
         # tie: most recent domain that discriminates between the tied tables.
         # Names with the same matches discriminate alike, so only the newest
-        # name of each set of matches that is still in the window counts.
-        oldest = st.names_seen - len(st.observed_names)
-        newest, pick = -1, None
-        for matches, n in st.newest_match.items():
-            if n >= oldest and n > newest:
+        # name of each set of matches within the horizon counts.
+        newest, pick = (horizon, -1), None  # precedes every stamp within the horizon
+        for matches, stamp in st.newest_match.items():
+            if stamp > newest:
                 hits = [s for s in top if any(p in matches for p in cb.setup_tables[s])]
                 if len(hits) == 1:
-                    newest, pick = n, hits[0]
+                    newest, pick = stamp, hits[0]
         if pick is None:
             return SETUP_UNKNOWN, True
         return pick, False

@@ -55,13 +55,13 @@ class FlowState:
     # they stay None
     first_payload_sizes_up: Optional[list] = None
     first_payload_sizes_down: Optional[list] = None
-    sni: Optional[str] = None
+    sni: Optional[str] = None  # "" once a ClientHello reassembly finished without a name
     total_pkts: int = 0
     guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     down: bool = False  # the last counted packet went server to client
     closed: bool = False  # a TCP packet of the flow carried FIN or RST
     # analyzer state, dropped with the flow when it is evicted or expires
-    reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once its SNI is found
+    reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once it finishes
     latency: Optional[LatencyTracker] = None  # on a registered management flow
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined

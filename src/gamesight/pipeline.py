@@ -92,12 +92,14 @@ class Analyzer:
             reasm = flow.reasm
             if reasm is None and flow.signature is None:
                 reasm = flow.reasm = SniReassembler()
-            if reasm is not None and not reasm.done and payload is not None:
+            if reasm is not None and payload is not None:
                 name = reasm.feed(payload)
-                if name:
-                    self._on_sni(flow, name, pkt)
-                elif reasm.gave_up:
-                    self.sni_given_up += 1
+                if reasm.done:  # found, read empty, or given up: reassembly never starts again on this flow
+                    flow.sni, flow.reasm = name or "", None
+                    if name:
+                        self._on_sni(flow, name, pkt)
+                    elif reasm.gave_up:
+                        self.sni_given_up += 1
 
         if flow.signature is None and flow.key.server_port in self.mgmt_ports:
             # the handshake sizes a setup signature matches; a SYN's data is
@@ -162,8 +164,6 @@ class Analyzer:
             flow.qoe.start()
 
     def _on_sni(self, flow, name: str, pkt: tuple) -> None:
-        flow.sni = name  # reassembly never starts again on this flow
-        flow.reasm = None
         key = flow.key
         ts = pkt[0]
         self.detector.observe_service_name(key, name, ts)

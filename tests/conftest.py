@@ -6,7 +6,6 @@ import pytest
 from click.testing import CliRunner
 
 from gamesight import cli
-from gamesight.codebook import wildcard_match
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
@@ -67,10 +66,10 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     exactly one session, its own `session`; each of its flows points back to
     it; its rows' windows strictly increase; and all rows together are the
     `qoe_samples` that `analyze` printed. Beside them, the analyzer holds
-    only state an output can read: every name a detector client holds
-    matches a codebook pattern (a run of names that match none is held as
-    a time alone), and no UDP flow that joined nothing and has left the
-    queue of flows a registration could still adopt keeps its windows."""
+    only state an output can read: every pattern a detector client holds a
+    time for is a codebook pattern, and no UDP flow that joined nothing and
+    has left the queue of flows a registration could still adopt keeps its
+    windows."""
     regs = list(analyzer.detector.registrations.values())
     assert report.gameplays == regs
     held = [(reg, session) for session in report.sessions for reg in session.gameplays]
@@ -84,7 +83,8 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
 
     patterns = [p for cb in analyzer.codebooks for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
     for st in analyzer.detector.clients.values():
-        assert all(any(wildcard_match(p, name) for p in patterns) for _, name, _ in st.observed_names if name is not None)
+        assert set(st.observed_names) <= set(patterns)
+        assert all(set(matches) <= set(patterns) for matches in st.newest_match)
     waiting = set(map(id, analyzer._unjoined))
     assert not [
         flow

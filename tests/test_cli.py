@@ -167,6 +167,30 @@ def _set(container, key, value) -> None:
             _shipped_codebook(lambda d: _set(d["platforms"][0]["setups"], "browser", "play.nvidia")),
             "setup 'browser' of platform 'gfn' must be a list of strings",
         ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["signatures"][0], "os", 5)),
+            "os of a gfn signature must be a string, not 5",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["signatures"][0], "dst_ports", "322")),
+            "dst_ports of a gfn signature must be a list of ints, not '322'",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["signatures"][0], "up", "517")),
+            "up of a gfn signature must be a list of ints, not '517'",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["signatures"][0], "down", [1460, 1460.0])),
+            "down of a gfn signature must be a list of ints, not [1460, 1460.0]",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0]["mgmt_ports"][0], 1, 7)),
+            "mgmt_ports of platform 'gfn' must pair an int port with a string class, not [322, 7]",
+        ),
+        (
+            _shipped_codebook(lambda d: _set(d["platforms"][0], "gameplay_pattern", "pnt.nvidiagrid.net")),
+            "gameplay_pattern of platform 'gfn' must be a string containing {ip}, not 'pnt.nvidiagrid.net'",
+        ),
     ],
     ids=[
         "invalid-json",
@@ -183,6 +207,12 @@ def _set(container, key, value) -> None:
         "range-reversed",
         "core-a-string",
         "setup-table-a-string",
+        "signature-os-a-number",
+        "signature-ports-a-string",
+        "signature-up-a-string",
+        "signature-down-a-float",
+        "mgmt-class-a-number",
+        "gameplay-pattern-without-ip",
     ],
 )
 def test_malformed_codebook_exit_1(tmp_path, text, names):

@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,50 +276,45 @@ def test_tie_break_reads_only_names_in_the_window():
 
 
 class RescanDetector:
-    """Reference: rescans the whole name window against every pattern at
-    each evaluation."""
+    """Reference: keeps every name it is given and, at each evaluation,
+    rescans the names no older than the horizon before `now` against every
+    pattern."""
 
-    def __init__(self, codebooks, horizon_s=OBSERVATION_HORIZON_S):
+    def __init__(self, codebooks):
         self.codebooks = codebooks
-        self.horizon_s = horizon_s
-        self.names = {}  # client -> deque of (ts, name)
+        self.names = {}  # client -> list of (ts, arrival, name), every name observed
         self.open = {}  # client -> SessionRecord not yet ended
         self.sessions = []
 
     def observe(self, client, name, ts):
-        self.names.setdefault(client, deque()).append((ts, name.lower()))
-        self._prune(client, ts)
+        names = self.names.setdefault(client, [])
+        names.append((ts, len(names), name.lower()))
 
-    def _prune(self, client, now):
-        names = self.names[client]
-        while names and names[0][0] < now - self.horizon_s:
-            names.popleft()
+    def _window(self, client, now):
+        return [e for e in self.names.get(client, ()) if e[0] >= now - OBSERVATION_HORIZON_S]
 
-    def evaluate(self, client, ts):
-        if not self.names.get(client):
-            return
+    def evaluate(self, client, now):
+        window = self._window(client, now)
         session = self.open.get(client)
         if session is not None:
             if session.state == STATE_PLATFORM:
                 cb = next(c for c in self.codebooks if c.platform_id == session.platform_id)
-                self._prune(client, ts)
-                setup, ambiguous = self._pick_setup(cb, client)
+                setup, ambiguous = self._pick_setup(cb, window)
                 if setup != "unknown":
                     session.setup, session.setup_ambiguous = setup, ambiguous
             return
-        self._prune(client, ts)
-        names = [n for _, n in self.names[client]]
+        names = [n for _, _, n in window]
         for cb in self.codebooks:
             if all(any(wildcard_match(p, n) for n in names) for p in cb.core_services):
-                setup, ambiguous = self._pick_setup(cb, client)
-                session = SessionRecord("s", client, cb.platform_id, setup, ts)
+                setup, ambiguous = self._pick_setup(cb, window)
+                session = SessionRecord("s", client, cb.platform_id, setup, now)
                 session.setup_ambiguous = ambiguous
                 self.open[client] = session
                 self.sessions.append(session)
                 return
 
-    def _pick_setup(self, cb, client):
-        names = [n for _, n in self.names[client]]
+    def _pick_setup(self, cb, window):
+        names = [n for _, _, n in window]
         scores = {
             s: (sum(any(wildcard_match(p, n) for n in names) for p in t) / len(t) if t else 0.0)
             for s, t in cb.setup_tables.items()
@@ -331,7 +324,7 @@ class RescanDetector:
         top = [s for s, v in scores.items() if v == max(scores.values())]
         if len(top) == 1:
             return top[0], False
-        for _, name in reversed(self.names[client]):
+        for _, _, name in sorted(window, reverse=True):  # newest by (ts, arrival) first
             hits = [s for s in top if any(wildcard_match(p, name) for p in cb.setup_tables[s])]
             if len(hits) == 1:
                 return hits[0], False
@@ -383,8 +376,6 @@ STEP = st.tuples(
 def test_incremental_detector_matches_full_rescan(wild, steps):
     books = ([WILD_CODEBOOK] if wild else []) + default_codebooks()
     det, ref = SessionDetector(books), RescanDetector(books)
-    patterns = [p for cb in books for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
-    matching = lambda name: any(wildcard_match(p, name) for p in patterns)  # noqa: E731
     now = 0.0
     for op, client, name, dt in steps:
         now += dt
@@ -400,9 +391,6 @@ def test_incremental_detector_matches_full_rescan(wild, steps):
         assert [
             (s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in det.sessions
         ] == [(s.platform_id, s.setup, s.setup_ambiguous, s.detected_at) for s in ref.sessions]
-        for c, names in ref.names.items():  # the detector keeps the names that match a pattern
-            held = det.clients[c].observed_names if c in det.clients else ()
-            assert [e[:2] for e in held if e[1] is not None] == [e for e in names if matching(e[1])]
 
 
 # -- evaluation cost ------------------------------------------------------
@@ -410,7 +398,8 @@ def test_incremental_detector_matches_full_rescan(wild, steps):
 
 def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
     # work = pattern comparisons (calls of whichever matcher the detector
-    # uses) plus stored names visited, inside one evaluate_codebook call
+    # uses) plus entries of the client's state visited, inside one
+    # evaluate_codebook call
     import gamesight.detector as detector_module
 
     work = 0
@@ -425,37 +414,54 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
 
             monkeypatch.setattr(detector_module, name, counting)
 
-    class Window(deque):
-        def __iter__(self):
-            return self._visit(deque.__iter__(self))
-
-        def __reversed__(self):
-            return self._visit(deque.__reversed__(self))
-
-        def _visit(self, entries):
+    class Visited(dict):
+        def _visit(self, n=1):
             nonlocal work
-            for entry in entries:
-                work += 1
-                yield entry
+            work += n
 
-    def evaluate_work(window):
+        def __getitem__(self, key):
+            self._visit()
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            self._visit()
+            return dict.get(self, key, default)
+
+        def __contains__(self, key):
+            self._visit()
+            return dict.__contains__(self, key)
+
+        def __iter__(self):
+            self._visit(len(self))
+            return dict.__iter__(self)
+
+        def items(self):
+            self._visit(len(self))
+            return dict.items(self)
+
+        def values(self):
+            self._visit(len(self))
+            return dict.values(self)
+
+    def evaluate_work(observed):
         counted = []
         # detection with no core domain yet, setup refinement, and a
         # refinement that breaks a tie between the mobile and browser tables
         for first in ([], GFN_CORE, GFN_CORE + ["img.nvidiagrid.net", "play.nvidia.com"]):
             det = _detector()
             _observe(det, first)
-            for i in range(window):  # names that match a core pattern, so that the window holds them
+            for i in range(observed):  # names that match a core pattern, so that the client holds them
                 det.observe_service_name(_key(cport=1000 + i), "login.nvidia.n%d.com" % i, 10.0 + i * 0.1)
             st = det.clients[CLIENT]
-            st.observed_names = Window(st.observed_names)
+            st.observed_names, st.newest_match = Visited(st.observed_names), Visited(st.newest_match)
             before = work
-            det.evaluate_codebook(CLIENT, 10.0 + window * 0.1)
+            det.evaluate_codebook(CLIENT, 10.0 + observed * 0.1)
             counted.append((work - before, [s.setup for s in det.sessions]))
         return counted
 
     small = evaluate_work(400)
     assert [setups for _, setups in small] == [[], ["unknown"], ["browser"]]
+    assert all(n > 0 for n, _ in small)
     assert evaluate_work(4000) == small
     # the matcher the counter wraps is the one observing a name runs
     before = work
@@ -466,7 +472,7 @@ def test_evaluate_cost_does_not_grow_with_the_window(monkeypatch):
 def test_names_that_match_no_pattern_are_not_kept():
     """130 names a second for 600 s from 300 clients (the SNI rate of a
     campus tap), none of them in a codebook: the detector keeps no name and
-    no client state, only each client's newest time."""
+    no client state."""
     det = _detector()
     keys = [FlowKey(packed("10.0.%d.%d" % divmod(c, 256)), 40000, packed("198.51.100.1"), 443, 6) for c in range(300)]
     for i in range(130 * 600):
@@ -474,30 +480,30 @@ def test_names_that_match_no_pattern_are_not_kept():
         det.observe_service_name(key, "www%d.news.example" % (i % 5000), i / 130)
         det.evaluate_codebook(key.client_ip, i / 130)
     assert det.clients == {}
-    assert sorted(det._unmatched.values()) == [(130 * 600 - 300 + c) / 130 for c in range(300)]
     assert det.sessions == []
 
 
-@pytest.mark.parametrize("noise_at, sessions", [(1000.0, ["gfn"]), (300.0, [])])
-def test_a_newer_name_that_matches_nothing_holds_back_older_names(noise_at, sessions):
-    """The window prunes from its oldest end up to the first name within the
-    horizon. Out of time order, a name that matches nothing, seen before
-    login.nvidia.com but newer than it, holds it in the window 1100 s
-    later, so the rest of the core set opens a session; an older one
-    holds back nothing."""
+EVALUATED_AT = 1500.0
+
+
+@pytest.mark.parametrize("login_last", [False, True], ids=["login-first", "login-last"])
+@pytest.mark.parametrize(
+    "login_at, sessions",
+    [(EVALUATED_AT - OBSERVATION_HORIZON_S - 1.0, []), (EVALUATED_AT - OBSERVATION_HORIZON_S, ["gfn"])],
+    ids=["past-the-horizon", "on-the-horizon"],
+)
+def test_a_core_name_counts_only_within_the_horizon(login_at, sessions, login_last):
+    """login.nvidia.com opens a session with the rest of the core set,
+    evaluated at 1500 s, only if it is no more than the horizon older,
+    whether it arrives before or after the rest. A newer name that matches
+    nothing, seen before it, holds nothing back."""
     det = _detector()
-    det.observe_service_name(_key(cport=1), "news.example.org", noise_at)
-    det.observe_service_name(_key(cport=2), "login.nvidia.com", 400.0)
-    _observe(det, GFN_CORE[1:], t0=1500.0)
+    det.observe_service_name(_key(cport=1), "news.example.org", login_at + 100.0)
+    if not login_last:
+        det.observe_service_name(_key(cport=2), "login.nvidia.com", login_at)
+    for i, name in enumerate(GFN_CORE[1:]):
+        det.observe_service_name(_key(cport=10 + i), name, EVALUATED_AT)
+    if login_last:
+        det.observe_service_name(_key(cport=2), "login.nvidia.com", login_at)
+    det.evaluate_codebook(CLIENT, EVALUATED_AT)
     assert [s.platform_id for s in det.sessions] == sessions
-
-
-def test_observed_name_keeps_the_lowercase_string_it_was_given():
-    # extract_sni lowercases the name: the history holds that string, not a copy
-    det = _detector()
-    lower = "".join(["login", ".nvidia.com"])
-    det.observe_service_name(_key(), lower, 0.0)
-    det.observe_service_name(_key(cport=40001), "Events.NVIDIA.com", 1.0)
-    (_, first, _), (_, second, matches) = det.clients[CLIENT].observed_names
-    assert first is lower
-    assert second == "events.nvidia.com" and matches

@@ -277,7 +277,8 @@ def test_client_hello_reassemblies_that_give_up_are_counted(tmp_path):
     whose first `MAX_BUFFER` bytes do not hold it whole are given up and
     counted. A whole ClientHello is found, one with an empty server name
     is read, and a flow that carries no TLS is given up: none of them is
-    counted."""
+    counted. Each finished reassembly is dropped with its flow's SNI
+    set, "" when it read none, so that none starts again."""
     client, server = "192.0.2.10", "198.51.100.1"
     split = build_client_hello("split.example")
     big = build_client_hello("big.example", pad_to=MAX_BUFFER + 100)
@@ -298,9 +299,13 @@ def test_client_hello_reassemblies_that_give_up_are_counted(tmp_path):
     report = analyzer.analyze_file(path)
     assert report.counters["sni_reassembly_given_up"] == 2
     flows = {f.key.client_port - 40000: f for f in analyzer.table.flows.values()}
-    assert flows.pop(3).sni == "whole.example"
-    given_up = {k: (f.reasm.done, f.reasm.gave_up) for k, f in flows.items()}
-    assert given_up == {1: (True, True), 2: (True, True), 4: (True, False), 5: (True, False)}
+    assert {k: (f.sni, f.reasm) for k, f in flows.items()} == {
+        1: ("", None),
+        2: ("", None),
+        3: ("whole.example", None),
+        4: ("", None),
+        5: ("", None),
+    }
 
 
 def test_udp_flows_that_join_nothing_keep_no_windows():
@@ -505,7 +510,7 @@ def test_expired_flows_leave_no_state_to_their_five_tuples(tmp_path):
     old = {f.key: f for f in analyzer.table.flows.values()}
     tls_key, mgmt_key = sorted(old, key=lambda k: k.server_port == 322)
     assert old[tls_key].sni == "www000.news.example" and old[tls_key].closed
-    assert old[mgmt_key].signature == () and old[mgmt_key].reasm is not None
+    assert old[mgmt_key].signature == () and old[mgmt_key].sni == ""  # its reassembly gave up
 
     later = IDLE_TIMEOUT_S + 2 * SWEEP_S
     frames += _clock(SWEEP_S, later)
