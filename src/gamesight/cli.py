@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import ipaddress
 import json
 import logging
 import os
@@ -63,7 +64,11 @@ def analyze(pcaps, client_nets, codebook, out_dir):
         click.echo("malformed codebook %s: %s: %s" % (codebook, type(exc).__name__, exc), err=True)
         sys.exit(1)
 
-    nets = tuple(n.strip() for n in client_nets.split(",") if n.strip())
+    try:
+        nets = tuple(ipaddress.ip_network(n.strip()) for n in client_nets.split(",") if n.strip())
+    except ValueError as exc:
+        click.echo("malformed --client-nets: %s" % exc, err=True)
+        sys.exit(1)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -188,6 +193,9 @@ def report_cmd(qoe_path, truth, sessions, fmt, out_path):
                 summary["truth_errors"] = truth_errors(rows, json.load(fh))
     except (SchemaError, KeyError, ValueError) as exc:
         click.echo("schema mismatch: %s" % exc, err=True)
+        sys.exit(1)
+    except OSError as exc:
+        click.echo("cannot read %s: %s" % (exc.filename, exc.strerror), err=True)
         sys.exit(1)
 
     if fmt == "json":

@@ -77,7 +77,7 @@ class SessionRecord:
 class ServerRegistration:
     """One gameplay: a registered gameplay server, its management flow and the
     UDP flows that joined it (`flows`, each with its `FlowState.role`), the QoE
-    `rows` the analyzer gives it, and the platform `session` it joined."""
+    `rows` the analyzer gives it, and its `session`, platform or fallback."""
 
     client_ip: bytes  # packed, as in FlowKey
     server_ip: bytes
@@ -86,7 +86,6 @@ class ServerRegistration:
     platform_id: str
     server_port_range: Optional[tuple[int, int]] = None
     ip_mismatch_warning: bool = False
-    via_signature: bool = False
     session: Optional[SessionRecord] = None
     flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
     rows: list = field(default_factory=list)  # QoeSample, one per whole window of its video flow
@@ -109,6 +108,8 @@ class SessionDetector:
         self.registrations: dict[FlowKey, ServerRegistration] = {}
         self.repeated_registrations = 0  # refused: their management flow's key has one already
         self._ids = itertools.count(1)
+        self._fallback_ids = itertools.count(1)
+        self._codebook = {cb.platform_id: cb for cb in codebooks}
         self._arrivals = itertools.count()  # orders names of equal time for the setup tie-break
         # every distinct pattern of every codebook, split once and filed by
         # its first label: a name is matched against them when it is
@@ -161,12 +162,10 @@ class SessionDetector:
         if st.session is not None:
             # setup-specific services may show up after the core set is
             # complete; keep refining the setup until gameplay starts
-            cb = next((c for c in self.codebooks if c.platform_id == st.session.platform_id), None)
-            if cb is not None:
-                setup, ambiguous = self._pick_setup(cb, st, present, horizon)
-                if setup != SETUP_UNKNOWN:
-                    st.session.setup = setup
-                    st.session.setup_ambiguous = ambiguous
+            setup, ambiguous = self._pick_setup(self._codebook[st.session.platform_id], st, present, horizon)
+            if setup != SETUP_UNKNOWN:
+                st.session.setup = setup
+                st.session.setup_ambiguous = ambiguous
             return None  # idempotent until the session ends
         for cb in self.codebooks:
             if not all(p in present for p in cb.core_services):
@@ -218,60 +217,57 @@ class SessionDetector:
 
     # -- gameplay server registration ---------------------------------
 
-    def register_gameplay_server(
-        self, name: str, key: FlowKey, ts: float
-    ) -> Optional[ServerRegistration]:
+    def register_gameplay_server(self, name: str, key: FlowKey, ts: float) -> Optional[ServerRegistration]:
         for cb in self.codebooks:
             setup_class = cb.mgmt_ports.get(key.server_port)
             if setup_class is None:
                 continue
             embedded_ip = decode_gameplay_name(cb.gameplay_name_pattern, name)
-            if embedded_ip is None:
-                continue
-            reg = ServerRegistration(
-                client_ip=key.client_ip,
-                server_ip=key.server_ip,
-                registered_at=ts,
-                setup_class=setup_class,
-                platform_id=cb.platform_id,
-                server_port_range=cb.server_port_range,
-                ip_mismatch_warning=(embedded_ip != ip_text(key.server_ip)),
-            )
-            return reg if self._add_gameplay(key, reg) else None
+            if embedded_ip is not None:
+                return self._register(key, ts, cb, setup_class, SETUP_UNKNOWN, embedded_ip != ip_text(key.server_ip))
         return None
 
     def register_by_signature(
         self, key: FlowKey, ts: float, platform_id: str, setup_class: str
     ) -> Optional[ServerRegistration]:
         """Encryption-agnostic fallback: a handshake-size signature match on
-        a management-port flow registers its server without an SNI; None
-        when the flow's key is registered already."""
-        cb = next((c for c in self.codebooks if c.platform_id == platform_id), None)
-        reg = ServerRegistration(
+        a management-port flow registers its server without an SNI."""
+        return self._register(key, ts, self._codebook[platform_id], setup_class, setup_class, False)
+
+    def _register(
+        self, key: FlowKey, ts: float, cb: ServiceCodebook, setup_class: str, fallback_setup: str, ip_mismatch: bool
+    ) -> Optional[ServerRegistration]:
+        """Keep a new registration under its management flow's key and return
+        it, or count a repeat on a key that has one and return None. A kept
+        registration joins its client's open platform session, which enters
+        gameplay, or else gets its own fallback session (`u1`, `u2`, ... in
+        registration order) with `fallback_setup`."""
+        if key in self.registrations:
+            self.repeated_registrations += 1
+            return None
+        reg = self.registrations[key] = ServerRegistration(
             client_ip=key.client_ip,
             server_ip=key.server_ip,
             registered_at=ts,
             setup_class=setup_class,
-            platform_id=platform_id,
-            server_port_range=cb.server_port_range if cb else None,
-            via_signature=True,
+            platform_id=cb.platform_id,
+            server_port_range=cb.server_port_range,
+            ip_mismatch_warning=ip_mismatch,
         )
-        return reg if self._add_gameplay(key, reg) else None
-
-    def _add_gameplay(self, key: FlowKey, reg: ServerRegistration) -> bool:
-        """Keep a new registration under its management flow's key, unless
-        the key has one already: the first one stays, and the repeat is
-        counted. A kept registration joins its client's open platform
-        session, which enters gameplay."""
-        if key in self.registrations:
-            self.repeated_registrations += 1
-            return False
-        self.registrations[key] = reg
-        st = self.clients.get(reg.client_ip)
+        st = self.clients.get(key.client_ip)
         if st is not None and st.session is not None:
             reg.session = st.session
-            st.session.gameplays.append(reg)
-        return True
+        else:
+            reg.session = SessionRecord(
+                session_id="u%d" % next(self._fallback_ids),
+                client_ip=key.client_ip,
+                platform_id=cb.platform_id,
+                setup=fallback_setup,
+                detected_at=ts,
+            )
+            self.sessions.append(reg.session)
+        reg.session.gameplays.append(reg)
+        return reg
 
     def end_session(self, client_ip: bytes, ts: float) -> None:
         st = self.clients.get(client_ip)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +16,7 @@ from .classify import (
     starts_gameplay,
 )
 from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
-from .detector import ServerRegistration, SessionDetector, SessionRecord
+from .detector import ServerRegistration, SessionDetector
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
 from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
@@ -30,10 +29,10 @@ NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 
 @dataclass
 class AnalysisReport:
-    """One capture's sessions, fallback sessions last, and its gameplays: the
-    registrations in registration order, each holding its QoE rows."""
+    """One capture's sessions, in the order they were made, and its gameplays:
+    the registrations in registration order, each holding its QoE rows."""
 
-    sessions: list[SessionRecord]
+    sessions: list  # SessionRecord
     gameplays: list[ServerRegistration]
     counters: dict
 
@@ -110,7 +109,7 @@ class Analyzer:
                 sizes = flow.first_payload_sizes_down if flow.down else flow.first_payload_sizes_up
                 if len(sizes) < FIRST_PAYLOADS_CAP:
                     sizes.append(payload_len)
-            self._try_signature(flow, ts)
+            self._try_signature(flow, pkt)
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
@@ -135,15 +134,20 @@ class Analyzer:
             if flow.gameplay is None:
                 flow.windows = None
 
-    def _registered(self, reg: ServerRegistration, mgmt_flow) -> None:
-        """Record a new registration's management flow and adopt the UDP flows
+    def _registered(self, reg: Optional[ServerRegistration], mgmt_flow, pkt: tuple) -> None:
+        """Give a new registration (None: refused) its management flow, with a
+        latency tracker the registering packet starts, and adopt the UDP flows
         already in the table that start its gameplay (out of time order, they
-        came before the registering packet); having missed packets, they get no QoE.
-        Marked with the registration, none of these flows expires. A flow
+        came before the registering packet); having missed packets, they get no
+        QoE. Marked with the registration, none of these flows expires. A flow
         that has dropped its windows (`_drop_unadoptable`) cannot be
         classified: it is counted in `unadopted` instead."""
+        if reg is None:
+            return
         mgmt_flow.gameplay = reg
         mgmt_flow.role = ROLE_MGMT
+        mgmt_flow.latency = LatencyTracker()
+        mgmt_flow.latency.feed(pkt, mgmt_flow.down)
         reg.flows.append(mgmt_flow)
         for flow in self.table.flows.values():
             if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
@@ -169,14 +173,9 @@ class Analyzer:
         self.detector.observe_service_name(key, name, ts)
         self.detector.evaluate_codebook(key.client_ip, ts)
         if key.server_port in self.mgmt_ports:
-            reg = self.detector.register_gameplay_server(name, key, ts)
-            if reg is not None:
-                self._registered(reg, flow)
-                if flow.latency is None:
-                    flow.latency = LatencyTracker()
-                    flow.latency.feed(pkt, flow.down)  # the registering packet starts a pending pair
+            self._registered(self.detector.register_gameplay_server(name, key, ts), flow, pkt)
 
-    def _try_signature(self, flow, ts: float) -> None:
+    def _try_signature(self, flow, pkt: tuple) -> None:
         key = flow.key
         up = flow.first_payload_sizes_up
         down = flow.first_payload_sizes_down
@@ -184,11 +183,8 @@ class Analyzer:
             hit = match_setup_signature(cb.signatures, up, down, key.server_port, cb.mgmt_ports)
             if hit is not None:
                 flow.signature = hit
-                reg = self.detector.register_by_signature(key, ts, cb.platform_id, hit[1])
-                if reg is not None:
-                    self._registered(reg, flow)
-                if flow.latency is None:
-                    flow.latency = LatencyTracker()
+                if flow.gameplay is None:  # its SNI has not registered it
+                    self._registered(self.detector.register_by_signature(key, pkt[0], cb.platform_id, hit[1]), flow, pkt)
                 return
         if len(down) >= FIRST_PAYLOADS_CAP and len(up) >= FIRST_PAYLOADS_CAP:
             flow.signature = ()  # no signature will ever prefix-match now
@@ -197,25 +193,13 @@ class Analyzer:
 
     def _finalize(self, stats: CaptureStats) -> AnalysisReport:
         gameplays = list(self.detector.registrations.values())
-        fallback_ids = itertools.count(1)
         unclassified = 0
         negative_latency = 0
         latency_unreported = 0
 
         for reg in gameplays:
-            if reg.session is None:
-                reg.session = SessionRecord(
-                    session_id="u%d" % next(fallback_ids),
-                    client_ip=reg.client_ip,
-                    platform_id=reg.platform_id,
-                    setup=reg.setup_class if reg.via_signature else "unknown",
-                    detected_at=reg.registered_at,
-                    gameplays=[reg],
-                )
-                self.detector.sessions.append(reg.session)
             latency = reg.flows[0].latency
-            if latency is not None:
-                negative_latency += latency.negative_discarded
+            negative_latency += latency.negative_discarded
             video = None
             for flow in reg.flows:
                 if flow.role is None:
@@ -249,23 +233,20 @@ class Analyzer:
         }
         return AnalysisReport(list(self.detector.sessions), gameplays, counters)
 
-    def _session_qoe(
-        self, latency: Optional[LatencyTracker], video: Optional[FlowState]
-    ) -> tuple[list[QoeSample], int]:
+    def _session_qoe(self, latency: LatencyTracker, video: Optional[FlowState]) -> tuple[list[QoeSample], int]:
         """One sample per whole window of the video flow, on the flow table's
         grid: its bitrate and trailing peak come from the flow's own windows.
         Also returns how many latency samples no row reports: those in a
         window without a row, or all of them when there is no video flow."""
-        lat_total = 0 if latency is None else len(latency.samples)
+        lat_total = len(latency.samples)
         if video is None or video.qoe is None:
             return [], lat_total
         windows = video.windows
         lat_reported = 0
 
         latency_buckets: dict[int, list[float]] = {}
-        if latency is not None:
-            for sample in latency.samples:
-                latency_buckets.setdefault(int(sample.ts // WINDOW_S), []).append(sample.latency_ms)
+        for sample in latency.samples:
+            latency_buckets.setdefault(int(sample.ts // WINDOW_S), []).append(sample.latency_ms)
 
         samples = []
         for fs in video.qoe.fps_samples:

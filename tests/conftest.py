@@ -6,9 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 from gamesight import cli
+from gamesight.classify import ROLE_MGMT
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
+from gamesight.qoe import LatencyTracker
 
 
 def packed(ip: str) -> bytes:
@@ -62,20 +64,28 @@ def tmp_pcap(tmp_path):
 
 def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     """The invariants of one analyzed capture's gameplays: the report lists
-    the registrations in registration order; each is in the `gameplays` of
-    exactly one session, its own `session`; each of its flows points back to
-    it; its rows' windows strictly increase; and all rows together are the
-    `qoe_samples` that `analyze` printed. Beside them, the analyzer holds
-    only state an output can read: every pattern a detector client holds a
-    time for is a codebook pattern, and no UDP flow that joined nothing and
-    has left the queue of flows a registration could still adopt keeps its
-    windows."""
+    each session once, the `s` ids and the `u` ids each increasing, and the
+    registrations in registration order; each registration is in the
+    `gameplays` of exactly one session, its own `session`; its first flow
+    is its management flow, with a latency tracker; each of its flows points
+    back to it; its rows' windows strictly increase; and all rows together
+    are the `qoe_samples` that `analyze` printed. Beside them, the analyzer
+    holds only state an output can read: every pattern a detector client
+    holds a time for is a codebook pattern, and no UDP flow that joined
+    nothing and has left the queue of flows a registration could still
+    adopt keeps its windows."""
+    ids = [s.session_id for s in report.sessions]
+    assert len(set(map(id, report.sessions))) == len(ids)
+    for prefix in "su":
+        numbers = [int(i[1:]) for i in ids if i[0] == prefix]
+        assert numbers == sorted(set(numbers))
     regs = list(analyzer.detector.registrations.values())
     assert report.gameplays == regs
     held = [(reg, session) for session in report.sessions for reg in session.gameplays]
     assert sorted(id(reg) for reg, _ in held) == sorted(map(id, regs))
     assert all(reg.session is session for reg, session in held)
     for reg in regs:
+        assert reg.flows[0].role == ROLE_MGMT and isinstance(reg.flows[0].latency, LatencyTracker)
         assert all(flow.gameplay is reg for flow in reg.flows)
         windows = [int(row.ts // WINDOW_S) for row in reg.rows]
         assert all(a < b for a, b in zip(windows, windows[1:]))

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from gamesight.cli import main
 from gamesight.codebook import default_codebook_path
+from gamesight.report import write_qoe_csv
 
 
 def _run(args, env=None):
@@ -236,6 +237,31 @@ def test_out_naming_a_file_exit_1(tmp_path):
     (line,) = res.stderr.splitlines()
     assert line.startswith("cannot write to %s: " % taken)
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("nets", ["10.0.0.0/33", "10.0.0.1/8", "nonsense"])
+def test_malformed_client_nets_exit_1(tmp_path, nets):
+    # refused before the output directory is made and any capture is read
+    out = tmp_path / "o"
+    res = _run(["analyze", "--pcap", str(tmp_path / "nope.pcap"), "--client-nets", "192.0.2.0/24," + nets, "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("malformed --client-nets: ") and nets in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--in", "--truth", "--sessions"])
+def test_report_missing_input_exit_1(tmp_path, option):
+    qoe = str(tmp_path / "qoe.csv")
+    write_qoe_csv(qoe, [])
+    missing = str(tmp_path / "nope")
+    args = {"--in": qoe, option: missing}
+    res = _run(["report", *(a for kv in args.items() for a in kv)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("cannot read %s: " % missing)
 
 
 def test_report_schema_mismatch_exit_1(tmp_path):

@@ -191,16 +191,33 @@ def test_signature_matching(up, down, port, expect):
 
 
 def test_register_by_signature():
+    # no platform session is open: the registration gets its own fallback
+    # session at once, with the signature's agent class as its setup
     det = _detector()
     key = _key(server_ip="203.0.113.7", sport=322)
     reg = det.register_by_signature(key, 3.0, "gfn", "console_app")
-    assert reg.via_signature
     assert det.registrations[key] is reg
+    assert (reg.session.session_id, reg.session.setup, reg.session.detected_at) == ("u1", "console_app", 3.0)
+    assert det.sessions == [reg.session]
+    assert reg.session.gameplays == [reg]
     # a repeat on the same key is refused, as by name, and counted
     assert det.register_by_signature(key, 4.0, "gfn", "console_app") is None
     assert det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", key, 5.0) is None
     assert det.registrations == {key: reg}
     assert det.repeated_registrations == 2
+
+
+def test_name_registration_without_a_platform_session_gets_a_fallback():
+    det = _detector()
+    key = _key(server_ip="203.0.113.7", sport=322)
+    reg = det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", key, 3.0)
+    assert (reg.session.session_id, reg.session.setup, reg.session.platform_id) == ("u1", "unknown", "gfn")
+    assert det.sessions == [reg.session]
+    assert reg.session.gameplays == [reg]
+    # a second one from the same client gets the next fallback session
+    other = det.register_gameplay_server("203-0-113-8.pnt.nvidiagrid.net", _key(server_ip="203.0.113.8", sport=322), 4.0)
+    assert [s.session_id for s in det.sessions] == ["u1", "u2"]
+    assert other.session is det.sessions[1]
 
 
 def test_signature_registration_joins_the_open_platform_session():
@@ -210,6 +227,7 @@ def test_signature_registration_joins_the_open_platform_session():
     key = _key(server_ip="203.0.113.7", sport=322)
     reg = det.register_by_signature(key, 30.0, "gfn", "console_app")
     assert reg.session is session
+    assert det.sessions == [session]  # no fallback session
     assert session.state == STATE_GAMEPLAY
     assert (ip_text(session.gameplays[-1].server_ip), session.gameplays[-1].registered_at) == ("203.0.113.7", 30.0)
 

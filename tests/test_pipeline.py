@@ -11,7 +11,7 @@ from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, 
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
-from gamesight.report import load_qoe_csv
+from gamesight.report import load_qoe_csv, load_sessions_jsonl
 from gamesight.synth import (
     SessionProfile,
     build_client_hello,
@@ -713,6 +713,39 @@ def test_strip_sni_signature_fallback(tmp_path):
     assert s.session_id.startswith("u")
     roles = sorted(r for _, r in _flows(s))
     assert roles == ["down_audio", "down_video", "gameplay_mgmt", "up_audio", "user_input"]
+
+
+def test_an_sni_registration_is_not_repeated_by_its_signature(tmp_path):
+    """The management flow that its SNI registered matches its handshake
+    signature later: that gives the session its OS hint, and is no second
+    registration."""
+    path, _ = _capture(tmp_path)
+    report = _analyze(path)
+    assert report.counters["repeated_registrations"] == 0
+    (written,) = load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))
+    assert (written["session_id"], written["os_hint"]) == ("s1", "windows")
+
+
+def test_sessions_are_listed_in_the_order_they_were_made(tmp_path):
+    """Client A's stripped-SNI gameplay registers before client B's platform
+    session is detected: A's fallback session comes first."""
+    a, manifest = gen_session(
+        SessionProfile(platform="gfn", setup="desktop_app", client_ip="192.0.2.10", base_ts=1000.0, duration_s=6.0, seed=7, strip_sni=True)
+    )
+    registered = manifest.data["timeline"]["gameplay_start"]
+    b, _ = gen_session(
+        SessionProfile(
+            platform="gfn", setup="desktop_app", client_ip="192.0.2.11", server_ip="203.0.113.8",
+            base_ts=registered + 1.0, duration_s=6.0, seed=8,
+        )
+    )
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(sorted(a + b, key=lambda r: r[0]), path)
+    report = _analyze(path)
+    assert [(s.session_id, ip_text(s.client_ip)) for s in report.sessions] == [("u1", "192.0.2.10"), ("s1", "192.0.2.11")]
+    assert report.sessions[0].detected_at < report.sessions[1].detected_at
+    written = [d["session_id"] for d in load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))]
+    assert written == ["u1", "s1"]
 
 
 def test_xbox_session(tmp_path):
