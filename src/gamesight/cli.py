@@ -19,10 +19,12 @@ from .errors import BandMismatch, InvalidProfile, MalformedHeader
 from .pipeline import Analyzer
 from .report import (
     SchemaError,
+    capture_outputs,
+    load_manifest,
     load_qoe_csv,
     load_sessions_jsonl,
+    score,
     summarize,
-    truth_errors,
     write_qoe_csv,
     write_sessions_jsonl,
 )
@@ -86,25 +88,9 @@ def analyze(pcaps, client_nets, codebook, out_dir):
         except (MalformedHeader, OSError) as exc:
             click.echo("malformed capture %s: %s" % (path, exc), err=True)
             sys.exit(2)
-        prefix = "" if len(pcaps) == 1 else "c%d-" % i
-        for session in rep.sessions:
-            d = session.to_dict()
-            d["session_id"] = prefix + d["session_id"]
-            d["capture"] = str(path)
-            sessions.append(d)
-        for reg in rep.gameplays:
-            for s in reg.rows:
-                qoe_rows.append(
-                    {
-                        "ts": round(s.ts, 6),
-                        "session_id": prefix + reg.session.session_id,
-                        "latency_ms": None if s.latency_ms is None else round(s.latency_ms, 3),
-                        "fps": None if s.fps is None else round(s.fps, 3),
-                        "fps_band": s.fps_band,
-                        "bitrate_mbps": round(s.bitrate_mbps, 4),
-                        "resolution": s.resolution,
-                    }
-                )
+        found, rows = capture_outputs(rep, str(path), "" if len(pcaps) == 1 else "c%d-" % i)
+        sessions += found
+        qoe_rows += rows
         for k, v in rep.counters.items():
             if isinstance(v, dict):
                 merged = counters.setdefault(k, {})
@@ -112,8 +98,7 @@ def analyze(pcaps, client_nets, codebook, out_dir):
                     merged[reason] = merged.get(reason, 0) + n
             else:
                 counters[k] = counters.get(k, 0) + v
-        rows = sum(len(reg.rows) for reg in rep.gameplays)
-        log.info("%s: %d sessions, %d qoe samples", path, len(rep.sessions), rows)
+        log.info("%s: %d sessions, %d qoe samples", path, len(found), len(rows))
 
     write_sessions_jsonl(str(out / "sessions.jsonl"), sessions)
     write_qoe_csv(str(out / "qoe.csv"), qoe_rows)
@@ -175,22 +160,23 @@ def generate(profile, fps, resolution, rtt_ms, duration, seed, out_path, os_name
 
 @main.command(name="report")
 @click.option("--in", "qoe_path", required=True, type=click.Path())
-@click.option("--truth", default=None, type=click.Path(), help="Ground-truth manifest.")
-@click.option("--sessions", default=None, type=click.Path(), help="sessions.jsonl for per-setup grouping.")
+@click.option("--truth", "truths", multiple=True, type=click.Path(), help="Ground-truth manifest (repeatable).")
+@click.option("--sessions", "sessions_path", default=None, type=click.Path(), help="sessions.jsonl (needed by --truth).")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", "out_path", default=None, type=click.Path())
-def report_cmd(qoe_path, truth, sessions, fmt, out_path):
+def report_cmd(qoe_path, truths, sessions_path, fmt, out_path):
     """Aggregate a qoe.csv into band shares, latency percentiles and, with
-    --truth, error metrics against the manifest."""
+    --truth, scores of its sessions against the manifests."""
     try:
         rows = load_qoe_csv(qoe_path)
-        setups = None
-        if sessions:
-            setups = {s["session_id"]: s["setup"] for s in load_sessions_jsonl(sessions)}
-        summary = summarize(rows, setups)
-        if truth:
-            with open(truth) as fh:
-                summary["truth_errors"] = truth_errors(rows, json.load(fh))
+        manifests = [load_manifest(path) for path in truths]
+        sessions = load_sessions_jsonl(sessions_path) if sessions_path else None
+        if manifests and sessions is None:
+            click.echo("report --truth needs --sessions", err=True)
+            sys.exit(1)
+        summary = summarize(rows, None if sessions is None else {s["session_id"]: s["setup"] for s in sessions})
+        if manifests:
+            summary["truth"] = score(sessions, rows, manifests)
     except (SchemaError, KeyError, ValueError) as exc:
         click.echo("schema mismatch: %s" % exc, err=True)
         sys.exit(1)
@@ -212,8 +198,9 @@ def report_cmd(qoe_path, truth, sessions, fmt, out_path):
                 writer.writerow([setup, "resolution_share", k, "%.6f" % v])
             for k, v in g["latency_ms"].items():
                 writer.writerow([setup, "latency_ms", k, "%.3f" % v])
-        for k, v in summary.get("truth_errors", {}).items():
-            writer.writerow(["", "truth_error", k, v])
+        for k, v in summary.get("truth", {}).items():
+            if k not in ("failures", "matches"):  # the pooled scalars only
+                writer.writerow(["", "truth", k, v])
         text = buf.getvalue()
 
     if out_path:

@@ -224,7 +224,8 @@ class SessionDetector:
                 continue
             embedded_ip = decode_gameplay_name(cb.gameplay_name_pattern, name)
             if embedded_ip is not None:
-                return self._register(key, ts, cb, setup_class, SETUP_UNKNOWN, embedded_ip != ip_text(key.server_ip))
+                mismatch = embedded_ip != ip_text(key.server_ip)
+                return self._register(key, ts, cb, setup_class, mismatch, by_signature=False)
         return None
 
     def register_by_signature(
@@ -232,16 +233,18 @@ class SessionDetector:
     ) -> Optional[ServerRegistration]:
         """Encryption-agnostic fallback: a handshake-size signature match on
         a management-port flow registers its server without an SNI."""
-        return self._register(key, ts, self._codebook[platform_id], setup_class, setup_class, False)
+        return self._register(key, ts, self._codebook[platform_id], setup_class, False, by_signature=True)
 
     def _register(
-        self, key: FlowKey, ts: float, cb: ServiceCodebook, setup_class: str, fallback_setup: str, ip_mismatch: bool
+        self, key: FlowKey, ts: float, cb: ServiceCodebook, setup_class: str, ip_mismatch: bool, by_signature: bool
     ) -> Optional[ServerRegistration]:
         """Keep a new registration under its management flow's key and return
         it, or count a repeat on a key that has one and return None. A kept
         registration joins its client's open platform session, which enters
-        gameplay, or else gets its own fallback session (`u1`, `u2`, ... in
-        registration order) with `fallback_setup`."""
+        gameplay, if that is of its platform or `by_signature` (other platforms'
+        handshakes match a signature too), or else gets its own fallback
+        session (`u1`, `u2`, ... in registration order) with the signature's
+        class as its setup, or unknown."""
         if key in self.registrations:
             self.repeated_registrations += 1
             return None
@@ -255,14 +258,14 @@ class SessionDetector:
             ip_mismatch_warning=ip_mismatch,
         )
         st = self.clients.get(key.client_ip)
-        if st is not None and st.session is not None:
+        if st is not None and st.session is not None and (by_signature or st.session.platform_id == cb.platform_id):
             reg.session = st.session
         else:
             reg.session = SessionRecord(
                 session_id="u%d" % next(self._fallback_ids),
                 client_ip=key.client_ip,
                 platform_id=cb.platform_id,
-                setup=fallback_setup,
+                setup=setup_class if by_signature else SETUP_UNKNOWN,
                 detected_at=ts,
             )
             self.sessions.append(reg.session)

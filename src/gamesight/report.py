@@ -1,4 +1,4 @@
-"""Aggregation of QoE series into distribution views and truth-error metrics."""
+"""Analysis outputs: their rows, files, distribution views and scores against generator manifests."""
 
 from __future__ import annotations
 
@@ -20,6 +20,28 @@ class SchemaError(Exception):
     pass
 
 
+def capture_outputs(rep, capture: str, prefix: str = "") -> tuple[list[dict], list[dict]]:
+    """The sessions.jsonl objects and qoe.csv rows of one analyzed capture:
+    each session's `to_dict` with `prefix` on its id and the capture's path,
+    and each gameplay's QoE samples, rounded as they are written."""
+    sessions = [s.to_dict() for s in rep.sessions]
+    sessions = [{**d, "session_id": prefix + d["session_id"], "capture": capture} for d in sessions]
+    rows = [
+        {
+            "ts": round(s.ts, 6),
+            "session_id": prefix + reg.session.session_id,
+            "latency_ms": None if s.latency_ms is None else round(s.latency_ms, 3),
+            "fps": None if s.fps is None else round(s.fps, 3),
+            "fps_band": s.fps_band,
+            "bitrate_mbps": round(s.bitrate_mbps, 4),
+            "resolution": s.resolution,
+        }
+        for reg in rep.gameplays
+        for s in reg.rows
+    ]
+    return sessions, rows
+
+
 def write_qoe_csv(path: str, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("# schema=%s\n" % QOE_SCHEMA)
@@ -39,6 +61,8 @@ def load_qoe_csv(path: str) -> list[dict]:
             raise SchemaError("unexpected qoe columns: %r" % (reader.fieldnames,))
         rows = []
         for raw in reader:
+            if None in raw or None in raw.values():
+                raise SchemaError("qoe line %d does not have the %d columns" % (reader.line_num + 1, len(QOE_COLUMNS)))
             rows.append(
                 {
                     "ts": float(raw["ts"]),
@@ -63,9 +87,20 @@ def write_sessions_jsonl(path: str, sessions: list[dict]) -> None:
 def load_sessions_jsonl(path: str) -> list[dict]:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("schema") != SESSIONS_SCHEMA:
+        if not isinstance(header, dict) or header.get("schema") != SESSIONS_SCHEMA:
             raise SchemaError("unexpected sessions schema: %r" % header)
-        return [json.loads(line) for line in fh if line.strip()]
+        sessions = [json.loads(line) for line in fh if line.strip()]
+    if not all(isinstance(s, dict) for s in sessions):
+        raise SchemaError("a sessions line is not a JSON object")
+    return sessions
+
+
+def load_manifest(path: str) -> dict:
+    with open(path) as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise SchemaError("manifest %s is not a JSON object" % path)
+    return manifest
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -117,36 +152,89 @@ def summarize(rows: list[dict], session_setups: Optional[dict[str, str]] = None)
     return out
 
 
-def truth_errors(rows: list[dict], manifest: dict) -> dict:
-    """Error metrics against a generator manifest (single-session captures).
-
-    Measured samples are matched to truth seconds by index from gameplay
-    start; the warm-up intervals are excluded from the fps error.
-    """
-    truth = manifest.get("qoe", [])
+def pair_rows(rows: list[dict], truth: list[dict]) -> list[tuple[dict, dict, int]]:
+    """(row, truth entry, k) for each row with 0 <= k < len(truth), where k is
+    `int(round(row ts - first truth ts))`."""
     if not truth:
         raise SchemaError("manifest has no qoe truth")
-    t_start = truth[0]["ts"]
-    fps_errors = []
-    res_total = 0
-    res_match = 0
-    latency_bias = []
-    rtt = manifest.get("rtt_ms")
-    for row in rows:
-        k = int(round(row["ts"] - t_start))
-        if k < 0 or k >= len(truth):
-            continue
-        entry = truth[k]
-        if row["fps"] is not None and k >= WARMUP_INTERVALS:
-            fps_errors.append(abs(row["fps"] - entry["fps"]))
-        res_total += 1
-        if row["resolution"] == entry["resolution"]:
-            res_match += 1
-        if row["latency_ms"] is not None and rtt is not None:
-            latency_bias.append(row["latency_ms"] - rtt)
+    pairs = ((row, int(round(row["ts"] - truth[0]["ts"]))) for row in rows)
+    return [(row, truth[k], k) for row, k in pairs if 0 <= k < len(truth)]
+
+
+def match_sessions(sessions: list[dict], manifests: list[dict]) -> tuple[list[tuple], list[dict]]:
+    """Give each manifest, in order, a session of its client that no earlier
+    manifest took, preferring one of the manifest's gameplay server, or None.
+    Returns the (manifest, session) pairs and the sessions no manifest took."""
+    left = list(sessions)
+    pairs = []
+    for m in manifests:
+        mine = [s for s in left if s["client_ip"] == m["client_ip"]]
+        session = next((s for s in mine if s["gameplay_server_ip"] == m["server_ip"]), mine[0] if mine else None)
+        if session is not None:
+            left.remove(session)
+        pairs.append((m, session))
+    return pairs, left
+
+
+def _roles(flows: list[dict]) -> dict:
+    return {(f["client_ip"], f["client_port"], f["server_ip"], f["server_port"], f["proto"]): f["role"] for f in flows}
+
+
+def role_errors(flows: list[dict], truth_flows: list[dict]) -> dict:
+    """Each five-tuple whose role in a session's `gameplay_flows` differs
+    from its role in a manifest's `flows`, as (role, truth role), with None
+    for a flow that one of them does not list."""
+    got, want = _roles(flows), _roles(truth_flows)
+    errors = {key: (got.get(key), role) for key, role in want.items() if got.get(key) != role}
+    errors.update((key, (role, None)) for key, role in got.items() if key not in want)
+    return errors
+
+
+def _problems(session: dict, manifest: dict) -> list[str]:
+    """How a session differs from its manifest: platform, setup, gameplay
+    server and flow roles."""
+    fields = (("platform", "platform"), ("setup", "setup"), ("gameplay_server_ip", "server_ip"))
+    problems = ["%s %r != %r" % (f, session[f], manifest[k]) for f, k in fields if session[f] != manifest[k]]
+    for key, roles in role_errors(session["gameplay_flows"], manifest["flows"]).items():
+        problems.append("flow %s:%s-%s:%s/%s role %r != %r" % (*key, *roles))
+    return problems
+
+
+def _mean(xs: list) -> Optional[float]:
+    return sum(xs) / len(xs) if xs else None
+
+
+def _errors(scored: list[tuple[list, float]]) -> dict:
+    """The fps MAE past the warm-up, the resolution accuracy, and the latency
+    MAE and signed bias over matches' paired rows, each with its `rtt_ms`."""
+    fps, hits, latency = [], [], []
+    for pairs, rtt in scored:
+        fps += [abs(row["fps"] - t["fps"]) for row, t, k in pairs if row["fps"] is not None and k >= WARMUP_INTERVALS]
+        hits += [row["resolution"] == t["resolution"] for row, t, _ in pairs]
+        latency += [row["latency_ms"] - rtt for row, _, _ in pairs if row["latency_ms"] is not None]
     return {
-        "mean_abs_fps_error": sum(fps_errors) / len(fps_errors) if fps_errors else math.nan,
-        "resolution_accuracy": res_match / res_total if res_total else math.nan,
-        "latency_bias_ms": sum(latency_bias) / len(latency_bias) if latency_bias else math.nan,
-        "samples": len(rows),
+        "fps_mae": _mean(fps),
+        "resolution_accuracy": _mean(hits),
+        "latency_mae_ms": _mean([abs(e) for e in latency]),
+        "latency_bias_ms": _mean(latency),
     }
+
+
+def score(sessions: list[dict], rows: list[dict], manifests: list[dict]) -> dict:
+    """Score output sessions and QoE rows against generator manifests. Each
+    manifest is one operation, failed when `match_sessions` finds it no
+    session or `_problems` finds any, and so is each session no manifest
+    took. Returns the pooled results, and each match's under `matches`."""
+    pairs, unmatched = match_sessions(sessions, manifests)
+    scored, matches, failures = [], [], []
+    for m, s in pairs:
+        problems = ["session missing"] if s is None else _problems(s, m)
+        paired = [] if s is None else pair_rows([r for r in rows if r["session_id"] == s["session_id"]], m["qoe"])
+        scored.append((paired, m["rtt_ms"]))
+        if problems:
+            failures.append("%s: %s" % (m["client_ip"], "; ".join(problems)))
+        sid = None if s is None else s["session_id"]
+        matches.append({"client_ip": m["client_ip"], "session_id": sid, "problems": problems, **_errors(scored[-1:])})
+    failures += ["%s %s: no manifest describes this session" % (s["session_id"], s["client_ip"]) for s in unmatched]
+    pooled = {"attempted": len(pairs) + len(unmatched), "failed": len(failures), "failures": failures}
+    return {**pooled, **_errors(scored), "matches": matches}

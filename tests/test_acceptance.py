@@ -16,6 +16,7 @@ from gamesight.pipeline import Analyzer
 from gamesight.qoe import FrameRateTracker, WARMUP_INTERVALS
 from gamesight.flows import FlowTable
 from gamesight.packets import PacketRecord, UDP
+from gamesight.report import capture_outputs, pair_rows, role_errors
 from gamesight.synth import SessionProfile, write_session
 
 from conftest import packed
@@ -36,18 +37,16 @@ def _report_line(num: int, ok: bool, detail: str) -> None:
 
 
 class SessionResult:
-    def __init__(self, setup, fps, band, rtt_ms, manifest, report, analyze_s):
+    """One corpus capture: its profile, its manifest, and the sessions.jsonl
+    objects and qoe.csv rows `analyze` writes for it."""
+
+    def __init__(self, setup, fps, band, rtt_ms, manifest, report, path, analyze_s):
         self.setup = setup
         self.fps = fps
         self.band = band
         self.rtt_ms = rtt_ms
         self.manifest = manifest.data
-        self.sessions = [s.to_dict() for s in report.sessions]
-        self.qoe = {reg.session.session_id: reg.rows for reg in report.gameplays}
-        self.flow_roles = [
-            {(f["client_port"], f["server_port"]): f["role"] for f in s["gameplay_flows"]}
-            for s in self.sessions
-        ]
+        self.sessions, self.rows = capture_outputs(report, path)
         self.analyze_s = analyze_s
 
 
@@ -80,7 +79,7 @@ def corpus(tmp_path_factory):
         report = Analyzer(client_nets=NETS).analyze_file(path)
         dt = time.perf_counter() - t0
         total_analyze += dt
-        results.append(SessionResult(setup, fps, band, rtt, manifest, report, dt))
+        results.append(SessionResult(setup, fps, band, rtt, manifest, report, path, dt))
         os.unlink(path)  # keep the corpus dir small
     return {"results": results, "analyze_s": total_analyze, "generate_s": total_generate}
 
@@ -104,24 +103,14 @@ def test_criterion_1_detection_accuracy(corpus):
     )
 
 
-def _qoe_vs_truth(r):
-    """Pairs (sample, truth_entry, k): k counts the truth seconds from
-    gameplay start to the sample's window, as `report.truth_errors` pairs them."""
-    samples = r.qoe[r.sessions[0]["session_id"]]
-    truth = r.manifest["qoe"]
-    t_start = truth[0]["ts"]
-    pairs = [(s, round(s.ts - t_start)) for s in samples]
-    return [(s, truth[k], k) for s, k in pairs if 0 <= k < len(truth)]
-
-
 def test_criterion_2_frame_rate(corpus):
     worst_mean = 0.0
     worst_interval = 0.0
     for r in corpus["results"]:
         errs = [
-            abs(s.fps - t["fps"])
-            for s, t, k in _qoe_vs_truth(r)
-            if k >= WARMUP_INTERVALS and s.fps is not None
+            abs(row["fps"] - t["fps"])
+            for row, t, k in pair_rows(r.rows, r.manifest["qoe"])
+            if k >= WARMUP_INTERVALS and row["fps"] is not None
         ]
         assert errs
         worst_mean = max(worst_mean, sum(errs) / len(errs))
@@ -138,11 +127,11 @@ def test_criterion_2_frame_rate(corpus):
 def test_criterion_3_resolution(corpus):
     match = total = 0
     for r in corpus["results"]:
-        for s, t, k in _qoe_vs_truth(r):
+        for row, t, k in pair_rows(r.rows, r.manifest["qoe"]):
             if k < PEAK_WINDOW:  # steady segment: trailing peak window is full
                 continue
             total += 1
-            match += s.resolution == t["resolution"]
+            match += row["resolution"] == t["resolution"]
     acc = match / total
     ok = acc >= 0.95
     _report_line(3, ok, "resolution accuracy %.2f%% on %d steady samples (>= 95%%)" % (acc * 100, total))
@@ -152,8 +141,7 @@ def test_criterion_4_latency(corpus):
     by_rtt = {rtt: [] for rtt in RTTS}
     rates = []
     for r in corpus["results"]:
-        samples = r.qoe[r.sessions[0]["session_id"]]
-        lat = [s.latency_ms for s in samples if s.latency_ms is not None]
+        lat = [row["latency_ms"] for row in r.rows if row["latency_ms"] is not None]
         assert lat, "session produced no latency samples"
         by_rtt[r.rtt_ms].extend(lat)
         rates.append(len(lat) / GAMEPLAY_S)
@@ -173,12 +161,8 @@ def test_criterion_5_flow_roles(corpus, tmp_path):
     errors = 0
     checked = 0
     for r in corpus["results"]:
-        truth = {
-            (f["client_port"], f["server_port"]): f["role"] for f in r.manifest["flows"]
-        }
-        got = r.flow_roles[0]
-        checked += len(truth)
-        errors += sum(1 for k, role in truth.items() if got.get(k) != role)
+        checked += len(r.manifest["flows"])
+        errors += len(role_errors(r.sessions[0]["gameplay_flows"], r.manifest["flows"]))
 
     # XBox sessions: combined media and STUN flows separated there too
     for setup in ("hardware_console", "pc_browser"):
@@ -192,17 +176,9 @@ def test_criterion_5_flow_roles(corpus, tmp_path):
         )
         path = str(tmp_path / "x.pcap")
         manifest = write_session(profile, path, str(tmp_path / "x.json"))
-        report = Analyzer(client_nets=NETS).analyze_file(path)
-        truth = {
-            (f["client_port"], f["server_port"]): f["role"]
-            for f in manifest.data["flows"]
-        }
-        got = {
-            (f["client_port"], f["server_port"]): f["role"]
-            for f in report.sessions[0].to_dict()["gameplay_flows"]
-        }
-        checked += len(truth)
-        errors += sum(1 for k, role in truth.items() if got.get(k) != role)
+        sessions, _ = capture_outputs(Analyzer(client_nets=NETS).analyze_file(path), path)
+        checked += len(manifest.data["flows"])
+        errors += len(role_errors(sessions[0]["gameplay_flows"], manifest.data["flows"]))
 
     ok = errors == 0
     _report_line(5, ok, "%d role errors over %d labeled flows (console + browser + xbox)" % (errors, checked))

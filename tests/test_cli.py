@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from gamesight.cli import main
 from gamesight.codebook import default_codebook_path
-from gamesight.report import write_qoe_csv
+from gamesight.report import load_sessions_jsonl, write_qoe_csv, write_sessions_jsonl
 
 
 def _run(args, env=None):
@@ -49,7 +49,8 @@ def test_generate_analyze_report_roundtrip(tmp_path):
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert "desktop_app" in rep["groups"]
-    assert rep["truth_errors"]["mean_abs_fps_error"] < 2.0
+    assert (rep["truth"]["attempted"], rep["truth"]["failed"]) == (1, 0)
+    assert rep["truth"]["fps_mae"] < 2.0
 
 
 def test_report_csv_format(tmp_path):
@@ -262,6 +263,107 @@ def test_report_missing_input_exit_1(tmp_path, option):
     assert res.stdout == ""
     (line,) = res.stderr.splitlines()
     assert line.startswith("cannot read %s: " % missing)
+
+
+def test_report_truth_needs_sessions_exit_1(tmp_path):
+    _, manifest = _generate(tmp_path)
+    qoe = str(tmp_path / "qoe.csv")
+    write_qoe_csv(qoe, [])
+    res = _run(["report", "--in", qoe, "--truth", manifest])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["report --truth needs --sessions"]
+
+
+def _report_inputs(tmp_path, part, text):
+    """A valid qoe.csv, sessions.jsonl and manifest, with `part` replaced by `text`."""
+    paths = {"qoe": tmp_path / "qoe.csv", "sessions": tmp_path / "sessions.jsonl", "manifest": tmp_path / "m.json"}
+    write_qoe_csv(str(paths["qoe"]), [])
+    write_sessions_jsonl(str(paths["sessions"]), [])
+    paths["manifest"].write_text("{}")
+    paths[part].write_text(text)
+    return ["report", "--in", str(paths["qoe"]), "--sessions", str(paths["sessions"]), "--truth", str(paths["manifest"])]
+
+
+@pytest.mark.parametrize(
+    "part, text, message",
+    [
+        ("manifest", "[]", "is not a JSON object"),
+        (
+            "qoe",
+            "# schema=gamesight-qoe/2\nts,session_id,latency_ms,fps,fps_band,bitrate_mbps,resolution\n1.0,s1,20.0\n",
+            "qoe line 3 does not have the 7 columns",
+        ),
+        ("sessions", '{"schema": "gamesight-sessions/1"}\n["s1"]\n', "a sessions line is not a JSON object"),
+    ],
+    ids=["manifest-a-list", "qoe-row-missing-cells", "sessions-line-a-list"],
+)
+def test_report_wrong_shaped_input_exit_1(tmp_path, part, text, message):
+    res = _run(_report_inputs(tmp_path, part, text))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("schema mismatch: ") and message in line
+
+
+def test_report_csv_writes_the_pooled_truth_scalars(tmp_path):
+    pcap_path, manifest = _generate(tmp_path)
+    out = tmp_path / "out"
+    _run(["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", str(out)])
+    args = ["report", "--in", str(out / "qoe.csv"), "--sessions", str(out / "sessions.jsonl"), "--truth", manifest]
+    scored = json.loads(_run(args).stdout)["truth"]
+    res = _run(args + ["--format", "csv"])
+    assert res.exit_code == 0, res.output
+    lines = [line for line in res.stdout.splitlines() if line.startswith(",truth,")]
+    keys = ["attempted", "failed", "fps_mae", "resolution_accuracy", "latency_mae_ms", "latency_bias_ms"]
+    assert [line.split(",")[2] for line in lines] == keys
+    assert [float(line.split(",")[3]) for line in lines] == [scored[k] for k in keys]
+
+
+def test_report_scores_each_session_against_its_own_manifest(tmp_path):
+    """Two clients of one gameplay server, one at 60 fps fhd and one at 30 fps
+    sd, in one capture: `report --truth a --truth b` matches each session
+    to its client's manifest and scores its rows against that truth."""
+    from gamesight import pcap
+    from gamesight.synth import SessionProfile, gen_session
+
+    records, manifests = [], []
+    for i, (ip, fps, band) in enumerate([("192.0.2.10", 60, "fhd"), ("192.0.2.11", 30, "sd")]):
+        profile = SessionProfile(
+            platform="gfn", setup="desktop_app", client_ip=ip, base_ts=1000.0 + 0.1 * i,
+            fps_schedule=[(0.0, fps)], resolution_schedule=[(0.0, band)], duration_s=12.0, seed=41 + i,
+        )
+        session, manifest = gen_session(profile)
+        records += session
+        manifests.append(str(tmp_path / ("m%d.json" % i)))
+        manifest.save(manifests[-1])
+    path = str(tmp_path / "both.pcap")
+    pcap.write_capture(sorted(records, key=lambda r: r[0]), path)
+    out = tmp_path / "out"
+    assert _run(["analyze", "--pcap", path, "--client-nets", "192.0.2.0/24", "--out", str(out)]).exit_code == 0
+    sessions = {s["client_ip"]: s["session_id"] for s in load_sessions_jsonl(str(out / "sessions.jsonl"))}
+
+    res = _run(
+        ["report", "--in", str(out / "qoe.csv"), "--sessions", str(out / "sessions.jsonl"),
+         "--truth", manifests[1], "--truth", manifests[0]]
+    )
+    assert res.exit_code == 0, res.output
+    truth = json.loads(res.stdout)["truth"]
+    assert (truth["attempted"], truth["failed"]) == (2, 0), truth["failures"]
+    matches = truth["matches"]
+    assert [(m["client_ip"], m["session_id"]) for m in matches] == [
+        ("192.0.2.11", sessions["192.0.2.11"]),
+        ("192.0.2.10", sessions["192.0.2.10"]),
+    ]
+    # against the other client's truth, fps would be 30 off and no resolution right
+    assert all(m["fps_mae"] < 1.0 and m["resolution_accuracy"] == 1.0 for m in matches)
+
+    # each manifest alone scores its own session and counts the other as unmatched
+    for i, m in enumerate(matches):
+        args = ["report", "--in", str(out / "qoe.csv"), "--sessions", str(out / "sessions.jsonl"), "--truth", manifests[1 - i]]
+        alone = json.loads(_run(args).stdout)["truth"]
+        assert (alone["attempted"], alone["failed"]) == (2, 1)
+        assert alone["matches"] == [m]
 
 
 def test_report_schema_mismatch_exit_1(tmp_path):

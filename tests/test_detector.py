@@ -232,6 +232,31 @@ def test_signature_registration_joins_the_open_platform_session():
     assert (ip_text(session.gameplays[-1].server_ip), session.gameplays[-1].registered_at) == ("203.0.113.7", 30.0)
 
 
+def test_a_name_registration_joins_only_a_session_of_its_platform():
+    det = _detector()
+    _observe(det, GFN_CORE)
+    gfn = det.sessions[0]
+    key = _key(server_ip="198.51.100.7", sport=49100)
+    reg = det.register_gameplay_server("198-51-100-7.cloudgame.xboxlive.com", key, 30.0)
+    assert (reg.platform_id, reg.session.session_id, reg.session.platform_id) == ("xbox", "u1", "xbox")
+    assert reg.session.setup == "unknown"
+    assert det.sessions == [gfn, reg.session] and gfn.gameplays == []
+    # a GFN gameplay name still joins the open GFN session
+    gfn_reg = det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", _key(server_ip="203.0.113.7", sport=322), 31.0)
+    assert gfn_reg.session is gfn and gfn.gameplays == [gfn_reg]
+
+
+def test_a_signature_registration_joins_a_session_of_any_platform():
+    # GFN's handshake sizes also match XBox management flows, so a signature
+    # registration's platform is no reason to keep out of the open session
+    det = _detector()
+    _observe(det, ["login.xboxlive.com", "regional-node.xboxlive.com"])
+    (xbox,) = det.sessions
+    assert xbox.platform_id == "xbox"
+    reg = det.register_by_signature(_key(server_ip="198.51.100.7", sport=49100), 30.0, "gfn", "browser")
+    assert reg.session is xbox and det.sessions == [xbox]
+
+
 # -- setup tie-break ----------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, 
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
-from gamesight.report import load_qoe_csv, load_sessions_jsonl
+from gamesight.report import capture_outputs, load_qoe_csv, load_sessions_jsonl, pair_rows, role_errors
 from gamesight.synth import (
     SessionProfile,
     build_client_hello,
@@ -71,14 +71,8 @@ def test_full_console_session(tmp_path):
     assert s.to_dict()["gameplay_server_ip"] == "203.0.113.7"
     assert s.state == "ended"
 
-    got = {
-        (f.client_port, f.server_port): role
-        for (f, role) in _flows(s)
-    }
-    want = {
-        (f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]
-    }
-    assert got == want
+    (written,), _ = capture_outputs(report, path)
+    assert role_errors(written["gameplay_flows"], manifest.data["flows"]) == {}
     assert report.counters["unclassified_flows"] == 0
     assert report.counters["orientation_warnings"] == 0
 
@@ -86,18 +80,16 @@ def test_full_console_session(tmp_path):
 def test_qoe_matches_manifest(tmp_path):
     path, manifest = _capture(tmp_path)
     report = _analyze(path)
-    samples = _rows(report.sessions[0])
+    _, rows = capture_outputs(report, path)
     truth = manifest.data["qoe"]
-    assert len(samples) >= len(truth) - 2  # final partial interval never emitted
-    t_start = truth[0]["ts"]
-    for s in samples:
-        k = round(s.ts - t_start)  # the truth second of the sample's window
-        if k < WARMUP_INTERVALS or k >= len(truth):
+    assert len(rows) >= len(truth) - 2  # final partial interval never emitted
+    for row, t, k in pair_rows(rows, truth):
+        if k < WARMUP_INTERVALS:
             continue
-        assert s.fps == pytest.approx(truth[k]["fps"], abs=5)
-        assert s.resolution == truth[k]["resolution"] or k < 10
+        assert row["fps"] == pytest.approx(t["fps"], abs=5)
+        assert row["resolution"] == t["resolution"] or k < 10
     # latency samples mirror the injected RTT exactly
-    lat = [s.latency_ms for s in samples if s.latency_ms is not None]
+    lat = [row["latency_ms"] for row in rows if row["latency_ms"] is not None]
     assert lat
     assert sum(lat) / len(lat) == pytest.approx(20.0, abs=1.0)
 
@@ -182,8 +174,7 @@ def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
     gameplay packet, with the same timestamp: that flow is still listed
     with its role, but it has missed packets and gives the session no QoE."""
     records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
-    roles = {(f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]}
-    video = next(port for port, role in roles.items() if role == "down_video")
+    video = next((f["client_port"], f["server_port"]) for f in manifest.data["flows"] if f["role"] == "down_video")
 
     def ports(frame):  # (source, destination) of an IPv4 frame
         return int.from_bytes(frame[20:22], "big"), int.from_bytes(frame[22:24], "big")
@@ -197,9 +188,9 @@ def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
     pcap.write_capture(moved, path)
     report = _analyze(path)
 
-    s = report.sessions[0]
-    assert {(k.client_port, k.server_port): role for k, role in _flows(s)} == roles
-    assert _rows(s) == []
+    (written,), _ = capture_outputs(report, path)
+    assert role_errors(written["gameplay_flows"], manifest.data["flows"]) == {}
+    assert _rows(report.sessions[0]) == []
 
 
 @pytest.mark.parametrize("late", [False, True])
@@ -212,7 +203,6 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     adopted, and `unadopted_flows` counts it. The other flows started later
     and are still adopted."""
     records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
-    roles = {(f["client_port"], f["server_port"]): f["role"] for f in manifest.data["flows"]}
     hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and f[22:24] == (322).to_bytes(2, "big") and len(f) > 500)
     first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
     start = records[first_udp][0]
@@ -227,13 +217,13 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     report = _analyze(path)
 
     (s,) = report.sessions
-    listed = {(k.client_port, k.server_port): role for k, role in _flows(s)}
-    video = next(port for port, role in roles.items() if role == "down_video")
-    if late:
-        assert listed == {port: role for port, role in roles.items() if port != video}
+    (written,), _ = capture_outputs(report, path)
+    errors = role_errors(written["gameplay_flows"], manifest.data["flows"])
+    if late:  # only the video flow is missing
+        assert list(errors.values()) == [(None, "down_video")]
         assert report.counters["unadopted_flows"] == 1
     else:
-        assert listed == roles
+        assert errors == {}
         assert report.counters["unadopted_flows"] == 0
     assert _rows(s) == []
 
@@ -270,6 +260,28 @@ def test_a_repeated_registration_keeps_the_first(tmp_path, platform):
     (s,) = report.sessions
     assert s.gameplays == [reg]
     assert s.session_id == ("s1" if platform else "u1")
+
+
+def test_a_gameplay_name_of_another_platform_gets_its_own_session(tmp_path):
+    """The client's GFN platform session is open when an XBox gameplay name
+    registers: the registration gets its own XBox fallback session, and the
+    GFN session stays without gameplay."""
+    client = "192.0.2.10"
+    core = ["login.nvidia.com", "events.nvidia.com", "userstore.nvidia.com", "gfnpc.api.entitlement-prod.nvidiagrid.net"]
+    frames = [
+        (0.1 * i, ipv4_tcp(client, "203.0.113.%d" % (10 + i), 40000 + i, 443, 1, 1, 0x18, build_client_hello(name)))
+        for i, name in enumerate(core)
+    ]
+    hello = build_client_hello("198-51-100-7.cloudgame.xboxlive.com")
+    frames.append((1.0, ipv4_tcp(client, "198.51.100.7", 51000, 49100, 1, 1, 0x18, hello)))
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    _analyze(path)
+    written = load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))
+    assert [(s["session_id"], s["platform"], s["gameplay_server_ip"]) for s in written] == [
+        ("s1", "gfn", None),
+        ("u1", "xbox", "198.51.100.7"),
+    ]
 
 
 def test_client_hello_reassemblies_that_give_up_are_counted(tmp_path):

@@ -2,13 +2,17 @@ import math
 
 import pytest
 
+from gamesight.qoe import WARMUP_INTERVALS
 from gamesight.report import (
     SchemaError,
     _percentile,
     load_qoe_csv,
     load_sessions_jsonl,
+    match_sessions,
+    pair_rows,
+    role_errors,
+    score,
     summarize,
-    truth_errors,
     write_qoe_csv,
     write_sessions_jsonl,
 )
@@ -100,20 +104,117 @@ def test_summarize_without_setups_groups_all():
     assert list(summary["groups"]) == ["all"]
 
 
-def test_truth_errors_exact_match():
-    manifest = {
-        "rtt_ms": 20.0,
-        "qoe": [
-            {"ts": 100.0 + i, "fps": 60, "bitrate_mbps": 18.0, "resolution": "hd"}
-            for i in range(10)
-        ],
+def _flow(role, client_port, server_port, proto="UDP"):
+    return {
+        "role": role,
+        "client_ip": "192.0.2.10",
+        "client_port": client_port,
+        "server_ip": "203.0.113.7",
+        "server_port": server_port,
+        "proto": proto,
     }
-    out = truth_errors(_rows(), manifest)
-    assert out["mean_abs_fps_error"] == 0.0
-    assert out["resolution_accuracy"] == 1.0
-    assert out["latency_bias_ms"] == 0.0
 
 
-def test_truth_errors_requires_truth():
+FLOWS = [_flow("gameplay_mgmt", 51000, 322, "TCP"), _flow("down_video", 49005, 47001), _flow("down_audio", 49003, 47002)]
+
+
+def _manifest(**kw):
+    return {
+        "platform": "gfn",
+        "setup": "desktop_app",
+        "client_ip": "192.0.2.10",
+        "server_ip": "203.0.113.7",
+        "rtt_ms": 20.0,
+        "flows": FLOWS,
+        "qoe": [{"ts": 100.0 + i, "fps": 60, "bitrate_mbps": 18.0, "resolution": "hd"} for i in range(10)],
+        **kw,
+    }
+
+
+def _session(**kw):
+    return {
+        "session_id": "s1",
+        "client_ip": "192.0.2.10",
+        "platform": "gfn",
+        "setup": "desktop_app",
+        "gameplay_server_ip": "203.0.113.7",
+        "gameplay_flows": FLOWS,
+        **kw,
+    }
+
+
+def test_score_exact_match():
+    out = score([_session()], _rows(), [_manifest()])
+    assert (out["attempted"], out["failed"], out["failures"]) == (1, 0, [])
+    metrics = {"fps_mae": 0.0, "resolution_accuracy": 1.0, "latency_mae_ms": 0.0, "latency_bias_ms": 0.0}
+    assert {k: out[k] for k in metrics} == metrics
+    assert out["matches"] == [{"client_ip": "192.0.2.10", "session_id": "s1", "problems": [], **metrics}]
+
+
+def test_pairing_requires_truth():
     with pytest.raises(SchemaError):
-        truth_errors(_rows(), {"qoe": []})
+        pair_rows(_rows(), [])
+
+
+def test_pairing_rounds_to_the_truth_second():
+    truth = _manifest()["qoe"]
+    rows = [dict(_rows()[0], ts=ts) for ts in (99.4, 99.6, 104.49, 109.4, 109.6)]
+    assert [(row["ts"], t["ts"], k) for row, t, k in pair_rows(rows, truth)] == [
+        (99.6, 100.0, 0),
+        (104.49, 104.0, 4),
+        (109.4, 109.0, 9),
+    ]
+
+
+def test_fps_error_skips_the_warm_up_and_latency_error_is_signed():
+    rows = _rows()
+    rows[0]["fps"] = 0.0  # warm-up: not scored
+    rows[5]["fps"] = 57.0
+    rows[2]["latency_ms"] = 26.0
+    rows[4]["latency_ms"] = 18.0
+    out = score([_session()], rows, [_manifest()])
+    assert out["fps_mae"] == pytest.approx(3.0 / (10 - WARMUP_INTERVALS))
+    assert (out["latency_mae_ms"], out["latency_bias_ms"]) == (8.0 / 5, 4.0 / 5)
+
+
+def test_role_errors_by_five_tuple():
+    swapped = [FLOWS[0], dict(FLOWS[1], role="down_audio"), dict(FLOWS[2], role="down_video")]
+    assert role_errors(swapped, FLOWS) == {
+        ("192.0.2.10", 49005, "203.0.113.7", 47001, "UDP"): ("down_audio", "down_video"),
+        ("192.0.2.10", 49003, "203.0.113.7", 47002, "UDP"): ("down_video", "down_audio"),
+    }
+    # the same ports of another server are another flow
+    moved = [FLOWS[0], FLOWS[1], dict(FLOWS[2], server_ip="203.0.113.8")]
+    assert role_errors(moved, FLOWS) == {
+        ("192.0.2.10", 49003, "203.0.113.7", 47002, "UDP"): (None, "down_audio"),
+        ("192.0.2.10", 49003, "203.0.113.8", 47002, "UDP"): ("down_audio", None),
+    }
+    assert role_errors(FLOWS, FLOWS) == {}
+
+
+def test_match_prefers_the_session_of_the_manifests_server():
+    other = _session(session_id="s1", gameplay_server_ip="203.0.113.9")
+    mine = _session(session_id="s2")
+    elsewhere = _session(session_id="s3", client_ip="192.0.2.11")
+    pairs, left = match_sessions([other, mine, elsewhere], [_manifest(), _manifest()])
+    assert [(m["client_ip"], s and s["session_id"]) for m, s in pairs] == [("192.0.2.10", "s2"), ("192.0.2.10", "s1")]
+    assert left == [elsewhere]
+    pairs, left = match_sessions([elsewhere], [_manifest()])
+    assert pairs == [(_manifest(), None)] and left == [elsewhere]
+    # with no session of its server, the client's first session left
+    pairs, left = match_sessions([other, mine], [_manifest(server_ip="203.0.113.99")])
+    assert pairs[0][1] is other and left == [mine]
+
+
+def test_score_counts_missing_and_unmatched_sessions_as_failed():
+    extra = _session(session_id="s2", client_ip="192.0.2.99")
+    out = score([_session(setup="browser"), extra], _rows(), [_manifest(), _manifest(client_ip="192.0.2.11")])
+    assert (out["attempted"], out["failed"]) == (3, 3)
+    assert out["failures"] == [
+        "192.0.2.10: setup 'browser' != 'desktop_app'",
+        "192.0.2.11: session missing",
+        "s2 192.0.2.99: no manifest describes this session",
+    ]
+    assert [m["session_id"] for m in out["matches"]] == ["s1", None]
+    assert out["matches"][1]["fps_mae"] is None
+    assert out["resolution_accuracy"] == 1.0  # the rows of the matched session are scored
