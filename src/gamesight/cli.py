@@ -169,8 +169,8 @@ def report_cmd(qoe_path, truths, sessions_path, fmt, out_path):
     --truth, scores of its sessions against the manifests."""
     try:
         rows = load_qoe_csv(qoe_path)
-        manifests = [load_manifest(path) for path in truths]
         sessions = load_sessions_jsonl(sessions_path) if sessions_path else None
+        manifests = [load_manifest(path) for path in truths]
         if manifests and sessions is None:
             click.echo("report --truth needs --sessions", err=True)
             sys.exit(1)
@@ -197,7 +197,7 @@ def report_cmd(qoe_path, truths, sessions_path, fmt, out_path):
             for k, v in g["resolution_share"].items():
                 writer.writerow([setup, "resolution_share", k, "%.6f" % v])
             for k, v in g["latency_ms"].items():
-                writer.writerow([setup, "latency_ms", k, "%.3f" % v])
+                writer.writerow([setup, "latency_ms", k, "" if v is None else "%.3f" % v])
         for k, v in summary.get("truth", {}).items():
             if k not in ("failures", "matches"):  # the pooled scalars only
                 writer.writerow(["", "truth", k, v])

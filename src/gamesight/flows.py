@@ -10,10 +10,13 @@ from .packets import TCP_FIN, TCP_RST, UDP, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
-    from .qoe import FlowQoe, LatencyTracker
+    from .qoe import FrameRateTracker, LatencyTracker
     from .tls import SniReassembler
 
-WINDOW_S = 1.0  # volumetric window length, also the QoE grid step
+# volumetric window length, also the QoE grid step; a whole number of
+# seconds, so that window idx is exactly [idx * WINDOW_S, (idx + 1) * WINDOW_S)
+# of capture time, the times ts with int(ts // WINDOW_S) == idx
+WINDOW_S = 1.0
 DEFAULT_TABLE_CAP = 1_048_576
 SWEEP_S = 5.0  # capture seconds between expiry sweeps
 CLOSED_LINGER_S = 10.0  # a closed flow expires this long after its last packet
@@ -49,6 +52,12 @@ class FlowState:
     # these lists as they are. Only a UDP flow has them (None on TCP), and
     # the analyzer drops them from a joined flow it decides is not video.
     windows: Optional[dict] = None
+    # the open window: the counts list `windows` holds for the window
+    # [win_start, win_end) of capture time, which the flow's last counted
+    # packet fell in; None once `drop_windows` dropped the windows
+    win: Optional[list] = None
+    win_start: float = 0.0
+    win_end: float = 0.0
     # payload sizes of the first data packets each way (a SYN's data left
     # out), which setup signatures match: the analyzer records them on a
     # management-port TCP flow while its signature is undecided; elsewhere
@@ -66,7 +75,11 @@ class FlowState:
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
     role: Optional[str] = None  # set at registration on the mgmt flow; decided once its classifying windows close
-    qoe: Optional[FlowQoe] = None  # frame-rate inputs while it may be the video flow
+    frames: Optional[FrameRateTracker] = None  # while it may be the video flow
+
+    def drop_windows(self) -> None:
+        """Stop counting windows: drop them with the open window."""
+        self.windows = self.win = None
 
 
 class FlowTable:
@@ -176,12 +189,15 @@ class FlowTable:
         if flags and flags & CLOSING:
             flow.closed = True
 
-        windows = flow.windows
-        if windows is not None:
-            idx = int(ts // WINDOW_S)
-            win = windows.get(idx)
-            if win is None:
-                win = windows[idx] = [0, 0, 0, 0]
+        if flow.windows is not None:
+            if flow.win_start <= ts < flow.win_end:
+                win = flow.win
+            else:  # a new window, or a late packet: index it, and open its window
+                idx = int(ts // WINDOW_S)
+                win = flow.windows.get(idx)
+                if win is None:
+                    win = flow.windows[idx] = [0, 0, 0, 0]
+                flow.win, flow.win_start, flow.win_end = win, idx * WINDOW_S, (idx + 1) * WINDOW_S
             if down:
                 win[0] += 1
                 win[2] += size

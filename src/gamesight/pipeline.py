@@ -19,7 +19,7 @@ from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import ServerRegistration, SessionDetector
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
-from .qoe import FlowQoe, LatencyTracker, QoeSample, fps_band, resolution_band
+from .qoe import FrameRateTracker, LatencyTracker, QoeSample, fps_band, resolution_band
 from .tls import SniReassembler
 
 PEAK_WINDOW_INTERVALS = 10
@@ -78,8 +78,8 @@ class Analyzer:
                 return
             if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                 self._decide(flow)  # the windows that classify the flow have closed
-            if flow.qoe is not None and flow.down:
-                flow.qoe.feed(payload_len, ts)  # upstream never feeds the frame detector
+            if flow.frames is not None and flow.down:
+                flow.frames.feed(payload_len, ts)  # upstream never feeds the frame detector
             return
 
         if flow.latency is not None:
@@ -113,12 +113,13 @@ class Analyzer:
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
-        with QoE state to hold its downstream packets until its role is known.
+        with a frame-rate tracker that holds its downstream packets until its
+        role is known.
         A flow that joins none waits in `_unjoined` for a registration to adopt it."""
         for reg in self.detector.registrations.values():
             if starts_gameplay(flow, reg):
                 flow.gameplay = reg
-                flow.qoe = FlowQoe()
+                flow.frames = FrameRateTracker(hold=True)
                 reg.flows.append(flow)
                 return
         self._unjoined.append(flow)
@@ -132,7 +133,7 @@ class Analyzer:
         while unjoined and unjoined[0].first_ts < bound:
             flow = unjoined.popleft()
             if flow.gameplay is None:
-                flow.windows = None
+                flow.drop_windows()
 
     def _registered(self, reg: Optional[ServerRegistration], mgmt_flow, pkt: tuple) -> None:
         """Give a new registration (None: refused) its management flow, with a
@@ -159,13 +160,14 @@ class Analyzer:
 
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
-        only a video flow keeps its windows and QoE state."""
+        only a video flow keeps its windows and frame-rate tracker, which
+        then takes the packets it held."""
         flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay)
         if flow.role not in VIDEO_ROLES:
-            flow.windows = None  # only the video flow's windows feed QoE
-            flow.qoe = None
-        elif flow.qoe is not None:
-            flow.qoe.start()
+            flow.drop_windows()  # only the video flow's windows feed QoE
+            flow.frames = None
+        elif flow.frames is not None:
+            flow.frames.start()
 
     def _on_sni(self, flow, name: str, pkt: tuple) -> None:
         key = flow.key
@@ -239,7 +241,7 @@ class Analyzer:
         Also returns how many latency samples no row reports: those in a
         window without a row, or all of them when there is no video flow."""
         lat_total = len(latency.samples)
-        if video is None or video.qoe is None:
+        if video is None or video.frames is None:
             return [], lat_total
         windows = video.windows
         lat_reported = 0
@@ -249,7 +251,7 @@ class Analyzer:
             latency_buckets.setdefault(int(sample.ts // WINDOW_S), []).append(sample.latency_ms)
 
         samples = []
-        for fs in video.qoe.fps_samples:
+        for fs in video.frames.samples:
             idx = fs.window
             peak = max(
                 windows.get(j, NO_PACKETS)[2] * 8 for j in range(idx - PEAK_WINDOW_INTERVALS + 1, idx + 1)

@@ -3,6 +3,7 @@ from payload-size patterns, and resolution band from peak bitrate."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -95,32 +96,54 @@ class FrameRateTracker:
     packet closes it; windows without packets yield zero. Only windows the
     flow covers whole are emitted: not the one holding its first packet,
     nor the last one, which never closes. A packet that closes no window
-    gets the shared empty `NO_SAMPLES`, so no list is made per packet.
+    gets the shared empty `NO_SAMPLES`, so no list is made per packet. A
+    packet earlier than the open window counts in the open window.
+
+    Every sample returned is also kept in `samples`. A tracker made with
+    `hold=True` holds what it is fed, returning `NO_SAMPLES`, until
+    `start()` feeds it in order: the analyzer holds a joined flow's
+    downstream packets until the flow's role is known.
     """
 
-    def __init__(self):
+    __slots__ = ("frame_count", "window", "window_end", "whole", "size_max", "full_size", "flag_max", "pending", "samples")
+
+    def __init__(self, hold: bool = False):
         self.frame_count = 0
         self.window: Optional[int] = None  # grid index of the open window
+        # capture time at which the open window closes; -inf before the first
+        # packet and while packets are held, so that every packet reaches the
+        # branch that opens a window or holds it
+        self.window_end = -math.inf
         self.whole = False  # the open window began after the first packet, so the flow covers it
         self.size_max = 0
+        self.full_size = -FRAME_SIZE_MARGIN  # size_max - FRAME_SIZE_MARGIN: smaller packets can end a frame
         self.flag_max = False
+        self.pending: Optional[list[tuple[int, float]]] = [] if hold else None
+        self.samples: list[FpsSample] = []
 
     def feed(self, payload_len: int, ts: float) -> Sequence[FpsSample]:
         out = NO_SAMPLES
-        idx = int(ts // WINDOW_S)
-        if self.window is None:
+        if ts >= self.window_end:
+            if self.pending is not None:
+                self.pending.append((payload_len, ts))
+                return NO_SAMPLES
+            idx = int(ts // WINDOW_S)
+            if self.window is None:
+                self.size_max = payload_len
+                self.full_size = payload_len - FRAME_SIZE_MARGIN
+            else:
+                out = [FpsSample(self.window, self.frame_count / WINDOW_S)] if self.whole else []
+                out.extend(FpsSample(w, 0.0) for w in range(self.window + 1, idx))
+                self.samples.extend(out)
+                self.frame_count = 0
+                self.whole = True
             self.window = idx
-            self.size_max = payload_len
-        elif idx > self.window:
-            out = [FpsSample(self.window, self.frame_count / WINDOW_S)] if self.whole else []
-            out.extend(FpsSample(w, 0.0) for w in range(self.window + 1, idx))
-            self.frame_count = 0
-            self.window = idx
-            self.whole = True
+            self.window_end = (idx + 1) * WINDOW_S
         if payload_len > self.size_max:
             self.size_max = payload_len
+            self.full_size = payload_len - FRAME_SIZE_MARGIN
             return out
-        if payload_len < self.size_max - FRAME_SIZE_MARGIN:
+        if payload_len < self.full_size:
             if self.flag_max:
                 self.frame_count += 1
                 self.flag_max = False
@@ -128,28 +151,8 @@ class FrameRateTracker:
         self.flag_max = True
         return out
 
-
-class FlowQoe:
-    """Frame-rate samples of one candidate gameplay flow, fed with its
-    downstream packets in capture order. Packets wait in `pending` until
-    `start`, once the flow's role is known."""
-
-    __slots__ = ("tracker", "fps_samples", "pending")
-
-    def __init__(self):
-        self.tracker = FrameRateTracker()
-        self.fps_samples: list[FpsSample] = []
-        self.pending: Optional[list[tuple[int, float]]] = []
-
-    def feed(self, payload_len: int, ts: float) -> None:
-        if self.pending is not None:
-            self.pending.append((payload_len, ts))
-            return
-        samples = self.tracker.feed(payload_len, ts)
-        if samples:
-            self.fps_samples.extend(samples)
-
     def start(self) -> None:
+        """Feed the held packets in order, and from now on each as it comes."""
         pending, self.pending = self.pending, None
         for payload_len, ts in pending or ():
             self.feed(payload_len, ts)

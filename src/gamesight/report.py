@@ -95,18 +95,45 @@ def load_sessions_jsonl(path: str) -> list[dict]:
     return sessions
 
 
+NUMBER = (int, float)
+# the fields `score` reads of a manifest, and of each entry of its `flows`
+# and `qoe` lists, with their JSON types
+MANIFEST_FIELDS = {"platform": str, "setup": str, "client_ip": str, "server_ip": str, "rtt_ms": NUMBER}
+MANIFEST_FLOW_FIELDS = {"client_ip": str, "client_port": int, "server_ip": str, "server_port": int, "proto": str, "role": str}
+MANIFEST_QOE_FIELDS = {"ts": NUMBER, "fps": NUMBER, "resolution": str}
+
+
+def _bad_fields(obj: dict, types: dict) -> list[str]:
+    return [k for k, t in types.items() if not isinstance(obj.get(k), t) or isinstance(obj.get(k), bool)]
+
+
 def load_manifest(path: str) -> dict:
+    """A generator manifest, with every field `score` reads checked."""
     with open(path) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise SchemaError("manifest %s is not a JSON object" % path)
+    bad = _bad_fields(manifest, MANIFEST_FIELDS)
+    for name, checks in (("flows", MANIFEST_FLOW_FIELDS), ("qoe", MANIFEST_QOE_FIELDS)):
+        entries = manifest.get(name)
+        if not isinstance(entries, list):
+            bad.append(name)
+            continue
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                bad.append("%s[%d]" % (name, i))
+            else:
+                bad += ["%s[%d].%s" % (name, i, field) for field in _bad_fields(entry, checks)]
+    if bad:
+        raise SchemaError("manifest %s has missing or wrong-typed fields: %s" % (path, ", ".join(bad)))
     return manifest
 
 
-def _percentile(values: list[float], q: float) -> float:
+def _percentile(values: list[float], q: float) -> Optional[float]:
+    """The nearest-rank percentile, or None without values."""
     xs = sorted(values)
     if not xs:
-        return math.nan
+        return None
     rank = max(0, math.ceil(q * len(xs)) - 1)
     return xs[rank]
 

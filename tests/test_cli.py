@@ -306,6 +306,58 @@ def test_report_wrong_shaped_input_exit_1(tmp_path, part, text, message):
     assert line.startswith("schema mismatch: ") and message in line
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.update(flows=["x"]), "flows[0]"),
+        (lambda m: m["flows"][1].update(client_port="40001"), "flows[1].client_port"),
+        (lambda m: m.update(flows={}), "flows"),
+        (lambda m: m["qoe"][2].pop("fps"), "qoe[2].fps"),
+        (lambda m: m["qoe"][0].update(ts="0"), "qoe[0].ts"),
+        (lambda m: m.update(qoe=[None]), "qoe[0]"),
+        (lambda m: m.update(rtt_ms="20"), "rtt_ms"),
+        (lambda m: m.update(rtt_ms=True), "rtt_ms"),
+    ],
+    ids=["flow-a-string", "port-a-string", "flows-an-object", "qoe-entry-without-fps", "qoe-ts-a-string",
+         "qoe-entry-null", "rtt-a-string", "rtt-a-bool"],
+)
+def test_report_wrong_typed_manifest_fields_exit_1(tmp_path, edit, field):
+    pcap_path, manifest_path = _generate(tmp_path)
+    out = tmp_path / "out"
+    _run(["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", str(out)])
+    args = ["report", "--in", str(out / "qoe.csv"), "--sessions", str(out / "sessions.jsonl"), "--truth", manifest_path]
+    assert _run(args).exit_code == 0
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    res = _run(args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("schema mismatch: manifest ") and line.endswith("fields: %s" % field)
+
+
+def _no_nan(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+def test_report_writes_no_nan_for_a_group_without_latency(tmp_path):
+    qoe = str(tmp_path / "qoe.csv")
+    row = {"ts": 1.0, "session_id": "s1", "latency_ms": None, "fps": 60.0, "fps_band": "high"}
+    write_qoe_csv(qoe, [{**row, "bitrate_mbps": 20.0, "resolution": "fhd"}])
+    res = _run(["report", "--in", qoe])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.stdout, parse_constant=_no_nan)
+    assert summary["groups"]["all"]["latency_ms"] == {"p50": None, "p90": None, "p99": None}
+
+    res = _run(["report", "--in", qoe, "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    latency = [line for line in res.stdout.splitlines() if ",latency_ms," in line]
+    assert latency == ["all,latency_ms,p50,", "all,latency_ms,p90,", "all,latency_ms,p99,"]
+
+
 def test_report_csv_writes_the_pooled_truth_scalars(tmp_path):
     pcap_path, manifest = _generate(tmp_path)
     out = tmp_path / "out"

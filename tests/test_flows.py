@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -244,3 +245,74 @@ def test_a_packet_on_an_expired_five_tuple_starts_a_new_flow():
     assert (new.total_pkts, new.first_ts) == (1, IDLE_TIMEOUT_S + 2.0)
     assert new.windows == {int(IDLE_TIMEOUT_S + 2.0): [1, 0, 300, 0]}
     assert table.expiries == 1
+
+
+def _boundary_stream(rng: random.Random, count: int) -> list:
+    """UDP packets of a few IPv4 and IPv6 flows, both directions, whose times
+    cross windows, skip windows, land on window boundaries and one ulp either
+    side of them, and step back into earlier windows."""
+    pairs = [
+        (CLIENT, SERVER),
+        ("192.0.2.11", "198.51.100.9"),
+        ("2001:db8:1::a", "2001:db8:2::7"),
+        ("2001:db8:1::b", "2001:db8:2::c8"),
+    ]
+    out, ts = [], 0.0
+    for _ in range(count):
+        step = rng.random()
+        if step < 0.01:
+            ts += rng.uniform(1.0, 4.0) * WINDOW_S  # skip windows
+        elif step < 0.06:
+            edge = (int(ts // WINDOW_S) + rng.choice((0, 1))) * WINDOW_S
+            ts = max(ts, rng.choice((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))))
+        else:
+            ts += rng.expovariate(400.0)
+        at = ts
+        if rng.random() < 0.05:  # late: back into the open window or earlier ones
+            at = max(0.0, ts - rng.uniform(0.0, 3.0) * WINDOW_S)
+            if rng.random() < 0.5:
+                edge = float(int(at // WINDOW_S)) * WINDOW_S
+                at = rng.choice((edge, math.nextafter(edge, math.inf)))
+        client, server = rng.choice(pairs)
+        src, dst = (client, server) if rng.random() < 0.3 else (server, client)
+        sport, dport = (5000, 49003) if src == client else (49003, 5000)
+        out.append(udp_record(at, src, sport, dst, dport, rng.randrange(0, 1400)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_windows_equal_indexing_every_packet(seed):
+    # the open window a flow keeps gives the same counts as indexing each
+    # packet by int(ts // WINDOW_S); a flow whose windows are dropped part
+    # way through counts no window again
+    rng = random.Random(seed)
+    packets = _boundary_stream(rng, 6000)
+    nets = ("192.0.2.0/24", "2001:db8:1::/64")
+    table = FlowTable(client_nets=nets)
+    reference: dict = {}
+    dropped, drop_at, after_drop = None, len(packets) // 2, 0
+    for i, pkt in enumerate(packets):
+        flow = table.update(pkt)
+        if i == drop_at:
+            dropped = flow
+            flow.drop_windows()
+        elif flow is dropped:
+            after_drop += 1
+        if flow is dropped:
+            continue
+        counts = reference.setdefault(flow.key, {}).setdefault(int(pkt.ts // WINDOW_S), [0, 0, 0, 0])
+        counts[0 if flow.down else 1] += 1
+        counts[2 if flow.down else 3] += pkt.payload_len
+    assert (len(table.flows), table.expiries) == (4, 0)  # one key is one flow
+    for key, flow in table.flows.items():
+        if flow is dropped:
+            assert flow.windows is None and flow.win is None and after_drop > 100
+        else:
+            assert flow.windows == reference[key]
+    # the streams did reach every case the window cache decides on
+    stamps = [p.ts for p in packets]
+    assert any(t == int(t) and t > 0 for t in stamps)
+    assert any(math.nextafter(t, math.inf) == math.ceil(t) for t in stamps if t != int(t))
+    assert any(math.nextafter(math.floor(t), math.inf) == t for t in stamps if t != int(t))
+    assert any(b < a for a, b in zip(stamps, stamps[1:]))
+    assert any(int(b // WINDOW_S) - int(a // WINDOW_S) > 1 for a, b in zip(stamps, stamps[1:]))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from gamesight.qoe import (
     FPS_HIGH,
     FPS_LOW,
     FPS_MEDIUM,
+    FRAME_SIZE_MARGIN,
     NO_SAMPLES,
-    FlowQoe,
+    FpsSample,
     FrameRateTracker,
     LatencyTracker,
     RES_FHD,
@@ -168,10 +170,10 @@ def test_size_margin_boundary():
     assert tr.frame_count == 1
 
 
-def test_flow_qoe_collects_what_its_tracker_returns():
-    # a packet that closes no window gets the shared empty result; FlowQoe
-    # keeps exactly the samples its tracker returns, whether the packets
-    # were held until start() or fed after it
+def test_a_held_tracker_keeps_what_it_returns_live():
+    # a packet that closes no window gets the shared empty result; a tracker
+    # keeps exactly the samples it returns, whether the packets were held
+    # until start() or fed after it
     rng = random.Random(11)
     events, ts = [], 0.3
     for _ in range(4000):
@@ -184,17 +186,91 @@ def test_flow_qoe_collects_what_its_tracker_returns():
     assert len(quiet) > len(events) - 100
     assert all(not r and len(r) == 0 and r is NO_SAMPLES for r in quiet)
     assert sum(len(r) for r in returns) > 20  # gaps give windows of zero fps too
+    assert tracker.samples == [s for r in returns for s in r]
 
     half = len(events) // 2
-    qoe = FlowQoe()
-    for size, t in events[:half]:
-        qoe.feed(size, t)
-    assert qoe.fps_samples == []  # held until the role is known
-    qoe.start()
-    assert qoe.fps_samples == [s for r in returns[:half] for s in r]
-    for size, t in events[half:]:
-        qoe.feed(size, t)
-    assert qoe.fps_samples == [s for r in returns for s in r]
+    held = FrameRateTracker(hold=True)
+    assert all(held.feed(size, t) is NO_SAMPLES for size, t in events[:half])
+    assert held.samples == []  # held until the role is known
+    held.start()
+    assert held.samples == [s for r in returns[:half] for s in r]
+    assert [held.feed(size, t) for size, t in events[half:]] == returns[half:]
+    assert held.samples == [s for r in returns for s in r]
+    assert (held.frame_count, held.size_max) == (tracker.frame_count, tracker.size_max)
+
+
+class _OracleTracker:
+    """The frame-rate tracker as it was before it cached its open window's
+    end and full-size threshold: the window index of every packet, and the
+    threshold, computed per packet."""
+
+    def __init__(self):
+        self.frame_count = 0
+        self.window = None
+        self.whole = False
+        self.size_max = 0
+        self.flag_max = False
+
+    def feed(self, payload_len, ts):
+        out = NO_SAMPLES
+        idx = int(ts // WINDOW_S)
+        if self.window is None:
+            self.window = idx
+            self.size_max = payload_len
+        elif idx > self.window:
+            out = [FpsSample(self.window, self.frame_count / WINDOW_S)] if self.whole else []
+            out.extend(FpsSample(w, 0.0) for w in range(self.window + 1, idx))
+            self.frame_count = 0
+            self.window = idx
+            self.whole = True
+        if payload_len > self.size_max:
+            self.size_max = payload_len
+            return out
+        if payload_len < self.size_max - FRAME_SIZE_MARGIN:
+            if self.flag_max:
+                self.frame_count += 1
+                self.flag_max = False
+            return out
+        self.flag_max = True
+        return out
+
+
+def _stepping_stream(rng: random.Random, count: int) -> list:
+    """(size, ts) events that cross windows, skip windows, land on window
+    boundaries and one ulp either side of them, and step back in time."""
+    events, ts = [], rng.uniform(0.0, 3.0)
+    for _ in range(count):
+        step = rng.random()
+        if step < 0.01:
+            ts += rng.uniform(1.0, 4.0) * WINDOW_S  # skip windows
+        elif step < 0.05:
+            ts = float(int(ts // WINDOW_S) + 1) * WINDOW_S  # the next boundary
+            ts = rng.choice((ts, math.nextafter(ts, -math.inf), math.nextafter(ts, math.inf)))
+        elif step < 0.08:
+            late = max(0.0, ts - rng.uniform(0.0, 2.5) * WINDOW_S)  # back in time, maybe windows back
+            events.append((rng.choice((400, 1466, rng.randrange(0, 1500))), late))
+            continue
+        else:
+            ts += rng.expovariate(200.0)
+        events.append((rng.choice((1466, 1466, 1466, 400, 400, 1465, 1464, rng.randrange(0, 1467))), ts))
+    return events
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tracker_matches_the_per_packet_window_oracle(seed):
+    rng = random.Random(seed)
+    events = _stepping_stream(rng, 3000)
+    oracle, tracker = _OracleTracker(), FrameRateTracker()
+    emitted = []
+    for size, ts in events:
+        want = oracle.feed(size, ts)
+        got = tracker.feed(size, ts)
+        assert list(got) == list(want), (size, ts)
+        assert (tracker.frame_count, tracker.size_max) == (oracle.frame_count, oracle.size_max)
+        emitted += want
+    assert tracker.samples == emitted
+    assert sum(s.fps == 0.0 for s in emitted) > 5  # skipped windows emitted zeros
+    assert sum(s.fps > 0.0 for s in emitted) > 5  # closed windows emitted their frames
 
 
 # -- bands --------------------------------------------------------------
