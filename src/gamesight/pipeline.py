@@ -78,8 +78,12 @@ class Analyzer:
                 return
             if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                 self._decide(flow)  # the windows that classify the flow have closed
-            if flow.frames is not None and flow.down:
-                flow.frames.feed(payload_len, ts)  # upstream never feeds the frame detector
+            frames = flow.frames
+            if frames is not None and flow.down:  # upstream never feeds the frame detector
+                if frames.pending is None:
+                    frames.feed(payload_len, ts)
+                else:
+                    frames.pending.append((payload_len, ts))  # held until the role is known
             return
 
         if flow.latency is not None:
@@ -113,13 +117,13 @@ class Analyzer:
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
-        with a frame-rate tracker that holds its downstream packets until its
-        role is known.
+        with a frame-rate tracker whose `pending` holds its downstream packets
+        until its role is known.
         A flow that joins none waits in `_unjoined` for a registration to adopt it."""
         for reg in self.detector.registrations.values():
             if starts_gameplay(flow, reg):
                 flow.gameplay = reg
-                flow.frames = FrameRateTracker(hold=True)
+                flow.frames = FrameRateTracker()
                 reg.flows.append(flow)
                 return
         self._unjoined.append(flow)

@@ -99,34 +99,30 @@ class FrameRateTracker:
     gets the shared empty `NO_SAMPLES`, so no list is made per packet. A
     packet earlier than the open window counts in the open window.
 
-    Every sample returned is also kept in `samples`. A tracker made with
-    `hold=True` holds what it is fed, returning `NO_SAMPLES`, until
-    `start()` feeds it in order: the analyzer holds a joined flow's
-    downstream packets until the flow's role is known.
+    Every sample returned is also kept in `samples`. Until `start()`, the
+    analyzer appends a joined flow's downstream packets to `pending` as
+    `(payload_len, ts)` instead of feeding them, since the flow's role is not
+    yet known; `start()` feeds them in order and sets `pending` to None.
     """
 
     __slots__ = ("frame_count", "window", "window_end", "whole", "size_max", "full_size", "flag_max", "pending", "samples")
 
-    def __init__(self, hold: bool = False):
+    def __init__(self):
         self.frame_count = 0
         self.window: Optional[int] = None  # grid index of the open window
         # capture time at which the open window closes; -inf before the first
-        # packet and while packets are held, so that every packet reaches the
-        # branch that opens a window or holds it
+        # packet, so that it opens a window
         self.window_end = -math.inf
         self.whole = False  # the open window began after the first packet, so the flow covers it
         self.size_max = 0
         self.full_size = -FRAME_SIZE_MARGIN  # size_max - FRAME_SIZE_MARGIN: smaller packets can end a frame
         self.flag_max = False
-        self.pending: Optional[list[tuple[int, float]]] = [] if hold else None
+        self.pending: Optional[list[tuple[int, float]]] = []
         self.samples: list[FpsSample] = []
 
     def feed(self, payload_len: int, ts: float) -> Sequence[FpsSample]:
         out = NO_SAMPLES
         if ts >= self.window_end:
-            if self.pending is not None:
-                self.pending.append((payload_len, ts))
-                return NO_SAMPLES
             idx = int(ts // WINDOW_S)
             if self.window is None:
                 self.size_max = payload_len
@@ -152,9 +148,9 @@ class FrameRateTracker:
         return out
 
     def start(self) -> None:
-        """Feed the held packets in order, and from now on each as it comes."""
+        """Feed the held packets in order and stop holding."""
         pending, self.pending = self.pending, None
-        for payload_len, ts in pending or ():
+        for payload_len, ts in pending:
             self.feed(payload_len, ts)
 
 

@@ -131,6 +131,25 @@ def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
     assert len(emitted) == len(_rows(report.sessions[0])) > 0
 
 
+def test_each_downstream_video_packet_feeds_the_frame_detector_once(tmp_path, monkeypatch):
+    # packets held until the role is decided are fed once, when start()
+    # replays them, not also when they are held
+    path, _ = _capture(tmp_path)
+    fed = []
+    feed = FrameRateTracker.feed
+
+    def counted(self, payload_len, ts):
+        fed.append(ts)
+        return feed(self, payload_len, ts)
+
+    monkeypatch.setattr(FrameRateTracker, "feed", counted)
+    report = _analyze(path)
+    video = [f for reg in report.sessions[0].gameplays for f in reg.flows if f.role in VIDEO_ROLES]
+    assert len(video) == 1
+    assert len(fed) == sum(w[0] for w in video[0].windows.values()) > 0
+    assert fed == sorted(fed)
+
+
 def _qoe_rows(report, session):
     return [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in _rows(session)]
 
