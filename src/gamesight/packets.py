@@ -11,6 +11,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import pcap
 from .errors import MalformedHeader
+from .pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW_IP
 
 TCP = 6
 UDP = 17
@@ -34,6 +35,14 @@ _IPV4 = struct.Struct("!BxHHHxB2x4s4s")
 _IPV6 = struct.Struct("!4xHBx16s16s")
 _PORTS = struct.Struct("!HH")
 _TCP_HDR = struct.Struct("!HHIIBB")
+# The common frame's one unpack, from the start of the IP header: IPv4 with
+# IHL 5 (total length, fragment field, source, destination) or IPv6 (payload
+# length, source, destination), then the UDP ports or the TCP header up to
+# its flags (ports, seq, ack, data offset, flags).
+_V4_UDP = struct.Struct("!2xH2xH4x4s4sHH")
+_V4_TCP = struct.Struct("!2xH2xH4x4s4sHHIIBB")
+_V6_UDP = struct.Struct("!4xH2x16s16sHH")
+_V6_TCP = struct.Struct("!4xH2x16s16sHHIIBB")
 
 
 class SkipReason(Enum):
@@ -108,16 +117,97 @@ def parse_packet(
     `orig_len` is the frame's length on the wire (the record's orig_len;
     by default the captured length). Sizes come from the IP header unless
     it claims more than that; payload bytes are only what was captured.
+
+    The common frame takes one unpack: raw IP, or Ethernet with at most one
+    802.1Q tag, carrying IPv4 with IHL 5 that is not a fragment, or IPv6,
+    and a whole UDP or TCP header. Every other frame, and any frame that
+    fails a check here, goes to `_parse_general`, which this path agrees
+    with on every input.
     """
     n = len(raw)
+    if link_type == LINKTYPE_ETHERNET:
+        if n < 42:
+            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+        off = 14
+        if raw[12] == 0x81 and raw[13] == 0x00:  # one 802.1Q tag
+            off = 18
+        if raw[off - 2] == 0x08 and raw[off - 1] == 0x00:
+            v4 = raw[off] == 0x45
+            if not v4:
+                return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+        elif raw[off - 2] == 0x86 and raw[off - 1] == 0xDD:
+            v4 = False
+        else:
+            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+    elif link_type == LINKTYPE_RAW_IP and n >= 28:
+        off = 0
+        v4 = raw[0] == 0x45
+        if not v4 and raw[0] >> 4 != 6:
+            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+    else:
+        return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+
+    wire = (n if orig_len is None else orig_len) - off
+    if v4:
+        proto = raw[off + 9]
+        if proto == UDP and n >= off + 28:
+            ip_len, frag_field, src, dst, sport, dport = _V4_UDP.unpack_from(raw, off)
+            if not frag_field & 0x3FFF:
+                if ip_len > wire:  # the header claims more than the wire carried
+                    ip_len = min(ip_len, n - off)
+                if ip_len >= 28:
+                    return (ts, src, sport, dst, dport, UDP, ip_len - 28, None, None, None, None)
+        elif proto == TCP and n >= off + 40:
+            ip_len, frag_field, src, dst, sport, dport, seq, ack, data_off, flags = _V4_TCP.unpack_from(raw, off)
+            if not frag_field & 0x3FFF:
+                if ip_len > wire:
+                    ip_len = min(ip_len, n - off)
+                ip_len -= 20
+                data_off = (data_off >> 4) * 4
+                if ip_len >= data_off >= 20:
+                    payload_len = ip_len - data_off
+                    off += 20 + data_off
+                    payload = raw[off : off + payload_len] if payload_len else None
+                    return (ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
+    else:
+        proto = raw[off + 6]
+        if proto == UDP and n >= off + 48:
+            ip_len, src, dst, sport, dport = _V6_UDP.unpack_from(raw, off)
+            if ip_len > wire - 40:
+                ip_len = min(ip_len, n - off - 40)
+            if ip_len >= 8:
+                return (ts, src, sport, dst, dport, UDP, ip_len - 8, None, None, None, None)
+        elif proto == TCP and n >= off + 60:
+            ip_len, src, dst, sport, dport, seq, ack, data_off, flags = _V6_TCP.unpack_from(raw, off)
+            if ip_len > wire - 40:
+                ip_len = min(ip_len, n - off - 40)
+            data_off = (data_off >> 4) * 4
+            if ip_len >= data_off >= 20:
+                payload_len = ip_len - data_off
+                off += 40 + data_off
+                payload = raw[off : off + payload_len] if payload_len else None
+                return (ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
+    return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+
+
+def _parse_general(
+    raw: bytes,
+    link_type: int,
+    ts: float,
+    frag_cache: Optional[_FragCache] = None,
+    orig_len: Optional[int] = None,
+) -> tuple | SkipReason:
+    """`parse_packet` for any frame: the reference parser, which the
+    common-frame path of `parse_packet` must agree with."""
+    n = len(raw)
     off = 0
-    if link_type == pcap.LINKTYPE_RAW_IP:
+    if link_type == LINKTYPE_RAW_IP:
         if not n:
             return SkipReason.TRUNCATED
         version = raw[0] >> 4
         if version != 4 and version != 6:
             return SkipReason.NON_IP
-    elif link_type == pcap.LINKTYPE_ETHERNET:
+    elif link_type == LINKTYPE_ETHERNET:
         if n < 14:
             return SkipReason.TRUNCATED
         ethertype = (raw[12] << 8) | raw[13]
@@ -211,7 +301,7 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[tu
     ends or is closed."""
     with open(path, "rb") as fh:
         header = pcap.read_header(fh)
-        if header.link_type not in (pcap.LINKTYPE_ETHERNET, pcap.LINKTYPE_RAW_IP):
+        if header.link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise MalformedHeader("unsupported link type %d" % header.link_type)
         frag_cache = _FragCache()
         link = header.link_type

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .classify import (
     CLASSIFY_WINDOWS,
@@ -59,14 +59,29 @@ class Analyzer:
 
     def analyze_file(self, path: str) -> AnalysisReport:
         stats = CaptureStats()
-        for pkt in read_capture(path, stats):
-            self._feed(pkt)
+        self._feed(read_capture(path, stats))
         return self._finalize(stats)
 
-    def _feed(self, pkt: tuple) -> None:
-        """One packet tuple (`PacketRecord` layout). The flow table counts
-        it first and leaves its direction in `flow.down`."""
-        flow = self.table.update(pkt)
+    def _feed(self, packets: Iterable[tuple]) -> None:
+        """Packet tuples (`PacketRecord` layout), in file order. The flow
+        table counts each first and leaves its direction in `flow.down`. A
+        packet of a decided video flow only feeds its frame-rate tracker when
+        it goes downstream; every other packet goes to `_side_state`."""
+        update = self.table.update
+        side_state = self._side_state
+        for pkt in packets:
+            flow = update(pkt)
+            frames = flow.frames
+            if frames is not None and frames.pending is None:
+                if flow.down:  # upstream never feeds the frame detector
+                    frames.feed(pkt[6], pkt[0])
+            else:
+                side_state(flow, pkt)
+
+    def _side_state(self, flow: FlowState, pkt: tuple) -> None:
+        """The per-packet state of a flow the flow table has just counted
+        `pkt` in: joining, classifying and holding on UDP; latency, SNI
+        reassembly and setup signatures on TCP."""
         ts, _, _, _, _, proto, payload_len, _, _, flags, payload = pkt
         if proto == UDP:
             if flow.total_pkts == 1:

@@ -84,7 +84,43 @@ def write_sessions_jsonl(path: str, sessions: list[dict]) -> None:
             fh.write(json.dumps(s) + "\n")
 
 
+NUMBER = (int, float)
+# the fields `score` reads of a manifest, and of each entry of its `flows`
+# and `qoe` lists, with their JSON types; a manifest's flows and a session's
+# `gameplay_flows` share their fields
+MANIFEST_FIELDS = {"platform": str, "setup": str, "client_ip": str, "server_ip": str, "rtt_ms": NUMBER}
+FLOW_FIELDS = {"client_ip": str, "client_port": int, "server_ip": str, "server_port": int, "proto": str, "role": str}
+MANIFEST_QOE_FIELDS = {"ts": NUMBER, "fps": NUMBER, "resolution": str}
+# the fields `score`, `summarize` and `_roles` read of a sessions.jsonl line
+SESSION_FIELDS = {
+    "session_id": str,
+    "client_ip": str,
+    "platform": str,
+    "setup": str,
+    "gameplay_server_ip": (str, type(None)),
+}
+
+
+def _bad_fields(obj: dict, types: dict) -> list[str]:
+    return [k for k, t in types.items() if k not in obj or not isinstance(obj[k], t) or isinstance(obj[k], bool)]
+
+
+def _bad_entries(obj: dict, name: str, types: dict) -> list[str]:
+    """The wrong parts of `obj[name]`, a list of objects with `types` fields."""
+    entries = obj.get(name)
+    if not isinstance(entries, list):
+        return [name]
+    bad = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            bad.append("%s[%d]" % (name, i))
+        else:
+            bad += ["%s[%d].%s" % (name, i, field) for field in _bad_fields(entry, types)]
+    return bad
+
+
 def load_sessions_jsonl(path: str) -> list[dict]:
+    """The sessions of a sessions.jsonl, with every field the report reads checked."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or header.get("schema") != SESSIONS_SCHEMA:
@@ -92,19 +128,11 @@ def load_sessions_jsonl(path: str) -> list[dict]:
         sessions = [json.loads(line) for line in fh if line.strip()]
     if not all(isinstance(s, dict) for s in sessions):
         raise SchemaError("a sessions line is not a JSON object")
+    for i, session in enumerate(sessions):
+        bad = _bad_fields(session, SESSION_FIELDS) + _bad_entries(session, "gameplay_flows", FLOW_FIELDS)
+        if bad:
+            raise SchemaError("session %d of %s has missing or wrong-typed fields: %s" % (i + 1, path, ", ".join(bad)))
     return sessions
-
-
-NUMBER = (int, float)
-# the fields `score` reads of a manifest, and of each entry of its `flows`
-# and `qoe` lists, with their JSON types
-MANIFEST_FIELDS = {"platform": str, "setup": str, "client_ip": str, "server_ip": str, "rtt_ms": NUMBER}
-MANIFEST_FLOW_FIELDS = {"client_ip": str, "client_port": int, "server_ip": str, "server_port": int, "proto": str, "role": str}
-MANIFEST_QOE_FIELDS = {"ts": NUMBER, "fps": NUMBER, "resolution": str}
-
-
-def _bad_fields(obj: dict, types: dict) -> list[str]:
-    return [k for k, t in types.items() if not isinstance(obj.get(k), t) or isinstance(obj.get(k), bool)]
 
 
 def load_manifest(path: str) -> dict:
@@ -114,16 +142,7 @@ def load_manifest(path: str) -> dict:
     if not isinstance(manifest, dict):
         raise SchemaError("manifest %s is not a JSON object" % path)
     bad = _bad_fields(manifest, MANIFEST_FIELDS)
-    for name, checks in (("flows", MANIFEST_FLOW_FIELDS), ("qoe", MANIFEST_QOE_FIELDS)):
-        entries = manifest.get(name)
-        if not isinstance(entries, list):
-            bad.append(name)
-            continue
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                bad.append("%s[%d]" % (name, i))
-            else:
-                bad += ["%s[%d].%s" % (name, i, field) for field in _bad_fields(entry, checks)]
+    bad += _bad_entries(manifest, "flows", FLOW_FIELDS) + _bad_entries(manifest, "qoe", MANIFEST_QOE_FIELDS)
     if bad:
         raise SchemaError("manifest %s has missing or wrong-typed fields: %s" % (path, ", ".join(bad)))
     return manifest

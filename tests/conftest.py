@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
-from gamesight import cli
+from gamesight import cli, packets
 from gamesight.classify import ROLE_MGMT
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
@@ -60,6 +60,29 @@ def stats(pps_in=0.0, pps_out=0.0, bps_in=0.0, bps_out=0.0):
 @pytest.fixture
 def tmp_pcap(tmp_path):
     return str(tmp_path / "t.pcap")
+
+
+@pytest.fixture
+def parse_both_ways(request, monkeypatch):
+    """Check each `parse_packet` call of a test, also those `read_capture`
+    makes, against the general parser: the same result, and the same
+    fragment-cache entries afterwards."""
+    fast, general = packets.parse_packet, packets._parse_general
+
+    def both(raw, link_type, ts, frag_cache=None, orig_len=None):
+        cache = None
+        if frag_cache is not None:
+            cache = packets._FragCache()
+            cache.entries = dict(frag_cache.entries)
+        expected = general(raw, link_type, ts, cache, orig_len)
+        got = fast(raw, link_type, ts, frag_cache, orig_len)
+        assert got == expected
+        assert frag_cache is None or frag_cache.entries == cache.entries
+        return got
+
+    monkeypatch.setattr(packets, "parse_packet", both)
+    if getattr(request.module, "parse_packet", None) is fast:
+        monkeypatch.setattr(request.module, "parse_packet", both)
 
 
 def check_gameplays(analyzer, report, qoe_samples: int) -> None:

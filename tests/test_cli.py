@@ -339,6 +339,34 @@ def test_report_wrong_typed_manifest_fields_exit_1(tmp_path, edit, field):
     assert line.startswith("schema mismatch: manifest ") and line.endswith("fields: %s" % field)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s.update(gameplay_flows=["x"]), "gameplay_flows[0]"),
+        (lambda s: s.update(setup=3), "setup"),
+        (lambda s: s["gameplay_flows"][1].update(server_port="49003"), "gameplay_flows[1].server_port"),
+        (lambda s: s.pop("gameplay_server_ip"), "gameplay_server_ip"),
+        (lambda s: s.update(gameplay_flows=None), "gameplay_flows"),
+    ],
+    ids=["flow-a-string", "setup-a-number", "port-a-string", "no-gameplay-server", "flows-null"],
+)
+def test_report_wrong_typed_session_fields_exit_1(tmp_path, edit, field):
+    pcap_path, manifest_path = _generate(tmp_path)
+    out = tmp_path / "out"
+    _run(["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", str(out)])
+    sessions_path = out / "sessions.jsonl"
+    args = ["report", "--in", str(out / "qoe.csv"), "--sessions", str(sessions_path), "--truth", manifest_path]
+    assert _run(args).exit_code == 0
+    sessions = load_sessions_jsonl(str(sessions_path))
+    edit(sessions[0])
+    write_sessions_jsonl(str(sessions_path), sessions)
+    res = _run(args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("schema mismatch: session 1 of ") and line.endswith("fields: %s" % field)
+
+
 def _no_nan(name):
     raise ValueError("not strict JSON: %s" % name)
 

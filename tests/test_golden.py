@@ -10,7 +10,8 @@ flow's classifying windows close, so its QoE comes from the packets still
 waiting when the capture ends. The console capture also pins two per-run
 counts: the address-to-text conversions and the latency samples no QoE
 row reports, and it checks that packets travel as plain tuples, with no
-record object built per packet.
+record object built per packet, and that each of its frames, raw or in
+Ethernet with or without a VLAN tag, is parsed with one unpack.
 """
 
 import hashlib
@@ -88,25 +89,46 @@ LINK_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("link", sorted(LINK_HEADERS))
-def test_link_layer_leaves_outputs_byte_identical(tmp_path, monkeypatch, link):
-    # the analyzer ignores the link layer: the console case's records in
-    # Ethernet frames give that case's recorded digests
-    profile_kw, sessions_sha, qoe_sha = CASES["console"]
-    records, _ = gen_session(_profile(profile_kw))
+def _write_console(path, link) -> None:
+    """The console case's capture, as raw IP or in the frames of `link`."""
+    records, _ = gen_session(_profile(CASES["console"][0]))
+    if link == "raw":
+        pcap.write_capture(records, path)
+        return
     head = LINK_HEADERS[link]
     frames = [(ts, head + struct.pack("!H", ETH_IPV4 if ip[0] >> 4 == 4 else ETH_IPV6) + ip) for ts, ip in records]
-    pcap.write_capture(frames, str(tmp_path / "s.pcap"), link_type=pcap.LINKTYPE_ETHERNET)
+    pcap.write_capture(frames, path, link_type=pcap.LINKTYPE_ETHERNET)
+
+
+@pytest.mark.parametrize("link", ["raw"] + sorted(LINK_HEADERS))
+def test_link_layer_leaves_outputs_byte_identical(tmp_path, monkeypatch, link):
+    # the analyzer ignores the link layer: the console case's records in
+    # Ethernet frames, with or without a VLAN tag, give that case's recorded
+    # digests; and every frame, raw or not, is a common frame, which
+    # parse_packet parses with one unpack, never calling the general parser
+    _, sessions_sha, qoe_sha = CASES["console"]
+    _write_console(str(tmp_path / "s.pcap"), link)
+    calls = 0
+    general = packets._parse_general
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return general(*args)
+
+    monkeypatch.setattr(packets, "_parse_general", counting)
     assert _analyze(tmp_path, monkeypatch) == (sessions_sha, qoe_sha)
+    assert calls == 0
+    packets.parse_packet(b"", pcap.LINKTYPE_RAW_IP, 0.0)
+    assert calls == 1  # the count does see a frame parsed by the general parser
 
 
 def test_no_record_object_is_built_per_packet(tmp_path, monkeypatch):
     # parse_packet returns plain tuples laid out as PacketRecord, and the
     # analyzer reads them by position: the console capture gives its
     # recorded digests without one PacketRecord being built
-    profile_kw, sessions_sha, qoe_sha = CASES["console"]
-    records, _ = gen_session(_profile(profile_kw))
-    pcap.write_capture(records, str(tmp_path / "s.pcap"))
+    _, sessions_sha, qoe_sha = CASES["console"]
+    _write_console(str(tmp_path / "s.pcap"), "raw")
     built = 0
     real = PacketRecord.__new__
 

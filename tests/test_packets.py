@@ -18,6 +18,10 @@ from gamesight.packets import (
 from gamesight.qoe import LatencyTracker
 from gamesight.synth import ipv4_tcp, ipv4_udp
 
+# every frame these tests parse is also parsed by the general parser, which
+# must agree (`parse_both_ways`)
+pytestmark = pytest.mark.usefixtures("parse_both_ways")
+
 RAW = pcap.LINKTYPE_RAW_IP
 ETH = pcap.LINKTYPE_ETHERNET
 

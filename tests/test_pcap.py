@@ -8,6 +8,10 @@ from gamesight.errors import MalformedHeader
 from gamesight.packets import CaptureStats, read_capture
 from gamesight.synth import ipv4_udp
 
+# every frame these tests parse is also parsed by the general parser, which
+# must agree (`parse_both_ways`)
+pytestmark = pytest.mark.usefixtures("parse_both_ways")
+
 
 def _roundtrip(records, tmp_pcap, link_type=pcap.LINKTYPE_RAW_IP):
     pcap.write_capture(records, tmp_pcap, link_type=link_type)

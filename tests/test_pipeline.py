@@ -352,7 +352,7 @@ def test_udp_flows_that_join_nothing_keep_no_windows():
     analyzer = Analyzer(client_nets=NETS)
     for pkt in records:
         table.update(pkt)
-        analyzer._feed(pkt)
+        analyzer._feed([pkt])
     assert sum(len(f.windows) for f in table.flows.values()) == 200 * 300
     flows = analyzer.table.flows.values()
     assert len(flows) == 200 and all(f.total_pkts == 300 for f in flows)
@@ -367,7 +367,7 @@ def test_the_unjoined_queue_holds_only_flows_young_enough_to_adopt():
     analyzer = Analyzer(client_nets=NETS)
     longest = 0
     for i in range(6000):
-        analyzer._feed(udp_record(i * 0.1, "192.0.2.10", 1024 + i, "198.51.100.53", 53, 40))
+        analyzer._feed([udp_record(i * 0.1, "192.0.2.10", 1024 + i, "198.51.100.53", 53, 40)])
         longest = max(longest, len(analyzer._unjoined))
     assert longest <= MGMT_WINDOW_S / 0.1 + 1
     assert len(analyzer.table.flows) < 700  # the table expires them after 60 s idle
@@ -380,9 +380,9 @@ def test_an_unjoined_flow_made_out_of_time_order_waits_behind_a_later_one():
     analyzer = Analyzer(client_nets=NETS)
     windows = lambda: {f.key.client_port: f.windows for f in analyzer.table.flows.values()}  # noqa: E731
     for ts, port in [(1.0, 30000), (0.2, 30001), (1.3, 30000)]:
-        analyzer._feed(udp_record(ts, "192.0.2.10", port, "198.51.100.1", port - 25000, 100))
+        analyzer._feed([udp_record(ts, "192.0.2.10", port, "198.51.100.1", port - 25000, 100)])
     assert windows() == {30000: {1: [0, 2, 0, 200]}, 30001: {0: [0, 1, 0, 100]}}
-    analyzer._feed(udp_record(1.6, "192.0.2.10", 30000, "198.51.100.1", 5000, 100))
+    analyzer._feed([udp_record(1.6, "192.0.2.10", 30000, "198.51.100.1", 5000, 100)])
     assert windows() == {30000: None, 30001: None}
     assert not analyzer._unjoined
 
@@ -416,22 +416,26 @@ def test_first_payload_sizes_exclude_syn_and_cap_at_four():
     client, server = "192.0.2.10", "203.0.113.7"
     analyzer = Analyzer(client_nets=NETS)
     flows = analyzer.table.flows
-    analyzer._feed(tcp_record(0.0, client, 1, server, 322, 12, flags=0x02))  # SYN with data
+    analyzer._feed([tcp_record(0.0, client, 1, server, 322, 12, flags=0x02)])  # SYN with data
     for i, size in enumerate([517, 100, 200, 300, 400]):
-        analyzer._feed(tcp_record(0.1 + i * 0.1, client, 1, server, 322, size))
-    analyzer._feed(tcp_record(1.0, server, 322, client, 1, 1460))
+        analyzer._feed([tcp_record(0.1 + i * 0.1, client, 1, server, 322, size)])
+    analyzer._feed([tcp_record(1.0, server, 322, client, 1, 1460)])
     mgmt = flows[FlowKey(packed(client), 1, packed(server), 322, TCP)]
     assert mgmt.signature is None
     assert mgmt.first_payload_sizes_up == [517, 100, 200, 300]
     assert mgmt.first_payload_sizes_down == [1460]
 
-    analyzer._feed(tcp_record(2.0, client, 2, server, 322, 700, seq=None, ack=None, flags=None))  # tail fragment
+    analyzer._feed([tcp_record(2.0, client, 2, server, 322, 700, seq=None, ack=None, flags=None)])  # tail fragment
     assert flows[FlowKey(packed(client), 2, packed(server), 322, TCP)].first_payload_sizes_up == [700]
 
-    analyzer._feed(tcp_record(3.0, client, 3, server, 443, 517))
-    analyzer._feed(tcp_record(3.1, server, 443, client, 3, 1460))
-    analyzer._feed(udp_record(3.2, client, 4, server, 322, 517))
-    analyzer._feed(udp_record(3.3, server, 322, client, 4, 1460))
+    analyzer._feed(
+        [
+            tcp_record(3.0, client, 3, server, 443, 517),
+            tcp_record(3.1, server, 443, client, 3, 1460),
+            udp_record(3.2, client, 4, server, 322, 517),
+            udp_record(3.3, server, 322, client, 4, 1460),
+        ]
+    )
     for key in (FlowKey(packed(client), 3, packed(server), 443, TCP), FlowKey(packed(client), 4, packed(server), 322, UDP)):
         assert (flows[key].first_payload_sizes_up, flows[key].first_payload_sizes_down) == (None, None)
 

@@ -67,7 +67,25 @@ def test_qoe_csv_schema_prefix_rejected(tmp_path):
 
 def test_sessions_jsonl_roundtrip(tmp_path):
     path = str(tmp_path / "s.jsonl")
-    sessions = [{"session_id": "s1", "setup": "browser"}]
+    flow = {"client_ip": "192.0.2.10", "client_port": 40000, "server_ip": "198.51.100.7", "server_port": 49003}
+    sessions = [
+        {
+            "session_id": "s1",
+            "client_ip": "192.0.2.10",
+            "platform": "gfn",
+            "setup": "browser",
+            "gameplay_server_ip": "198.51.100.7",
+            "gameplay_flows": [{**flow, "proto": "UDP", "role": "video"}],
+        },
+        {
+            "session_id": "u1",
+            "client_ip": "192.0.2.11",
+            "platform": "gfn",
+            "setup": "browser",
+            "gameplay_server_ip": None,
+            "gameplay_flows": [],
+        },
+    ]
     write_sessions_jsonl(path, sessions)
     assert load_sessions_jsonl(path) == sessions
 
