@@ -122,18 +122,14 @@ def analyze(pcaps, client_nets, codebook, out_dir):
 @click.option("--strip-sni", is_flag=True, help="Emit opaque bytes instead of ClientHellos.")
 def generate(profile, fps, resolution, rtt_ms, duration, seed, out_path, os_name, bitrate_mbps, strip_sni):
     """Generate a synthetic session capture plus its ground-truth manifest."""
-    from .synth import DEFAULT_BITRATES, SessionProfile, write_session
+    from .synth import SessionProfile, write_session
 
     platform, setup, default_os = PROFILES[profile]
-    fps = int(fps)
-    if (fps, resolution) not in DEFAULT_BITRATES:
-        click.echo("unsupported fps/resolution combination", err=True)
-        sys.exit(1)
     prof = SessionProfile(
         platform=platform,
         setup=setup,
         os=os_name or default_os,
-        fps_schedule=[(0.0, fps)],
+        fps_schedule=[(0.0, int(fps))],
         resolution_schedule=[(0.0, resolution)],
         bitrate_bps=None if bitrate_mbps is None else bitrate_mbps * 1e6,
         rtt_ms=rtt_ms,

@@ -75,7 +75,8 @@ class FlowState:
     signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
     role: Optional[str] = None  # set at registration on the mgmt flow; decided once its classifying windows close
-    frames: Optional[FrameRateTracker] = None  # while it may be the video flow
+    held: Optional[list] = None  # a joined flow's downstream (payload_len, ts), until its role is decided
+    frames: Optional[FrameRateTracker] = None  # on a joined flow decided to be video
 
     def drop_windows(self) -> None:
         """Stop counting windows: drop them with the open window."""

@@ -19,12 +19,10 @@ from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
 from .detector import ServerRegistration, SessionDetector
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
-from .qoe import FrameRateTracker, LatencyTracker, QoeSample, fps_band, resolution_band
+from .qoe import FrameRateTracker, LatencyTracker, gameplay_rows
 from .tls import SniReassembler
 
-PEAK_WINDOW_INTERVALS = 10
 FIRST_PAYLOADS_CAP = 4  # handshake sizes kept each way: the longest signature has 4 entries
-NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 
 
 @dataclass
@@ -65,14 +63,15 @@ class Analyzer:
     def _feed(self, packets: Iterable[tuple]) -> None:
         """Packet tuples (`PacketRecord` layout), in file order. The flow
         table counts each first and leaves its direction in `flow.down`. A
-        packet of a decided video flow only feeds its frame-rate tracker when
-        it goes downstream; every other packet goes to `_side_state`."""
+        packet of a decided video flow (the one flow with a frame-rate
+        tracker) only feeds the tracker when it goes downstream; every other
+        packet goes to `_side_state`."""
         update = self.table.update
         side_state = self._side_state
         for pkt in packets:
             flow = update(pkt)
             frames = flow.frames
-            if frames is not None and frames.pending is None:
+            if frames is not None:
                 if flow.down:  # upstream never feeds the frame detector
                     frames.feed(pkt[6], pkt[0])
             else:
@@ -93,12 +92,11 @@ class Analyzer:
                 return
             if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                 self._decide(flow)  # the windows that classify the flow have closed
-            frames = flow.frames
-            if frames is not None and flow.down:  # upstream never feeds the frame detector
-                if frames.pending is None:
-                    frames.feed(payload_len, ts)
-                else:
-                    frames.pending.append((payload_len, ts))  # held until the role is known
+            if flow.down:  # upstream never feeds the frame detector
+                if flow.frames is not None:
+                    flow.frames.feed(payload_len, ts)
+                elif flow.held is not None:
+                    flow.held.append((payload_len, ts))  # held until the role is known
             return
 
         if flow.latency is not None:
@@ -108,9 +106,9 @@ class Analyzer:
 
         if flow.sni is None and not flow.down:
             reasm = flow.reasm
-            if reasm is None and flow.signature is None:
+            if reasm is None:  # the first upstream data: no signature can have matched before it
                 reasm = flow.reasm = SniReassembler()
-            if reasm is not None and payload is not None:
+            if payload is not None:
                 name = reasm.feed(payload)
                 if reasm.done:  # found, read empty, or given up: reassembly never starts again on this flow
                     flow.sni, flow.reasm = name or "", None
@@ -132,13 +130,12 @@ class Analyzer:
 
     def _join(self, flow) -> None:
         """A new UDP flow joins the first registration whose gameplay it starts,
-        with a frame-rate tracker whose `pending` holds its downstream packets
-        until its role is known.
+        and holds its downstream packets in `held` until its role is known.
         A flow that joins none waits in `_unjoined` for a registration to adopt it."""
         for reg in self.detector.registrations.values():
             if starts_gameplay(flow, reg):
                 flow.gameplay = reg
-                flow.frames = FrameRateTracker()
+                flow.held = []
                 reg.flows.append(flow)
                 return
         self._unjoined.append(flow)
@@ -179,14 +176,17 @@ class Analyzer:
 
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
-        only a video flow keeps its windows and frame-rate tracker, which
-        then takes the packets it held."""
+        only a video flow keeps its windows, and gets a frame-rate tracker
+        that first takes the packets the flow held. An adopted flow held
+        none and gets no tracker."""
         flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay)
+        held, flow.held = flow.held, None
         if flow.role not in VIDEO_ROLES:
             flow.drop_windows()  # only the video flow's windows feed QoE
-            flow.frames = None
-        elif flow.frames is not None:
-            flow.frames.start()
+        elif held is not None:
+            frames = flow.frames = FrameRateTracker()
+            for payload_len, ts in held:
+                frames.feed(payload_len, ts)
 
     def _on_sni(self, flow, name: str, pkt: tuple) -> None:
         key = flow.key
@@ -229,7 +229,7 @@ class Analyzer:
                     unclassified += 1
                 if flow.role in VIDEO_ROLES:
                     video = flow
-            reg.rows, unreported = self._session_qoe(latency, video)
+            reg.rows, unreported = gameplay_rows(latency, video)
             latency_unreported += unreported
 
         for session in self.detector.sessions:
@@ -253,39 +253,3 @@ class Analyzer:
             "latency_unreported": latency_unreported,
         }
         return AnalysisReport(list(self.detector.sessions), gameplays, counters)
-
-    def _session_qoe(self, latency: LatencyTracker, video: Optional[FlowState]) -> tuple[list[QoeSample], int]:
-        """One sample per whole window of the video flow, on the flow table's
-        grid: its bitrate and trailing peak come from the flow's own windows.
-        Also returns how many latency samples no row reports: those in a
-        window without a row, or all of them when there is no video flow."""
-        lat_total = len(latency.samples)
-        if video is None or video.frames is None:
-            return [], lat_total
-        windows = video.windows
-        lat_reported = 0
-
-        latency_buckets: dict[int, list[float]] = {}
-        for sample in latency.samples:
-            latency_buckets.setdefault(int(sample.ts // WINDOW_S), []).append(sample.latency_ms)
-
-        samples = []
-        for fs in video.frames.samples:
-            idx = fs.window
-            peak = max(
-                windows.get(j, NO_PACKETS)[2] * 8 for j in range(idx - PEAK_WINDOW_INTERVALS + 1, idx + 1)
-            )
-            lat_vals = latency_buckets.get(idx)
-            if lat_vals:
-                lat_reported += len(lat_vals)
-            samples.append(
-                QoeSample(
-                    ts=idx * WINDOW_S,
-                    latency_ms=sum(lat_vals) / len(lat_vals) if lat_vals else None,
-                    fps=fs.fps,
-                    fps_band=fps_band(fs.fps),
-                    bitrate_mbps=windows.get(idx, NO_PACKETS)[2] * 8 / 1e6,
-                    resolution=resolution_band(fs.fps, peak),
-                )
-            )
-        return samples, lat_total - lat_reported

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .flows import WINDOW_S
+from .flows import WINDOW_S, FlowState
 
 U32 = 1 << 32
 
@@ -21,6 +21,8 @@ RES_SD = "sd"
 RES_UNKNOWN = "unknown"
 
 PENDING_EXPIRY_S = 4.0  # two heartbeat periods
+PEAK_WINDOW_INTERVALS = 10  # trailing windows whose peak bitrate sets the resolution band
+NO_PACKETS = (0, 0, 0, 0)  # the counts of a window the flow has no entry for
 FRAME_SIZE_MARGIN = 1  # bytes below the running max that still count as full size
 WARMUP_INTERVALS = 2
 
@@ -33,24 +35,22 @@ NOMINAL_FPS_SPLIT = 45.0  # above it the 60 fps row applies
 ACTIVITY_FLOOR_BPS = 2_000_000.0  # below it the resolution is unknown
 
 
-@dataclass(slots=True)
-class LatencySample:
-    ts: float  # downstream arrival time
-    latency_ms: float
-
-
 class LatencyTracker:
     """Pairs upstream management packets with their acknowledging
-    downstream packets via expected ack = seq + payload (u32 wrapping)."""
+    downstream packets via expected ack = seq + payload (u32 wrapping), and
+    files each latency under the grid window (`ts // WINDOW_S`) that its
+    downstream packet arrives in."""
 
     def __init__(self):
         self.pending: dict[int, float] = {}
-        self.samples: list[LatencySample] = []
+        self.windows: dict[int, list[float]] = {}  # arrival window -> latencies in ms, in arrival order
+        self.count = 0  # latencies filed in `windows`
         self.negative_discarded = 0
 
-    def feed(self, pkt: tuple, down: bool) -> Optional[LatencySample]:
+    def feed(self, pkt: tuple, down: bool) -> Optional[float]:
         """One packet tuple (`PacketRecord` layout) of the flow; `down` is its
-        direction, as `FlowState.down` has it after the flow table counted it."""
+        direction, as `FlowState.down` has it after the flow table counted it.
+        Returns the latency in ms that the packet completes, or None."""
         ts, _, _, _, _, _, payload_len, seq, ack, flags, _ = pkt
         if flags is None:
             return None
@@ -66,9 +66,10 @@ class LatencyTracker:
         if delta < 0:
             self.negative_discarded += 1
             return None
-        sample = LatencySample(ts=ts, latency_ms=delta * 1000.0)
-        self.samples.append(sample)
-        return sample
+        latency_ms = delta * 1000.0
+        self.windows.setdefault(int(ts // WINDOW_S), []).append(latency_ms)
+        self.count += 1
+        return latency_ms
 
     def _expire(self, now: float) -> None:
         if len(self.pending) > 8:
@@ -97,15 +98,11 @@ class FrameRateTracker:
     flow covers whole are emitted: not the one holding its first packet,
     nor the last one, which never closes. A packet that closes no window
     gets the shared empty `NO_SAMPLES`, so no list is made per packet. A
-    packet earlier than the open window counts in the open window.
-
-    Every sample returned is also kept in `samples`. Until `start()`, the
-    analyzer appends a joined flow's downstream packets to `pending` as
-    `(payload_len, ts)` instead of feeding them, since the flow's role is not
-    yet known; `start()` feeds them in order and sets `pending` to None.
+    packet earlier than the open window counts in the open window. Every
+    sample returned is also kept in `samples`.
     """
 
-    __slots__ = ("frame_count", "window", "window_end", "whole", "size_max", "full_size", "flag_max", "pending", "samples")
+    __slots__ = ("frame_count", "window", "window_end", "whole", "size_max", "full_size", "flag_max", "samples")
 
     def __init__(self):
         self.frame_count = 0
@@ -117,7 +114,6 @@ class FrameRateTracker:
         self.size_max = 0
         self.full_size = -FRAME_SIZE_MARGIN  # size_max - FRAME_SIZE_MARGIN: smaller packets can end a frame
         self.flag_max = False
-        self.pending: Optional[list[tuple[int, float]]] = []
         self.samples: list[FpsSample] = []
 
     def feed(self, payload_len: int, ts: float) -> Sequence[FpsSample]:
@@ -147,12 +143,6 @@ class FrameRateTracker:
         self.flag_max = True
         return out
 
-    def start(self) -> None:
-        """Feed the held packets in order and stop holding."""
-        pending, self.pending = self.pending, None
-        for payload_len, ts in pending:
-            self.feed(payload_len, ts)
-
 
 def fps_band(fps: float) -> str:
     if fps < 40:
@@ -181,3 +171,35 @@ class QoeSample:
     fps_band: Optional[str]
     bitrate_mbps: float
     resolution: str
+
+
+def gameplay_rows(latency: LatencyTracker, video: Optional[FlowState]) -> tuple[list[QoeSample], int]:
+    """A gameplay's QoE rows: one per whole window of its video flow, on the
+    flow table's grid. The frame rate comes from the flow's frame-rate
+    tracker, the bitrate and trailing peak from the flow's own windows, and
+    the latency from the samples that arrived in the window. There are none
+    without a video flow (None), nor for an adopted one, which has no
+    tracker. Also returns how many latency samples no row reports: those in
+    a window without a row, or all of them when there are no rows."""
+    if video is None or video.frames is None:
+        return [], latency.count
+    windows = video.windows
+    reported = 0
+    rows = []
+    for fs in video.frames.samples:
+        idx = fs.window
+        peak = max(windows.get(j, NO_PACKETS)[2] * 8 for j in range(idx - PEAK_WINDOW_INTERVALS + 1, idx + 1))
+        lat_vals = latency.windows.get(idx)
+        if lat_vals:
+            reported += len(lat_vals)
+        rows.append(
+            QoeSample(
+                ts=idx * WINDOW_S,
+                latency_ms=sum(lat_vals) / len(lat_vals) if lat_vals else None,
+                fps=fs.fps,
+                fps_band=fps_band(fs.fps),
+                bitrate_mbps=windows.get(idx, NO_PACKETS)[2] * 8 / 1e6,
+                resolution=resolution_band(fs.fps, peak),
+            )
+        )
+    return rows, latency.count - reported

@@ -20,7 +20,7 @@ import struct
 import pytest
 
 import gamesight
-from gamesight import packets, pcap
+from gamesight import packets, pcap, qoe
 from gamesight.flows import WINDOW_S
 from gamesight.packets import ETH_IPV4, ETH_IPV6, PacketRecord
 from gamesight.pipeline import Analyzer
@@ -181,10 +181,11 @@ def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, cli
 def test_latency_samples_without_a_row_are_counted(tmp_path):
     analyzer, report = _analyze_console(tmp_path)
     (reg,) = analyzer.detector.registrations.values()
-    samples = reg.flows[0].latency.samples
+    latency = reg.flows[0].latency
+    assert latency.count == sum(map(len, latency.windows.values()))
     (session,) = report.sessions
     windows = {int(row.ts // WINDOW_S) for row in session.gameplays[0].rows}
-    averaged = sum(int(s.ts // WINDOW_S) in windows for s in samples)
-    assert report.counters["latency_unreported"] == len(samples) - averaged > 0
+    averaged = sum(len(v) for idx, v in latency.windows.items() if idx in windows)
+    assert report.counters["latency_unreported"] == latency.count - averaged > 0
     # a session without a video flow reports none of its samples
-    assert analyzer._session_qoe(reg.flows[0].latency, None) == ([], len(samples))
+    assert qoe.gameplay_rows(latency, None) == ([], latency.count)

@@ -132,8 +132,8 @@ def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
 
 
 def test_each_downstream_video_packet_feeds_the_frame_detector_once(tmp_path, monkeypatch):
-    # packets held until the role is decided are fed once, when start()
-    # replays them, not also when they are held
+    # packets held until the role is decided are fed once, when the video
+    # flow's new tracker takes them, not also when they are held
     path, _ = _capture(tmp_path)
     fed = []
     feed = FrameRateTracker.feed
@@ -148,6 +148,28 @@ def test_each_downstream_video_packet_feeds_the_frame_detector_once(tmp_path, mo
     assert len(video) == 1
     assert len(fed) == sum(w[0] for w in video[0].windows.values()) > 0
     assert fed == sorted(fed)
+
+
+@pytest.mark.parametrize("setup, seed, joined", [("desktop_app", 21, 4), ("browser", 5, 2)])
+def test_only_the_video_flow_gets_a_frame_rate_tracker(tmp_path, monkeypatch, setup, seed, joined):
+    # a joined flow holds its downstream packets itself until its role is
+    # decided, so no tracker is made for a flow that turns out not to be video
+    path, _ = _capture(tmp_path, setup=setup, seed=seed)
+    made = []
+    init = FrameRateTracker.__init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(FrameRateTracker, "__init__", counted)
+    report = _analyze(path)
+    (reg,) = report.sessions[0].gameplays
+    flows = reg.flows[1:]  # the management flow is first
+    assert len(flows) == joined
+    assert [f.frames for f in flows if f.frames is not None] == made
+    assert sum(f.role in VIDEO_ROLES for f in flows) == len(made) == 1
+    assert all(f.held is None for f in flows)
 
 
 def _qoe_rows(report, session):

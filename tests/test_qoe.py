@@ -43,17 +43,16 @@ def _down(ts, ack, length=0):
 def test_latency_pairing_20ms():
     t = LatencyTracker()
     t.feed(_up(10.0, seq=1000, length=51), UP)
-    sample = t.feed(_down(10.020, ack=1051), DOWN)
-    assert sample is not None
-    assert sample.latency_ms == pytest.approx(20.0)
-    assert t.samples == [sample]
+    latency_ms = t.feed(_down(10.020, ack=1051), DOWN)
+    assert latency_ms == pytest.approx(20.0)
+    assert t.windows == {10: [latency_ms]} and t.count == 1
 
 
 def test_pure_acks_never_registered():
     t = LatencyTracker()
     t.feed(_up(10.0, seq=1000, length=0), UP)
     assert t.feed(_down(10.020, ack=1000), DOWN) is None
-    assert t.samples == []
+    assert t.windows == {} and t.count == 0
 
 
 def test_unmatched_ack_ignored():
@@ -69,8 +68,7 @@ def test_sequence_wraparound():
     seq = U32 - 5
     t.feed(_up(1.0, seq=seq, length=10), UP)
     assert (seq + 10) % U32 == 5
-    sample = t.feed(_down(1.008, ack=5), DOWN)
-    assert sample.latency_ms == pytest.approx(8.0)
+    assert t.feed(_down(1.008, ack=5), DOWN) == pytest.approx(8.0)
 
 
 def test_negative_delta_discarded():
@@ -78,7 +76,7 @@ def test_negative_delta_discarded():
     t.feed(_up(10.0, seq=1, length=5), UP)
     assert t.feed(_down(9.5, ack=6), DOWN) is None
     assert t.negative_discarded == 1
-    assert t.samples == []
+    assert t.windows == {} and t.count == 0
 
 
 def test_pending_expiry():
@@ -172,8 +170,8 @@ def test_size_margin_boundary():
 
 def test_a_held_tracker_keeps_what_it_returns_live():
     # a packet that closes no window gets the shared empty result; a tracker
-    # keeps exactly the samples it returns, whether the packets were held
-    # until start() or fed after it
+    # keeps exactly the samples it returns (the packets a flow holds until its
+    # role is known are replayed through the same `feed`)
     rng = random.Random(11)
     events, ts = [], 0.3
     for _ in range(4000):
@@ -187,17 +185,6 @@ def test_a_held_tracker_keeps_what_it_returns_live():
     assert all(not r and len(r) == 0 and r is NO_SAMPLES for r in quiet)
     assert sum(len(r) for r in returns) > 20  # gaps give windows of zero fps too
     assert tracker.samples == [s for r in returns for s in r]
-
-    half = len(events) // 2
-    held = FrameRateTracker()
-    held.pending.extend(events[:half])  # as the analyzer holds them
-    assert held.samples == []  # held until the role is known
-    held.start()
-    assert held.pending is None
-    assert held.samples == [s for r in returns[:half] for s in r]
-    assert [held.feed(size, t) for size, t in events[half:]] == returns[half:]
-    assert held.samples == [s for r in returns for s in r]
-    assert (held.frame_count, held.size_max) == (tracker.frame_count, tracker.size_max)
 
 
 class _OracleTracker:
