@@ -26,17 +26,6 @@ class SetupSignature:
     upstream_sizes: list[int]
     downstream_sizes: list[int]
 
-    def matches(self, up: list[int], down: list[int], dst_port: int) -> bool:
-        if dst_port not in self.dst_ports:
-            return False
-        if not self.upstream_sizes or len(up) < len(self.upstream_sizes):
-            return False
-        if up[: len(self.upstream_sizes)] != self.upstream_sizes:
-            return False
-        if len(down) < len(self.downstream_sizes):
-            return False
-        return down[: len(self.downstream_sizes)] == self.downstream_sizes
-
 
 @dataclass
 class ServiceCodebook:
@@ -97,12 +86,11 @@ def labels_match(plabels: list[str], nlabels: list[str]) -> bool:
 
 
 def decode_gameplay_name(pattern: str, name: str) -> Optional[str]:
-    """Decode the dashed server IP embedded in a gameplay management SNI.
+    """Decode the dashed server IP embedded in a gameplay management SNI;
+    `pattern` contains "{ip}", as `ServiceCodebook` requires.
 
     Returns the dotted IP, or None if the name does not fit the pattern.
     """
-    if "{ip}" not in pattern:
-        return None
     prefix, suffix = pattern.lower().split("{ip}", 1)
     name = name.lower()
     if not name.startswith(prefix) or not name.endswith(suffix):
@@ -112,23 +100,6 @@ def decode_gameplay_name(pattern: str, name: str) -> Optional[str]:
     if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
         return None
     return ".".join(str(int(p)) for p in parts)
-
-
-def match_setup_signature(
-    signatures: list[SetupSignature],
-    first_payload_sizes_up: list[int],
-    first_payload_sizes_down: list[int],
-    dst_port: int,
-    mgmt_ports: dict[int, str],
-) -> Optional[tuple[str, str]]:
-    """Exact prefix match of handshake payload sizes -> (os, setup class)."""
-    if not first_payload_sizes_up:
-        return None
-    for sig in signatures:
-        if sig.matches(first_payload_sizes_up, first_payload_sizes_down, dst_port):
-            setup_class = mgmt_ports.get(dst_port, CLASS_BROWSER)
-            return sig.os, setup_class
-    return None
 
 
 # -- loading -----------------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codebook import (
+    CLASS_BROWSER,
     SETUP_UNKNOWN,
     ServiceCodebook,
     decode_gameplay_name,
@@ -99,7 +100,9 @@ class ClientState:
 
 
 class SessionDetector:
-    """Per-client stateful matcher over observed service domains."""
+    """Per-client stateful matcher over observed service domains, and the one
+    place that matches what the analyzer reads off the wire (service names,
+    handshake sizes) against the codebooks."""
 
     def __init__(self, codebooks: list[ServiceCodebook]):
         self.codebooks = codebooks
@@ -125,6 +128,21 @@ class SessionDetector:
             plabels = p.lower().split(".")
             self._patterns.setdefault(plabels[0], []).append((p, plabels))
         self._any_first = self._patterns.pop("*", [])  # patterns starting with a '*' label
+        # by server port, in codebook order: the codebooks with their setup
+        # class, and the handshake-size signatures with their platform and
+        # (os, setup class); a signature with no up sizes matches nothing
+        self.mgmt_ports: dict[int, list[tuple[ServiceCodebook, str]]] = {}
+        self.signatures: dict[int, list[tuple[list, list, str, tuple]]] = {}
+        for cb in codebooks:
+            for port, setup_class in cb.mgmt_ports.items():
+                self.mgmt_ports.setdefault(port, []).append((cb, setup_class))
+            for sig in filter(lambda s: s.upstream_sizes, cb.signatures):
+                for port in sig.dst_ports:
+                    hit = (sig.os, cb.mgmt_ports.get(port, CLASS_BROWSER))
+                    self.signatures.setdefault(port, []).append((sig.upstream_sizes, sig.downstream_sizes, cb.platform_id, hit))
+        entries = [e for port_entries in self.signatures.values() for e in port_entries]
+        self.longest_up = max((len(e[0]) for e in entries), default=0)  # the most sizes a signature reads upstream
+        self.longest_down = max((len(e[1]) for e in entries), default=0)  # and downstream
 
     # -- service name observation -------------------------------------
 
@@ -218,14 +236,19 @@ class SessionDetector:
     # -- gameplay server registration ---------------------------------
 
     def register_gameplay_server(self, name: str, key: FlowKey, ts: float) -> Optional[ServerRegistration]:
-        for cb in self.codebooks:
-            setup_class = cb.mgmt_ports.get(key.server_port)
-            if setup_class is None:
-                continue
+        for cb, setup_class in self.mgmt_ports.get(key.server_port, ()):
             embedded_ip = decode_gameplay_name(cb.gameplay_name_pattern, name)
             if embedded_ip is not None:
                 mismatch = embedded_ip != ip_text(key.server_ip)
                 return self._register(key, ts, cb, setup_class, mismatch, by_signature=False)
+        return None
+
+    def match_signature(self, port: int, up: list, down: list) -> Optional[tuple[str, tuple[str, str]]]:
+        """`(platform, (os, setup class))` of the first signature on `port`
+        whose sizes prefix the flow's handshake sizes `up` and `down`, or None."""
+        for sig_up, sig_down, platform_id, hit in self.signatures.get(port, ()):
+            if up[: len(sig_up)] == sig_up and down[: len(sig_down)] == sig_down:
+                return platform_id, hit
         return None
 
     def register_by_signature(

@@ -59,9 +59,9 @@ class FlowState:
     win_start: float = 0.0
     win_end: float = 0.0
     # payload sizes of the first data packets each way (a SYN's data left
-    # out), which setup signatures match: the analyzer records them on a
-    # management-port TCP flow while its signature is undecided; elsewhere
-    # they stay None
+    # out), which setup signatures match: the analyzer records them on a TCP
+    # flow to a port a signature names while its signature is undecided;
+    # elsewhere they stay None
     first_payload_sizes_up: Optional[list] = None
     first_payload_sizes_down: Optional[list] = None
     sni: Optional[str] = None  # "" once a ClientHello reassembly finished without a name
@@ -72,7 +72,7 @@ class FlowState:
     # analyzer state, dropped with the flow when it is evicted or expires
     reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once it finishes
     latency: Optional[LatencyTracker] = None  # on a registered management flow
-    signature: Optional[tuple] = None  # management port: (os, setup_class), or () once none can match
+    signature: Optional[tuple] = None  # signature port: (os, setup_class), or () once none can match
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
     role: Optional[str] = None  # set at registration on the mgmt flow; decided once its classifying windows close
     held: Optional[list] = None  # a joined flow's downstream (payload_len, ts), until its role is decided

@@ -246,10 +246,8 @@ def _parse_general(
             if frag_cache is None:
                 return SkipReason.FRAGMENT
             ports = frag_cache.get((src, dst, proto, ip_id))
-            if ports is None:
+            if ports is None:  # the cache holds only TCP and UDP heads
                 return SkipReason.FRAGMENT
-            if proto != TCP and proto != UDP:
-                return SkipReason.NON_TCP_UDP
             return (ts, src, ports[0], dst, ports[1], proto, ip_len, None, None, None, None)
         off += ihl
         more_frags = frag_field & 0x2000

@@ -15,14 +15,12 @@ from .classify import (
     classify_flow,
     starts_gameplay,
 )
-from .codebook import ServiceCodebook, default_codebooks, match_setup_signature
+from .codebook import ServiceCodebook, default_codebooks
 from .detector import ServerRegistration, SessionDetector
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
 from .qoe import FrameRateTracker, LatencyTracker, gameplay_rows
 from .tls import SniReassembler
-
-FIRST_PAYLOADS_CAP = 4  # handshake sizes kept each way: the longest signature has 4 entries
 
 
 @dataclass
@@ -45,10 +43,8 @@ class Analyzer:
     ):
         if codebooks is None:
             codebooks = default_codebooks()
-        self.codebooks = codebooks
         self.table = FlowTable(client_nets=client_nets)
         self.detector = SessionDetector(codebooks)
-        self.mgmt_ports = {p for cb in codebooks for p in cb.mgmt_ports}
         self._unjoined: deque[FlowState] = deque()  # UDP flows that joined nothing at their first packet, in creation order
         self.unadopted = 0  # flows a registration could not adopt: see `_registered`
         self.sni_given_up = 0  # ClientHello reassemblies that hit their segment or byte cap
@@ -90,13 +86,11 @@ class Analyzer:
                 if unjoined and unjoined[0].first_ts < self.table.now - MGMT_WINDOW_S:
                     self._drop_unadoptable()
                 return
-            if flow.role is None and int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
-                self._decide(flow)  # the windows that classify the flow have closed
-            if flow.down:  # upstream never feeds the frame detector
-                if flow.frames is not None:
-                    flow.frames.feed(payload_len, ts)
-                elif flow.held is not None:
+            if flow.role is None:  # once decided, a flow holds nothing, and `_feed` feeds a video one's tracker
+                if flow.down and flow.held is not None:  # upstream never feeds the frame detector
                     flow.held.append((payload_len, ts))  # held until the role is known
+                if int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
+                    self._decide(flow)  # the windows that classify the flow have closed
             return
 
         if flow.latency is not None:
@@ -117,14 +111,16 @@ class Analyzer:
                     elif reasm.gave_up:
                         self.sni_given_up += 1
 
-        if flow.signature is None and flow.key.server_port in self.mgmt_ports:
-            # the handshake sizes a setup signature matches; a SYN's data is
-            # left out, a tail fragment (no TCP header, so no flags) is not
+        detector = self.detector
+        if flow.signature is None and flow.key.server_port in detector.signatures:
+            # the handshake sizes a setup signature matches, each way as many
+            # as the longest signature reads; a SYN's data is left out, a tail
+            # fragment (no TCP header, so no flags) is not
             if flow.first_payload_sizes_up is None:
                 flow.first_payload_sizes_up, flow.first_payload_sizes_down = [], []
             if flags is None or not flags & TCP_SYN:
                 sizes = flow.first_payload_sizes_down if flow.down else flow.first_payload_sizes_up
-                if len(sizes) < FIRST_PAYLOADS_CAP:
+                if len(sizes) < (detector.longest_down if flow.down else detector.longest_up):
                     sizes.append(payload_len)
             self._try_signature(flow, pkt)
 
@@ -193,22 +189,19 @@ class Analyzer:
         ts = pkt[0]
         self.detector.observe_service_name(key, name, ts)
         self.detector.evaluate_codebook(key.client_ip, ts)
-        if key.server_port in self.mgmt_ports:
+        if key.server_port in self.detector.mgmt_ports:
             self._registered(self.detector.register_gameplay_server(name, key, ts), flow, pkt)
 
     def _try_signature(self, flow, pkt: tuple) -> None:
-        key = flow.key
-        up = flow.first_payload_sizes_up
-        down = flow.first_payload_sizes_down
-        for cb in self.codebooks:
-            hit = match_setup_signature(cb.signatures, up, down, key.server_port, cb.mgmt_ports)
-            if hit is not None:
-                flow.signature = hit
-                if flow.gameplay is None:  # its SNI has not registered it
-                    self._registered(self.detector.register_by_signature(key, pkt[0], cb.platform_id, hit[1]), flow, pkt)
-                return
-        if len(down) >= FIRST_PAYLOADS_CAP and len(up) >= FIRST_PAYLOADS_CAP:
-            flow.signature = ()  # no signature will ever prefix-match now
+        key, detector = flow.key, self.detector
+        up, down = flow.first_payload_sizes_up, flow.first_payload_sizes_down
+        hit = detector.match_signature(key.server_port, up, down)
+        if hit is not None:
+            platform_id, flow.signature = hit
+            if flow.gameplay is None:  # its SNI has not registered it
+                self._registered(detector.register_by_signature(key, pkt[0], platform_id, flow.signature[1]), flow, pkt)
+        elif len(up) >= detector.longest_up and len(down) >= detector.longest_down:
+            flow.signature = ()  # the sizes are all kept and no signature prefixes them
 
     # -- finalization -------------------------------------------------
 

@@ -114,7 +114,7 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
         assert all(a < b for a, b in zip(windows, windows[1:]))
     assert sum(len(reg.rows) for reg in regs) == qoe_samples
 
-    patterns = [p for cb in analyzer.codebooks for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
+    patterns = [p for cb in analyzer.detector.codebooks for table in (cb.core_services, *cb.setup_tables.values()) for p in table]
     for st in analyzer.detector.clients.values():
         assert set(st.observed_names) <= set(patterns)
         assert all(set(matches) <= set(patterns) for matches in st.newest_match)

@@ -4,6 +4,7 @@ import logging
 import pytest
 from click.testing import CliRunner
 
+from gamesight import pcap
 from gamesight.cli import main
 from gamesight.codebook import default_codebook_path
 from gamesight.report import load_sessions_jsonl, write_qoe_csv, write_sessions_jsonl
@@ -89,6 +90,15 @@ def test_truncated_capture_exit_2(tmp_path):
 def test_missing_capture_exit_2(tmp_path):
     res = _run(["analyze", "--pcap", str(tmp_path / "nope.pcap"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
+
+
+def test_unsupported_link_type_exit_2(tmp_path):
+    path = str(tmp_path / "sll.pcap")
+    pcap.write_capture([], path, link_type=113)  # Linux cooked capture
+    res = _run(["analyze", "--pcap", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    (line,) = res.stderr.splitlines()
+    assert line == "malformed capture %s: unsupported link type 113" % path
 
 
 def test_directory_as_capture_exit_2(tmp_path):

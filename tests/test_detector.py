@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from gamesight.codebook import (
     ServiceCodebook,
+    SetupSignature,
     decode_gameplay_name,
     default_codebooks,
-    match_setup_signature,
     wildcard_match,
 )
 from gamesight.detector import (
@@ -185,9 +185,35 @@ def test_wrong_port_not_registered():
     ],
 )
 def test_signature_matching(up, down, port, expect):
-    books = default_codebooks()
-    gfn = books[0]
-    assert match_setup_signature(gfn.signatures, up, down, port, gfn.mgmt_ports) == expect
+    hit = _detector().match_signature(port, up, down)
+    assert hit == (None if expect is None else ("gfn", expect))
+
+
+def test_signature_tables_follow_the_codebooks():
+    """Each signature is filed under each port it names, in codebook order,
+    with its codebook's class for the port (browser when the port is no
+    management port of it); one without up sizes, which matches nothing,
+    is left out, and counts toward neither longest size list."""
+    signatures = [
+        SetupSignature(os="linux", dst_ports=[322], upstream_sizes=[], downstream_sizes=[1, 2, 3, 4, 5, 6]),
+        SetupSignature(os="linux", dst_ports=[322, 7000], upstream_sizes=[517, 80], downstream_sizes=[900]),
+    ]
+    other = ServiceCodebook(
+        platform_id="p", core_services=["a.x"], setup_tables={}, gameplay_name_pattern="{ip}.x",
+        mgmt_ports={322: "console_app"}, signatures=signatures,
+    )
+    det = SessionDetector(default_codebooks() + [other])
+    assert [entry[2:] for entry in det.signatures[322]] == [
+        ("gfn", ("windows", "console_app")),
+        ("gfn", ("macos", "console_app")),
+        ("gfn", ("android", "console_app")),
+        ("p", ("linux", "console_app")),
+    ]
+    assert det.signatures[7000] == [([517, 80], [900], "p", ("linux", "browser"))]
+    assert (det.longest_up, det.longest_down) == (2, 3)
+    assert [cb.platform_id for cb, _ in det.mgmt_ports[49100]] == ["gfn", "xbox"]
+    assert det.match_signature(7000, [517, 80, 1], [900]) == ("p", ("linux", "browser"))
+    assert det.match_signature(7000, [517], [900]) is None
 
 
 def test_register_by_signature():

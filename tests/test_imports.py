@@ -54,3 +54,22 @@ def test_analyze_does_not_import_the_generator():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gamesight.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_the_pipeline_takes_no_codebook_matching():
+    """Only the detector matches against codebooks: of `codebook`, the
+    pipeline imports the codebook type and the shipped codebooks, and
+    nothing else."""
+    tree = ast.parse((Path(gamesight.__file__).parent / "pipeline.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("gamesight." if node.level else "") + (node.module or "gamesight")
+            names = [alias.name for alias in node.names]
+            if module == "gamesight.codebook":
+                imported.update(names)
+            elif module == "gamesight" and "codebook" in names:
+                imported.add("the codebook module")
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("gamesight.codebook"))
+    assert imported == {"ServiceCodebook", "default_codebooks"}

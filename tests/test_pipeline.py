@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from gamesight import pcap, pipeline
-from gamesight.classify import MGMT_WINDOW_S, VIDEO_ROLES
+from gamesight.classify import MGMT_WINDOW_S, ROLE_UNCLASSIFIED, VIDEO_ROLES
+from gamesight.codebook import SetupSignature, default_codebooks
 from gamesight.detector import ServerRegistration, SessionRecord
 from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowKey, FlowTable
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
@@ -432,9 +433,10 @@ def test_a_tcp_flow_reassembles_one_client_hello(tmp_path, monkeypatch):
     assert (len(built), len(fed)) == (1, 3)
 
 
-def test_first_payload_sizes_exclude_syn_and_cap_at_four():
-    # the analyzer records handshake sizes on management-port TCP flows
-    # only, where a setup signature can match them
+def test_first_payload_sizes_exclude_syn_and_stop_at_the_longest_signature():
+    # the analyzer records handshake sizes on TCP flows to a port that a
+    # setup signature names, each way as many as the longest signature
+    # reads: one up and three down in the shipped codebook
     client, server = "192.0.2.10", "203.0.113.7"
     analyzer = Analyzer(client_nets=NETS)
     flows = analyzer.table.flows
@@ -444,8 +446,11 @@ def test_first_payload_sizes_exclude_syn_and_cap_at_four():
     analyzer._feed([tcp_record(1.0, server, 322, client, 1, 1460)])
     mgmt = flows[FlowKey(packed(client), 1, packed(server), 322, TCP)]
     assert mgmt.signature is None
-    assert mgmt.first_payload_sizes_up == [517, 100, 200, 300]
+    assert mgmt.first_payload_sizes_up == [517]
     assert mgmt.first_payload_sizes_down == [1460]
+    analyzer._feed([tcp_record(1.1 + i * 0.1, server, 322, client, 1, size) for i, size in enumerate([1460, 1400, 502])])
+    assert mgmt.first_payload_sizes_down == [1460, 1460, 1400]
+    assert mgmt.signature == ()  # every size a signature reads is kept, and none prefixes them
 
     analyzer._feed([tcp_record(2.0, client, 2, server, 322, 700, seq=None, ack=None, flags=None)])  # tail fragment
     assert flows[FlowKey(packed(client), 2, packed(server), 322, TCP)].first_payload_sizes_up == [700]
@@ -460,6 +465,41 @@ def test_first_payload_sizes_exclude_syn_and_cap_at_four():
     )
     for key in (FlowKey(packed(client), 3, packed(server), 443, TCP), FlowKey(packed(client), 4, packed(server), 322, UDP)):
         assert (flows[key].first_payload_sizes_up, flows[key].first_payload_sizes_down) == (None, None)
+
+
+def test_a_signature_longer_than_the_shipped_ones_registers():
+    """A codebook whose signature reads five downstream sizes registers a
+    flow that sends them, on the fifth: every size it reads is kept."""
+    books = default_codebooks()
+    books[0].signatures = [SetupSignature(os="linux", dst_ports=[322], upstream_sizes=[517], downstream_sizes=[100, 200, 300, 400, 500])]
+    client, server = "192.0.2.10", "203.0.113.7"
+    key = FlowKey(packed(client), 1, packed(server), 322, TCP)
+    analyzer = Analyzer(codebooks=books, client_nets=NETS)
+    analyzer._feed([tcp_record(0.0, client, 1, server, 322, 517)])
+    analyzer._feed([tcp_record(0.1 * i, server, 322, client, 1, size) for i, size in enumerate([100, 200, 300, 400], 1)])
+    assert analyzer.detector.registrations == {}
+    analyzer._feed([tcp_record(0.5, server, 322, client, 1, 500)])
+    mgmt = analyzer.table.flows[key]
+    assert mgmt.signature == ("linux", "console_app")
+    (reg,) = analyzer.detector.registrations.values()
+    assert (reg.flows, reg.platform_id, reg.registered_at) == ([mgmt], "gfn", 0.5)
+    assert reg.session.setup == "console_app"
+
+
+def test_a_gameplay_flow_outside_the_platform_port_range_is_unclassified(tmp_path):
+    """An XBox gameplay's UDP flow to a server port outside 1040-1190 joins
+    the gameplay, and is listed as unclassified and counted."""
+    records, _ = gen_session(SessionProfile(platform="xbox", setup="hardware_console", duration_s=6.0, seed=4))
+    start = next(ts for ts, frame in records if frame[9] == UDP)  # the first gameplay packet
+    client, server = "192.0.2.10", "203.0.113.7"
+    extra = [(start + 0.1 * i, ipv4_udp(client, server, 50000, 3000, b"x" * 100)) for i in range(20)]
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(sorted(records + extra, key=lambda r: r[0]), path)
+    report = _analyze(path)
+    (s,) = report.sessions
+    roles = dict(_flows(s))
+    assert roles[FlowKey(packed(client), 50000, packed(server), 3000, UDP)] == ROLE_UNCLASSIFIED
+    assert list(roles.values()).count(ROLE_UNCLASSIFIED) == report.counters["unclassified_flows"] == 1
 
 
 def _short_tls_flows(count, base_ts, span_s, seed):

@@ -1,5 +1,7 @@
 import random
+import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamesight.synth import build_client_hello
@@ -33,6 +35,38 @@ def test_hello_without_sni_extension():
     # must not crash; may or may not find a name, never a wrong type
     out = extract_sni(bytes(hello))
     assert out is None or isinstance(out, str)
+
+
+def _hello_with(extensions: bytes) -> bytes:
+    """A ClientHello record whose extension block is `extensions`."""
+    body = b"\x03\x03" + b"\x00" * 32 + b"\x00" + b"\x00\x02\x13\x01" + b"\x01\x00"
+    body += struct.pack("!H", len(extensions)) + extensions
+    hs = b"\x01" + len(body).to_bytes(3, "big") + body
+    return b"\x16\x03\x01" + struct.pack("!H", len(hs)) + hs
+
+
+def _ext(ext_type: int, data: bytes) -> bytes:
+    return struct.pack("!HH", ext_type, len(data)) + data
+
+
+def _server_name(*entries: tuple[int, bytes]) -> bytes:
+    """A server_name extension listing (name type, name) entries."""
+    names = b"".join(struct.pack("!BH", kind, len(name)) + name for kind, name in entries)
+    return _ext(0, struct.pack("!H", len(names)) + names)
+
+
+@pytest.mark.parametrize(
+    "extensions, name",
+    [
+        (_ext(0x0A0A, b"") + _ext(0x002B, b"\x02\x03\x04") + _server_name((0, b"Late.Example")), "late.example"),
+        (_server_name((1, b"other"), (0, b"host.example")), "host.example"),
+        (_server_name((0, "caf\u00e9.example".encode())), None),
+        (struct.pack("!HH", 0x002B, 500) + b"\x02\x03\x04" + _server_name((0, b"host.example")), None),
+    ],
+    ids=["after-grease-and-versions", "other-name-type-first", "non-ascii", "extension-overruns-block"],
+)
+def test_server_name_extension_layouts(extensions, name):
+    assert extract_sni(_hello_with(extensions)) == name
 
 
 def test_reassembler_split_hello():
