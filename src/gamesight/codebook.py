@@ -151,11 +151,17 @@ def _codebook_from_dict(d: dict) -> ServiceCodebook:
 
 def load_codebooks(path: str) -> list[ServiceCodebook]:
     """Load a codebook file. Raises ValueError on a key the format does not
-    have, at any level, or a malformed value, and KeyError on a missing key."""
+    have, at any level, a malformed value or a platform id listed twice, and
+    KeyError on a missing key."""
     with open(path) as fh:
         data = json.load(fh)
     _check_keys(data, CODEBOOK_KEYS, "the codebook")
-    return [_codebook_from_dict(d) for d in data["platforms"]]
+    books = [_codebook_from_dict(d) for d in data["platforms"]]
+    ids = [cb.platform_id for cb in books]
+    for i, platform_id in enumerate(ids):
+        if platform_id in ids[:i]:
+            raise ValueError("platform %r is listed twice in the codebook" % platform_id)
+    return books
 
 
 def default_codebook_path() -> str:

@@ -89,7 +89,7 @@ class ServerRegistration:
     ip_mismatch_warning: bool = False
     session: Optional[SessionRecord] = None
     flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
-    rows: list = field(default_factory=list)  # QoeSample, one per whole window of its video flow
+    rows: list = field(default_factory=list)  # qoe.csv cells but session_id, per whole window of its video flow
 
 
 @dataclass

@@ -163,24 +163,16 @@ def resolution_band(fps: float, peak_bitrate_bps: float) -> str:
     return RES_FHD
 
 
-@dataclass(slots=True)
-class QoeSample:
-    ts: float
-    latency_ms: Optional[float]
-    fps: Optional[float]
-    fps_band: Optional[str]
-    bitrate_mbps: float
-    resolution: str
-
-
-def gameplay_rows(latency: LatencyTracker, video: Optional[FlowState]) -> tuple[list[QoeSample], int]:
+def gameplay_rows(latency: LatencyTracker, video: Optional[FlowState]) -> tuple[list[dict], int]:
     """A gameplay's QoE rows: one per whole window of its video flow, on the
-    flow table's grid. The frame rate comes from the flow's frame-rate
-    tracker, the bitrate and trailing peak from the flow's own windows, and
-    the latency from the samples that arrived in the window. There are none
-    without a video flow (None), nor for an adopted one, which has no
-    tracker. Also returns how many latency samples no row reports: those in
-    a window without a row, or all of them when there are no rows."""
+    flow table's grid. Each row is the dict of its `qoe.csv` cells but
+    `session_id`, rounded as they are written. The frame rate comes from the
+    flow's frame-rate tracker, the bitrate and trailing peak from the flow's
+    own windows, and the latency from the samples that arrived in the
+    window. There are none without a video flow (None), nor for an adopted
+    one, which has no tracker. Also returns how many latency samples no row
+    reports: those in a window without a row, or all of them when there are
+    no rows."""
     if video is None or video.frames is None:
         return [], latency.count
     windows = video.windows
@@ -193,13 +185,13 @@ def gameplay_rows(latency: LatencyTracker, video: Optional[FlowState]) -> tuple[
         if lat_vals:
             reported += len(lat_vals)
         rows.append(
-            QoeSample(
-                ts=idx * WINDOW_S,
-                latency_ms=sum(lat_vals) / len(lat_vals) if lat_vals else None,
-                fps=fs.fps,
-                fps_band=fps_band(fs.fps),
-                bitrate_mbps=windows.get(idx, NO_PACKETS)[2] * 8 / 1e6,
-                resolution=resolution_band(fs.fps, peak),
-            )
+            {
+                "ts": round(idx * WINDOW_S, 6),
+                "latency_ms": round(sum(lat_vals) / len(lat_vals), 3) if lat_vals else None,
+                "fps": round(fs.fps, 3),
+                "fps_band": fps_band(fs.fps),
+                "bitrate_mbps": round(windows.get(idx, NO_PACKETS)[2] * 8 / 1e6, 4),
+                "resolution": resolution_band(fs.fps, peak),
+            }
         )
     return rows, latency.count - reported

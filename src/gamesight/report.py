@@ -10,7 +10,6 @@ from typing import Optional
 from .qoe import WARMUP_INTERVALS
 
 QOE_SCHEMA = "gamesight-qoe/2"  # /2: rows on the flow table's whole one-second windows
-QOE_SCHEMAS_READ = ("gamesight-qoe/1", QOE_SCHEMA)
 SESSIONS_SCHEMA = "gamesight-sessions/1"
 
 QOE_COLUMNS = ["ts", "session_id", "latency_ms", "fps", "fps_band", "bitrate_mbps", "resolution"]
@@ -23,22 +22,10 @@ class SchemaError(Exception):
 def capture_outputs(rep, capture: str, prefix: str = "") -> tuple[list[dict], list[dict]]:
     """The sessions.jsonl objects and qoe.csv rows of one analyzed capture:
     each session's `to_dict` with `prefix` on its id and the capture's path,
-    and each gameplay's QoE samples, rounded as they are written."""
+    and each gameplay's QoE rows with its session's prefixed id."""
     sessions = [s.to_dict() for s in rep.sessions]
     sessions = [{**d, "session_id": prefix + d["session_id"], "capture": capture} for d in sessions]
-    rows = [
-        {
-            "ts": round(s.ts, 6),
-            "session_id": prefix + reg.session.session_id,
-            "latency_ms": None if s.latency_ms is None else round(s.latency_ms, 3),
-            "fps": None if s.fps is None else round(s.fps, 3),
-            "fps_band": s.fps_band,
-            "bitrate_mbps": round(s.bitrate_mbps, 4),
-            "resolution": s.resolution,
-        }
-        for reg in rep.gameplays
-        for s in reg.rows
-    ]
+    rows = [{**row, "session_id": prefix + reg.session.session_id} for reg in rep.gameplays for row in reg.rows]
     return sessions, rows
 
 
@@ -52,9 +39,11 @@ def write_qoe_csv(path: str, rows: list[dict]) -> None:
 
 
 def load_qoe_csv(path: str) -> list[dict]:
+    """The rows of a qoe.csv, as `capture_outputs` returns them. Every row of
+    the schema has `fps` and `fps_band`; a row without either is refused."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
-        if first not in ["# schema=%s" % schema for schema in QOE_SCHEMAS_READ]:
+        if first != "# schema=%s" % QOE_SCHEMA:
             raise SchemaError("unexpected qoe schema header: %r" % first)
         reader = csv.DictReader(fh)
         if reader.fieldnames != QOE_COLUMNS:
@@ -63,13 +52,15 @@ def load_qoe_csv(path: str) -> list[dict]:
         for raw in reader:
             if None in raw or None in raw.values():
                 raise SchemaError("qoe line %d does not have the %d columns" % (reader.line_num + 1, len(QOE_COLUMNS)))
+            if not (raw["fps"] and raw["fps_band"]):
+                raise SchemaError("qoe line %d has no fps or no fps_band" % (reader.line_num + 1))
             rows.append(
                 {
                     "ts": float(raw["ts"]),
                     "session_id": raw["session_id"],
                     "latency_ms": float(raw["latency_ms"]) if raw["latency_ms"] else None,
-                    "fps": float(raw["fps"]) if raw["fps"] else None,
-                    "fps_band": raw["fps_band"] or None,
+                    "fps": float(raw["fps"]),
+                    "fps_band": raw["fps_band"],
                     "bitrate_mbps": float(raw["bitrate_mbps"]),
                     "resolution": raw["resolution"],
                 }
@@ -159,8 +150,6 @@ def _percentile(values: list[float], q: float) -> Optional[float]:
 
 def _shares(counts: dict[str, int]) -> dict[str, float]:
     total = sum(counts.values())
-    if total == 0:
-        return {}
     return {k: v / total for k, v in sorted(counts.items())}
 
 
@@ -180,8 +169,7 @@ def summarize(rows: list[dict], session_setups: Optional[dict[str, str]] = None)
         res_counts: dict[str, int] = {}
         latencies = []
         for row in grp:
-            if row["fps_band"]:
-                fps_counts[row["fps_band"]] = fps_counts.get(row["fps_band"], 0) + 1
+            fps_counts[row["fps_band"]] = fps_counts.get(row["fps_band"], 0) + 1
             res_counts[row["resolution"]] = res_counts.get(row["resolution"], 0) + 1
             if row["latency_ms"] is not None:
                 latencies.append(row["latency_ms"])
@@ -255,7 +243,7 @@ def _errors(scored: list[tuple[list, float]]) -> dict:
     MAE and signed bias over matches' paired rows, each with its `rtt_ms`."""
     fps, hits, latency = [], [], []
     for pairs, rtt in scored:
-        fps += [abs(row["fps"] - t["fps"]) for row, t, k in pairs if row["fps"] is not None and k >= WARMUP_INTERVALS]
+        fps += [abs(row["fps"] - t["fps"]) for row, t, k in pairs if k >= WARMUP_INTERVALS]
         hits += [row["resolution"] == t["resolution"] for row, t, _ in pairs]
         latency += [row["latency_ms"] - rtt for row, _, _ in pairs if row["latency_ms"] is not None]
     return {

@@ -221,23 +221,11 @@ def build_client_hello(server_name: str, pad_to: Optional[int] = None, rng: Opti
 # -- generation plan helpers -------------------------------------------
 
 
-class _Plan:
-    def __init__(self):
-        self.items: list[tuple[float, bytes]] = []
-
-    def emit(self, ts: float, frame: bytes) -> None:
-        self.items.append((ts, frame))
-
-    def sorted_records(self) -> list[tuple[float, bytes]]:
-        # the sort is stable: records with equal timestamps keep emission order
-        self.items.sort(key=itemgetter(0))
-        return self.items
-
-
 class _TcpConv:
-    """Client/server TCP conversation emitter with coherent seq/ack state."""
+    """Client/server TCP conversation emitter with coherent seq/ack state;
+    `plan` is the list of (ts, frame) records it appends to."""
 
-    def __init__(self, plan: _Plan, client_ip, server_ip, cport, sport, rtt_s, rng):
+    def __init__(self, plan: list, client_ip, server_ip, cport, sport, rtt_s, rng):
         self.plan = plan
         self.client_ip, self.server_ip = client_ip, server_ip
         self.cport, self.sport = cport, sport
@@ -246,31 +234,24 @@ class _TcpConv:
         self.sseq = rng.randrange(1 << 31)
 
     def handshake(self, t: float) -> float:
-        self.plan.emit(t, ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, 0, 0x02))
+        syn = ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, 0, 0x02)
+        self.plan.append((t, syn))
         self.cseq += 1
-        self.plan.emit(
-            t + self.rtt_s,
-            ipv4_tcp(self.server_ip, self.client_ip, self.sport, self.cport, self.sseq, self.cseq, 0x12),
-        )
+        syn_ack = ipv4_tcp(self.server_ip, self.client_ip, self.sport, self.cport, self.sseq, self.cseq, 0x12)
+        self.plan.append((t + self.rtt_s, syn_ack))
         self.sseq += 1
-        self.plan.emit(
-            t + self.rtt_s + 0.001,
-            ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, self.sseq, 0x10),
-        )
+        ack = ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, self.sseq, 0x10)
+        self.plan.append((t + self.rtt_s + 0.001, ack))
         return t + self.rtt_s + 0.002
 
     def send_up(self, t: float, payload: bytes) -> None:
-        self.plan.emit(
-            t,
-            ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, self.sseq, 0x18, payload),
-        )
+        frame = ipv4_tcp(self.client_ip, self.server_ip, self.cport, self.sport, self.cseq, self.sseq, 0x18, payload)
+        self.plan.append((t, frame))
         self.cseq += len(payload)
 
     def send_down(self, t: float, payload: bytes) -> None:
-        self.plan.emit(
-            t,
-            ipv4_tcp(self.server_ip, self.client_ip, self.sport, self.cport, self.sseq, self.cseq, 0x18, payload),
-        )
+        frame = ipv4_tcp(self.server_ip, self.client_ip, self.sport, self.cport, self.sseq, self.cseq, 0x18, payload)
+        self.plan.append((t, frame))
         self.sseq += len(payload)
 
 
@@ -282,19 +263,11 @@ def gen_video_packets(
     target_bitrate_bps: float,
     duration_s: float,
     seed: int,
-    band: Optional[str] = None,
-) -> tuple[list[tuple[float, int]], list[dict]]:
-    """Downstream video plan: (time offset, payload size) pairs plus the
-    per-second ground truth. Each frame is N full packets and one marker."""
-    if band is not None:
-        lo, hi = BAND_RANGES[(fps, band)]
-        if not lo <= target_bitrate_bps <= hi:
-            raise BandMismatch(
-                "bitrate %.1f Mbps outside %s@%dfps band" % (target_bitrate_bps / 1e6, band, fps)
-            )
+) -> list[tuple[float, int]]:
+    """Downstream video plan: (time offset, payload size) pairs. Each frame
+    is N full packets and one marker."""
     rng = random.Random(seed)
     pkts: list[tuple[float, int]] = []
-    truth: list[dict] = []
     mean_frame = target_bitrate_bps / (8 * fps)
     nframes = int(round(duration_s * fps))
     spacing = 1.0 / fps
@@ -307,9 +280,7 @@ def gen_video_packets(
         for i in range(n_full):
             pkts.append((t + i * 5e-5, VIDEO_FULL_SIZE))
         pkts.append((t + n_full * 5e-5, marker))
-    for s in range(int(duration_s)):
-        truth.append({"second": s, "fps": fps, "bitrate_mbps": target_bitrate_bps / 1e6})
-    return pkts, truth
+    return pkts
 
 
 def _scheduled_video(profile: SessionProfile, seed: int):
@@ -335,7 +306,7 @@ def _scheduled_video(profile: SessionProfile, seed: int):
             raise BandMismatch(
                 "bitrate %.1f Mbps outside %s@%dfps band" % (bitrate / 1e6, band, fps)
             )
-        sec_pkts, _ = gen_video_packets(fps, bitrate, 1.0, rng.randrange(1 << 30))
+        sec_pkts = gen_video_packets(fps, bitrate, 1.0, rng.randrange(1 << 30))
         pkts.extend((s + t, size) for t, size in sec_pkts)
         truth.append(
             {"second": s, "fps": fps, "bitrate_mbps": bitrate / 1e6, "resolution": band}
@@ -410,7 +381,7 @@ def _cbr_stream(plan, profile, rng, cport, sport, t0, duration, up_pps, up_len, 
         else:
             frame = ipv4_udp(profile.server_ip, profile.client_ip, sport, cport, payload)
         start = t0 + phase
-        plan.items.extend((start + i * gap, frame) for i in range(int(duration * pps)))
+        plan.extend((start + i * gap, frame) for i in range(int(duration * pps)))
 
     emit_dir(up_pps, up_len, True, rng.uniform(0, 0.01))
     emit_dir(down_pps, down_len, False, rng.uniform(0, 0.01))
@@ -435,7 +406,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
     """Full session plan (time-ordered records) plus its ground truth."""
     profile.validate()
     rng = random.Random(profile.seed)
-    plan = _Plan()
+    plan: list[tuple[float, bytes]] = []
     rtt_s = profile.rtt_ms / 1000.0
     domains = _GFN_PLATFORM_DOMAINS if profile.platform == "gfn" else _XBOX_PLATFORM_DOMAINS
 
@@ -501,7 +472,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         audio_up_sport = rng.randrange(47000, 48900)
         input_sport = rng.randrange(47000, 48900)
         video = _UdpFrames(profile.server_ip, profile.client_ip, video_sport, 49005)
-        plan.items.extend((t_play + toff, video[size]) for toff, size in video_pkts)
+        plan.extend((t_play + toff, video[size]) for toff, size in video_pkts)
         # sparse upstream receiver feedback on the video flow
         _cbr_stream(plan, profile, rng, 49005, video_sport, t_play, duration, 2, 24, 0, 0)
         _cbr_stream(
@@ -537,22 +508,22 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         media_cport = 50100
         down = _UdpFrames(profile.server_ip, profile.client_ip, media_sport, media_cport)
         up = _UdpFrames(profile.client_ip, profile.server_ip, media_cport, media_sport)
-        plan.items.extend((t_play + toff, down[size]) for toff, size in video_pkts)
+        plan.extend((t_play + toff, down[size]) for toff, size in video_pkts)
         # per frame-group companions: downstream audio, upstream audio, input
         frame_times = sorted({round(toff, 6) for toff, size in video_pkts if size < VIDEO_FULL_SIZE})
         for toff in frame_times:
             base = t_play + toff
-            plan.emit(base + 5e-4, down[DOWN_AUDIO_PAYLOAD])
-            plan.emit(base + 7e-4, up[UP_AUDIO_PAYLOAD])
-            plan.emit(base + 9e-4, up[INPUT_UP_PAYLOAD])
+            plan.append((base + 5e-4, down[DOWN_AUDIO_PAYLOAD]))
+            plan.append((base + 7e-4, up[UP_AUDIO_PAYLOAD]))
+            plan.append((base + 9e-4, up[INPUT_UP_PAYLOAD]))
         # low-rate STUN helper flow
         stun_cport = 3478
         stun_up = ipv4_udp(profile.client_ip, profile.server_ip, stun_cport, stun_sport, b"\x00" * STUN_PAYLOAD)
         stun_down = ipv4_udp(profile.server_ip, profile.client_ip, stun_sport, stun_cport, b"\x00" * STUN_PAYLOAD)
         hb = t_play + rng.uniform(0, 0.3)
         while hb < gameplay_end:
-            plan.emit(hb, stun_up)
-            plan.emit(hb + rtt_s, stun_down)
+            plan.append((hb, stun_up))
+            plan.append((hb + rtt_s, stun_down))
             hb += STUN_PERIOD_S
         flow_entry(ROLE_COMBINED, media_cport, media_sport)
         flow_entry(ROLE_STUN, stun_cport, stun_sport)
@@ -560,8 +531,9 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
     # back to the platform after gameplay
     _platform_flow(plan, profile, rng, gameplay_end + 1.0, domains["core"][1], "203.0.113.11", cport)
 
-    records = plan.sorted_records()
-    capture_end = records[-1][0] if records else gameplay_end
+    # the sort is stable: records with equal timestamps keep emission order
+    plan.sort(key=itemgetter(0))
+    capture_end = plan[-1][0] if plan else gameplay_end
 
     manifest = GroundTruthManifest(
         {
@@ -580,7 +552,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
                 "gameplay_end": gameplay_end,
                 "capture_end": capture_end,
             },
-            "packet_count": len(records),
+            "packet_count": len(plan),
             "flows": flows,
             "qoe": [
                 {
@@ -593,7 +565,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
             ],
         }
     )
-    return records, manifest
+    return plan, manifest
 
 
 def write_session(profile: SessionProfile, pcap_path: str, manifest_path: str) -> GroundTruthManifest:

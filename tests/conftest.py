@@ -110,7 +110,7 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     for reg in regs:
         assert reg.flows[0].role == ROLE_MGMT and isinstance(reg.flows[0].latency, LatencyTracker)
         assert all(flow.gameplay is reg for flow in reg.flows)
-        windows = [int(row.ts // WINDOW_S) for row in reg.rows]
+        windows = [int(row["ts"] // WINDOW_S) for row in reg.rows]
         assert all(a < b for a, b in zip(windows, windows[1:]))
     assert sum(len(reg.rows) for reg in regs) == qoe_samples
 

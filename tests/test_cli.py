@@ -175,6 +175,12 @@ def _set(container, key, value) -> None:
             _shipped_codebook(lambda d: _set(d["platforms"][0], "core", "abc")),
             "core of platform 'gfn' must be a list of strings, not 'abc'",
         ),
+        (_shipped_codebook(lambda d: _set(d["platforms"][1], "core", [])), "core_services must be non-empty"),
+        # a second entry of one id would split its codebook between two entries
+        (
+            _shipped_codebook(lambda d: d["platforms"].append({**d["platforms"][1], "platform": "gfn"})),
+            "platform 'gfn' is listed twice in the codebook",
+        ),
         (
             _shipped_codebook(lambda d: _set(d["platforms"][0]["setups"], "browser", "play.nvidia")),
             "setup 'browser' of platform 'gfn' must be a list of strings",
@@ -218,6 +224,8 @@ def _set(container, key, value) -> None:
         "range-of-three-ports",
         "range-reversed",
         "core-a-string",
+        "core-empty",
+        "platform-id-repeated",
         "setup-table-a-string",
         "signature-os-a-number",
         "signature-ports-a-string",
@@ -305,8 +313,27 @@ def _report_inputs(tmp_path, part, text):
             "qoe line 3 does not have the 7 columns",
         ),
         ("sessions", '{"schema": "gamesight-sessions/1"}\n["s1"]\n', "a sessions line is not a JSON object"),
+        # every row of schema /2 has fps and fps_band
+        (
+            "qoe",
+            "# schema=gamesight-qoe/2\nts,session_id,latency_ms,fps,fps_band,bitrate_mbps,resolution\n"
+            "1.0,s1,20.0,60.0,high,18.0,hd\n2.0,s1,20.0,,high,18.0,hd\n",
+            "qoe line 4 has no fps or no fps_band",
+        ),
+        (
+            "qoe",
+            "# schema=gamesight-qoe/2\nts,session_id,latency_ms,fps,fps_band,bitrate_mbps,resolution\n"
+            "1.0,s1,20.0,60.0,,18.0,hd\n",
+            "qoe line 3 has no fps or no fps_band",
+        ),
     ],
-    ids=["manifest-a-list", "qoe-row-missing-cells", "sessions-line-a-list"],
+    ids=[
+        "manifest-a-list",
+        "qoe-row-missing-cells",
+        "sessions-line-a-list",
+        "qoe-row-without-fps",
+        "qoe-row-without-fps-band",
+    ],
 )
 def test_report_wrong_shaped_input_exit_1(tmp_path, part, text, message):
     res = _run(_report_inputs(tmp_path, part, text))
@@ -454,6 +481,19 @@ def test_report_scores_each_session_against_its_own_manifest(tmp_path):
         alone = json.loads(_run(args).stdout)["truth"]
         assert (alone["attempted"], alone["failed"]) == (2, 1)
         assert alone["matches"] == [m]
+
+
+def test_report_refuses_a_schema_1_file_exit_1(tmp_path):
+    # nothing has written gamesight-qoe/1 since /2, so it is read as no schema
+    path = tmp_path / "qoe.csv"
+    row = {"ts": 1.0, "session_id": "s1", "latency_ms": 20.0, "fps": 60.0, "fps_band": "high"}
+    write_qoe_csv(str(path), [{**row, "bitrate_mbps": 18.0, "resolution": "hd"}])
+    _, body = path.read_text().split("\n", 1)
+    path.write_text("# schema=gamesight-qoe/1\n" + body)
+    res = _run(["report", "--in", str(path)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["schema mismatch: unexpected qoe schema header: '# schema=gamesight-qoe/1'"]
 
 
 def test_report_schema_mismatch_exit_1(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,9 @@ from gamesight.codebook import (
     ServiceCodebook,
     SetupSignature,
     decode_gameplay_name,
+    default_codebook_path,
     default_codebooks,
+    load_codebooks,
     wildcard_match,
 )
 from gamesight.detector import (
@@ -311,6 +315,28 @@ def test_tie_without_a_discriminating_domain_is_ambiguous():
     _observe(det, ["b.x.com", "a.x.com"])
     assert det.sessions[0].setup == "unknown"
     assert det.sessions[0].setup_ambiguous
+
+
+def test_a_codebook_without_setups_gives_unknown_not_ambiguous():
+    book = ServiceCodebook(
+        platform_id="p", core_services=["a.x"], setup_tables={}, gameplay_name_pattern="{ip}.x", mgmt_ports={}
+    )
+    det = SessionDetector([book])
+    _observe(det, ["a.x.com"])
+    assert (det.sessions[0].setup, det.sessions[0].setup_ambiguous) == ("unknown", False)
+
+
+def test_a_repeated_platform_id_is_refused(tmp_path):
+    # the detector's per-platform tables would take the last entry of an id
+    # and its signature matching the first, so the loader refuses the file
+    with open(default_codebook_path()) as fh:
+        data = json.load(fh)
+    data["platforms"].append({**data["platforms"][1], "platform": "gfn"})
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="platform 'gfn' is listed twice"):
+        load_codebooks(str(path))
+    assert [cb.platform_id for cb in default_codebooks()] == ["gfn", "xbox"]
 
 
 def test_refinement_ignores_an_ambiguous_tie():

@@ -11,7 +11,9 @@ waiting when the capture ends. The console capture also pins two per-run
 counts: the address-to-text conversions and the latency samples no QoE
 row reports, and it checks that packets travel as plain tuples, with no
 record object built per packet, and that each of its frames, raw or in
-Ethernet with or without a VLAN tag, is parsed with one unpack.
+Ethernet with or without a VLAN tag, is parsed with one unpack. Each
+case's QoE rows are built in the form qoe.csv holds, and read back from the
+written file as the same dicts.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from gamesight import packets, pcap, qoe
 from gamesight.flows import WINDOW_S
 from gamesight.packets import ETH_IPV4, ETH_IPV6, PacketRecord
 from gamesight.pipeline import Analyzer
+from gamesight.report import QOE_COLUMNS, capture_outputs, load_qoe_csv, write_qoe_csv
 from gamesight.synth import SessionProfile, gen_session, write_session
 
 from conftest import analyze_checked
@@ -79,6 +82,36 @@ def analyze_digests(tmp_path, monkeypatch, profile_kw) -> tuple[str, str]:
 def test_outputs_byte_identical(tmp_path, monkeypatch, case):
     profile_kw, sessions_sha, qoe_sha = CASES[case]
     assert analyze_digests(tmp_path, monkeypatch, profile_kw) == (sessions_sha, qoe_sha)
+
+
+def _analyze_case(tmp_path, case):
+    """The capture path and the analysis of one golden case."""
+    path = str(tmp_path / "s.pcap")
+    write_session(_profile(CASES[case][0]), path, str(tmp_path / "s.manifest.json"))
+    return path, Analyzer(client_nets=("192.0.2.0/24",)).analyze_file(path)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rows_hold_the_qoe_csv_columns_but_session_id(tmp_path, case):
+    # a row is built once, in the form qoe.csv holds: a column that
+    # gameplay_rows builds and QOE_COLUMNS does not name, or the reverse,
+    # fails here
+    _, report = _analyze_case(tmp_path, case)
+    rows = [row for reg in report.gameplays for row in reg.rows]
+    assert rows
+    assert all(set(row) == set(QOE_COLUMNS) - {"session_id"} for row in rows)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_written_rows_read_back_as_the_rows_in_memory(tmp_path, case):
+    # capture_outputs only adds the session id, and load_qoe_csv gives back
+    # exactly the rows write_qoe_csv was given
+    path, report = _analyze_case(tmp_path, case)
+    _, rows = capture_outputs(report, path, "c0-")
+    (session,) = report.sessions
+    assert rows == [{**row, "session_id": "c0-" + session.session_id} for reg in report.gameplays for row in reg.rows]
+    write_qoe_csv(str(tmp_path / "qoe.csv"), rows)
+    assert load_qoe_csv(str(tmp_path / "qoe.csv")) == rows
 
 
 # Ethernet header (destination, source MAC) before the EtherType, and the
@@ -184,7 +217,7 @@ def test_latency_samples_without_a_row_are_counted(tmp_path):
     latency = reg.flows[0].latency
     assert latency.count == sum(map(len, latency.windows.values()))
     (session,) = report.sessions
-    windows = {int(row.ts // WINDOW_S) for row in session.gameplays[0].rows}
+    windows = {int(row["ts"] // WINDOW_S) for row in session.gameplays[0].rows}
     averaged = sum(len(v) for idx, v in latency.windows.items() if idx in windows)
     assert report.counters["latency_unreported"] == latency.count - averaged > 0
     # a session without a video flow reports none of its samples

@@ -108,11 +108,11 @@ def test_qoe_rows_are_the_video_flows_whole_windows(tmp_path):
     windows = analyzer.table.flows[key].windows
     down = sorted(idx for idx, counts in windows.items() if counts[0])
     rows = _rows(session)
-    idxs = [int(s.ts // WINDOW_S) for s in rows]
+    idxs = [int(s["ts"] // WINDOW_S) for s in rows]
     assert idxs == list(range(down[0] + 1, down[-1]))
     for idx, s in zip(idxs, rows):
-        assert s.ts == idx * WINDOW_S
-        assert s.bitrate_mbps == windows[idx][2] * 8 / 1e6
+        assert s["ts"] == idx * WINDOW_S
+        assert s["bitrate_mbps"] == round(windows[idx][2] * 8 / 1e6, 4)
 
 
 def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
@@ -173,10 +173,6 @@ def test_only_the_video_flow_gets_a_frame_rate_tracker(tmp_path, monkeypatch, se
     assert all(f.held is None for f in flows)
 
 
-def _qoe_rows(report, session):
-    return [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in _rows(session)]
-
-
 def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
     # both sessions start within each other's gameplay window
     profiles = [
@@ -196,7 +192,7 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
         path = str(tmp_path / ("alone%d.pcap" % i))
         pcap.write_capture(records, path)
         report = _analyze(path)
-        alone[profile.client_ip] = _qoe_rows(report, report.sessions[0])
+        alone[profile.client_ip] = _rows(report.sessions[0])
     merged.sort(key=lambda r: r[0])
     path = str(tmp_path / "both.pcap")
     pcap.write_capture(merged, path)
@@ -207,7 +203,7 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
         udp = [k for k, _ in _flows(s) if k.proto == UDP]
         assert len(udp) == 4
         assert {k.client_ip for k in udp} == {s.client_ip}
-        assert _qoe_rows(report, s) == alone[ip_text(s.client_ip)]
+        assert _rows(s) == alone[ip_text(s.client_ip)]
     assert alone["192.0.2.10"] != alone["192.0.2.11"]
 
 
@@ -555,7 +551,7 @@ def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
             assert windows
         else:
             assert windows is None
-    assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
+    assert _rows(s) == _rows(alone.sessions[0])
     assert _rows(s)
 
 
@@ -680,7 +676,7 @@ def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypat
     assert _flows(s) == _flows(alone.sessions[0])
     assert s.setup == alone.sessions[0].setup
     assert s.to_dict()["os_hint"] == alone.sessions[0].to_dict()["os_hint"]
-    assert _qoe_rows(report, s) == _qoe_rows(alone, alone.sessions[0])
+    assert _rows(s) == _rows(alone.sessions[0])
     assert _rows(s)
 
 
@@ -707,7 +703,7 @@ def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
     assert (s.session_id, s.setup) == (a.session_id, a.setup)
     assert s.to_dict()["gameplay_started_at"] == a.to_dict()["gameplay_started_at"]
     assert s.ended_at == second[-1][0]
-    assert _qoe_rows(report, s) == _qoe_rows(alone, a)
+    assert _rows(s) == _rows(a)
 
 
 def test_two_gameplays_of_one_session_keep_their_own_rows(tmp_path):
@@ -784,9 +780,7 @@ def test_session_addresses_are_written_as_address_text(client, server, written):
 def test_pipeline_deterministic(tmp_path):
     path, _ = _capture(tmp_path)
     r1, r2 = _analyze(path), _analyze(path)
-    q1 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in r1.gameplays[0].rows]
-    q2 = [(s.ts, s.fps, s.bitrate_mbps, s.resolution, s.latency_ms) for s in r2.gameplays[0].rows]
-    assert q1 == q2
+    assert r1.gameplays[0].rows == r2.gameplays[0].rows
     assert [s.to_dict() for s in r1.sessions] == [s.to_dict() for s in r2.sessions]
 
 

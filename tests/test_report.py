@@ -47,13 +47,22 @@ def test_qoe_csv_schema_rejected(tmp_path):
         load_qoe_csv(path)
 
 
-@pytest.mark.parametrize("schema", ["gamesight-qoe/1", "gamesight-qoe/2"])
-def test_qoe_csv_reads_both_schemas(tmp_path, schema):
+def test_qoe_csv_schema_1_refused(tmp_path):
     path = tmp_path / "q.csv"
     write_qoe_csv(str(path), _rows())
     _, body = path.read_text().split("\n", 1)
-    path.write_text("# schema=%s\n%s" % (schema, body))
-    assert load_qoe_csv(str(path)) == _rows()
+    path.write_text("# schema=gamesight-qoe/1\n" + body)
+    with pytest.raises(SchemaError, match="unexpected qoe schema header"):
+        load_qoe_csv(str(path))
+
+
+def test_qoe_csv_wrong_columns_refused(tmp_path):
+    path = tmp_path / "q.csv"
+    write_qoe_csv(str(path), _rows())
+    schema, header, body = path.read_text().split("\n", 2)
+    path.write_text("\n".join([schema, header.replace("fps_band", "band"), body]))
+    with pytest.raises(SchemaError, match="unexpected qoe columns"):
+        load_qoe_csv(str(path))
 
 
 def test_qoe_csv_schema_prefix_rejected(tmp_path):

@@ -13,6 +13,7 @@ from gamesight.synth import (
     MARKER_MIN,
     SessionProfile,
     VIDEO_FULL_SIZE,
+    build_client_hello,
     gen_session,
     gen_video_packets,
     write_session,
@@ -39,26 +40,26 @@ def _profile(**kw):
 def test_frame_packetization_counts():
     # [DERIVED] 25 Mbps at 60 fps -> mean frame 25e6/(8*60) ~= 52083 B
     # -> ~35 full 1466 B packets plus one marker per frame
-    pkts, truth = gen_video_packets(60, 25e6, 1.0, seed=1)
+    pkts = gen_video_packets(60, 25e6, 1.0, seed=1)
     markers = [s for _, s in pkts if s < VIDEO_FULL_SIZE]
     fulls = [s for _, s in pkts if s == VIDEO_FULL_SIZE]
     assert len(markers) == 60  # one marker per frame
     assert len(fulls) / 60 == pytest.approx(25e6 / (8 * 60) / VIDEO_FULL_SIZE, rel=0.05)
     assert all(MARKER_MIN <= s <= MARKER_MAX for s in markers)
-    assert truth == [{"second": 0, "fps": 60, "bitrate_mbps": 25.0}]
 
 
 def test_video_bitrate_close_to_target():
-    pkts, _ = gen_video_packets(30, 11e6, 10.0, seed=2)
+    pkts = gen_video_packets(30, 11e6, 10.0, seed=2)
     total_bits = sum(s for _, s in pkts) * 8
     assert total_bits / 10.0 == pytest.approx(11e6, rel=0.03)
 
 
 def test_video_band_envelope_enforced():
     with pytest.raises(BandMismatch):
-        gen_video_packets(60, 50e6, 1.0, seed=1, band="fhd")
-    pkts, _ = gen_video_packets(60, 29e6, 1.0, seed=1, band="fhd")
-    assert pkts
+        gen_session(_profile(bitrate_bps=50e6))
+    records, manifest = gen_session(_profile(bitrate_bps=29e6))
+    assert records
+    assert {e["bitrate_mbps"] for e in manifest.data["qoe"]} == {29.0}
 
 
 def test_default_bitrates_sit_mid_band():
@@ -75,12 +76,18 @@ def test_profile_validation_errors():
         _profile(platform="stadia").validate()
     with pytest.raises(InvalidProfile):
         _profile(setup="tv_app").validate()
+    with pytest.raises(InvalidProfile, match="unknown xbox setup 'desktop_app'"):
+        _profile(platform="xbox").validate()
     with pytest.raises(InvalidProfile):
         _profile(os="beos").validate()
     with pytest.raises(InvalidProfile):
         _profile(fps_schedule=[(0.0, 45)]).validate()
+    with pytest.raises(InvalidProfile, match="fps schedule"):
+        _profile(fps_schedule=[(1.0, 60)]).validate()
     with pytest.raises(InvalidProfile):
         _profile(resolution_schedule=[(1.0, "hd")]).validate()
+    with pytest.raises(InvalidProfile, match="unknown resolution band 'uhd'"):
+        _profile(resolution_schedule=[(0.0, "uhd")]).validate()
     with pytest.raises(InvalidProfile):
         _profile(duration_s=0).validate()
 
@@ -105,6 +112,13 @@ def test_mgmt_port_selection():
     assert _profile(setup="mobile_app").mgmt_port() == 322
     assert _profile(setup="browser").mgmt_port() == 49100
     assert _profile(platform="xbox", setup="hardware_console").mgmt_port() == 49100
+
+
+def test_client_hello_refuses_a_pad_to_below_its_own_length():
+    hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net", pad_to=517)
+    assert len(hello) == 517
+    with pytest.raises(ValueError, match="pad_to too small"):
+        build_client_hello("203-0-113-7.pnt.nvidiagrid.net", pad_to=100)
 
 
 # -- session plan -------------------------------------------------------

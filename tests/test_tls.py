@@ -37,12 +37,20 @@ def test_hello_without_sni_extension():
     assert out is None or isinstance(out, str)
 
 
-def _hello_with(extensions: bytes) -> bytes:
-    """A ClientHello record whose extension block is `extensions`."""
-    body = b"\x03\x03" + b"\x00" * 32 + b"\x00" + b"\x00\x02\x13\x01" + b"\x01\x00"
-    body += struct.pack("!H", len(extensions)) + extensions
+# a ClientHello body up to its extension block: version, random, an empty
+# session id, one cipher suite and the null compression method
+HELLO_HEAD = b"\x03\x03" + b"\x00" * 32 + b"\x00" + b"\x00\x02\x13\x01" + b"\x01\x00"
+
+
+def _record(body: bytes) -> bytes:
+    """A ClientHello record around `body`, its record and handshake lengths both whole."""
     hs = b"\x01" + len(body).to_bytes(3, "big") + body
     return b"\x16\x03\x01" + struct.pack("!H", len(hs)) + hs
+
+
+def _hello_with(extensions: bytes) -> bytes:
+    """A ClientHello record whose extension block is `extensions`."""
+    return _record(HELLO_HEAD + struct.pack("!H", len(extensions)) + extensions)
 
 
 def _ext(ext_type: int, data: bytes) -> bytes:
@@ -62,11 +70,31 @@ def _server_name(*entries: tuple[int, bytes]) -> bytes:
         (_server_name((1, b"other"), (0, b"host.example")), "host.example"),
         (_server_name((0, "caf\u00e9.example".encode())), None),
         (struct.pack("!HH", 0x002B, 500) + b"\x02\x03\x04" + _server_name((0, b"host.example")), None),
+        (_ext(0, b"\x00\x02\x00\x00"), None),
+        (_ext(0, struct.pack("!HBH", 8, 0, 50) + b"hello"), None),
+        (_server_name((1, b"other")), None),
     ],
-    ids=["after-grease-and-versions", "other-name-type-first", "non-ascii", "extension-overruns-block"],
+    ids=[
+        "after-grease-and-versions",
+        "other-name-type-first",
+        "non-ascii",
+        "extension-overruns-block",
+        "server-name-of-4-bytes",
+        "name-runs-past-its-list",
+        "only-a-non-host-name",
+    ],
 )
 def test_server_name_extension_layouts(extensions, name):
     assert extract_sni(_hello_with(extensions)) == name
+
+
+@pytest.mark.parametrize(
+    "end", [34, 35, 39, 41], ids=["after-random", "after-session-id", "after-cipher-suites", "after-compression"]
+)
+def test_hello_that_ends_before_its_extensions(end):
+    # the record and handshake lengths match the cut body, so the body parser
+    # itself must find each field missing
+    assert extract_sni(_record(HELLO_HEAD[:end])) is None
 
 
 def test_reassembler_split_hello():
