@@ -47,6 +47,15 @@ def test_qoe_csv_schema_rejected(tmp_path):
         load_qoe_csv(path)
 
 
+@pytest.mark.parametrize("schema", ["gamesight-qoe/2"])
+def test_qoe_csv_reads_both_schemas(tmp_path, schema):
+    path = tmp_path / "q.csv"
+    write_qoe_csv(str(path), _rows())
+    _, body = path.read_text().split("\n", 1)
+    path.write_text("# schema=%s\n%s" % (schema, body))
+    assert load_qoe_csv(str(path)) == _rows()
+
+
 def test_qoe_csv_schema_1_refused(tmp_path):
     path = tmp_path / "q.csv"
     write_qoe_csv(str(path), _rows())
