@@ -39,6 +39,8 @@ class ServiceCodebook:
     setup_score_threshold: float = DEFAULT_SETUP_SCORE_THRESHOLD
 
     def __post_init__(self):
+        if not isinstance(self.platform_id, str):
+            raise ValueError("platform id must be a string, not %r" % (self.platform_id,))
         where = "platform %r" % self.platform_id
         self.core_services = _lowered(self.core_services, "core of " + where)
         if not self.core_services:

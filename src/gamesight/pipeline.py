@@ -48,6 +48,7 @@ class Analyzer:
         self._unjoined: deque[FlowState] = deque()  # UDP flows that joined nothing at their first packet, in creation order
         self.unadopted = 0  # flows a registration could not adopt: see `_registered`
         self.sni_given_up = 0  # ClientHello reassemblies that hit their segment or byte cap
+        self.unregistered_mgmt = 0  # management-port flows certain to register nothing: see `_unregistered`
 
     # -- streaming ----------------------------------------------------
 
@@ -110,6 +111,8 @@ class Analyzer:
                         self._on_sni(flow, name, pkt)
                     elif reasm.gave_up:
                         self.sni_given_up += 1
+                    if flow.signature == () or flow.key.server_port not in self.detector.signatures:
+                        self._unregistered(flow)
 
         detector = self.detector
         if flow.signature is None and flow.key.server_port in detector.signatures:
@@ -202,6 +205,15 @@ class Analyzer:
                 self._registered(detector.register_by_signature(key, pkt[0], platform_id, flow.signature[1]), flow, pkt)
         elif len(up) >= detector.longest_up and len(down) >= detector.longest_down:
             flow.signature = ()  # the sizes are all kept and no signature prefixes them
+            if flow.sni is not None:  # its ClientHello reassembly is done
+                self._unregistered(flow)
+
+    def _unregistered(self, flow) -> None:
+        """Count a flow to a management port that has become certain to
+        register nothing: its ClientHello reassembly is done, and no
+        signature on its port can still match. Called once per flow."""
+        if flow.gameplay is None and flow.key.server_port in self.detector.mgmt_ports:
+            self.unregistered_mgmt += 1
 
     # -- finalization -------------------------------------------------
 
@@ -239,6 +251,7 @@ class Analyzer:
             "flow_evictions": self.table.evictions,
             "flows_expired": self.table.expiries,
             "unadopted_flows": self.unadopted,
+            "unregistered_mgmt_flows": self.unregistered_mgmt,
             "repeated_registrations": self.detector.repeated_registrations,
             "sni_reassembly_given_up": self.sni_given_up,
             "unclassified_flows": unclassified,

@@ -258,60 +258,50 @@ class _TcpConv:
 # -- video -------------------------------------------------------------
 
 
-def gen_video_packets(
-    fps: int,
-    target_bitrate_bps: float,
-    duration_s: float,
-    seed: int,
-) -> list[tuple[float, int]]:
-    """Downstream video plan: (time offset, payload size) pairs. Each frame
-    is N full packets and one marker."""
-    rng = random.Random(seed)
-    pkts: list[tuple[float, int]] = []
-    mean_frame = target_bitrate_bps / (8 * fps)
-    nframes = int(round(duration_s * fps))
-    spacing = 1.0 / fps
-    for k in range(nframes):
-        t = k * spacing + rng.uniform(-FRAME_JITTER_S, FRAME_JITTER_S)
-        t = max(t, k * spacing - FRAME_JITTER_S, 0.0)
-        frame_bytes = int(mean_frame * rng.uniform(1 - FRAME_SIZE_JITTER, 1 + FRAME_SIZE_JITTER))
-        n_full = frame_bytes // VIDEO_FULL_SIZE
-        marker = min(max(frame_bytes % VIDEO_FULL_SIZE, MARKER_MIN), MARKER_MAX)
-        for i in range(n_full):
-            pkts.append((t + i * 5e-5, VIDEO_FULL_SIZE))
-        pkts.append((t + n_full * 5e-5, marker))
-    return pkts
+def _value_at(schedule, t):
+    cur = schedule[0][1]
+    for start, v in schedule:
+        if t >= start:
+            cur = v
+    return cur
 
 
-def _scheduled_video(profile: SessionProfile, seed: int):
-    """Video plan honoring the fps/resolution schedules; truth per second."""
-
-    def value_at(schedule, t):
-        cur = schedule[0][1]
-        for start, v in schedule:
-            if t >= start:
-                cur = v
-        return cur
-
-    pkts: list[tuple[float, int]] = []
+def _scheduled_video(profile: SessionProfile, seed: int, t_play: float, frames: _UdpFrames):
+    """Downstream video honoring the fps/resolution schedules, planned once:
+    the capture records, each frame's marker offset from `t_play`, and the
+    manifest's `qoe` truth per second. Each frame is N full packets and one
+    marker, 50 us apart."""
+    records: list[tuple[float, bytes]] = []
+    markers: list[float] = []
     truth: list[dict] = []
     rng = random.Random(seed)
-    whole = int(profile.duration_s)
-    for s in range(whole):
-        fps = value_at(profile.fps_schedule, s)
-        band = value_at(profile.resolution_schedule, s)
+    full = frames[VIDEO_FULL_SIZE]
+    for s in range(int(profile.duration_s)):
+        fps = _value_at(profile.fps_schedule, s)
+        band = _value_at(profile.resolution_schedule, s)
         bitrate = profile.bitrate_bps or DEFAULT_BITRATES[(fps, band)]
         lo, hi = BAND_RANGES[(fps, band)]
         if not lo <= bitrate <= hi:
             raise BandMismatch(
                 "bitrate %.1f Mbps outside %s@%dfps band" % (bitrate / 1e6, band, fps)
             )
-        sec_pkts = gen_video_packets(fps, bitrate, 1.0, rng.randrange(1 << 30))
-        pkts.extend((s + t, size) for t, size in sec_pkts)
+        sec_rng = random.Random(rng.randrange(1 << 30))
+        mean_frame = bitrate / (8 * fps)
+        spacing = 1.0 / fps
+        for k in range(fps):
+            t = k * spacing + sec_rng.uniform(-FRAME_JITTER_S, FRAME_JITTER_S)
+            t = max(t, k * spacing - FRAME_JITTER_S, 0.0)
+            frame_bytes = int(mean_frame * sec_rng.uniform(1 - FRAME_SIZE_JITTER, 1 + FRAME_SIZE_JITTER))
+            n_full = frame_bytes // VIDEO_FULL_SIZE
+            marker = min(max(frame_bytes % VIDEO_FULL_SIZE, MARKER_MIN), MARKER_MAX)
+            records.extend((t_play + (s + (t + i * 5e-5)), full) for i in range(n_full))
+            t_marker = t + n_full * 5e-5
+            records.append((t_play + (s + t_marker), frames[marker]))
+            markers.append(round(s + t_marker, 6))
         truth.append(
-            {"second": s, "fps": fps, "bitrate_mbps": bitrate / 1e6, "resolution": band}
+            {"ts": t_play + s, "fps": fps, "bitrate_mbps": bitrate / 1e6, "resolution": band}
         )
-    return pkts, truth
+    return records, markers, truth
 
 
 # -- session -----------------------------------------------------------
@@ -396,11 +386,6 @@ class GroundTruthManifest:
             json.dump(self.data, fh, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path: str) -> "GroundTruthManifest":
-        with open(path) as fh:
-            return cls(json.load(fh))
-
 
 def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], GroundTruthManifest]:
     """Full session plan (time-ordered records) plus its ground truth."""
@@ -449,7 +434,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         conv.send_down(hb + rtt_s, b"\x00" * HEARTBEAT_DOWN_LEN)
         hb += HEARTBEAT_PERIOD_S
 
-    video_pkts, video_truth = _scheduled_video(profile, rng.randrange(1 << 30))
+    video_seed = rng.randrange(1 << 30)
     flows: list[dict] = []
 
     def flow_entry(role, cport_, sport_, proto="UDP"):
@@ -472,7 +457,8 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         audio_up_sport = rng.randrange(47000, 48900)
         input_sport = rng.randrange(47000, 48900)
         video = _UdpFrames(profile.server_ip, profile.client_ip, video_sport, 49005)
-        plan.extend((t_play + toff, video[size]) for toff, size in video_pkts)
+        video_records, _, qoe = _scheduled_video(profile, video_seed, t_play, video)
+        plan.extend(video_records)
         # sparse upstream receiver feedback on the video flow
         _cbr_stream(plan, profile, rng, 49005, video_sport, t_play, duration, 2, 24, 0, 0)
         _cbr_stream(
@@ -508,10 +494,10 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         media_cport = 50100
         down = _UdpFrames(profile.server_ip, profile.client_ip, media_sport, media_cport)
         up = _UdpFrames(profile.client_ip, profile.server_ip, media_cport, media_sport)
-        plan.extend((t_play + toff, down[size]) for toff, size in video_pkts)
-        # per frame-group companions: downstream audio, upstream audio, input
-        frame_times = sorted({round(toff, 6) for toff, size in video_pkts if size < VIDEO_FULL_SIZE})
-        for toff in frame_times:
+        video_records, markers, qoe = _scheduled_video(profile, video_seed, t_play, down)
+        plan.extend(video_records)
+        # per-frame companions after each marker: downstream audio, upstream audio, input
+        for toff in markers:
             base = t_play + toff
             plan.append((base + 5e-4, down[DOWN_AUDIO_PAYLOAD]))
             plan.append((base + 7e-4, up[UP_AUDIO_PAYLOAD]))
@@ -554,15 +540,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
             },
             "packet_count": len(plan),
             "flows": flows,
-            "qoe": [
-                {
-                    "ts": t_play + entry["second"],
-                    "fps": entry["fps"],
-                    "bitrate_mbps": entry["bitrate_mbps"],
-                    "resolution": entry["resolution"],
-                }
-                for entry in video_truth
-            ],
+            "qoe": qoe,
         }
     )
     return plan, manifest

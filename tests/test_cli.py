@@ -181,6 +181,8 @@ def _set(container, key, value) -> None:
             _shipped_codebook(lambda d: d["platforms"].append({**d["platforms"][1], "platform": "gfn"})),
             "platform 'gfn' is listed twice in the codebook",
         ),
+        # sessions.jsonl would carry the number, which report refuses
+        (_shipped_codebook(lambda d: _set(d["platforms"][0], "platform", 5)), "platform id must be a string, not 5"),
         (
             _shipped_codebook(lambda d: _set(d["platforms"][0]["setups"], "browser", "play.nvidia")),
             "setup 'browser' of platform 'gfn' must be a list of strings",
@@ -226,6 +228,7 @@ def _set(container, key, value) -> None:
         "core-a-string",
         "core-empty",
         "platform-id-repeated",
+        "platform-id-a-number",
         "setup-table-a-string",
         "signature-os-a-number",
         "signature-ports-a-string",

@@ -806,6 +806,17 @@ def test_strip_sni_signature_fallback(tmp_path):
     assert roles == ["down_audio", "down_video", "gameplay_mgmt", "up_audio", "user_input"]
 
 
+@pytest.mark.parametrize("strip_sni, sessions, unregistered", [(True, 0, 1), (False, 1, 0)])
+def test_a_management_flow_that_registers_nothing_is_counted(tmp_path, strip_sni, sessions, unregistered):
+    """Without its SNI, an Android XBox browser's management flow matches no
+    signature on its port: no gameplay registers, and the flow is counted
+    once, at the packet where that becomes certain."""
+    path, _ = _capture(tmp_path, platform="xbox", setup="pc_browser", os="android", strip_sni=strip_sni, duration_s=12.0, seed=3)
+    report = _analyze(path)
+    assert len(report.sessions) == sessions
+    assert report.counters["unregistered_mgmt_flows"] == unregistered
+
+
 def test_an_sni_registration_is_not_repeated_by_its_signature(tmp_path):
     """The management flow that its SNI registered matches its handshake
     signature later: that gives the session its OS hint, and is no second

@@ -1,21 +1,26 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from gamesight import pcap
+from gamesight import pcap, report
 from gamesight.errors import BandMismatch, InvalidProfile
 from gamesight.synth import (
     BAND_RANGES,
     DEFAULT_BITRATES,
-    GroundTruthManifest,
+    DOWN_AUDIO_PAYLOAD,
+    INPUT_UP_PAYLOAD,
     MARKER_MAX,
     MARKER_MIN,
     SessionProfile,
+    UP_AUDIO_PAYLOAD,
     VIDEO_FULL_SIZE,
     build_client_hello,
+    _scheduled_video,
+    _UdpFrames,
     gen_session,
-    gen_video_packets,
     write_session,
 )
 
@@ -37,21 +42,28 @@ def _profile(**kw):
 # -- video plan arithmetic ---------------------------------------------
 
 
+def _video_payloads(profile):
+    """Payload sizes of the video records the planner makes for `profile`."""
+    frames = _UdpFrames(profile.server_ip, profile.client_ip, 47000, 49005)
+    records, markers, _ = _scheduled_video(profile, profile.seed, 0.0, frames)
+    return [len(frame) - 28 for _, frame in records], markers
+
+
 def test_frame_packetization_counts():
     # [DERIVED] 25 Mbps at 60 fps -> mean frame 25e6/(8*60) ~= 52083 B
     # -> ~35 full 1466 B packets plus one marker per frame
-    pkts = gen_video_packets(60, 25e6, 1.0, seed=1)
-    markers = [s for _, s in pkts if s < VIDEO_FULL_SIZE]
-    fulls = [s for _, s in pkts if s == VIDEO_FULL_SIZE]
-    assert len(markers) == 60  # one marker per frame
+    sizes, markers = _video_payloads(_profile(duration_s=1.0, bitrate_bps=25e6, seed=1))
+    marker_sizes = [s for s in sizes if s < VIDEO_FULL_SIZE]
+    fulls = [s for s in sizes if s == VIDEO_FULL_SIZE]
+    assert len(marker_sizes) == len(markers) == 60  # one marker per frame
     assert len(fulls) / 60 == pytest.approx(25e6 / (8 * 60) / VIDEO_FULL_SIZE, rel=0.05)
-    assert all(MARKER_MIN <= s <= MARKER_MAX for s in markers)
+    assert all(MARKER_MIN <= s <= MARKER_MAX for s in marker_sizes)
 
 
 def test_video_bitrate_close_to_target():
-    pkts = gen_video_packets(30, 11e6, 10.0, seed=2)
-    total_bits = sum(s for _, s in pkts) * 8
-    assert total_bits / 10.0 == pytest.approx(11e6, rel=0.03)
+    profile = _profile(duration_s=10.0, fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "hd")], seed=2)
+    sizes, _ = _video_payloads(profile)
+    assert sum(sizes) * 8 / 10.0 == pytest.approx(11e6, rel=0.03)
 
 
 def test_video_band_envelope_enforced():
@@ -186,11 +198,40 @@ def test_repeated_udp_frames_are_built_once(setup):
     assert objects < len(udp) / 20
 
 
+@pytest.mark.parametrize(
+    "profile_kw, markers",
+    [
+        (dict(setup="browser", fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "hd")], seed=32), 240),
+        (dict(platform="xbox", setup="pc_browser", seed=5), 480),
+    ],
+)
+def test_companions_follow_each_frame_marker(profile_kw, markers):
+    """On the combined flow, each frame's marker is followed by one
+    downstream audio, one upstream audio and one input packet, 0.5, 0.7 and
+    0.9 ms after it."""
+    records, manifest = gen_session(_profile(duration_s=8.0, **profile_kw))
+    (combined,) = [f for f in manifest.data["flows"] if f["role"] == "combined_media_input"]
+    down, up = {}, {}
+    for ts, frame in records:
+        if frame[9] != 17:
+            continue
+        sport, dport = int.from_bytes(frame[20:22], "big"), int.from_bytes(frame[22:24], "big")
+        if (sport, dport) == (combined["server_port"], combined["client_port"]):
+            down.setdefault(len(frame) - 28, []).append(ts)
+        elif (sport, dport) == (combined["client_port"], combined["server_port"]):
+            up.setdefault(len(frame) - 28, []).append(ts)
+    marker_ts = sorted(ts for size, times in down.items() if MARKER_MIN <= size <= MARKER_MAX for ts in times)
+    assert len(marker_ts) == markers
+    for times, delay in ((down[DOWN_AUDIO_PAYLOAD], 5e-4), (up[UP_AUDIO_PAYLOAD], 7e-4), (up[INPUT_UP_PAYLOAD], 9e-4)):
+        assert len(times) == markers
+        assert all(abs(ts - marker - delay) <= 1e-6 for marker, ts in zip(marker_ts, sorted(times)))
+
+
 def test_manifest_roundtrip(tmp_path):
     _, manifest = gen_session(_profile())
     path = str(tmp_path / "m.json")
     manifest.save(path)
-    assert GroundTruthManifest.load(path).data == manifest.data
+    assert report.load_manifest(path) == manifest.data
 
 
 def test_packet_count_matches_written_records(tmp_path):
@@ -259,3 +300,18 @@ def test_generator_bytes_pinned(tmp_path, case):
     write_session(profile, str(tmp_path / "s.pcap"), str(tmp_path / "s.json"))
     assert hashlib.sha256((tmp_path / "s.pcap").read_bytes()).hexdigest() == pcap_sha
     assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == manifest_sha
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_benchmark_nat_churn_capture_pinned(tmp_path):
+    """The benchmark's smallest input, written as the benchmark writes it:
+    a generator change that alters what the benchmark measures shows here."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    records, _, _, link = workloads.WORKLOADS["nat-churn"](7)
+    path = tmp_path / "capture.pcap"
+    pcap.write_capture(records, str(path), link_type=link)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "1f3e4fe942f9fbee2e2770b6f48e298a4b16a069009e8026f5b71ac49c2d8ec6"
