@@ -110,13 +110,18 @@ def parse_packet(
     ts: float,
     frag_cache: Optional[_FragCache] = None,
     orig_len: Optional[int] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> tuple | SkipReason:
-    """Parse one captured frame into a plain tuple laid out as
-    `PacketRecord`. Returns a SkipReason instead of raising.
+    """Parse the captured frame `raw[start:stop]` (by default all of `raw`)
+    in place into a plain tuple laid out as `PacketRecord`. Returns a
+    SkipReason instead of raising.
 
     `orig_len` is the frame's length on the wire (the record's orig_len;
     by default the captured length). Sizes come from the IP header unless
     it claims more than that; payload bytes are only what was captured.
+    No byte outside `raw[start:stop]` is read, and only a TCP payload is
+    copied out.
 
     The common frame takes one unpack: raw IP, or Ethernet with at most one
     802.1Q tag, carrying IPv4 with IHL 5 that is not a fragment, or IPv6,
@@ -124,70 +129,73 @@ def parse_packet(
     fails a check here, goes to `_parse_general`, which this path agrees
     with on every input.
     """
-    n = len(raw)
+    if stop is None:
+        stop = len(raw)
     if link_type == LINKTYPE_ETHERNET:
-        if n < 42:
-            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
-        off = 14
-        if raw[12] == 0x81 and raw[13] == 0x00:  # one 802.1Q tag
-            off = 18
+        if stop - start < 42:
+            return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
+        off = start + 14  # the EtherType ends at `off`, and the IP header starts there
+        if raw[off - 2] == 0x81 and raw[off - 1] == 0x00:  # one 802.1Q tag
+            off += 4
         if raw[off - 2] == 0x08 and raw[off - 1] == 0x00:
             v4 = raw[off] == 0x45
             if not v4:
-                return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+                return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
         elif raw[off - 2] == 0x86 and raw[off - 1] == 0xDD:
             v4 = False
         else:
-            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
-    elif link_type == LINKTYPE_RAW_IP and n >= 28:
-        off = 0
-        v4 = raw[0] == 0x45
-        if not v4 and raw[0] >> 4 != 6:
-            return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+            return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
+    elif link_type == LINKTYPE_RAW_IP and stop - start >= 28:
+        off = start
+        v4 = raw[off] == 0x45
+        if not v4 and raw[off] >> 4 != 6:
+            return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
     else:
-        return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+        return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
 
-    wire = (n if orig_len is None else orig_len) - off
+    wire = (stop if orig_len is None else start + orig_len) - off  # the IP packet's length on the wire
     if v4:
         proto = raw[off + 9]
-        if proto == UDP and n >= off + 28:
+        if proto == UDP and off + 28 <= stop:
             ip_len, frag_field, src, dst, sport, dport = _V4_UDP.unpack_from(raw, off)
             if not frag_field & 0x3FFF:
                 if ip_len > wire:  # the header claims more than the wire carried
-                    ip_len = min(ip_len, n - off)
+                    ip_len = min(ip_len, stop - off)
                 if ip_len >= 28:
                     return (ts, src, sport, dst, dport, UDP, ip_len - 28, None, None, None, None)
-        elif proto == TCP and n >= off + 40:
+        elif proto == TCP and off + 40 <= stop:
             ip_len, frag_field, src, dst, sport, dport, seq, ack, data_off, flags = _V4_TCP.unpack_from(raw, off)
             if not frag_field & 0x3FFF:
                 if ip_len > wire:
-                    ip_len = min(ip_len, n - off)
+                    ip_len = min(ip_len, stop - off)
                 ip_len -= 20
                 data_off = (data_off >> 4) * 4
                 if ip_len >= data_off >= 20:
                     payload_len = ip_len - data_off
                     off += 20 + data_off
-                    payload = raw[off : off + payload_len] if payload_len else None
+                    end = off + payload_len  # the captured bytes alone, which end at `stop`
+                    payload = raw[off : end if end < stop else stop] if payload_len else None
                     return (ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
     else:
         proto = raw[off + 6]
-        if proto == UDP and n >= off + 48:
+        if proto == UDP and off + 48 <= stop:
             ip_len, src, dst, sport, dport = _V6_UDP.unpack_from(raw, off)
             if ip_len > wire - 40:
-                ip_len = min(ip_len, n - off - 40)
+                ip_len = min(ip_len, stop - off - 40)
             if ip_len >= 8:
                 return (ts, src, sport, dst, dport, UDP, ip_len - 8, None, None, None, None)
-        elif proto == TCP and n >= off + 60:
+        elif proto == TCP and off + 60 <= stop:
             ip_len, src, dst, sport, dport, seq, ack, data_off, flags = _V6_TCP.unpack_from(raw, off)
             if ip_len > wire - 40:
-                ip_len = min(ip_len, n - off - 40)
+                ip_len = min(ip_len, stop - off - 40)
             data_off = (data_off >> 4) * 4
             if ip_len >= data_off >= 20:
                 payload_len = ip_len - data_off
                 off += 40 + data_off
-                payload = raw[off : off + payload_len] if payload_len else None
+                end = off + payload_len  # the captured bytes alone, which end at `stop`
+                payload = raw[off : end if end < stop else stop] if payload_len else None
                 return (ts, src, sport, dst, dport, TCP, payload_len, seq, ack, flags, payload)
-    return _parse_general(raw, link_type, ts, frag_cache, orig_len)
+    return _parse_general(raw[start:stop], link_type, ts, frag_cache, orig_len)
 
 
 def _parse_general(
@@ -288,15 +296,16 @@ class CaptureStats:
     packets: int = 0
     skipped: int = 0
     skip_reasons: dict = field(default_factory=dict)
-    truncated_tail: int = 0  # 1 when the file ends inside a record
+    truncated_tail: int = 0  # 1 when reading stopped before the end of the file (see `pcap.read_records`)
     snaplen_truncated: int = 0  # records cut by the snaplen (orig_len > incl_len)
 
 
 def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[tuple]:
     """Stream packet tuples (`PacketRecord` layout) from a PCAP file,
-    skipping non-IP/non-TCP-UDP frames and dropping a final record cut short
-    by the end of the file. `stats` is brought up to date when the stream
-    ends or is closed."""
+    parsing each record in place in its read chunk, skipping
+    non-IP/non-TCP-UDP frames, and stopping at a record cut short by the end
+    of the file or claiming more than `pcap.MAX_RECORD` bytes. `stats` is
+    brought up to date when the stream ends or is closed."""
     with open(path, "rb") as fh:
         header = pcap.read_header(fh)
         if header.link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
@@ -306,9 +315,9 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[tu
         parsed = skipped = snaplen_cut = 0
         reasons: dict[str, int] = {}
         try:
-            for ts, raw, orig_len in pcap.read_records(fh, header):
-                rec = parse_packet(raw, link, ts, frag_cache, orig_len)
-                if orig_len > len(raw):
+            for ts, buf, start, stop, orig_len in pcap.read_records(fh, header):
+                rec = parse_packet(buf, link, ts, frag_cache, orig_len, start, stop)
+                if orig_len > stop - start:
                     snaplen_cut += 1
                 if rec.__class__ is tuple:
                     parsed += 1
@@ -317,7 +326,7 @@ def read_capture(path: str, stats: Optional[CaptureStats] = None) -> Iterator[tu
                     skipped += 1
                     reasons[rec.value] = reasons.get(rec.value, 0) + 1
             if stats is not None and fh.tell() < fh.seek(0, 2):
-                stats.truncated_tail = 1  # read_records stopped at the start of a cut-short record
+                stats.truncated_tail = 1  # read_records stopped at the start of a cut-short or oversized record
         finally:
             if stats is not None:
                 stats.packets += parsed

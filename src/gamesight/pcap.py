@@ -25,6 +25,9 @@ _REC_HDR_LE = struct.Struct("<IIII")
 _REC_HDR_BE = struct.Struct(">IIII")
 
 CHUNK_SIZE = 1 << 16  # bytes read_records asks of the file at a time
+# libpcap's MAXIMUM_SNAPLEN: no record claims more. CHUNK_SIZE is smaller,
+# so a record that claims more is always cut by its chunk's end.
+MAX_RECORD = 262144
 WRITE_BLOCK = 1 << 20  # bytes write_capture gathers before each write
 
 
@@ -56,15 +59,20 @@ def read_header(fh: BinaryIO) -> PcapHeader:
     return PcapHeader(link_type=network, byte_order=order, ts_resolution=res)
 
 
-def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int]]:
-    """Yield (timestamp, captured bytes, original length) per record.
+def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, bytes, int, int, int]]:
+    """Yield (timestamp, chunk, start, stop, original length) per record.
 
-    The file is read in `CHUNK_SIZE` pieces (or one record, if a record is
-    longer), so `fh` runs ahead of the records yielded so far. A record
-    whose header or body is cut short by EOF is not yielded: the stream
-    ends with `fh` moved back to the start of that record, so a caller can
-    tell a cut-short tail from a clean end by comparing `fh.tell()` with
-    the file size.
+    A record is a view: its captured bytes are `chunk[start:stop]` of the
+    immutable `bytes` chunk it was read in, which stays valid for as long as
+    it is held. The file is read in `CHUNK_SIZE` pieces, so `fh` runs ahead
+    of the records yielded so far. Only a record cut by a chunk's end is
+    copied: its tail plus one read of exactly what it lacks make a chunk of
+    its own, and the next chunk is read fresh.
+
+    A record whose header or body is cut short by EOF, or that claims more
+    than `MAX_RECORD` bytes, is not yielded: the stream ends with `fh` moved
+    back to the start of that record, so a caller can tell it from a clean
+    end by comparing `fh.tell()` with the file size.
     """
     unpack_from = (_REC_HDR_LE if header.byte_order == "<" else _REC_HDR_BE).unpack_from
     nano = header.ts_resolution == "nano"
@@ -72,24 +80,30 @@ def read_records(fh: BinaryIO, header: PcapHeader) -> Iterator[tuple[float, byte
     buf = b""
     pos = end = 0
     while True:
-        short = 0  # bytes the record at `pos` still lacks past `end`
         while pos + 16 <= end:
             ts_sec, ts_frac, incl_len, orig_len = unpack_from(buf, pos)
-            stop = pos + 16 + incl_len
+            start = pos + 16
+            stop = start + incl_len
             if stop > end:
-                short = stop - end
                 break
             if nano:  # nanosecond stamps are truncated to microsecond precision
                 ts_frac //= 1000
-            yield ts_sec + ts_frac / 1e6, buf[pos + 16 : stop], orig_len
+            yield ts_sec + ts_frac / 1e6, buf, start, stop, orig_len
             pos = stop
-        more = read(max(CHUNK_SIZE, short))
-        if not more:
-            if pos < end:
-                fh.seek(pos - end, 1)
-            return
-        buf = buf[pos:] + more if pos < end else more
-        more = None  # the chunk lives on in `buf` alone, and goes before the next is read
+        if pos == end:
+            buf = read(CHUNK_SIZE)
+            if not buf:
+                return
+        else:  # the record at `pos` is cut by the chunk's end
+            buf = buf[pos:]
+            if len(buf) < 16:
+                buf += read(16 - len(buf))
+            size = 16 + unpack_from(buf)[2] if len(buf) >= 16 else 16  # a header cut short by EOF reads no more
+            if size <= 16 + MAX_RECORD:
+                buf += read(size - len(buf))
+            if len(buf) < size:  # cut short by EOF, or claiming more than MAX_RECORD
+                fh.seek(-len(buf), 1)
+                return
         pos, end = 0, len(buf)
 
 

@@ -65,17 +65,18 @@ def tmp_pcap(tmp_path):
 @pytest.fixture
 def parse_both_ways(request, monkeypatch):
     """Check each `parse_packet` call of a test, also those `read_capture`
-    makes, against the general parser: the same result, and the same
+    makes on a record in its read chunk, against the general parser on the
+    record's own bytes `raw[start:stop]`: the same result, and the same
     fragment-cache entries afterwards."""
     fast, general = packets.parse_packet, packets._parse_general
 
-    def both(raw, link_type, ts, frag_cache=None, orig_len=None):
+    def both(raw, link_type, ts, frag_cache=None, orig_len=None, start=0, stop=None):
         cache = None
         if frag_cache is not None:
             cache = packets._FragCache()
             cache.entries = dict(frag_cache.entries)
-        expected = general(raw, link_type, ts, cache, orig_len)
-        got = fast(raw, link_type, ts, frag_cache, orig_len)
+        expected = general(raw[start:stop], link_type, ts, cache, orig_len)
+        got = fast(raw, link_type, ts, frag_cache, orig_len, start, stop)
         assert got == expected
         assert frag_cache is None or frag_cache.entries == cache.entries
         return got

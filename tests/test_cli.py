@@ -562,6 +562,31 @@ def test_analyze_prints_skip_reasons(tmp_path):
     assert (counters["packets"], counters["skipped"], counters["truncated_tail"]) == (1, 1, 0)
 
 
+def test_analyze_stops_at_a_record_claiming_gigabytes(tmp_path):
+    # a record header claiming 0xFFFFFFF0 bytes, past libpcap's largest
+    # snaplen, ends the reading there: the record before it is analyzed, the
+    # stop is counted as a truncated tail, and no read asks for its length
+    import struct
+    import tracemalloc
+
+    from gamesight.synth import ipv4_udp
+
+    path = tmp_path / "t.pcap"
+    pcap.write_capture([(0.0, ipv4_udp("192.0.2.10", "203.0.113.7", 1, 2, b"x"))], str(path))
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<IIII", 1, 0, 0xFFFFFFF0, 0xFFFFFFF0) + b"y" * 64)
+    tracemalloc.start()
+    try:
+        res = _run(["analyze", "--pcap", str(path), "--client-nets", "192.0.2.0/24", "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    counters = json.loads(res.output.strip().splitlines()[-1])["counters"]
+    assert (counters["packets"], counters["skipped"], counters["truncated_tail"]) == (1, 0, 1)
+    assert peak < 10 * 2**20
+
+
 def test_analyze_prints_snaplen_truncated(tmp_path):
     from gamesight import pcap
     from gamesight.synth import ipv4_udp

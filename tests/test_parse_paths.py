@@ -1,11 +1,14 @@
 """`parse_packet` parses the common frame with one unpack and hands every
 other frame to `_parse_general`, the reference parser. The two must agree on
 every input: the same tuple or `SkipReason`, and the same fragment-cache
-entries afterwards. Structured frames vary every field the two paths read,
-by Hypothesis and by a sweep of each field's edge values; raw random bytes
-cover the rest."""
+entries afterwards. `parse_packet` parses a record in place in the chunk
+it was read in, so each frame is also parsed at a random offset between
+random bytes, which a read past the frame's end would see. Structured
+frames vary every field the two paths read, by Hypothesis and by a sweep of
+each field's edge values; raw random bytes cover the rest."""
 
 import itertools
+import random
 import struct
 
 from hypothesis import given, settings
@@ -52,14 +55,21 @@ def link(ip, link_type, ethertype=None, tags=()):
     return b"\x02" * 6 + b"\x04" * 6 + tags + struct.pack("!H", ethertype) + ip
 
 
-def _parse_both(frames, with_cache):
-    fast_cache, general_cache = (_FragCache(), _FragCache()) if with_cache else (None, None)
+def _parse_both(frames, with_cache, rnd):
+    """Parse each frame with `_parse_general`, and with `parse_packet` both
+    as a whole and in place between up to 40 and up to 64 of `rnd`'s random
+    bytes: the same results, and the same fragment-cache entries."""
+    general_cache, whole_cache, placed_cache = (_FragCache() if with_cache else None for _ in range(3))
     for i, (raw, link_type, orig_len) in enumerate(frames):
         ts = i * 0.25
-        got = parse_packet(raw, link_type, ts, fast_cache, orig_len)
-        assert got == _parse_general(raw, link_type, ts, general_cache, orig_len), (raw.hex(), link_type, orig_len)
+        expected = _parse_general(raw, link_type, ts, general_cache, orig_len)
+        assert parse_packet(raw, link_type, ts, whole_cache, orig_len) == expected, (raw.hex(), link_type, orig_len)
+        start = rnd.randint(0, 40)
+        buf = rnd.randbytes(start) + raw + rnd.randbytes(rnd.randint(0, 64))
+        got = parse_packet(buf, link_type, ts, placed_cache, orig_len, start, start + len(raw))
+        assert got == expected, (buf.hex(), start, link_type, orig_len)
         if with_cache:
-            assert fast_cache.entries == general_cache.entries
+            assert whole_cache.entries == general_cache.entries == placed_cache.entries
 
 
 def usually(draw, value, other):
@@ -102,15 +112,15 @@ RAW_FRAMES = st.tuples(
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
-@given(frames=st.lists(frame(), min_size=1, max_size=8), with_cache=st.booleans())
-def test_structured_frames_parse_the_same_on_both_paths(frames, with_cache):
-    _parse_both(frames, with_cache)
+@given(frames=st.lists(frame(), min_size=1, max_size=8), with_cache=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_structured_frames_parse_the_same_on_both_paths(frames, with_cache, rnd):
+    _parse_both(frames, with_cache, rnd)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(frames=st.lists(RAW_FRAMES, min_size=1, max_size=4), with_cache=st.booleans())
-def test_random_bytes_parse_the_same_on_both_paths(frames, with_cache):
-    _parse_both(frames, with_cache)
+@given(frames=st.lists(RAW_FRAMES, min_size=1, max_size=4), with_cache=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_random_bytes_parse_the_same_on_both_paths(frames, with_cache, rnd):
+    _parse_both(frames, with_cache, rnd)
 
 
 def test_edge_values_parse_the_same_on_both_paths():
@@ -126,5 +136,5 @@ def test_edge_values_parse_the_same_on_both_paths():
                 raw = link(ip, link_type, ethertype, tags)
                 for cut in range(len(raw) + 1):
                     frames += [(raw[:cut], link_type, None), (raw[:cut], link_type, len(raw))]
-    _parse_both(frames, with_cache=False)
+    _parse_both(frames, with_cache=False, rnd=random.Random(7))
 

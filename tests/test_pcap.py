@@ -13,11 +13,17 @@ from gamesight.synth import ipv4_udp
 pytestmark = pytest.mark.usefixtures("parse_both_ways")
 
 
+def _records(fh, header):
+    """`read_records` run to the end, then each record as (ts, its captured
+    bytes, orig_len), cut from the chunk it is a view into."""
+    return [(ts, buf[start:stop], orig) for ts, buf, start, stop, orig in list(pcap.read_records(fh, header))]
+
+
 def _roundtrip(records, tmp_pcap, link_type=pcap.LINKTYPE_RAW_IP):
     pcap.write_capture(records, tmp_pcap, link_type=link_type)
     with open(tmp_pcap, "rb") as fh:
         header = pcap.read_header(fh)
-        return header, list(pcap.read_records(fh, header))
+        return header, _records(fh, header)
 
 
 def test_roundtrip_little_endian_micro(tmp_pcap):
@@ -40,7 +46,7 @@ def test_snaplen_cuts_frames_and_keeps_the_wire_length(tmp_pcap):
         snaplen = struct.unpack("<16xI4x", fh.read(24))[0]
         fh.seek(0)
         header = pcap.read_header(fh)
-        out = list(pcap.read_records(fh, header))
+        out = _records(fh, header)
     assert snaplen == 6
     assert [(data, orig) for _, data, orig in out] == [(b"aaaaaa", 10), (b"bbbb", 4)]
 
@@ -53,8 +59,7 @@ def test_big_endian_header_and_records():
     header = pcap.read_header(fh)
     assert header.byte_order == ">"
     assert header.link_type == pcap.LINKTYPE_ETHERNET
-    out = list(pcap.read_records(fh, header))
-    assert out == [(10.5, b"hi", 2)]
+    assert list(pcap.read_records(fh, header)) == [(10.5, buf[24:], 16, 18, 2)]
 
 
 def test_nanosecond_magic_truncates_to_micro():
@@ -64,7 +69,7 @@ def test_nanosecond_magic_truncates_to_micro():
     fh = io.BytesIO(buf)
     header = pcap.read_header(fh)
     assert header.ts_resolution == "nano"
-    (ts, _, _), = pcap.read_records(fh, header)
+    (ts, _, _), = _records(fh, header)
     assert ts == pytest.approx(1.123456, abs=1e-9)
 
 
@@ -90,7 +95,7 @@ def test_truncated_record_body_ends_stream(tmp_pcap):
         whole = fh.read()
     fh = io.BytesIO(whole[:-2])  # cut the last record's body short
     header = pcap.read_header(fh)
-    out = list(pcap.read_records(fh, header))
+    out = _records(fh, header)
     assert len(out) == 1
     assert out[0][1] == b"aaaa"
 
@@ -112,7 +117,7 @@ def _frames(sizes):
 
 def _read_all(fh):
     header = pcap.read_header(fh)
-    return header, list(pcap.read_records(fh, header))
+    return header, _records(fh, header)
 
 
 @pytest.mark.parametrize("first", [CHUNK - 16 - 8, CHUNK - 16 - 20])
@@ -137,11 +142,62 @@ def test_every_boundary_offset(tmp_pcap, monkeypatch):
 
 
 def test_record_longer_than_a_chunk(tmp_pcap):
-    records = _frames([50, 70_000, 200_000, 30])
-    pcap.write_capture(records, tmp_pcap, snaplen=262144)
+    # up to the longest record libpcap writes
+    records = _frames([50, 70_000, 200_000, pcap.MAX_RECORD, 30])
+    pcap.write_capture(records, tmp_pcap, snaplen=pcap.MAX_RECORD)
     with open(tmp_pcap, "rb") as fh:
         _, out = _read_all(fh)
     assert [(ts, data, orig) for ts, data, orig in out] == [(ts, f, len(f)) for ts, f in records]
+
+
+class _ReadSizes(io.BytesIO):
+    """A file that records the size of each read asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 30])
+@pytest.mark.parametrize("incl_len", [pcap.MAX_RECORD + 1, 0xFFFFFFF0])
+def test_record_claiming_more_than_libpcap_writes_ends_stream(monkeypatch, chunk, incl_len):
+    # the stream ends at the start of the record that claims too much, and
+    # no read asks for its length; with 30-byte chunks its header straddles
+    # a chunk boundary
+    monkeypatch.setattr(pcap, "CHUNK_SIZE", chunk)
+    buf = struct.pack("<IHHiIII", pcap.MAGIC_MICRO, 2, 4, 0, 0, 65535, 101)
+    buf += struct.pack("<IIII", 1, 0, 4, 4) + b"abcd"
+    buf += struct.pack("<IIII", 2, 0, incl_len, incl_len) + b"x" * 100
+    fh = _ReadSizes(buf)
+    _, out = _read_all(fh)
+    assert out == [(1.0, b"abcd", 4)]
+    assert fh.tell() == 24 + 20
+    assert max(fh.sizes) <= CHUNK
+
+
+def test_views_stay_valid_after_the_reader_moves_on(tmp_pcap):
+    # 300 records of distinct bytes over six chunks, all held at once after
+    # the reader has read past them: each view still cuts its own bytes. The
+    # records of a chunk are views into it, back to back from its start, and
+    # a record cut by a chunk's end is the whole of a chunk of its own.
+    records = _frames([1000 + i for i in range(300)])
+    pcap.write_capture(records, tmp_pcap)
+    with open(tmp_pcap, "rb") as fh:
+        header = pcap.read_header(fh)
+        views = list(pcap.read_records(fh, header))
+    assert [(ts, buf[start:stop]) for ts, buf, start, stop, _ in views] == records
+    chunks = {}
+    for _, buf, start, stop, _ in views:
+        chunks.setdefault(id(buf), (buf, []))[1].append((start, stop))
+    assert 6 <= len(chunks) <= 12
+    for buf, spans in chunks.values():
+        assert [start for start, _ in spans] == [16] + [stop + 16 for _, stop in spans[:-1]]
+        assert len(buf) in (CHUNK, spans[-1][1])
+    assert sum(len(spans) == 1 for _, spans in chunks.values()) >= 5  # the records cut by a chunk's end
 
 
 @pytest.mark.parametrize("order", ["<", ">"])
