@@ -19,46 +19,57 @@ from .packets import ip_text
 
 OBSERVATION_HORIZON_S = 600.0
 
-STATE_PLATFORM = "platform"
-STATE_GAMEPLAY = "gameplay"
-STATE_ENDED = "ended"
-
 
 @dataclass
 class SessionRecord:
-    """One platform session, as its codebook match decided it. `to_dict` reads
-    its gameplay fields from `gameplays` and writes its packed addresses as text."""
+    """One platform session of a client: what a codebook match decided of
+    its names. A gameplay that takes it copies its setup at registration."""
 
-    session_id: str
+    session_id: str  # p1, p2, ... in detection order
     client_ip: bytes
     platform_id: str
     setup: str
     detected_at: float
     setup_ambiguous: bool = False
     ended_at: Optional[float] = None
-    gameplays: list = field(default_factory=list)  # ServerRegistration, in registration order
 
-    @property
-    def state(self) -> str:
-        if self.ended_at is not None:
-            return STATE_ENDED
-        return STATE_GAMEPLAY if self.gameplays else STATE_PLATFORM
+
+@dataclass(eq=False)
+class ServerRegistration:
+    """One gameplay, written as one sessions.jsonl line by `to_dict`: a
+    registered gameplay server, its management flow and the UDP flows that
+    joined it (`flows`, each with its `FlowState.role`), the QoE `rows` the
+    analyzer gives it, and the `platform_session` it took its platform and
+    setup from, if any."""
+
+    client_ip: bytes  # packed, as in FlowKey
+    server_ip: bytes
+    registered_at: float
+    setup_class: str  # console_app | browser
+    platform_id: str
+    session_id: str  # s1, s2, ... in registration order
+    setup: str
+    server_port_range: Optional[tuple[int, int]] = None
+    ip_mismatch_warning: bool = False
+    platform_session: Optional[SessionRecord] = None
+    flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
+    rows: list = field(default_factory=list)  # qoe.csv cells but session_id, per whole window of its video flow
 
     def to_dict(self) -> dict:
-        last = self.gameplays[-1] if self.gameplays else None
-        # the last handshake-size signature match of a management flow
-        hints = [reg.flows[0].signature[0] for reg in self.gameplays if reg.flows[0].signature]
+        """Its sessions.jsonl object, with its packed addresses as text."""
+        session = self.platform_session
+        signature = self.flows[0].signature  # the management flow's handshake-size match
         return {
             "session_id": self.session_id,
+            "platform_session": None if session is None else session.session_id,
             "client_ip": ip_text(self.client_ip),
             "platform": self.platform_id,
             "setup": self.setup,
-            "os_hint": hints[-1] if hints else None,
-            "detected_at": self.detected_at,
-            "state": self.state,
-            "gameplay_server_ip": None if last is None else ip_text(last.server_ip),
-            "gameplay_started_at": None if last is None else last.registered_at,
-            "ended_at": self.ended_at,
+            "os_hint": signature[0] if signature else None,
+            "detected_at": None if session is None else session.detected_at,
+            "gameplay_server_ip": ip_text(self.server_ip),
+            "gameplay_started_at": self.registered_at,
+            "ended_at": max(f.last_ts for f in self.flows),
             "gameplay_flows": [
                 {
                     "client_ip": ip_text(f.key.client_ip),
@@ -68,35 +79,16 @@ class SessionRecord:
                     "proto": "TCP" if f.key.proto == 6 else "UDP",
                     "role": f.role,
                 }
-                for reg in self.gameplays
-                for f in reg.flows
+                for f in self.flows
             ],
         }
-
-
-@dataclass(eq=False)
-class ServerRegistration:
-    """One gameplay: a registered gameplay server, its management flow and the
-    UDP flows that joined it (`flows`, each with its `FlowState.role`), the QoE
-    `rows` the analyzer gives it, and its `session`, platform or fallback."""
-
-    client_ip: bytes  # packed, as in FlowKey
-    server_ip: bytes
-    registered_at: float
-    setup_class: str  # console_app | browser
-    platform_id: str
-    server_port_range: Optional[tuple[int, int]] = None
-    ip_mismatch_warning: bool = False
-    session: Optional[SessionRecord] = None
-    flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
-    rows: list = field(default_factory=list)  # qoe.csv cells but session_id, per whole window of its video flow
 
 
 @dataclass
 class ClientState:
     observed_names: dict = field(default_factory=dict)  # codebook pattern -> newest ts of a name it matched
     newest_match: dict = field(default_factory=dict)  # matched patterns -> (ts, arrival) of the newest such name
-    session: Optional[SessionRecord] = None
+    sessions: dict = field(default_factory=dict)  # platform -> its open SessionRecord, in opening order
 
 
 class SessionDetector:
@@ -107,11 +99,11 @@ class SessionDetector:
     def __init__(self, codebooks: list[ServiceCodebook]):
         self.codebooks = codebooks
         self.clients: dict[bytes, ClientState] = {}  # by packed client address
-        self.sessions: list[SessionRecord] = []
-        self.registrations: dict[FlowKey, ServerRegistration] = {}
+        self.sessions: list[SessionRecord] = []  # platform sessions, in detection order
+        self.registrations: dict[FlowKey, ServerRegistration] = {}  # gameplays, in registration order
         self.repeated_registrations = 0  # refused: their management flow's key has one already
-        self._ids = itertools.count(1)
-        self._fallback_ids = itertools.count(1)
+        self._session_ids = itertools.count(1)
+        self._gameplay_ids = itertools.count(1)
         self._codebook = {cb.platform_id: cb for cb in codebooks}
         self._arrivals = itertools.count()  # orders names of equal time for the setup tie-break
         # every distinct pattern of every codebook, split once and filed by
@@ -166,41 +158,29 @@ class SessionDetector:
 
     # -- codebook evaluation ------------------------------------------
 
-    def evaluate_codebook(self, client_ip: bytes, ts: float) -> Optional[SessionRecord]:
-        """Open a platform session, and return it, when every core pattern of
-        a codebook matched a name no older than `OBSERVATION_HORIZON_S`
-        before `ts`; a client has one open session until `end_session`.
-        While the open session has no gameplay, refine its setup from the
-        names within the same horizon."""
+    def evaluate_codebook(self, client_ip: bytes, ts: float) -> None:
+        """Open a platform session for each codebook with none open for the
+        client whose every core pattern matched a name no older than
+        `OBSERVATION_HORIZON_S` before `ts`; it stays open until
+        `end_session`. Refine each open session's setup from the names
+        within the same horizon: setup-specific services may show up after
+        the core set is complete."""
         st = self.clients.get(client_ip)
-        if st is None or (st.session is not None and st.session.gameplays):
-            return None
+        if st is None:
+            return
         horizon = ts - OBSERVATION_HORIZON_S
         present = {p for p, newest in st.observed_names.items() if newest >= horizon}
-        if st.session is not None:
-            # setup-specific services may show up after the core set is
-            # complete; keep refining the setup until gameplay starts
-            setup, ambiguous = self._pick_setup(self._codebook[st.session.platform_id], st, present, horizon)
-            if setup != SETUP_UNKNOWN:
-                st.session.setup = setup
-                st.session.setup_ambiguous = ambiguous
-            return None  # idempotent until the session ends
         for cb in self.codebooks:
-            if not all(p in present for p in cb.core_services):
-                continue
-            setup, ambiguous = self._pick_setup(cb, st, present, horizon)
-            session = SessionRecord(
-                session_id="s%d" % next(self._ids),
-                client_ip=client_ip,
-                platform_id=cb.platform_id,
-                setup=setup,
-                detected_at=ts,
-                setup_ambiguous=ambiguous,
-            )
-            st.session = session
-            self.sessions.append(session)
-            return session
-        return None
+            session = st.sessions.get(cb.platform_id)
+            if session is not None:
+                setup, ambiguous = self._pick_setup(cb, st, present, horizon)
+                if setup != SETUP_UNKNOWN:
+                    session.setup, session.setup_ambiguous = setup, ambiguous
+            elif all(p in present for p in cb.core_services):
+                setup, ambiguous = self._pick_setup(cb, st, present, horizon)
+                session = SessionRecord("p%d" % next(self._session_ids), client_ip, cb.platform_id, setup, ts, ambiguous)
+                st.sessions[cb.platform_id] = session
+                self.sessions.append(session)
 
     def _pick_setup(
         self, cb: ServiceCodebook, st: ClientState, present: set, horizon: float
@@ -261,42 +241,43 @@ class SessionDetector:
     def _register(
         self, key: FlowKey, ts: float, cb: ServiceCodebook, setup_class: str, ip_mismatch: bool, by_signature: bool
     ) -> Optional[ServerRegistration]:
-        """Keep a new registration under its management flow's key and return
-        it, or count a repeat on a key that has one and return None. A kept
-        registration joins its client's open platform session, which enters
-        gameplay, if that is of its platform or `by_signature` (other platforms'
-        handshakes match a signature too), or else gets its own fallback
-        session (`u1`, `u2`, ... in registration order) with the signature's
-        class as its setup, or unknown."""
+        """Keep a new gameplay under its management flow's key and return it,
+        or count a repeat on a key that has one and return None. A gameplay
+        takes its platform and setup from its client's open platform session
+        of its own platform, or, registered `by_signature` (other platforms'
+        handshakes match a signature too), from the one opened last. Without
+        one, its setup is the signature's class, or unknown for a name."""
         if key in self.registrations:
             self.repeated_registrations += 1
             return None
+        st = self.clients.get(key.client_ip)
+        open_sessions = {} if st is None else st.sessions
+        if by_signature:
+            session = next(reversed(open_sessions.values()), None)
+        else:
+            session = open_sessions.get(cb.platform_id)
+        if session is not None:
+            platform_id, setup = session.platform_id, session.setup
+        else:
+            platform_id, setup = cb.platform_id, setup_class if by_signature else SETUP_UNKNOWN
         reg = self.registrations[key] = ServerRegistration(
             client_ip=key.client_ip,
             server_ip=key.server_ip,
             registered_at=ts,
             setup_class=setup_class,
-            platform_id=cb.platform_id,
+            platform_id=platform_id,
+            session_id="s%d" % next(self._gameplay_ids),
+            setup=setup,
             server_port_range=cb.server_port_range,
             ip_mismatch_warning=ip_mismatch,
+            platform_session=session,
         )
-        st = self.clients.get(key.client_ip)
-        if st is not None and st.session is not None and (by_signature or st.session.platform_id == cb.platform_id):
-            reg.session = st.session
-        else:
-            reg.session = SessionRecord(
-                session_id="u%d" % next(self._fallback_ids),
-                client_ip=key.client_ip,
-                platform_id=cb.platform_id,
-                setup=setup_class if by_signature else SETUP_UNKNOWN,
-                detected_at=ts,
-            )
-            self.sessions.append(reg.session)
-        reg.session.gameplays.append(reg)
         return reg
 
     def end_session(self, client_ip: bytes, ts: float) -> None:
+        """End the client's open platform sessions at `ts`."""
         st = self.clients.get(client_ip)
-        if st is not None and st.session is not None:
-            st.session.ended_at = ts
-            st.session = None
+        if st is not None:
+            for session in st.sessions.values():
+                session.ended_at = ts
+            st.sessions = {}

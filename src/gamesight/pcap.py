@@ -116,10 +116,13 @@ def write_capture(
     """Write time-ordered (ts, frame) records as a classic little-endian PCAP.
 
     Each frame is cut to `snaplen` bytes, with its full length kept as the
-    record's orig_len. Records are gathered into blocks of about
-    `WRITE_BLOCK` bytes, one write each. Returns the number of records
-    written.
+    record's orig_len. A `snaplen` above `MAX_RECORD`, which `read_records`
+    would stop at, is refused before the file is opened. Records are
+    gathered into blocks of about `WRITE_BLOCK` bytes, one write each.
+    Returns the number of records written.
     """
+    if snaplen > MAX_RECORD:
+        raise ValueError("snaplen %d is above the %d bytes a record may hold" % (snaplen, MAX_RECORD))
     count = 0
     with open(path, "wb") as fh:
         fh.write(_GLOBAL_HDR.pack(MAGIC_MICRO, 2, 4, 0, 0, snaplen, link_type))

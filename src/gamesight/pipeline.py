@@ -25,10 +25,9 @@ from .tls import SniReassembler
 
 @dataclass
 class AnalysisReport:
-    """One capture's sessions, in the order they were made, and its gameplays:
-    the registrations in registration order, each holding its QoE rows."""
+    """One capture's gameplays, the registrations in registration order,
+    each holding its QoE rows, and its counters."""
 
-    sessions: list  # SessionRecord
     gameplays: list[ServerRegistration]
     counters: dict
 
@@ -237,10 +236,6 @@ class Analyzer:
             reg.rows, unreported = gameplay_rows(latency, video)
             latency_unreported += unreported
 
-        for session in self.detector.sessions:
-            if session.ended_at is None:
-                session.ended_at = self.table.now
-
         counters = {
             "packets": stats.packets,
             "skipped": stats.skipped,
@@ -252,10 +247,11 @@ class Analyzer:
             "flows_expired": self.table.expiries,
             "unadopted_flows": self.unadopted,
             "unregistered_mgmt_flows": self.unregistered_mgmt,
+            "platform_sessions": len(self.detector.sessions),
             "repeated_registrations": self.detector.repeated_registrations,
             "sni_reassembly_given_up": self.sni_given_up,
             "unclassified_flows": unclassified,
             "negative_latency_discarded": negative_latency,
             "latency_unreported": latency_unreported,
         }
-        return AnalysisReport(list(self.detector.sessions), gameplays, counters)
+        return AnalysisReport(gameplays, counters)

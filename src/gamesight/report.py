@@ -10,7 +10,7 @@ from typing import Optional
 from .qoe import WARMUP_INTERVALS
 
 QOE_SCHEMA = "gamesight-qoe/2"  # /2: rows on the flow table's whole one-second windows
-SESSIONS_SCHEMA = "gamesight-sessions/1"
+SESSIONS_SCHEMA = "gamesight-sessions/2"  # /2: one line per gameplay
 
 QOE_COLUMNS = ["ts", "session_id", "latency_ms", "fps", "fps_band", "bitrate_mbps", "resolution"]
 
@@ -21,11 +21,15 @@ class SchemaError(Exception):
 
 def capture_outputs(rep, capture: str, prefix: str = "") -> tuple[list[dict], list[dict]]:
     """The sessions.jsonl objects and qoe.csv rows of one analyzed capture:
-    each session's `to_dict` with `prefix` on its id and the capture's path,
-    and each gameplay's QoE rows with its session's prefixed id."""
-    sessions = [s.to_dict() for s in rep.sessions]
-    sessions = [{**d, "session_id": prefix + d["session_id"], "capture": capture} for d in sessions]
-    rows = [{**row, "session_id": prefix + reg.session.session_id} for reg in rep.gameplays for row in reg.rows]
+    each gameplay's `to_dict` with `prefix` on its two ids and the capture's
+    path, and its QoE rows with its prefixed id."""
+    sessions = [reg.to_dict() for reg in rep.gameplays]
+    for d in sessions:
+        d["session_id"] = prefix + d["session_id"]
+        if d["platform_session"] is not None:
+            d["platform_session"] = prefix + d["platform_session"]
+        d["capture"] = capture
+    rows = [{**row, "session_id": prefix + reg.session_id} for reg in rep.gameplays for row in reg.rows]
     return sessions, rows
 
 
@@ -88,7 +92,7 @@ SESSION_FIELDS = {
     "client_ip": str,
     "platform": str,
     "setup": str,
-    "gameplay_server_ip": (str, type(None)),
+    "gameplay_server_ip": str,
 }
 
 

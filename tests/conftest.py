@@ -11,6 +11,7 @@ from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import LatencyTracker
+from gamesight.synth import gen_session
 
 
 def packed(ip: str) -> bytes:
@@ -86,29 +87,44 @@ def parse_both_ways(request, monkeypatch):
         monkeypatch.setattr(request.module, "parse_packet", both)
 
 
+def compose(profiles):
+    """The `gen_session` plans of `profiles` merged into one capture's
+    records with one stable sort by time, and their manifests' data, in
+    profile order.
+
+    Every plan opens its platform flows from client ports 40000, 40001, ...
+    to 203.0.113.10, .11, ... port 443. A second session of one client
+    address that starts within `IDLE_TIMEOUT_S` (60 s) of the first
+    therefore reuses the first's platform five-tuples: it continues those
+    flows, whose ClientHellos have been read, so its own are never parsed.
+    Start a client's sessions at least 70 s apart."""
+    plans = [gen_session(profile) for profile in profiles]
+    records = sorted((record for plan, _ in plans for record in plan), key=lambda r: r[0])
+    return records, [manifest.data for _, manifest in plans]
+
+
 def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     """The invariants of one analyzed capture's gameplays: the report lists
-    each session once, the `s` ids and the `u` ids each increasing, and the
-    registrations in registration order; each registration is in the
-    `gameplays` of exactly one session, its own `session`; its first flow
-    is its management flow, with a latency tracker; each of its flows points
-    back to it; its rows' windows strictly increase; and all rows together
-    are the `qoe_samples` that `analyze` printed. Beside them, the analyzer
-    holds only state an output can read: every pattern a detector client
-    holds a time for is a codebook pattern, and no UDP flow that joined
-    nothing and has left the queue of flows a registration could still
-    adopt keeps its windows."""
-    ids = [s.session_id for s in report.sessions]
-    assert len(set(map(id, report.sessions))) == len(ids)
-    for prefix in "su":
-        numbers = [int(i[1:]) for i in ids if i[0] == prefix]
-        assert numbers == sorted(set(numbers))
+    the registrations in registration order, with ids s1, s2, ... in that
+    order; the detector's platform sessions have ids p1, p2, ... in the
+    order they were opened, and `platform_sessions` counts them; each
+    gameplay's platform session, if any, is one of them, of its client; its
+    first flow is its management flow, with a latency tracker; each of its
+    flows points back to it; its rows' windows strictly increase; and all
+    rows together are the `qoe_samples` that `analyze` printed. Beside them,
+    the analyzer holds only state an output can read: every pattern a
+    detector client holds a time for is a codebook pattern, and no UDP flow
+    that joined nothing and has left the queue of flows a registration
+    could still adopt keeps its windows."""
     regs = list(analyzer.detector.registrations.values())
     assert report.gameplays == regs
-    held = [(reg, session) for session in report.sessions for reg in session.gameplays]
-    assert sorted(id(reg) for reg, _ in held) == sorted(map(id, regs))
-    assert all(reg.session is session for reg, session in held)
+    assert [reg.session_id for reg in regs] == ["s%d" % i for i in range(1, len(regs) + 1)]
+    sessions = analyzer.detector.sessions
+    assert [s.session_id for s in sessions] == ["p%d" % i for i in range(1, len(sessions) + 1)]
+    assert report.counters["platform_sessions"] == len(sessions)
     for reg in regs:
+        session = reg.platform_session
+        assert session is None or (any(session is s for s in sessions) and session.client_ip == reg.client_ip)
         assert reg.flows[0].role == ROLE_MGMT and isinstance(reg.flows[0].latency, LatencyTracker)
         assert all(flow.gameplay is reg for flow in reg.flows)
         windows = [int(row["ts"] // WINDOW_S) for row in reg.rows]

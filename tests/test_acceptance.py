@@ -208,9 +208,9 @@ def test_criterion_6_signature_fallback(tmp_path):
         write_session(profile, path, str(tmp_path / "strip.json"))
         report = Analyzer(client_nets=NETS).analyze_file(path)
         if (
-            len(report.sessions) == 1
-            and report.sessions[0].to_dict()["os_hint"] == os_name
-            and report.sessions[0].setup == agent
+            len(report.gameplays) == 1
+            and report.gameplays[0].to_dict()["os_hint"] == os_name
+            and report.gameplays[0].setup == agent
         ):
             hits += 1
     ok = hits == len(cases)
@@ -342,7 +342,7 @@ def test_criterion_9_throughput(tmp_path):
         size_gb >= 0.95
         and packets >= 600_000
         and elapsed <= 60.0
-        and len(report.sessions) == 1
+        and len(report.gameplays) == 1
     )
     _report_line(
         9,

@@ -108,6 +108,8 @@ def _reg(server_ip="203.0.113.7", port_range=None):
         registered_at=100.0,
         setup_class="console_app",
         platform_id="gfn",
+        session_id="s1",
+        setup="desktop_app",
         server_port_range=port_range,
     )
 

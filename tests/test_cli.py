@@ -38,7 +38,7 @@ def test_generate_analyze_report_roundtrip(tmp_path):
     with open(tmp_path / "out" / "qoe.csv") as fh:
         assert fh.readline().startswith("# schema=gamesight-qoe/2")
     first = open(tmp_path / "out" / "sessions.jsonl").readline()
-    assert json.loads(first) == {"schema": "gamesight-sessions/1"}
+    assert json.loads(first) == {"schema": "gamesight-sessions/2"}
 
     res = _run(
         [
@@ -306,6 +306,15 @@ def _report_inputs(tmp_path, part, text):
     return ["report", "--in", str(paths["qoe"]), "--sessions", str(paths["sessions"]), "--truth", str(paths["manifest"])]
 
 
+def test_sessions_schema_1_refused(tmp_path):
+    # schema /1 wrote one line per platform session, not per gameplay
+    res = _run(_report_inputs(tmp_path, "sessions", '{"schema": "gamesight-sessions/1"}\n'))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("schema mismatch: unexpected sessions schema")
+
+
 @pytest.mark.parametrize(
     "part, text, message",
     [
@@ -315,7 +324,7 @@ def _report_inputs(tmp_path, part, text):
             "# schema=gamesight-qoe/2\nts,session_id,latency_ms,fps,fps_band,bitrate_mbps,resolution\n1.0,s1,20.0\n",
             "qoe line 3 does not have the 7 columns",
         ),
-        ("sessions", '{"schema": "gamesight-sessions/1"}\n["s1"]\n', "a sessions line is not a JSON object"),
+        ("sessions", '{"schema": "gamesight-sessions/2"}\n["s1"]\n', "a sessions line is not a JSON object"),
         # every row of schema /2 has fps and fps_band
         (
             "qoe",
@@ -386,9 +395,10 @@ def test_report_wrong_typed_manifest_fields_exit_1(tmp_path, edit, field):
         (lambda s: s.update(setup=3), "setup"),
         (lambda s: s["gameplay_flows"][1].update(server_port="49003"), "gameplay_flows[1].server_port"),
         (lambda s: s.pop("gameplay_server_ip"), "gameplay_server_ip"),
+        (lambda s: s.update(gameplay_server_ip=None), "gameplay_server_ip"),
         (lambda s: s.update(gameplay_flows=None), "gameplay_flows"),
     ],
-    ids=["flow-a-string", "setup-a-number", "port-a-string", "no-gameplay-server", "flows-null"],
+    ids=["flow-a-string", "setup-a-number", "port-a-string", "no-gameplay-server", "gameplay-server-null", "flows-null"],
 )
 def test_report_wrong_typed_session_fields_exit_1(tmp_path, edit, field):
     pcap_path, manifest_path = _generate(tmp_path)

@@ -13,13 +13,7 @@ from gamesight.codebook import (
     load_codebooks,
     wildcard_match,
 )
-from gamesight.detector import (
-    OBSERVATION_HORIZON_S,
-    STATE_GAMEPLAY,
-    STATE_PLATFORM,
-    SessionDetector,
-    SessionRecord,
-)
+from gamesight.detector import OBSERVATION_HORIZON_S, SessionDetector, SessionRecord
 from gamesight.flows import FlowKey
 from gamesight.packets import ip_text
 
@@ -81,8 +75,7 @@ def test_all_core_required():
     assert det.sessions == []
     _observe(det, GFN_CORE[3:], t0=3.0)
     assert len(det.sessions) == 1
-    assert det.sessions[0].platform_id == "gfn"
-    assert det.sessions[0].state == STATE_PLATFORM
+    assert (det.sessions[0].session_id, det.sessions[0].platform_id) == ("p1", "gfn")
 
 
 def test_setup_refined_after_core_completes():
@@ -139,8 +132,8 @@ def test_register_gameplay_server_console_port():
     assert reg is not None
     assert reg.setup_class == "console_app"
     assert not reg.ip_mismatch_warning
-    assert det.sessions[0].state == STATE_GAMEPLAY
-    assert ip_text(det.sessions[0].gameplays[-1].server_ip) == "203.0.113.7"
+    assert reg.platform_session is det.sessions[0]
+    assert ip_text(reg.server_ip) == "203.0.113.7"
 
 
 def test_register_flags_ip_mismatch():
@@ -221,15 +214,14 @@ def test_signature_tables_follow_the_codebooks():
 
 
 def test_register_by_signature():
-    # no platform session is open: the registration gets its own fallback
-    # session at once, with the signature's agent class as its setup
+    # no platform session is open: the gameplay has none, and the
+    # signature's agent class as its setup
     det = _detector()
     key = _key(server_ip="203.0.113.7", sport=322)
     reg = det.register_by_signature(key, 3.0, "gfn", "console_app")
     assert det.registrations[key] is reg
-    assert (reg.session.session_id, reg.session.setup, reg.session.detected_at) == ("u1", "console_app", 3.0)
-    assert det.sessions == [reg.session]
-    assert reg.session.gameplays == [reg]
+    assert (reg.session_id, reg.setup, reg.platform_id, reg.registered_at) == ("s1", "console_app", "gfn", 3.0)
+    assert reg.platform_session is None and det.sessions == []
     # a repeat on the same key is refused, as by name, and counted
     assert det.register_by_signature(key, 4.0, "gfn", "console_app") is None
     assert det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", key, 5.0) is None
@@ -238,16 +230,15 @@ def test_register_by_signature():
 
 
 def test_name_registration_without_a_platform_session_gets_a_fallback():
+    # the fallback setup of a name is unknown
     det = _detector()
     key = _key(server_ip="203.0.113.7", sport=322)
     reg = det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", key, 3.0)
-    assert (reg.session.session_id, reg.session.setup, reg.session.platform_id) == ("u1", "unknown", "gfn")
-    assert det.sessions == [reg.session]
-    assert reg.session.gameplays == [reg]
-    # a second one from the same client gets the next fallback session
+    assert (reg.session_id, reg.setup, reg.platform_id, reg.platform_session) == ("s1", "unknown", "gfn", None)
+    # a second one from the same client is the next gameplay
     other = det.register_gameplay_server("203-0-113-8.pnt.nvidiagrid.net", _key(server_ip="203.0.113.8", sport=322), 4.0)
-    assert [s.session_id for s in det.sessions] == ["u1", "u2"]
-    assert other.session is det.sessions[1]
+    assert (other.session_id, other.platform_session) == ("s2", None)
+    assert det.sessions == []
 
 
 def test_signature_registration_joins_the_open_platform_session():
@@ -256,10 +247,9 @@ def test_signature_registration_joins_the_open_platform_session():
     session = det.sessions[0]
     key = _key(server_ip="203.0.113.7", sport=322)
     reg = det.register_by_signature(key, 30.0, "gfn", "console_app")
-    assert reg.session is session
-    assert det.sessions == [session]  # no fallback session
-    assert session.state == STATE_GAMEPLAY
-    assert (ip_text(session.gameplays[-1].server_ip), session.gameplays[-1].registered_at) == ("203.0.113.7", 30.0)
+    assert reg.platform_session is session
+    assert det.sessions == [session]
+    assert (reg.setup, ip_text(reg.server_ip), reg.registered_at) == (session.setup, "203.0.113.7", 30.0)
 
 
 def test_a_name_registration_joins_only_a_session_of_its_platform():
@@ -268,23 +258,49 @@ def test_a_name_registration_joins_only_a_session_of_its_platform():
     gfn = det.sessions[0]
     key = _key(server_ip="198.51.100.7", sport=49100)
     reg = det.register_gameplay_server("198-51-100-7.cloudgame.xboxlive.com", key, 30.0)
-    assert (reg.platform_id, reg.session.session_id, reg.session.platform_id) == ("xbox", "u1", "xbox")
-    assert reg.session.setup == "unknown"
-    assert det.sessions == [gfn, reg.session] and gfn.gameplays == []
-    # a GFN gameplay name still joins the open GFN session
+    assert (reg.platform_id, reg.session_id, reg.setup, reg.platform_session) == ("xbox", "s1", "unknown", None)
+    assert det.sessions == [gfn]
+    # a GFN gameplay name takes the open GFN session
     gfn_reg = det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", _key(server_ip="203.0.113.7", sport=322), 31.0)
-    assert gfn_reg.session is gfn and gfn.gameplays == [gfn_reg]
+    assert (gfn_reg.session_id, gfn_reg.platform_session) == ("s2", gfn)
 
 
 def test_a_signature_registration_joins_a_session_of_any_platform():
     # GFN's handshake sizes also match XBox management flows, so a signature
-    # registration's platform is no reason to keep out of the open session
+    # registration's platform is no reason to keep out of the open session:
+    # it takes the platform and setup of the session opened last
     det = _detector()
     _observe(det, ["login.xboxlive.com", "regional-node.xboxlive.com"])
     (xbox,) = det.sessions
     assert xbox.platform_id == "xbox"
     reg = det.register_by_signature(_key(server_ip="198.51.100.7", sport=49100), 30.0, "gfn", "browser")
-    assert reg.session is xbox and det.sessions == [xbox]
+    assert (reg.platform_session, reg.platform_id, reg.setup) == (xbox, "xbox", xbox.setup)
+    _observe(det, GFN_CORE, t0=31.0)
+    xbox_then_gfn = det.sessions
+    assert [s.platform_id for s in xbox_then_gfn] == ["xbox", "gfn"]
+    reg = det.register_by_signature(_key(server_ip="198.51.100.8", sport=49100), 40.0, "gfn", "browser")
+    assert (reg.platform_session, reg.platform_id) == (xbox_then_gfn[1], "gfn")
+
+
+def test_a_client_has_one_open_session_per_platform():
+    """GFN and XBox core names of one client open one session each; more
+    names of either open no other. Each open session's setup is refined
+    after a gameplay takes it, and the gameplay keeps the setup it copied
+    at its registration."""
+    det = _detector()
+    _observe(det, GFN_CORE + ["login.xboxlive.com", "regional-node.xboxlive.com"] + GFN_CORE)
+    gfn, xbox = det.sessions
+    assert [(s.session_id, s.platform_id) for s in det.sessions] == [("p1", "gfn"), ("p2", "xbox")]
+    assert det.clients[CLIENT].sessions == {"gfn": gfn, "xbox": xbox}
+    reg = det.register_gameplay_server("203-0-113-7.pnt.nvidiagrid.net", _key(server_ip="203.0.113.7", sport=322), 20.0)
+    assert (reg.platform_session, reg.setup) == (gfn, "unknown")
+    _observe(det, ["cms.nvidia.com", "als.nvidia.com", "gx-target-experiments-frontend-api.nvidia.com"], t0=21.0)
+    _observe(det, ["xgpuweb.xboxlive.com"], t0=25.0)
+    assert (gfn.setup, xbox.setup, reg.setup) == ("desktop_app", "pc_browser", "unknown")
+    later = det.register_gameplay_server("203-0-113-8.pnt.nvidiagrid.net", _key(server_ip="203.0.113.8", sport=322), 30.0)
+    assert (later.platform_session, later.setup) == (gfn, "desktop_app")
+    det.end_session(CLIENT, 40.0)
+    assert (gfn.ended_at, xbox.ended_at, det.clients[CLIENT].sessions) == (40.0, 40.0, {})
 
 
 # -- setup tie-break ----------------------------------------------------
@@ -378,7 +394,7 @@ class RescanDetector:
     def __init__(self, codebooks):
         self.codebooks = codebooks
         self.names = {}  # client -> list of (ts, arrival, name), every name observed
-        self.open = {}  # client -> SessionRecord not yet ended
+        self.open = {}  # client -> {platform: SessionRecord not yet ended}
         self.sessions = []
 
     def observe(self, client, name, ts):
@@ -390,23 +406,19 @@ class RescanDetector:
 
     def evaluate(self, client, now):
         window = self._window(client, now)
-        session = self.open.get(client)
-        if session is not None:
-            if session.state == STATE_PLATFORM:
-                cb = next(c for c in self.codebooks if c.platform_id == session.platform_id)
-                setup, ambiguous = self._pick_setup(cb, window)
+        names = [n for _, _, n in window]
+        opened = self.open.setdefault(client, {})
+        for cb in self.codebooks:
+            setup, ambiguous = self._pick_setup(cb, window)
+            session = opened.get(cb.platform_id)
+            if session is not None:
                 if setup != "unknown":
                     session.setup, session.setup_ambiguous = setup, ambiguous
-            return
-        names = [n for _, _, n in window]
-        for cb in self.codebooks:
-            if all(any(wildcard_match(p, n) for n in names) for p in cb.core_services):
-                setup, ambiguous = self._pick_setup(cb, window)
-                session = SessionRecord("s", client, cb.platform_id, setup, now)
+            elif all(any(wildcard_match(p, n) for n in names) for p in cb.core_services):
+                session = SessionRecord("p", client, cb.platform_id, setup, now)
                 session.setup_ambiguous = ambiguous
-                self.open[client] = session
+                opened[cb.platform_id] = session
                 self.sessions.append(session)
-                return
 
     def _pick_setup(self, cb, window):
         names = [n for _, _, n in window]

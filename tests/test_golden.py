@@ -3,9 +3,11 @@
 The analyzer reads the capture in one pass and decides each gameplay flow's
 role once, holding a joined flow's downstream packets until then. A change
 that alters an output on purpose re-records the digests it changes and says
-why. The qoe.csv digests were last re-recorded when QoE rows moved onto the
-flow table's whole one-second windows (schema gamesight-qoe/2); the
-sessions.jsonl digests are older. The short session ends before its video
+why. The sessions.jsonl digests were last re-recorded when each gameplay
+became one line (schema gamesight-sessions/2), and with them the strip-sni
+qoe.csv digest, whose gameplay's session id went from u1 to s1. The other
+qoe.csv digests date from when QoE rows moved onto the flow table's whole
+one-second windows (schema gamesight-qoe/2). The short session ends before its video
 flow's classifying windows close, so its QoE comes from the packets still
 waiting when the capture ends. The console capture also pins two per-run
 counts: the address-to-text conversions and the latency samples no QoE
@@ -34,23 +36,23 @@ from conftest import analyze_checked
 CASES = {
     "console": (
         dict(setup="desktop_app", resolution_schedule=[(0.0, "fhd")], rtt_ms=20.0, seed=31),
-        "cbe04ed2718f958ab73b781adb5e61d1e6359caa0ceb2d6939bdbb2c0e709fc6",
+        "413106bcf0737a7810da1e2da13957562314a56ef7bcd133261be45b1b1d208f",
         "8ce05b28def2890635b2f8714d357e2d45f53ae61d05bbdd22d720b848368966",
     ),
     "browser": (
         dict(setup="browser", fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "hd")], rtt_ms=80.0, seed=32),
-        "b4cc7d3405646742a6fe6d9d31e6efe474cd406b5557ee3dbe7ad787a5a4861b",
+        "a1a6bd889276e14138074a2cf809501f10e3b026b134b26a2108729d6bede3ce",
         "523b024a7078c51d86cce51e9a13fbd54b7fed1f24d1456377d40721a1f08644",
     ),
     "short": (
         dict(setup="desktop_app", rtt_ms=20.0, seed=34, duration_s=2.5),
-        "8140acc5c351cfde7de8512a0a4f1eb3ea03fa70577ecf3ba441879950c4a3b3",
+        "69dcf53cf8dc2782b2f8e0183ec88cc8c0fd91b9be6c9264b7305f129ccd77cc",
         "666eab5f003a2914bb0aa7fc1b1c5d790b40bf89583fbb185d07070338912ced",
     ),
     "strip-sni": (
         dict(setup="mobile_app", os="android", rtt_ms=5.0, seed=33, strip_sni=True),
-        "d46cd601d04109dbd27708a727404d3c05830fff8106d8438c0bb68fd6a5f395",
-        "6a537ff0c89f05c3ecef7f70c97904722f0a2d9ee15e9205fe5f469568e77c79",
+        "111a839f44d63b80da955a0382d10e30a3a711d5f409fd6927106cb01be4d39c",
+        "213831999cca47ebe60b150236a1903e3f58b892900c7cb3392a2b41ff0bf4ac",
     ),
 }
 
@@ -104,12 +106,16 @@ def test_rows_hold_the_qoe_csv_columns_but_session_id(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_written_rows_read_back_as_the_rows_in_memory(tmp_path, case):
-    # capture_outputs only adds the session id, and load_qoe_csv gives back
+    # capture_outputs only adds the prefixed session id to a row, and
+    # prefixes both ids of a sessions.jsonl object; load_qoe_csv gives back
     # exactly the rows write_qoe_csv was given
     path, report = _analyze_case(tmp_path, case)
-    _, rows = capture_outputs(report, path, "c0-")
-    (session,) = report.sessions
-    assert rows == [{**row, "session_id": "c0-" + session.session_id} for reg in report.gameplays for row in reg.rows]
+    sessions, rows = capture_outputs(report, path, "c0-")
+    (reg,) = report.gameplays
+    assert [(s["session_id"], s["platform_session"]) for s in sessions] == [
+        ("c0-s1", None if reg.platform_session is None else "c0-p1")
+    ]
+    assert rows == [{**row, "session_id": "c0-s1"} for row in reg.rows]
     write_qoe_csv(str(tmp_path / "qoe.csv"), rows)
     assert load_qoe_csv(str(tmp_path / "qoe.csv")) == rows
 
@@ -190,7 +196,7 @@ def _analyze_console(tmp_path, client_nets=("192.0.2.0/24",)):
 def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, client_nets):
     # addresses stay packed from parse to output: text is made twice for
     # each flow whose orientation is guessed, once for each gameplay
-    # name's embedded address, and twice for each session and listed flow
+    # name's embedded address, and twice for each gameplay and listed flow
     calls = 0
     real = packets.ip_text
 
@@ -203,7 +209,7 @@ def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, cli
         if getattr(module, "ip_text", None) is real:
             monkeypatch.setattr(module, "ip_text", counting)
     analyzer, report = _analyze_console(tmp_path, client_nets)
-    sessions = [s.to_dict() for s in report.sessions]
+    sessions = [reg.to_dict() for reg in report.gameplays]
     guessed = sum(f.guessed for f in analyzer.table.flows.values())
     listed = sum(len(s["gameplay_flows"]) for s in sessions)
     assert analyzer.table.evictions == 0
@@ -216,8 +222,7 @@ def test_latency_samples_without_a_row_are_counted(tmp_path):
     (reg,) = analyzer.detector.registrations.values()
     latency = reg.flows[0].latency
     assert latency.count == sum(map(len, latency.windows.values()))
-    (session,) = report.sessions
-    windows = {int(row["ts"] // WINDOW_S) for row in session.gameplays[0].rows}
+    windows = {int(row["ts"] // WINDOW_S) for row in reg.rows}
     averaged = sum(len(v) for idx, v in latency.windows.items() if idx in windows)
     assert report.counters["latency_unreported"] == latency.count - averaged > 0
     # a session without a video flow reports none of its samples

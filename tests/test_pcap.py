@@ -244,9 +244,30 @@ def test_cut_short_just_past_a_chunk_boundary(tmp_path, back, cut_into):
 # -- block writing --------------------------------------------------------
 
 
+def test_snaplen_above_the_longest_record_is_refused(tmp_path):
+    # a record of more than MAX_RECORD bytes would end the reader's stream
+    path = tmp_path / "big.pcap"
+    records = [(0.0, b"a" * 10), (1.0, b"b" * (pcap.MAX_RECORD + 5)), (2.0, b"c")]
+    with pytest.raises(ValueError, match="snaplen"):
+        pcap.write_capture(records, str(path), snaplen=pcap.MAX_RECORD + 1)
+    assert not path.exists()
+    assert pcap.write_capture(records, str(path), snaplen=pcap.MAX_RECORD) == 3
+    with open(path, "rb") as fh:
+        _, out = _read_all(fh)
+    assert [(ts, len(data), orig) for ts, data, orig in out] == [
+        (0.0, 10, 10),
+        (1.0, pcap.MAX_RECORD, pcap.MAX_RECORD + 5),
+        (2.0, 1, 1),
+    ]
+    stats = CaptureStats()
+    list(read_capture(str(path), stats))
+    assert (stats.packets + stats.skipped, stats.truncated_tail, stats.snaplen_truncated) == (3, 0, 1)
+
+
 def test_block_writer_matches_records_packed_directly(tmp_pcap):
-    # more than two blocks of records, one record longer than a block, and a
-    # stamp whose microseconds round up into the next second
+    # more than two blocks of records, one frame longer than a block, which
+    # the snaplen cuts, and a stamp whose microseconds round up into the
+    # next second
     stamps = [(1000 + i, i * 997 % 1_000_000) for i in range(2500)]
     frames = [bytes([i % 251]) * (900 + i % 300) for i in range(2500)]
     frames[1200] = bytes(range(256)) * (pcap.WRITE_BLOCK // 256 + 100)
@@ -255,10 +276,10 @@ def test_block_writer_matches_records_packed_directly(tmp_pcap):
     stamps.append((6, 0))
     assert sum(len(f) for _, f in records) > 2 * pcap.WRITE_BLOCK
 
-    snaplen = 2 * pcap.WRITE_BLOCK
+    snaplen = pcap.MAX_RECORD
     assert pcap.write_capture(records, tmp_pcap, link_type=pcap.LINKTYPE_ETHERNET, snaplen=snaplen) == 2501
     expected = [struct.pack("<IHHiIII", pcap.MAGIC_MICRO, 2, 4, 0, 0, snaplen, pcap.LINKTYPE_ETHERNET)]
     for (sec, usec), (_, frame) in zip(stamps, records):
-        expected += [struct.pack("<IIII", sec, usec, len(frame), len(frame)), frame]
+        expected += [struct.pack("<IIII", sec, usec, min(len(frame), snaplen), len(frame)), frame[:snaplen]]
     with open(tmp_pcap, "rb") as fh:
         assert fh.read() == b"".join(expected)

@@ -7,12 +7,12 @@ import pytest
 from gamesight import pcap, pipeline
 from gamesight.classify import MGMT_WINDOW_S, ROLE_UNCLASSIFIED, VIDEO_ROLES
 from gamesight.codebook import SetupSignature, default_codebooks
-from gamesight.detector import ServerRegistration, SessionRecord
+from gamesight.detector import ServerRegistration
 from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowKey, FlowTable
 from gamesight.packets import TCP, UDP, ip_text, parse_packet
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS, FrameRateTracker
-from gamesight.report import capture_outputs, load_qoe_csv, load_sessions_jsonl, pair_rows, role_errors
+from gamesight.report import capture_outputs, load_qoe_csv, load_sessions_jsonl, pair_rows, role_errors, score
 from gamesight.synth import (
     SessionProfile,
     build_client_hello,
@@ -23,7 +23,7 @@ from gamesight.synth import (
 )
 from gamesight.tls import MAX_BUFFER, MAX_SEGMENTS, SniReassembler
 
-from conftest import analyze_checked, check_gameplays, packed, tcp_record, udp_record
+from conftest import analyze_checked, check_gameplays, compose, packed, tcp_record, udp_record
 
 NETS = ("192.0.2.0/24",)
 
@@ -51,28 +51,22 @@ def _analyze(path):
     return analyze_checked(path, str(Path(path).parent / "out"))
 
 
-def _flows(session):
-    """(FlowKey, role) of each flow of the session's gameplays, in the order
-    `to_dict` lists them."""
-    return [(f.key, f.role) for reg in session.gameplays for f in reg.flows]
-
-
-def _rows(session):
-    """The QoE rows of the session's gameplays, in registration order."""
-    return [row for reg in session.gameplays for row in reg.rows]
+def _flows(reg):
+    """(FlowKey, role) of each flow of the gameplay, in the order `to_dict`
+    lists them."""
+    return [(f.key, f.role) for f in reg.flows]
 
 
 def test_full_console_session(tmp_path):
     path, manifest = _capture(tmp_path)
     report = _analyze(path)
-    assert len(report.sessions) == 1
-    s = report.sessions[0]
-    assert s.platform_id == "gfn"
-    assert s.setup == "desktop_app"
-    assert s.to_dict()["gameplay_server_ip"] == "203.0.113.7"
-    assert s.state == "ended"
+    (reg,) = report.gameplays
+    assert (reg.platform_id, reg.setup) == ("gfn", "desktop_app")
 
     (written,), _ = capture_outputs(report, path)
+    assert (written["gameplay_server_ip"], written["platform_session"]) == ("203.0.113.7", "p1")
+    assert written["ended_at"] == max(f.last_ts for f in reg.flows)
+    assert "state" not in written
     assert role_errors(written["gameplay_flows"], manifest.data["flows"]) == {}
     assert report.counters["unclassified_flows"] == 0
     assert report.counters["orientation_warnings"] == 0
@@ -103,11 +97,11 @@ def test_qoe_rows_are_the_video_flows_whole_windows(tmp_path):
     path, _ = _capture(tmp_path)
     analyzer = Analyzer(client_nets=NETS)
     report = analyzer.analyze_file(path)
-    session = report.sessions[0]
-    (key,) = [k for k, role in _flows(session) if role in VIDEO_ROLES]
+    (reg,) = report.gameplays
+    (key,) = [k for k, role in _flows(reg) if role in VIDEO_ROLES]
     windows = analyzer.table.flows[key].windows
     down = sorted(idx for idx, counts in windows.items() if counts[0])
-    rows = _rows(session)
+    rows = reg.rows
     idxs = [int(s["ts"] // WINDOW_S) for s in rows]
     assert idxs == list(range(down[0] + 1, down[-1]))
     for idx, s in zip(idxs, rows):
@@ -129,7 +123,7 @@ def test_only_the_video_flow_feeds_the_frame_detector(tmp_path, monkeypatch):
     report = _analyze(path)
     # audio and input flows pass the gameplay gate too, but are dropped
     # once classified; every frame-rate sample becomes a QoE row
-    assert len(emitted) == len(_rows(report.sessions[0])) > 0
+    assert len(emitted) == len(report.gameplays[0].rows) > 0
 
 
 def test_each_downstream_video_packet_feeds_the_frame_detector_once(tmp_path, monkeypatch):
@@ -145,7 +139,7 @@ def test_each_downstream_video_packet_feeds_the_frame_detector_once(tmp_path, mo
 
     monkeypatch.setattr(FrameRateTracker, "feed", counted)
     report = _analyze(path)
-    video = [f for reg in report.sessions[0].gameplays for f in reg.flows if f.role in VIDEO_ROLES]
+    video = [f for reg in report.gameplays for f in reg.flows if f.role in VIDEO_ROLES]
     assert len(video) == 1
     assert len(fed) == sum(w[0] for w in video[0].windows.values()) > 0
     assert fed == sorted(fed)
@@ -165,7 +159,7 @@ def test_only_the_video_flow_gets_a_frame_rate_tracker(tmp_path, monkeypatch, se
 
     monkeypatch.setattr(FrameRateTracker, "__init__", counted)
     report = _analyze(path)
-    (reg,) = report.sessions[0].gameplays
+    (reg,) = report.gameplays
     flows = reg.flows[1:]  # the management flow is first
     assert len(flows) == joined
     assert [f.frames for f in flows if f.frames is not None] == made
@@ -192,18 +186,18 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
         path = str(tmp_path / ("alone%d.pcap" % i))
         pcap.write_capture(records, path)
         report = _analyze(path)
-        alone[profile.client_ip] = _rows(report.sessions[0])
+        alone[profile.client_ip] = report.gameplays[0].rows
     merged.sort(key=lambda r: r[0])
     path = str(tmp_path / "both.pcap")
     pcap.write_capture(merged, path)
     report = _analyze(path)
 
-    assert sorted(ip_text(s.client_ip) for s in report.sessions) == ["192.0.2.10", "192.0.2.11"]
-    for s in report.sessions:
-        udp = [k for k, _ in _flows(s) if k.proto == UDP]
+    assert sorted(ip_text(reg.client_ip) for reg in report.gameplays) == ["192.0.2.10", "192.0.2.11"]
+    for reg in report.gameplays:
+        udp = [k for k, _ in _flows(reg) if k.proto == UDP]
         assert len(udp) == 4
-        assert {k.client_ip for k in udp} == {s.client_ip}
-        assert _rows(s) == alone[ip_text(s.client_ip)]
+        assert {k.client_ip for k in udp} == {reg.client_ip}
+        assert reg.rows == alone[ip_text(reg.client_ip)]
     assert alone["192.0.2.10"] != alone["192.0.2.11"]
 
 
@@ -228,7 +222,7 @@ def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
 
     (written,), _ = capture_outputs(report, path)
     assert role_errors(written["gameplay_flows"], manifest.data["flows"]) == {}
-    assert _rows(report.sessions[0]) == []
+    assert report.gameplays[0].rows == []
 
 
 @pytest.mark.parametrize("late", [False, True])
@@ -254,7 +248,7 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     pcap.write_capture(moved, path)
     report = _analyze(path)
 
-    (s,) = report.sessions
+    (reg,) = report.gameplays
     (written,), _ = capture_outputs(report, path)
     errors = role_errors(written["gameplay_flows"], manifest.data["flows"])
     if late:  # only the video flow is missing
@@ -263,7 +257,7 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     else:
         assert errors == {}
         assert report.counters["unadopted_flows"] == 0
-    assert _rows(s) == []
+    assert reg.rows == []
 
 
 @pytest.mark.parametrize("platform", [False, True])
@@ -271,8 +265,8 @@ def test_a_repeated_registration_keeps_the_first(tmp_path, platform):
     """A registered management flow is evicted at the table cap and sends
     its gameplay ClientHello again on the same five-tuple: the first
     registration stays the flow key's one, and the repeat is counted. With
-    a platform session open, that session lists the first registration
-    once, and no other."""
+    a platform session open or without, the first registration is the one
+    gameplay."""
     client, server = "192.0.2.10", "203.0.113.7"
     hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
     frames = []
@@ -295,15 +289,15 @@ def test_a_repeated_registration_keeps_the_first(tmp_path, platform):
     (reg,) = report.gameplays
     assert reg.registered_at == 1.0
     assert report.counters["repeated_registrations"] == 1
-    (s,) = report.sessions
-    assert s.gameplays == [reg]
-    assert s.session_id == ("s1" if platform else "u1")
+    assert reg.session_id == "s1"
+    assert (reg.platform_session is not None, report.counters["platform_sessions"]) == (platform, int(platform))
 
 
 def test_a_gameplay_name_of_another_platform_gets_its_own_session(tmp_path):
     """The client's GFN platform session is open when an XBox gameplay name
-    registers: the registration gets its own XBox fallback session, and the
-    GFN session stays without gameplay."""
+    registers: the gameplay takes no platform session, and its setup is
+    unknown. The GFN session, without a gameplay, writes no line and is
+    counted."""
     client = "192.0.2.10"
     core = ["login.nvidia.com", "events.nvidia.com", "userstore.nvidia.com", "gfnpc.api.entitlement-prod.nvidiagrid.net"]
     frames = [
@@ -314,11 +308,11 @@ def test_a_gameplay_name_of_another_platform_gets_its_own_session(tmp_path):
     frames.append((1.0, ipv4_tcp(client, "198.51.100.7", 51000, 49100, 1, 1, 0x18, hello)))
     path = str(tmp_path / "t.pcap")
     pcap.write_capture(frames, path)
-    _analyze(path)
+    report = _analyze(path)
+    assert report.counters["platform_sessions"] == 1
     written = load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))
-    assert [(s["session_id"], s["platform"], s["gameplay_server_ip"]) for s in written] == [
-        ("s1", "gfn", None),
-        ("u1", "xbox", "198.51.100.7"),
+    assert [(s["session_id"], s["platform_session"], s["platform"], s["setup"], s["gameplay_server_ip"]) for s in written] == [
+        ("s1", None, "xbox", "unknown", "198.51.100.7"),
     ]
 
 
@@ -479,7 +473,7 @@ def test_a_signature_longer_than_the_shipped_ones_registers():
     assert mgmt.signature == ("linux", "console_app")
     (reg,) = analyzer.detector.registrations.values()
     assert (reg.flows, reg.platform_id, reg.registered_at) == ([mgmt], "gfn", 0.5)
-    assert reg.session.setup == "console_app"
+    assert reg.setup == "console_app"
 
 
 def test_a_gameplay_flow_outside_the_platform_port_range_is_unclassified(tmp_path):
@@ -492,8 +486,8 @@ def test_a_gameplay_flow_outside_the_platform_port_range_is_unclassified(tmp_pat
     path = str(tmp_path / "t.pcap")
     pcap.write_capture(sorted(records + extra, key=lambda r: r[0]), path)
     report = _analyze(path)
-    (s,) = report.sessions
-    roles = dict(_flows(s))
+    (reg,) = report.gameplays
+    roles = dict(_flows(reg))
     assert roles[FlowKey(packed(client), 50000, packed(server), 3000, UDP)] == ROLE_UNCLASSIFIED
     assert list(roles.values()).count(ROLE_UNCLASSIFIED) == report.counters["unclassified_flows"] == 1
 
@@ -542,8 +536,8 @@ def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
     assert all(f.reasm is None for f in found)
     assert all(f.first_payload_sizes_up is None for f in tcp if f.key.server_port != 322)
 
-    (s,) = report.sessions
-    roles = {key: role for key, role in _flows(s) if key.proto == UDP}
+    (reg,) = report.gameplays
+    roles = {key: role for key, role in _flows(reg) if key.proto == UDP}
     assert len(roles) == 4
     for key, role in roles.items():
         windows = analyzer.table.flows[key].windows
@@ -551,8 +545,8 @@ def test_only_the_flows_an_output_reads_keep_their_state(tmp_path):
             assert windows
         else:
             assert windows is None
-    assert _rows(s) == _rows(alone.sessions[0])
-    assert _rows(s)
+    assert reg.rows == alone.gameplays[0].rows
+    assert reg.rows
 
 
 def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
@@ -573,7 +567,7 @@ def test_an_evicted_flow_leaves_no_state_to_its_key(tmp_path):
     report = analyzer.analyze_file(path)
     assert report.counters["flow_evictions"] == 2
     assert list(analyzer.detector.registrations) == [FlowKey(packed("192.0.2.10"), 51000, packed("203.0.113.7"), 322, 6)]
-    assert [s.to_dict()["gameplay_server_ip"] for s in report.sessions] == ["203.0.113.7"]
+    assert [reg.to_dict()["gameplay_server_ip"] for reg in report.gameplays] == ["203.0.113.7"]
 
 
 def _clock(start, stop, step=SWEEP_S):
@@ -618,7 +612,7 @@ def test_expired_flows_leave_no_state_to_their_five_tuples(tmp_path):
         assert flow.total_pkts == 1
         assert (flow.sni, flow.reasm, flow.signature, flow.first_payload_sizes_up) == (None, None, None, None)
         assert not flow.closed
-    assert report.sessions == []
+    assert report.gameplays == []
 
 
 def test_registered_flows_never_expire(tmp_path):
@@ -638,9 +632,8 @@ def test_registered_flows_never_expire(tmp_path):
     # every other flow of the session expired: only the clock's is left
     assert len(analyzer.table.flows) == len(reg.flows) + 1
     assert report.counters["flows_expired"] > 0
-    (s,) = report.sessions
-    assert [key for key, _ in _flows(s)] == [f.key for f in reg.flows]
-    assert _rows(s)
+    assert report.gameplays == [reg]
+    assert reg.rows
 
 
 def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypatch):
@@ -672,19 +665,21 @@ def test_the_flow_table_holds_the_live_flows_not_the_capture(tmp_path, monkeypat
     assert len(created) > 3000
     assert len(analyzer.table.flows) < 150  # about 5 connections/s, each held 10 to 15 s after its FIN
     assert report.counters["flows_expired"] == len(created) - len(analyzer.table.flows)
-    (s,) = report.sessions
-    assert _flows(s) == _flows(alone.sessions[0])
-    assert s.setup == alone.sessions[0].setup
-    assert s.to_dict()["os_hint"] == alone.sessions[0].to_dict()["os_hint"]
-    assert _rows(s) == _rows(alone.sessions[0])
-    assert _rows(s)
+    (reg,) = report.gameplays
+    (a,) = alone.gameplays
+    assert _flows(reg) == _flows(a)
+    assert reg.setup == a.setup
+    assert reg.to_dict()["os_hint"] == a.to_dict()["os_hint"]
+    assert reg.rows == a.rows
+    assert reg.rows
 
 
 def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
     """Two desktop sessions of one client, 30 min apart on the same
     five-tuples: the registered flows never expire, so the output is still
-    one session with the first session's flows and QoE rows, though the
-    platform flows between them expire (ROADMAP item 3 keeps this case)."""
+    one gameplay with the first session's flows and QoE rows, though the
+    platform flows between them expire, and it ends in the second session
+    (ROADMAP item 4 keeps this case)."""
     first, _ = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
     second, _ = gen_session(
         SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=8, base_ts=1_700_001_800.0)
@@ -697,20 +692,21 @@ def test_a_reused_management_five_tuple_continues_the_first_session(tmp_path):
     report = _analyze(path)
 
     assert report.counters["flows_expired"] > 0
-    (s,) = report.sessions
-    (a,) = alone.sessions
-    assert _flows(s) == _flows(a)
-    assert (s.session_id, s.setup) == (a.session_id, a.setup)
-    assert s.to_dict()["gameplay_started_at"] == a.to_dict()["gameplay_started_at"]
-    assert s.ended_at == second[-1][0]
-    assert _rows(s) == _rows(a)
+    (reg,) = report.gameplays
+    (a,) = alone.gameplays
+    assert _flows(reg) == _flows(a)
+    assert (reg.session_id, reg.setup) == (a.session_id, a.setup)
+    assert reg.to_dict()["gameplay_started_at"] == a.to_dict()["gameplay_started_at"]
+    assert second[0][0] < reg.to_dict()["ended_at"] <= second[-1][0]
+    assert reg.rows == a.rows
 
 
 def test_two_gameplays_of_one_session_keep_their_own_rows(tmp_path):
     """A desktop-app session, then a browser session of the same client 30
-    min later: the second gameplay joins the still open platform session,
-    so the output is one session listing both gameplays' flows, and each
-    gameplay keeps the QoE rows of its session analyzed alone."""
+    min later: the second gameplay takes the still open platform session,
+    whose setup the browser names have refined by then. Each gameplay is
+    its own line, as its session analyzed alone, and keeps that session's
+    QoE rows."""
     desktop = SessionProfile(platform="gfn", setup="desktop_app", duration_s=20.0, seed=3)
     browser = SessionProfile(
         platform="gfn", setup="browser", duration_s=20.0, seed=4, base_ts=desktop.base_ts + 1800.0
@@ -726,19 +722,65 @@ def test_two_gameplays_of_one_session_keep_their_own_rows(tmp_path):
     pcap.write_capture(records, path)
     report = _analyze(path)
 
-    (s,) = report.sessions
-    first, second = (a.sessions[0].to_dict() for a in alone)
-    assert s.to_dict() == {
-        **first,
-        "gameplay_started_at": second["gameplay_started_at"],
-        "ended_at": second["ended_at"],
-        "gameplay_flows": first["gameplay_flows"] + second["gameplay_flows"],
-    }
+    first, second = (a.gameplays[0].to_dict() for a in alone)
+    assert [reg.to_dict() for reg in report.gameplays] == [
+        first,
+        {**second, "session_id": "s2", "detected_at": first["detected_at"]},
+    ]
+    assert report.counters["platform_sessions"] == 1
     assert [len(reg.rows) for reg in report.gameplays] == [19, 19]
     assert [reg.rows for reg in report.gameplays] == [a.gameplays[0].rows for a in alone]
-    assert [row["session_id"] for row in load_qoe_csv(str(tmp_path / "out" / "qoe.csv"))] == ["s1"] * 38
+    assert [row["session_id"] for row in load_qoe_csv(str(tmp_path / "out" / "qoe.csv"))] == ["s1"] * 19 + ["s2"] * 19
     assert [a.counters["latency_unreported"] for a in alone] == [1, 2]
     assert report.counters["latency_unreported"] == 3
+
+
+T0 = SessionProfile(platform="gfn", setup="desktop_app").base_ts
+DESKTOP_120S = dict(platform="gfn", setup="desktop_app", duration_s=120.0, seed=3, fps_schedule=[(0.0, 30)], resolution_schedule=[(0.0, "sd")])
+SECOND = dict(duration_s=20.0, seed=4, server_ip="203.0.113.9", base_ts=T0 + 70.0)
+
+
+@pytest.mark.parametrize(
+    "first, second, platform_sessions",
+    [
+        (DESKTOP_120S, dict(SECOND, platform="gfn", setup="browser"), ["p1", "p1"]),
+        (DESKTOP_120S, dict(SECOND, platform="xbox", setup="pc_browser"), ["p1", "p2"]),
+        (dict(DESKTOP_120S, duration_s=20.0), dict(SECOND, platform="gfn", setup="browser", base_ts=T0 + 1800.0), ["p1", "p1"]),
+        (DESKTOP_120S, dict(SECOND, platform="gfn", setup="browser", client_ip="192.0.2.11"), ["p1", "p2"]),
+    ],
+    ids=["gfn-browser-at-70s", "xbox-browser-at-70s", "gfn-browser-at-30min", "two-addresses"],
+)
+def test_each_gameplay_of_one_address_is_its_own_session(tmp_path, first, second, platform_sessions):
+    """A desktop-app gameplay of 192.0.2.10, and a second gameplay 70 s
+    into it or 30 min after it: each is its own sessions.jsonl line, with
+    its own setup, flows and QoE rows, and `report.score` fails neither, as
+    when the second is another address's. A second gameplay of the same
+    platform takes the open platform session, one of another platform opens
+    its own."""
+    records, manifests = compose([SessionProfile(**first), SessionProfile(**second)])
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(records, path)
+    report = _analyze(path)
+    sessions = load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))
+    result = score(sessions, load_qoe_csv(str(tmp_path / "out" / "qoe.csv")), manifests)
+    assert (result["attempted"], result["failed"]) == (2, 0), result["failures"]
+    assert [(m["session_id"], m["resolution_accuracy"]) for m in result["matches"]] == [("s1", 1.0), ("s2", 1.0)]
+    assert [s["platform_session"] for s in sessions] == platform_sessions
+    assert report.counters["platform_sessions"] == len(set(platform_sessions))
+
+
+def test_a_platform_session_without_a_gameplay_writes_no_line(tmp_path):
+    """Only a desktop-app session's platform flows, to port 443: its GFN
+    names open a platform session, which `platform_sessions` counts, and
+    with no gameplay, sessions.jsonl holds only its header."""
+    records, _ = compose([SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7)])
+    platform = [(ts, frame) for ts, frame in records if frame[9] == TCP and 443 in struct.unpack("!HH", frame[20:24])]
+    assert 0 < len(platform) < len(records)
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(platform, path)
+    report = _analyze(path)
+    assert (report.gameplays, report.counters["platform_sessions"]) == ([], 1)
+    assert (tmp_path / "out" / "sessions.jsonl").read_text().splitlines() == ['{"schema": "gamesight-sessions/2"}']
 
 
 @pytest.mark.parametrize(
@@ -761,59 +803,50 @@ def test_session_addresses_are_written_as_address_text(client, server, written):
     table = FlowTable(client_nets=(client,))
     flow = table.update(parse_packet(frame, pcap.LINKTYPE_RAW_IP, 0.0))
     flow.role = "combined_media_input"
-    reg = ServerRegistration(flow.key.client_ip, flow.key.server_ip, 0.0, "browser", "gfn", flows=[flow])
-    session = SessionRecord(
-        session_id="s1",
-        client_ip=flow.key.client_ip,
-        platform_id="gfn",
-        setup="browser",
-        detected_at=0.0,
-        gameplays=[reg],
-    )
-    d = session.to_dict()
+    reg = ServerRegistration(flow.key.client_ip, flow.key.server_ip, 0.0, "browser", "gfn", "s1", "browser", flows=[flow])
+    d = reg.to_dict()
     assert (d["client_ip"], d["gameplay_server_ip"]) == written
     (listed,) = d["gameplay_flows"]
     assert (listed["client_ip"], listed["server_ip"]) == written
-    assert SessionRecord("s2", src, "gfn", "browser", 0.0).to_dict()["gameplay_server_ip"] is None
+    assert (d["platform_session"], d["detected_at"], d["ended_at"]) == (None, None, 0.0)
 
 
 def test_pipeline_deterministic(tmp_path):
     path, _ = _capture(tmp_path)
     r1, r2 = _analyze(path), _analyze(path)
     assert r1.gameplays[0].rows == r2.gameplays[0].rows
-    assert [s.to_dict() for s in r1.sessions] == [s.to_dict() for s in r2.sessions]
+    assert [reg.to_dict() for reg in r1.gameplays] == [reg.to_dict() for reg in r2.gameplays]
 
 
 def test_browser_session_combined_flow(tmp_path):
     path, manifest = _capture(tmp_path, setup="browser", seed=5)
     report = _analyze(path)
-    s = report.sessions[0]
-    assert s.setup == "browser"
-    roles = sorted(r for _, r in _flows(s))
+    (reg,) = report.gameplays
+    assert reg.setup == "browser"
+    roles = sorted(r for _, r in _flows(reg))
     assert roles == ["combined_media_input", "gameplay_mgmt", "stun_webrtc"]
-    assert _rows(s)  # QoE comes from the combined flow
+    assert reg.rows  # QoE comes from the combined flow
 
 
 def test_strip_sni_signature_fallback(tmp_path):
     path, manifest = _capture(tmp_path, strip_sni=True, seed=9)
     report = _analyze(path)
-    assert len(report.sessions) == 1
-    s = report.sessions[0]
-    assert s.to_dict()["os_hint"] == "windows"
-    assert s.setup == "console_app"  # only the agent class is knowable without SNIs
-    assert s.session_id.startswith("u")
-    roles = sorted(r for _, r in _flows(s))
+    (reg,) = report.gameplays
+    assert reg.to_dict()["os_hint"] == "windows"
+    assert reg.setup == "console_app"  # only the agent class is knowable without SNIs
+    assert reg.platform_session is None
+    roles = sorted(r for _, r in _flows(reg))
     assert roles == ["down_audio", "down_video", "gameplay_mgmt", "up_audio", "user_input"]
 
 
-@pytest.mark.parametrize("strip_sni, sessions, unregistered", [(True, 0, 1), (False, 1, 0)])
-def test_a_management_flow_that_registers_nothing_is_counted(tmp_path, strip_sni, sessions, unregistered):
+@pytest.mark.parametrize("strip_sni, gameplays, unregistered", [(True, 0, 1), (False, 1, 0)])
+def test_a_management_flow_that_registers_nothing_is_counted(tmp_path, strip_sni, gameplays, unregistered):
     """Without its SNI, an Android XBox browser's management flow matches no
     signature on its port: no gameplay registers, and the flow is counted
     once, at the packet where that becomes certain."""
     path, _ = _capture(tmp_path, platform="xbox", setup="pc_browser", os="android", strip_sni=strip_sni, duration_s=12.0, seed=3)
     report = _analyze(path)
-    assert len(report.sessions) == sessions
+    assert len(report.gameplays) == gameplays
     assert report.counters["unregistered_mgmt_flows"] == unregistered
 
 
@@ -829,8 +862,9 @@ def test_an_sni_registration_is_not_repeated_by_its_signature(tmp_path):
 
 
 def test_sessions_are_listed_in_the_order_they_were_made(tmp_path):
-    """Client A's stripped-SNI gameplay registers before client B's platform
-    session is detected: A's fallback session comes first."""
+    """Gameplays are listed in registration order: client A's stripped-SNI
+    gameplay, without a platform session, registers before client B's
+    platform session is detected, and comes first."""
     a, manifest = gen_session(
         SessionProfile(platform="gfn", setup="desktop_app", client_ip="192.0.2.10", base_ts=1000.0, duration_s=6.0, seed=7, strip_sni=True)
     )
@@ -844,19 +878,21 @@ def test_sessions_are_listed_in_the_order_they_were_made(tmp_path):
     path = str(tmp_path / "t.pcap")
     pcap.write_capture(sorted(a + b, key=lambda r: r[0]), path)
     report = _analyze(path)
-    assert [(s.session_id, ip_text(s.client_ip)) for s in report.sessions] == [("u1", "192.0.2.10"), ("s1", "192.0.2.11")]
-    assert report.sessions[0].detected_at < report.sessions[1].detected_at
-    written = [d["session_id"] for d in load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))]
-    assert written == ["u1", "s1"]
+    a_reg, b_reg = report.gameplays
+    assert [ip_text(reg.client_ip) for reg in report.gameplays] == ["192.0.2.10", "192.0.2.11"]
+    assert a_reg.platform_session is None
+    assert a_reg.registered_at < b_reg.platform_session.detected_at
+    written = [(d["session_id"], d["platform_session"]) for d in load_sessions_jsonl(str(tmp_path / "out" / "sessions.jsonl"))]
+    assert written == [("s1", None), ("s2", "p1")]
 
 
 def test_xbox_session(tmp_path):
     path, _ = _capture(tmp_path, platform="xbox", setup="hardware_console", seed=4)
     report = _analyze(path)
-    s = report.sessions[0]
-    assert s.platform_id == "xbox"
-    assert s.setup == "hardware_console"
-    roles = sorted(r for _, r in _flows(s))
+    (reg,) = report.gameplays
+    assert reg.platform_id == "xbox"
+    assert reg.setup == "hardware_console"
+    roles = sorted(r for _, r in _flows(reg))
     assert roles == ["combined_media_input", "gameplay_mgmt", "stun_webrtc"]
 
 
@@ -866,7 +902,7 @@ def test_empty_capture(tmp_path):
     path = str(tmp_path / "empty.pcap")
     pcap.write_capture([], path)
     report = _analyze(path)
-    assert report.sessions == []
+    assert report.gameplays == []
     assert report.counters["packets"] == 0
 
 
@@ -891,12 +927,13 @@ def snaplen_reports(tmp_path_factory):
 @pytest.mark.parametrize(
     "snaplen, session",
     [
-        (65535, ("s1", "desktop_app")),
+        (65535, ("p1", "desktop_app")),
         # the management ClientHello loses its SNI: the handshake-size
-        # signature registers the server and joins the platform session
-        (256, ("s1", "desktop_app")),
-        # no platform name survives either: the signature session stands alone
-        (128, ("u1", "console_app")),
+        # signature registers the server and takes the platform session
+        (256, ("p1", "desktop_app")),
+        # no platform name survives either: the gameplay has no platform
+        # session, and the signature's class as its setup
+        (128, (None, "console_app")),
     ],
     ids=["65535", "256", "128"],
 )
@@ -905,9 +942,11 @@ def test_headers_only_capture_keeps_flows_and_qoe(snaplen_reports, snaplen, sess
     rep, cut = snaplen_reports[snaplen]
     assert rep.counters["snaplen_truncated"] == cut
     assert (cut > 0) is (snaplen < 65535)
-    assert [(s.session_id, s.setup, s.to_dict()["os_hint"]) for s in rep.sessions] == [(*session, "windows")]
-    roles = [r for _, r in _flows(rep.sessions[0])]
+    (reg,) = rep.gameplays
+    d = reg.to_dict()
+    assert (d["platform_session"], d["setup"], d["os_hint"]) == (*session, "windows")
+    roles = [r for _, r in _flows(reg)]
     assert roles == ["gameplay_mgmt", "down_video", "down_audio", "up_audio", "user_input"]
-    assert _flows(rep.sessions[0]) == _flows(full.sessions[0])
-    assert len(_rows(rep.sessions[0])) == 19
-    assert _rows(rep.sessions[0]) == _rows(full.sessions[0])
+    assert _flows(reg) == _flows(full.gameplays[0])
+    assert len(reg.rows) == 19
+    assert reg.rows == full.gameplays[0].rows

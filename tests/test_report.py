@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from gamesight.qoe import WARMUP_INTERVALS
 from gamesight.report import (
+    QOE_SCHEMA,
+    SESSIONS_SCHEMA,
     SchemaError,
     _percentile,
     load_qoe_csv,
@@ -96,16 +100,21 @@ def test_sessions_jsonl_roundtrip(tmp_path):
             "gameplay_flows": [{**flow, "proto": "UDP", "role": "video"}],
         },
         {
-            "session_id": "u1",
+            "session_id": "s2",
+            "platform_session": None,
             "client_ip": "192.0.2.11",
             "platform": "gfn",
             "setup": "browser",
-            "gameplay_server_ip": None,
+            "gameplay_server_ip": "198.51.100.8",
             "gameplay_flows": [],
         },
     ]
     write_sessions_jsonl(path, sessions)
     assert load_sessions_jsonl(path) == sessions
+    # every line is a gameplay: a null gameplay server is refused
+    write_sessions_jsonl(path, [{**sessions[1], "gameplay_server_ip": None}])
+    with pytest.raises(SchemaError, match="session 1 of .* fields: gameplay_server_ip"):
+        load_sessions_jsonl(path)
 
 
 def test_sessions_jsonl_schema_rejected(tmp_path):
@@ -114,6 +123,14 @@ def test_sessions_jsonl_schema_rejected(tmp_path):
         fh.write('{"schema": "bogus"}\n')
     with pytest.raises(SchemaError):
         load_sessions_jsonl(path)
+
+
+def test_readme_names_the_output_schemas():
+    # a schema bump that leaves the README's Output schemas section behind fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Output schemas\n", 1)[1].split("\n## ", 1)[0]
+    assert '{"schema": "%s"}' % SESSIONS_SCHEMA in section
+    assert "# schema=%s" % QOE_SCHEMA in section
 
 
 def test_percentile_nearest_rank():
