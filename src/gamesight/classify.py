@@ -5,6 +5,7 @@ from __future__ import annotations
 import statistics
 from typing import TYPE_CHECKING
 
+from .codebook import CLASS_BROWSER
 from .flows import WINDOW_S, FlowState
 
 if TYPE_CHECKING:
@@ -44,7 +45,7 @@ def classify_windows(windows: list[list[int]], setup_class: str) -> str:
     if not windows:
         return ROLE_UNCLASSIFIED
     pps_in, pps_out, bps_in = _median_profile(windows[:CLASSIFY_WINDOWS])
-    if setup_class == "browser":
+    if setup_class == CLASS_BROWSER:
         if pps_in + pps_out <= STUN_MAX_PPS:
             return ROLE_STUN
         if pps_in + pps_out >= COMBINED_MIN_PPS:

@@ -44,7 +44,8 @@ def write_qoe_csv(path: str, rows: list[dict]) -> None:
 
 def load_qoe_csv(path: str) -> list[dict]:
     """The rows of a qoe.csv, as `capture_outputs` returns them. Every row of
-    the schema has `fps` and `fps_band`; a row without either is refused."""
+    the schema has `fps` and `fps_band`, and finite numbers; any other row is
+    refused."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
         if first != "# schema=%s" % QOE_SCHEMA:
@@ -58,17 +59,18 @@ def load_qoe_csv(path: str) -> list[dict]:
                 raise SchemaError("qoe line %d does not have the %d columns" % (reader.line_num + 1, len(QOE_COLUMNS)))
             if not (raw["fps"] and raw["fps_band"]):
                 raise SchemaError("qoe line %d has no fps or no fps_band" % (reader.line_num + 1))
-            rows.append(
-                {
-                    "ts": float(raw["ts"]),
-                    "session_id": raw["session_id"],
-                    "latency_ms": float(raw["latency_ms"]) if raw["latency_ms"] else None,
-                    "fps": float(raw["fps"]),
-                    "fps_band": raw["fps_band"],
-                    "bitrate_mbps": float(raw["bitrate_mbps"]),
-                    "resolution": raw["resolution"],
-                }
-            )
+            row = {
+                "ts": float(raw["ts"]),
+                "session_id": raw["session_id"],
+                "latency_ms": float(raw["latency_ms"]) if raw["latency_ms"] else None,
+                "fps": float(raw["fps"]),
+                "fps_band": raw["fps_band"],
+                "bitrate_mbps": float(raw["bitrate_mbps"]),
+                "resolution": raw["resolution"],
+            }
+            if not all(math.isfinite(row[k]) for k in ("ts", "latency_ms", "fps", "bitrate_mbps") if row[k] is not None):
+                raise SchemaError("qoe line %d has a non-finite number" % (reader.line_num + 1))
+            rows.append(row)
         return rows
 
 
@@ -97,7 +99,13 @@ SESSION_FIELDS = {
 
 
 def _bad_fields(obj: dict, types: dict) -> list[str]:
-    return [k for k, t in types.items() if k not in obj or not isinstance(obj[k], t) or isinstance(obj[k], bool)]
+    """The fields of `obj` that are missing, not of their type, or a
+    non-finite number (JSON's `NaN` and `Infinity`)."""
+    return [
+        k for k, t in types.items()
+        if k not in obj or not isinstance(obj[k], t) or isinstance(obj[k], bool)
+        or (t is NUMBER and not math.isfinite(obj[k]))
+    ]
 
 
 def _bad_entries(obj: dict, name: str, types: dict) -> list[str]:
@@ -139,7 +147,7 @@ def load_manifest(path: str) -> dict:
     bad = _bad_fields(manifest, MANIFEST_FIELDS)
     bad += _bad_entries(manifest, "flows", FLOW_FIELDS) + _bad_entries(manifest, "qoe", MANIFEST_QOE_FIELDS)
     if bad:
-        raise SchemaError("manifest %s has missing or wrong-typed fields: %s" % (path, ", ".join(bad)))
+        raise SchemaError("manifest %s has missing, wrong-typed or non-finite fields: %s" % (path, ", ".join(bad)))
     return manifest
 
 

@@ -124,8 +124,11 @@ class SessionProfile:
         for name, ip in (("client_ip", self.client_ip), ("server_ip", self.server_ip)):
             if not _dotted_quad(ip):
                 raise InvalidProfile("%s must be a dotted-quad IPv4 address, not %r" % (name, ip))
-        if self.duration_s <= 0:
-            raise InvalidProfile("duration must be positive")
+        # a comparison with NaN is false, so these refuse it as well
+        if not 0 < self.duration_s < float("inf"):
+            raise InvalidProfile("duration must be finite and positive, not %r" % self.duration_s)
+        if not 0 <= self.rtt_ms < float("inf"):
+            raise InvalidProfile("rtt must be finite and non-negative, not %r" % self.rtt_ms)
         if not self.fps_schedule or self.fps_schedule[0][0] != 0.0:
             raise InvalidProfile("fps schedule must cover [0, duration)")
         if not self.resolution_schedule or self.resolution_schedule[0][0] != 0.0:
@@ -141,8 +144,6 @@ class SessionProfile:
         return self.platform == "gfn" and self.setup in ("desktop_app", "mobile_app")
 
     def mgmt_port(self) -> int:
-        if self.platform == "xbox":
-            return 49100
         return 322 if self.is_console_class() else 49100
 
 
@@ -344,8 +345,12 @@ def _opaque(rng: random.Random, n: int) -> bytes:
     return b"\x00" + bytes(rng.getrandbits(8) for _ in range(n - 1))
 
 
-def _platform_flow(plan, profile, rng, t, domain, server_ip, cport) -> None:
-    conv = _TcpConv(plan, profile.client_ip, server_ip, cport, 443, profile.rtt_ms / 1000.0, rng)
+def _platform_flow(plan, profile, rng, t, names, server_i, client_i) -> None:
+    """A TLS flow to name `server_i`'s server, 203.0.113.(10+server_i):443,
+    from client port 40000+client_i."""
+    domain = names[server_i]
+    server_ip = "203.0.113.%d" % (10 + server_i)
+    conv = _TcpConv(plan, profile.client_ip, server_ip, 40000 + client_i, 443, profile.rtt_ms / 1000.0, rng)
     t = conv.handshake(t)
     if profile.strip_sni:
         hello = _opaque(rng, 180 + len(domain))
@@ -358,23 +363,15 @@ def _platform_flow(plan, profile, rng, t, domain, server_ip, cport) -> None:
     conv.send_up(t + 0.02, b"\x00" * 100)
 
 
-def _cbr_stream(plan, profile, rng, cport, sport, t0, duration, up_pps, up_len, down_pps, down_len):
-    """Constant-rate bidirectional UDP stream (audio/input envelopes)."""
-
-    def emit_dir(pps, length, upstream, phase):
-        if pps <= 0:
-            return
-        gap = 1.0 / pps
-        payload = b"\x00" * length
-        if upstream:
-            frame = ipv4_udp(profile.client_ip, profile.server_ip, cport, sport, payload)
-        else:
-            frame = ipv4_udp(profile.server_ip, profile.client_ip, sport, cport, payload)
-        start = t0 + phase
-        plan.extend((start + i * gap, frame) for i in range(int(duration * pps)))
-
-    emit_dir(up_pps, up_len, True, rng.uniform(0, 0.01))
-    emit_dir(down_pps, down_len, False, rng.uniform(0, 0.01))
+def _cbr_stream(plan, rng, flow, t0, duration, up_pps, up_len, down_pps, down_len):
+    """Constant-rate bidirectional UDP stream (audio/input envelopes) on
+    `flow`, its (upstream, downstream) frame caches. Each direction draws
+    its start phase, upstream first, even when its rate is 0."""
+    for frames, pps, length in zip(flow, (up_pps, down_pps), (up_len, down_len)):
+        start = t0 + rng.uniform(0, 0.01)
+        if pps > 0:
+            gap, frame = 1.0 / pps, frames[length]
+            plan.extend((start + i * gap, frame) for i in range(int(duration * pps)))
 
 
 @dataclass
@@ -398,19 +395,34 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
     # platform phase: core services in sequential order, then setup-specific
     t = profile.base_ts
     platform_start = t
-    cport = 40000
     names = list(domains["core"]) + list(domains[profile.setup]) + list(domains["selection"])
-    platform_server_base = 10
-    for i, domain in enumerate(names):
-        server_ip = "203.0.113.%d" % (platform_server_base + i)
-        _platform_flow(plan, profile, rng, t, domain, server_ip, cport)
-        cport += 1
+    for i in range(len(names)):
+        _platform_flow(plan, profile, rng, t, names, i, i)
         t += 0.25
 
+    flows: list[dict] = []
+
+    def flow(role, cport, sport, proto="UDP"):
+        """Declare a gameplay flow: its manifest entry, and its (upstream,
+        downstream) frame caches, the one source of its UDP packets."""
+        flows.append(
+            {
+                "role": role,
+                "client_ip": profile.client_ip,
+                "client_port": cport,
+                "server_ip": profile.server_ip,
+                "server_port": sport,
+                "proto": proto,
+            }
+        )
+        return (
+            _UdpFrames(profile.client_ip, profile.server_ip, cport, sport),
+            _UdpFrames(profile.server_ip, profile.client_ip, sport, cport),
+        )
+
     # gameplay management flow with embedded-IP service name
-    mgmt_port = profile.mgmt_port()
-    mgmt_cport = 51000
-    conv = _TcpConv(plan, profile.client_ip, profile.server_ip, mgmt_cport, mgmt_port, rtt_s, rng)
+    mgmt, _ = flow(ROLE_MGMT, 51000, profile.mgmt_port(), proto="TCP")
+    conv = _TcpConv(plan, *mgmt.ends, rtt_s, rng)
     t_hello = conv.handshake(t + 0.3)
     if profile.strip_sni:
         hello = _opaque(rng, MGMT_HELLO_LEN)
@@ -435,38 +447,21 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         hb += HEARTBEAT_PERIOD_S
 
     video_seed = rng.randrange(1 << 30)
-    flows: list[dict] = []
-
-    def flow_entry(role, cport_, sport_, proto="UDP"):
-        flows.append(
-            {
-                "role": role,
-                "client_ip": profile.client_ip,
-                "client_port": cport_,
-                "server_ip": profile.server_ip,
-                "server_port": sport_,
-                "proto": proto,
-            }
-        )
-
-    flow_entry(ROLE_MGMT, mgmt_cport, mgmt_port, proto="TCP")
-
     if profile.is_console_class():
-        video_sport = rng.randrange(47000, 48900)
-        audio_down_sport = rng.randrange(47000, 48900)
-        audio_up_sport = rng.randrange(47000, 48900)
-        input_sport = rng.randrange(47000, 48900)
-        video = _UdpFrames(profile.server_ip, profile.client_ip, video_sport, 49005)
-        video_records, _, qoe = _scheduled_video(profile, video_seed, t_play, video)
+        video = flow(ROLE_DOWN_VIDEO, 49005, rng.randrange(47000, 48900))
+        audio_down = flow(ROLE_DOWN_AUDIO, 49003, rng.randrange(47000, 48900))
+        audio_up = flow(ROLE_UP_AUDIO, 49004, rng.randrange(47000, 48900))
+        user_input = flow(ROLE_USER_INPUT, 49006, rng.randrange(47000, 48900))
+        video_records, _, qoe = _scheduled_video(profile, video_seed, t_play, video[1])
         plan.extend(video_records)
         # sparse upstream receiver feedback on the video flow
-        _cbr_stream(plan, profile, rng, 49005, video_sport, t_play, duration, 2, 24, 0, 0)
+        _cbr_stream(plan, rng, video, t_play, duration, 2, 24, 0, 0)
         _cbr_stream(
-            plan, profile, rng, 49003, audio_down_sport, t_play, duration,
+            plan, rng, audio_down, t_play, duration,
             AUDIO_REVERSE_PPS, AUDIO_REVERSE_PAYLOAD, DOWN_AUDIO_PPS, DOWN_AUDIO_PAYLOAD,
         )
         _cbr_stream(
-            plan, profile, rng, 49004, audio_up_sport, t_play, duration,
+            plan, rng, audio_up, t_play, duration,
             UP_AUDIO_PPS, UP_AUDIO_PAYLOAD, AUDIO_REVERSE_PPS, AUDIO_REVERSE_PAYLOAD,
         )
         # two-state input activity, matched packet rates both ways
@@ -475,14 +470,7 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
             if s >= 3 and rng.random() < 0.3:
                 active = not active
             pps = rng.randint(50, INPUT_ACTIVE_PPS_MAX) if active else INPUT_IDLE_PPS
-            _cbr_stream(
-                plan, profile, rng, 49006, input_sport, t_play + s, 1.0,
-                pps, INPUT_UP_PAYLOAD, pps, INPUT_DOWN_PAYLOAD,
-            )
-        flow_entry(ROLE_DOWN_VIDEO, 49005, video_sport)
-        flow_entry(ROLE_DOWN_AUDIO, 49003, audio_down_sport)
-        flow_entry(ROLE_UP_AUDIO, 49004, audio_up_sport)
-        flow_entry(ROLE_USER_INPUT, 49006, input_sport)
+            _cbr_stream(plan, rng, user_input, t_play + s, 1.0, pps, INPUT_UP_PAYLOAD, pps, INPUT_DOWN_PAYLOAD)
     else:
         # single combined media+input flow (browser and all XBox setups)
         if profile.platform == "xbox":
@@ -491,9 +479,8 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
         else:
             media_sport = rng.randrange(47000, 48900)
             stun_sport = rng.randrange(49200, 49900)
-        media_cport = 50100
-        down = _UdpFrames(profile.server_ip, profile.client_ip, media_sport, media_cport)
-        up = _UdpFrames(profile.client_ip, profile.server_ip, media_cport, media_sport)
+        up, down = flow(ROLE_COMBINED, 50100, media_sport)
+        stun_up, stun_down = flow(ROLE_STUN, 3478, stun_sport)
         video_records, markers, qoe = _scheduled_video(profile, video_seed, t_play, down)
         plan.extend(video_records)
         # per-frame companions after each marker: downstream audio, upstream audio, input
@@ -503,19 +490,14 @@ def gen_session(profile: SessionProfile) -> tuple[list[tuple[float, bytes]], Gro
             plan.append((base + 7e-4, up[UP_AUDIO_PAYLOAD]))
             plan.append((base + 9e-4, up[INPUT_UP_PAYLOAD]))
         # low-rate STUN helper flow
-        stun_cport = 3478
-        stun_up = ipv4_udp(profile.client_ip, profile.server_ip, stun_cport, stun_sport, b"\x00" * STUN_PAYLOAD)
-        stun_down = ipv4_udp(profile.server_ip, profile.client_ip, stun_sport, stun_cport, b"\x00" * STUN_PAYLOAD)
         hb = t_play + rng.uniform(0, 0.3)
         while hb < gameplay_end:
-            plan.append((hb, stun_up))
-            plan.append((hb + rtt_s, stun_down))
+            plan.append((hb, stun_up[STUN_PAYLOAD]))
+            plan.append((hb + rtt_s, stun_down[STUN_PAYLOAD]))
             hb += STUN_PERIOD_S
-        flow_entry(ROLE_COMBINED, media_cport, media_sport)
-        flow_entry(ROLE_STUN, stun_cport, stun_sport)
 
-    # back to the platform after gameplay
-    _platform_flow(plan, profile, rng, gameplay_end + 1.0, domains["core"][1], "203.0.113.11", cport)
+    # back to the platform after gameplay: name 1 again, from the next client port
+    _platform_flow(plan, profile, rng, gameplay_end + 1.0, names, 1, len(names))
 
     # the sort is stable: records with equal timestamps keep emission order
     plan.sort(key=itemgetter(0))

@@ -1,9 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gamesight
 from gamesight import pcap
 from gamesight.cli import main
 from gamesight.codebook import default_codebook_path
@@ -338,6 +343,21 @@ def test_sessions_schema_1_refused(tmp_path):
             "1.0,s1,20.0,60.0,,18.0,hd\n",
             "qoe line 3 has no fps or no fps_band",
         ),
+        # a number `float` reads but JSON cannot write, or `pair_rows` cannot round
+        *(
+            (
+                "qoe",
+                "# schema=gamesight-qoe/2\nts,session_id,latency_ms,fps,fps_band,bitrate_mbps,resolution\n"
+                "1.0,s1,20.0,60.0,high,18.0,hd\n" + row,
+                "qoe line 4 has a non-finite number",
+            )
+            for row in (
+                "inf,s1,20.0,60.0,high,18.0,hd\n",
+                "2.0,s1,20.0,nan,high,18.0,hd\n",
+                "2.0,s1,-inf,60.0,high,18.0,hd\n",
+                "2.0,s1,20.0,60.0,high,NaN,hd\n",
+            )
+        ),
     ],
     ids=[
         "manifest-a-list",
@@ -345,6 +365,10 @@ def test_sessions_schema_1_refused(tmp_path):
         "sessions-line-a-list",
         "qoe-row-without-fps",
         "qoe-row-without-fps-band",
+        "qoe-ts-inf",
+        "qoe-fps-nan",
+        "qoe-latency-minus-inf",
+        "qoe-bitrate-nan",
     ],
 )
 def test_report_wrong_shaped_input_exit_1(tmp_path, part, text, message):
@@ -366,9 +390,13 @@ def test_report_wrong_shaped_input_exit_1(tmp_path, part, text, message):
         (lambda m: m.update(qoe=[None]), "qoe[0]"),
         (lambda m: m.update(rtt_ms="20"), "rtt_ms"),
         (lambda m: m.update(rtt_ms=True), "rtt_ms"),
+        # json.load reads NaN and Infinity as floats
+        (lambda m: m["qoe"][0].update(ts=float("inf")), "qoe[0].ts"),
+        (lambda m: m["qoe"][3].update(fps=float("nan")), "qoe[3].fps"),
+        (lambda m: m.update(rtt_ms=float("-inf")), "rtt_ms"),
     ],
     ids=["flow-a-string", "port-a-string", "flows-an-object", "qoe-entry-without-fps", "qoe-ts-a-string",
-         "qoe-entry-null", "rtt-a-string", "rtt-a-bool"],
+         "qoe-entry-null", "rtt-a-string", "rtt-a-bool", "qoe-ts-infinity", "qoe-fps-nan", "rtt-minus-infinity"],
 )
 def test_report_wrong_typed_manifest_fields_exit_1(tmp_path, edit, field):
     pcap_path, manifest_path = _generate(tmp_path)
@@ -525,6 +553,30 @@ def test_generate_invalid_bitrate_exit_1(tmp_path):
         ]
     )
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--duration", "inf", "duration must be finite and positive"),
+        ("--duration", "nan", "duration must be finite and positive"),
+        ("--rtt-ms", "nan", "rtt must be finite and non-negative"),
+        ("--rtt-ms", "-20", "rtt must be finite and non-negative"),
+    ],
+)
+def test_generate_refuses_a_bad_duration_or_rtt_exit_1(tmp_path, option, value, message):
+    # in a subprocess with a timeout: an unchecked infinite duration never returns
+    out = tmp_path / "x.pcap"
+    args = ["generate", "--profile", "gfn-desktop", "--fps", "60", "--resolution", "hd", "--out", str(out), option, value]
+    env = {**os.environ, "PYTHONPATH": str(Path(gamesight.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamesight.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(message)
+    assert not out.exists()
 
 
 def test_strip_sni_flag(tmp_path):

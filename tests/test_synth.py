@@ -11,12 +11,14 @@ from gamesight.synth import (
     BAND_RANGES,
     DEFAULT_BITRATES,
     DOWN_AUDIO_PAYLOAD,
+    GFN_SETUPS,
     INPUT_UP_PAYLOAD,
     MARKER_MAX,
     MARKER_MIN,
     SessionProfile,
     UP_AUDIO_PAYLOAD,
     VIDEO_FULL_SIZE,
+    XBOX_SETUPS,
     build_client_hello,
     _scheduled_video,
     _UdpFrames,
@@ -102,6 +104,15 @@ def test_profile_validation_errors():
         _profile(resolution_schedule=[(0.0, "uhd")]).validate()
     with pytest.raises(InvalidProfile):
         _profile(duration_s=0).validate()
+    # an infinite duration would never end the heartbeat loop
+    for duration in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidProfile, match="duration must be finite and positive"):
+            _profile(duration_s=duration).validate()
+    # a negative RTT would put every server reply before its request
+    for rtt in (-20.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidProfile, match="rtt must be finite and non-negative"):
+            _profile(rtt_ms=rtt).validate()
+    _profile(rtt_ms=0.0).validate()
 
 
 @pytest.mark.parametrize(
@@ -185,17 +196,49 @@ def test_xbox_udp_ports_in_range():
             assert 1040 <= f["server_port"] <= 1190
 
 
-@pytest.mark.parametrize("setup", ["desktop_app", "browser"])
+def _platform(setup):
+    return "gfn" if setup in GFN_SETUPS else "xbox"
+
+
+@pytest.mark.parametrize("setup", GFN_SETUPS + XBOX_SETUPS)
 def test_repeated_udp_frames_are_built_once(setup):
-    # each flow builds one frame per payload size and hands the same object
-    # to every packet of that size; the console's input stream builds its
-    # two frames once a second, as its rate changes
-    duration = 10.0
-    records, _ = gen_session(_profile(setup=setup, duration_s=duration))
+    # each flow builds one frame per direction and payload size and hands the
+    # same object to every packet of that size
+    records, _ = gen_session(_profile(platform=_platform(setup), setup=setup, duration_s=10.0))
     udp = [frame for _, frame in records if frame[9] == 17]
     objects = len({id(frame) for frame in udp})
-    assert objects <= len(set(udp)) + 2 * int(duration)
+    assert objects == len(set(udp))
     assert objects < len(udp) / 20
+
+
+def _five_tuple(frame):
+    """(src, dst, sport, dport, proto) of a generated IPv4 frame."""
+    ips = ".".join(map(str, frame[12:16])), ".".join(map(str, frame[16:20]))
+    ports = int.from_bytes(frame[20:22], "big"), int.from_bytes(frame[22:24], "big")
+    return (*ips, *ports, {6: "TCP", 17: "UDP"}[frame[9]])
+
+
+@pytest.mark.parametrize(
+    "setup, strip_sni",
+    [(setup, False) for setup in GFN_SETUPS + XBOX_SETUPS] + [("mobile_app", True)],
+)
+def test_manifest_names_exactly_the_gameplay_flows(setup, strip_sni):
+    """Every five-tuple of the capture that involves the gameplay server,
+    client side first, is a flow of the manifest, and every manifest flow
+    is in the capture."""
+    profile = _profile(platform=_platform(setup), setup=setup, strip_sni=strip_sni, duration_s=5.0)
+    records, manifest = gen_session(profile)
+    server = manifest.data["server_ip"]
+    seen = set()
+    for _, frame in records:
+        src, dst, sport, dport, proto = _five_tuple(frame)
+        if src == server:
+            seen.add((dst, dport, src, sport, proto))
+        elif dst == server:
+            seen.add((src, sport, dst, dport, proto))
+    flows = [(f["client_ip"], f["client_port"], f["server_ip"], f["server_port"], f["proto"]) for f in manifest.data["flows"]]
+    assert len(flows) == len(set(flows))
+    assert seen == set(flows)
 
 
 @pytest.mark.parametrize(
