@@ -66,13 +66,14 @@ class FlowState:
     first_payload_sizes_down: Optional[list] = None
     sni: Optional[str] = None  # "" once a ClientHello reassembly finished without a name
     total_pkts: int = 0
-    guessed: bool = False  # orientation guessed: each packet counts an orientation warning
     down: bool = False  # the last counted packet went server to client
     closed: bool = False  # a TCP packet of the flow carried FIN or RST
     # analyzer state, dropped with the flow when it is evicted or expires
     reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once it finishes
     latency: Optional[LatencyTracker] = None  # on a registered management flow
-    signature: Optional[tuple] = None  # signature port: (os, setup_class), or () once none can match
+    # (os, setup_class) once a signature matched; () once none can, which is
+    # known at a TCP flow's first data when no signature names its port
+    signature: Optional[tuple] = None
     gameplay: Optional[ServerRegistration] = None  # the registration it is the management flow of, or joined
     role: Optional[str] = None  # set at registration on the mgmt flow; decided once its classifying windows close
     held: Optional[list] = None  # a joined flow's downstream (payload_len, ts), until its role is decided
@@ -98,17 +99,13 @@ class FlowTable:
     five-tuple starts a new flow.
     """
 
-    def __init__(
-        self,
-        client_nets: Iterable[str] = (),
-        cap: int = DEFAULT_TABLE_CAP,
-    ):
+    def __init__(self, client_nets: Iterable[str] = ()):
         # each client net as an integer range: (IP version, first, last address)
         self.client_nets = [
             (net.version, int(net.network_address), int(net.broadcast_address))
             for net in map(ipaddress.ip_network, client_nets)
         ]
-        self.cap = cap
+        self.cap = DEFAULT_TABLE_CAP
         self.flows: dict[FlowKey, FlowState] = {}
         self.now = 0.0
         self.orientation_warnings = 0
@@ -123,26 +120,19 @@ class FlowTable:
         value = int.from_bytes(ip, "big")
         return any(v == version and lo <= value <= hi for v, lo, hi in self.client_nets)
 
-    def _orient(self, src_ip: bytes, src_port: int, dst_ip: bytes, dst_port: int) -> tuple[bool, bool]:
-        """(upstream, guessed): upstream iff the source is client-side. When
-        neither (or both) side is in the configured nets the lower
-        (ip, port) is deemed the client, so that the key stays
-        involution-stable, and the orientation counts as guessed. That
-        order compares address text, which is not the packed bytes' order
-        (10.0.0.10 < 10.0.0.9)."""
-        src_is_client = self._is_client(src_ip)
-        if src_is_client != self._is_client(dst_ip):
-            return src_is_client, False
-        return (ip_text(src_ip), src_port) < (ip_text(dst_ip), dst_port), True
-
     def canonical_key(self, pkt: tuple) -> tuple[FlowKey, bool]:
         """Same key for both directions of a packet tuple (`PacketRecord`
         layout), and whether the packet goes downstream (as `FlowState.down`):
-        upstream iff the source is client-side."""
+        upstream iff the source is client-side. When neither (or both) side
+        is in the configured nets the lower (ip, port) is deemed the client,
+        so that the key stays involution-stable, and the call counts an
+        orientation warning. That order compares address text, which is not
+        the packed bytes' order (10.0.0.10 < 10.0.0.9)."""
         _, src, sport, dst, dport, proto = pkt[:6]
-        up, guessed = self._orient(src, sport, dst, dport)
-        if guessed:
+        up = self._is_client(src)
+        if up == self._is_client(dst):
             self.orientation_warnings += 1
+            up = (ip_text(src), sport) < (ip_text(dst), dport)
         if up:
             return FlowKey(src, sport, dst, dport, proto), False
         return FlowKey(dst, dport, src, sport, proto), True
@@ -153,10 +143,11 @@ class FlowTable:
         """Count a packet tuple (`PacketRecord` layout) in its flow, and keep
         its direction there as `FlowState.down`.
 
-        A flow is keyed as `canonical_key` has it once, when it is created; a
-        packet and its reply never key two flows, so a later packet finds
-        its flow under its reversed five-tuple (downstream) or under its
-        own (upstream). The reversed tuple is tried first, which keeps a
+        A flow is keyed as `canonical_key` has it once, when it is created,
+        which counts one orientation warning for a flow whose orientation is
+        guessed; a packet and its reply never key two flows, so a later
+        packet finds its flow under its reversed five-tuple (downstream) or
+        under its own (upstream). The reversed tuple is tried first, which keeps a
         self-addressed packet downstream, as `canonical_key` has it.
         """
         ts, src, sport, dst, dport, proto, size, _, _, flags, _ = pkt
@@ -171,16 +162,10 @@ class FlowTable:
             if flow is not None:
                 down = False
             else:
-                up, guessed = self._orient(src, sport, dst, dport)
-                key = FlowKey(src, sport, dst, dport, proto) if up else FlowKey(dst, dport, src, sport, proto)
+                key, down = self.canonical_key(pkt)
                 if len(flows) >= self.cap:
                     self._evict_oldest()
-                flow = flows[key] = FlowState(
-                    key=key, first_ts=ts, last_ts=ts, guessed=guessed, windows={} if proto == UDP else None
-                )
-                down = not up
-        if flow.guessed:
-            self.orientation_warnings += 1
+                flow = flows[key] = FlowState(key=key, first_ts=ts, last_ts=ts, windows={} if proto == UDP else None)
         flow.down = down
         if ts > self.now:
             self.now = ts

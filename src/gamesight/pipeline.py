@@ -98,6 +98,13 @@ class Analyzer:
         if payload_len == 0:
             return
 
+        detector = self.detector
+        if flow.signature is None and flow.first_payload_sizes_up is None:  # the flow's first data
+            if flow.key.server_port in detector.signatures:
+                flow.first_payload_sizes_up, flow.first_payload_sizes_down = [], []
+            else:
+                flow.signature = ()  # no signature names its port
+
         if flow.sni is None and not flow.down:
             reasm = flow.reasm
             if reasm is None:  # the first upstream data: no signature can have matched before it
@@ -110,16 +117,13 @@ class Analyzer:
                         self._on_sni(flow, name, pkt)
                     elif reasm.gave_up:
                         self.sni_given_up += 1
-                    if flow.signature == () or flow.key.server_port not in self.detector.signatures:
+                    if flow.signature == ():
                         self._unregistered(flow)
 
-        detector = self.detector
-        if flow.signature is None and flow.key.server_port in detector.signatures:
+        if flow.signature is None:
             # the handshake sizes a setup signature matches, each way as many
             # as the longest signature reads; a SYN's data is left out, a tail
             # fragment (no TCP header, so no flags) is not
-            if flow.first_payload_sizes_up is None:
-                flow.first_payload_sizes_up, flow.first_payload_sizes_down = [], []
             if flags is None or not flags & TCP_SYN:
                 sizes = flow.first_payload_sizes_down if flow.down else flow.first_payload_sizes_up
                 if len(sizes) < (detector.longest_down if flow.down else detector.longest_up):

@@ -200,10 +200,13 @@ def summarize(rows: list[dict], session_setups: Optional[dict[str, str]] = None)
 
 def pair_rows(rows: list[dict], truth: list[dict]) -> list[tuple[dict, dict, int]]:
     """(row, truth entry, k) for each row with 0 <= k < len(truth), where k is
-    `int(round(row ts - first truth ts))`."""
+    `int(round(row ts - first truth ts))`. A row whose distance to the first
+    truth second is not finite (two far-apart finite times) pairs with none."""
     if not truth:
         raise SchemaError("manifest has no qoe truth")
-    pairs = ((row, int(round(row["ts"] - truth[0]["ts"]))) for row in rows)
+    first = truth[0]["ts"]
+    distances = ((row, row["ts"] - first) for row in rows)
+    pairs = ((row, int(round(d))) for row, d in distances if math.isfinite(d))
     return [(row, truth[k], k) for row, k in pairs if 0 <= k < len(truth)]
 
 

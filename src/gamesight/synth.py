@@ -124,9 +124,10 @@ class SessionProfile:
         for name, ip in (("client_ip", self.client_ip), ("server_ip", self.server_ip)):
             if not _dotted_quad(ip):
                 raise InvalidProfile("%s must be a dotted-quad IPv4 address, not %r" % (name, ip))
-        # a comparison with NaN is false, so these refuse it as well
-        if not 0 < self.duration_s < float("inf"):
-            raise InvalidProfile("duration must be finite and positive, not %r" % self.duration_s)
+        # a comparison with NaN is false, so these refuse it as well; the
+        # manifest has a qoe truth entry for each whole second of gameplay
+        if not 1 <= self.duration_s < float("inf"):
+            raise InvalidProfile("duration must be finite and positive, at least 1 s, not %r" % self.duration_s)
         if not 0 <= self.rtt_ms < float("inf"):
             raise InvalidProfile("rtt must be finite and non-negative, not %r" % self.rtt_ms)
         if not self.fps_schedule or self.fps_schedule[0][0] != 0.0:

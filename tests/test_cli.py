@@ -12,7 +12,7 @@ import gamesight
 from gamesight import pcap
 from gamesight.cli import main
 from gamesight.codebook import default_codebook_path
-from gamesight.report import load_sessions_jsonl, write_qoe_csv, write_sessions_jsonl
+from gamesight.report import load_qoe_csv, load_sessions_jsonl, write_qoe_csv, write_sessions_jsonl
 
 
 def _run(args, env=None):
@@ -445,6 +445,27 @@ def test_report_wrong_typed_session_fields_exit_1(tmp_path, edit, field):
     assert line.startswith("schema mismatch: session 1 of ") and line.endswith("fields: %s" % field)
 
 
+def test_report_truth_pairs_no_row_at_an_overflowing_distance(tmp_path):
+    # a qoe row at 1.5e308 and a first truth second at -1.5e308 are finite,
+    # and their distance is not
+    pcap_path, manifest_path = _generate(tmp_path)
+    out = tmp_path / "out"
+    _run(["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", str(out)])
+    rows = load_qoe_csv(str(out / "qoe.csv"))
+    rows[0]["ts"] = 1.5e308
+    write_qoe_csv(str(out / "qoe.csv"), rows)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["qoe"][0]["ts"] = -1.5e308
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    args = ["report", "--in", str(out / "qoe.csv"), "--sessions", str(out / "sessions.jsonl"), "--truth", manifest_path]
+    res = _run(args)
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output
+    assert json.loads(res.stdout)["truth"]["attempted"] == 1
+
+
 def _no_nan(name):
     raise ValueError("not strict JSON: %s" % name)
 
@@ -560,6 +581,7 @@ def test_generate_invalid_bitrate_exit_1(tmp_path):
     [
         ("--duration", "inf", "duration must be finite and positive"),
         ("--duration", "nan", "duration must be finite and positive"),
+        ("--duration", "0.5", "duration must be finite and positive, at least 1 s"),
         ("--rtt-ms", "nan", "rtt must be finite and non-negative"),
         ("--rtt-ms", "-20", "rtt must be finite and non-negative"),
     ],

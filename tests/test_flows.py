@@ -42,16 +42,15 @@ def test_orientation_warning_when_no_net_matches():
 def test_guessed_orientation_follows_address_text_order(low_text, high_text):
     # the packed bytes order these pairs the other way round; the client
     # side of a guessed flow is the lower address text, either way the
-    # flow's first packet goes
+    # flow's first packet goes, and the flow counts one warning
     assert packed(low_text) > packed(high_text)
     for first, second in ((low_text, high_text), (high_text, low_text)):
         table = FlowTable(client_nets=NETS)
         flow = table.update(udp_record(0.0, first, 5000, second, 5000, 10))
         table.update(udp_record(0.1, second, 5000, first, 5000, 10))
-        assert flow.guessed
         assert (ip_text(flow.key.client_ip), ip_text(flow.key.server_ip)) == (low_text, high_text)
         assert len(table.flows) == 1
-        assert table.orientation_warnings == 2
+        assert table.orientation_warnings == 1
 
 
 def _random_packets(rng: random.Random, count: int) -> list:
@@ -81,29 +80,32 @@ def test_update_direction_matches_canonical_key(seed):
     reference = FlowTable(client_nets=nets)
     table = FlowTable(client_nets=nets)
     keys = set()
+    guessed_flows = 0
     for pkt in _random_packets(random.Random(seed), 2000):
+        warnings = reference.orientation_warnings
         key, down = reference.canonical_key(pkt)
         flow = table.update(pkt)
         assert flow.key == key
         assert flow.down is down
         if pkt.src_ip == pkt.dst_ip and pkt.src_port == pkt.dst_port:
             assert down is True
+        if flow.total_pkts == 1:
+            guessed_flows += reference.orientation_warnings - warnings
         keys.add(key)
     assert set(table.flows) == keys
-    # one warning per packet whose orientation was guessed, not one per flow
-    assert table.orientation_warnings == reference.orientation_warnings > sum(
-        f.guessed for f in table.flows.values()
-    )
+    # one warning per flow created with a guessed orientation, not one per packet
+    assert 0 < table.orientation_warnings == guessed_flows < reference.orientation_warnings
 
 
-def test_orientation_warnings_count_each_guessed_packet():
+def test_orientation_warnings_count_each_guessed_flow():
     table = FlowTable(client_nets=NETS)
     for i in range(3):
         table.update(udp_record(i, "10.0.0.1", 1, "10.0.0.2", 2, 5))
         table.update(udp_record(i, "10.0.0.2", 2, "10.0.0.1", 1, 5))
+        table.update(udp_record(i, "10.0.0.1", 3, "10.0.0.2", 2, 5))
         table.update(udp_record(i, CLIENT, 1, SERVER, 2, 5))
-    assert len(table.flows) == 2
-    assert table.orientation_warnings == 6
+    assert len(table.flows) == 3
+    assert table.orientation_warnings == 2  # neither side of the 10.0.0.0/8 flows is in the nets
 
 
 def test_client_nets_match_by_version_and_range():
@@ -188,7 +190,8 @@ def test_only_udp_flows_count_windows():
 
 
 def test_eviction_at_cap():
-    table = FlowTable(client_nets=NETS, cap=3)
+    table = FlowTable(client_nets=NETS)
+    table.cap = 3
     for i in range(4):
         table.update(udp_record(float(i), CLIENT, 1000 + i, SERVER, 2, 10))
     assert len(table.flows) == 3

@@ -195,8 +195,9 @@ def _analyze_console(tmp_path, client_nets=("192.0.2.0/24",)):
 @pytest.mark.parametrize("client_nets", [("192.0.2.0/24",), ()])
 def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, client_nets):
     # addresses stay packed from parse to output: text is made twice for
-    # each flow whose orientation is guessed, once for each gameplay
-    # name's embedded address, and twice for each gameplay and listed flow
+    # each flow whose orientation is guessed (each counts an orientation
+    # warning), once for each gameplay name's embedded address, and twice
+    # for each gameplay and listed flow
     calls = 0
     real = packets.ip_text
 
@@ -210,7 +211,7 @@ def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, cli
             monkeypatch.setattr(module, "ip_text", counting)
     analyzer, report = _analyze_console(tmp_path, client_nets)
     sessions = [reg.to_dict() for reg in report.gameplays]
-    guessed = sum(f.guessed for f in analyzer.table.flows.values())
+    guessed = report.counters["orientation_warnings"]
     listed = sum(len(s["gameplay_flows"]) for s in sessions)
     assert analyzer.table.evictions == 0
     assert calls == 2 * guessed + len(analyzer.detector.registrations) + 2 * (len(sessions) + listed)

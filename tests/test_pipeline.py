@@ -850,6 +850,21 @@ def test_a_management_flow_that_registers_nothing_is_counted(tmp_path, strip_sni
     assert report.counters["unregistered_mgmt_flows"] == unregistered
 
 
+def test_a_management_flow_on_a_port_no_signature_names_is_counted(tmp_path):
+    """With a codebook that has no GFN signatures, a stripped-SNI desktop
+    session's management flow is certain to register nothing once its
+    ClientHello reassembly finishes: its port was settled as one no
+    signature can match at its first data."""
+    books = default_codebooks()
+    books[0].signatures = []
+    path, _ = _capture(tmp_path, strip_sni=True, duration_s=6.0, seed=9)
+    analyzer = Analyzer(codebooks=books, client_nets=NETS)
+    report = analyzer.analyze_file(path)
+    assert analyzer.detector.signatures == {}
+    assert report.gameplays == []
+    assert report.counters["unregistered_mgmt_flows"] == 1
+
+
 def test_an_sni_registration_is_not_repeated_by_its_signature(tmp_path):
     """The management flow that its SNI registered matches its handshake
     signature later: that gives the session its OS hint, and is no second

@@ -217,6 +217,13 @@ def test_pairing_rounds_to_the_truth_second():
     ]
 
 
+def test_pairing_leaves_out_a_row_at_no_finite_distance():
+    # 1.5e308 - -1.5e308 overflows to inf, which `round` cannot make an int
+    truth = [dict(_manifest()["qoe"][0], ts=-1.5e308)]
+    rows = [dict(_rows()[0], ts=ts) for ts in (1.5e308, -1.5e308)]
+    assert [(row["ts"], k) for row, _, k in pair_rows(rows, truth)] == [(-1.5e308, 0)]
+
+
 def test_fps_error_skips_the_warm_up_and_latency_error_is_signed():
     rows = _rows()
     rows[0]["fps"] = 0.0  # warm-up: not scored

@@ -108,6 +108,10 @@ def test_profile_validation_errors():
     for duration in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InvalidProfile, match="duration must be finite and positive"):
             _profile(duration_s=duration).validate()
+    # under a second, the manifest would have no qoe truth for `report` to score
+    with pytest.raises(InvalidProfile, match="at least 1 s, not 0.5"):
+        _profile(duration_s=0.5).validate()
+    _profile(duration_s=1.0).validate()
     # a negative RTT would put every server reply before its request
     for rtt in (-20.0, float("inf"), float("nan")):
         with pytest.raises(InvalidProfile, match="rtt must be finite and non-negative"):
