@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .packets import TCP_FIN, TCP_RST, UDP, ip_text
 
@@ -91,12 +91,16 @@ class FlowTable:
     `WINDOW_S` in absolute capture time, so every flow's window grid lines
     up for cross-flow comparison.
 
-    The first packet, and then the first packet `SWEEP_S` or more after the
-    last sweep, sweeps the table before it is counted: the flows that no
-    registration holds (`FlowState.gameplay` is None) and whose last packet
-    is more than `CLOSED_LINGER_S` (closed flows) or `IDLE_TIMEOUT_S` (the
-    others) older than that packet expire. A later packet on an expired
-    five-tuple starts a new flow.
+    The sweep is the analyzer's one capture-time tick: every piece of work
+    that capture time drives runs there, and nowhere per packet. The first
+    packet, and then the first packet `SWEEP_S` or more after the last
+    sweep, sweeps the table before it is counted, with that packet's time
+    as `now`. First the flows that no registration holds
+    (`FlowState.gameplay` is None) and whose last packet is more than
+    `CLOSED_LINGER_S` (closed flows) or `IDLE_TIMEOUT_S` (the others)
+    older than `now` expire; a later packet on an expired five-tuple starts
+    a new flow. Then the sweep calls `on_sweep(now)`, the steps its owner
+    adds (`Analyzer._tick` lists them in order); a bare table adds none.
     """
 
     def __init__(self, client_nets: Iterable[str] = ()):
@@ -112,6 +116,7 @@ class FlowTable:
         self.evictions = 0
         self.expiries = 0
         self._next_sweep = 0.0
+        self.on_sweep: Callable[[float], None] = lambda now: None
 
     # -- orientation ---------------------------------------------------
 
@@ -193,7 +198,8 @@ class FlowTable:
         return flow
 
     def _sweep(self, now: float) -> None:
-        """Drop the flows that have expired by `now` (see the class doc)."""
+        """Drop the flows that have expired by `now`, then run `on_sweep`
+        (see the class doc)."""
         self._next_sweep = now + SWEEP_S
         closed_cutoff = now - CLOSED_LINGER_S
         idle_cutoff = now - IDLE_TIMEOUT_S
@@ -205,6 +211,7 @@ class FlowTable:
         for key in expired:
             del self.flows[key]
         self.expiries += len(expired)
+        self.on_sweep(now)
 
     def _evict_oldest(self) -> None:
         victim = min(self.flows.values(), key=lambda f: f.last_ts)
@@ -213,9 +220,11 @@ class FlowTable:
 
     # -- window access -------------------------------------------------
 
-    def window_series(self, flow: FlowState) -> list[list[int]]:
-        """The flow's closed windows, first to last, as count lists (see
-        `FlowState.windows`); a window with no packet reads as zeros."""
-        last = min(int(flow.last_ts // WINDOW_S), int(self.now // WINDOW_S) - 1)
+    def window_series(self, flow: FlowState, count: int) -> list[list[int]]:
+        """The flow's first `count` closed windows at most, first to last, as
+        count lists (see `FlowState.windows`); a window with no packet reads
+        as zeros. So a packet far past the flow's first costs no more than
+        `count` lists."""
         first = int(flow.first_ts // WINDOW_S)
+        last = min(int(flow.last_ts // WINDOW_S), int(self.now // WINDOW_S) - 1, first + count - 1)
         return [flow.windows.get(idx) or [0, 0, 0, 0] for idx in range(first, last + 1)]

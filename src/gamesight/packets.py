@@ -23,7 +23,6 @@ ETH_VLAN = 0x8100
 TCP_FIN = 0x01
 TCP_SYN = 0x02
 TCP_RST = 0x04
-TCP_ACK = 0x10
 
 FRAG_CACHE_CAP = 4096  # first fragments whose ports are remembered
 

@@ -43,6 +43,7 @@ class Analyzer:
         if codebooks is None:
             codebooks = default_codebooks()
         self.table = FlowTable(client_nets=client_nets)
+        self.table.on_sweep = self._tick
         self.detector = SessionDetector(codebooks)
         self._unjoined: deque[FlowState] = deque()  # UDP flows that joined nothing at their first packet, in creation order
         self.unadopted = 0  # flows a registration could not adopt: see `_registered`
@@ -81,12 +82,9 @@ class Analyzer:
         if proto == UDP:
             if flow.total_pkts == 1:
                 self._join(flow)
-            if flow.gameplay is None:
-                unjoined = self._unjoined
-                if unjoined and unjoined[0].first_ts < self.table.now - MGMT_WINDOW_S:
-                    self._drop_unadoptable()
-                return
-            if flow.role is None:  # once decided, a flow holds nothing, and `_feed` feeds a video one's tracker
+            # an unjoined flow waits for an adoption, which the tick bounds;
+            # once decided, a flow holds nothing, and `_feed` feeds a video one's tracker
+            if flow.gameplay is not None and flow.role is None:
                 if flow.down and flow.held is not None:  # upstream never feeds the frame detector
                     flow.held.append((payload_len, ts))  # held until the role is known
                 if int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
@@ -142,16 +140,32 @@ class Analyzer:
                 return
         self._unjoined.append(flow)
 
-    def _drop_unadoptable(self) -> None:
-        """Take the flows that started more than `MGMT_WINDOW_S` of capture
-        time ago off the front of `_unjoined`; those that nothing adopted
-        drop their windows, which only an adoption could read."""
+    def _tick(self, now: float) -> None:
+        """The one capture-time tick, where all time-driven work runs: the
+        flow table's sweep (see `FlowTable`) at `now`, the time of the packet
+        it is about to count. Its steps, in order:
+
+        1. The table expires the flows that no registration holds and that
+           have been idle too long.
+        2. The UDP flows that started more than `MGMT_WINDOW_S` before `now`
+           leave the front of `_unjoined`, and those that nothing adopted
+           drop their windows, which only an adoption could read. So in a
+           capture in time order, an unjoined flow keeps its windows for at
+           most `MGMT_WINDOW_S + SWEEP_S` of capture time.
+        3. Each registration's latency tracker drops the upstream packets
+           unacknowledged since more than `PENDING_EXPIRY_S` before `now`,
+           so a pending pair lives at most `PENDING_EXPIRY_S + SWEEP_S`.
+
+        Step 1 is the table's own; the table then calls this method for
+        steps 2 and 3."""
         unjoined = self._unjoined
-        bound = self.table.now - MGMT_WINDOW_S
+        bound = now - MGMT_WINDOW_S
         while unjoined and unjoined[0].first_ts < bound:
             flow = unjoined.popleft()
             if flow.gameplay is None:
                 flow.drop_windows()
+        for reg in self.detector.registrations.values():
+            reg.flows[0].latency.expire(now)
 
     def _registered(self, reg: Optional[ServerRegistration], mgmt_flow, pkt: tuple) -> None:
         """Give a new registration (None: refused) its management flow, with a
@@ -159,8 +173,8 @@ class Analyzer:
         already in the table that start its gameplay (out of time order, they
         came before the registering packet); having missed packets, they get no
         QoE. Marked with the registration, none of these flows expires. A flow
-        that has dropped its windows (`_drop_unadoptable`) cannot be
-        classified: it is counted in `unadopted` instead."""
+        that has dropped its windows (at a `_tick`) cannot be classified: it
+        is counted in `unadopted` instead."""
         if reg is None:
             return
         mgmt_flow.gameplay = reg
@@ -181,7 +195,7 @@ class Analyzer:
         only a video flow keeps its windows, and gets a frame-rate tracker
         that first takes the packets the flow held. An adopted flow held
         none and gets no tracker."""
-        flow.role = classify_flow(flow, self.table.window_series(flow), flow.gameplay)
+        flow.role = classify_flow(flow, self.table.window_series(flow, CLASSIFY_WINDOWS), flow.gameplay)
         held, flow.held = flow.held, None
         if flow.role not in VIDEO_ROLES:
             flow.drop_windows()  # only the video flow's windows feed QoE

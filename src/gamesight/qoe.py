@@ -39,7 +39,8 @@ class LatencyTracker:
     """Pairs upstream management packets with their acknowledging
     downstream packets via expected ack = seq + payload (u32 wrapping), and
     files each latency under the grid window (`ts // WINDOW_S`) that its
-    downstream packet arrives in."""
+    downstream packet arrives in. An upstream packet waits in `pending`
+    until its ack comes or `expire` drops it."""
 
     def __init__(self):
         self.pending: dict[int, float] = {}
@@ -57,7 +58,6 @@ class LatencyTracker:
         if not down:
             if payload_len > 0:  # pure ACKs are never registered
                 self.pending[(seq + payload_len) % U32] = ts
-                self._expire(ts)
             return None
         t_up = self.pending.pop(ack, None)
         if t_up is None:
@@ -71,11 +71,12 @@ class LatencyTracker:
         self.count += 1
         return latency_ms
 
-    def _expire(self, now: float) -> None:
-        if len(self.pending) > 8:
-            horizon = now - PENDING_EXPIRY_S
-            for ack in [a for a, t in self.pending.items() if t < horizon]:
-                del self.pending[ack]
+    def expire(self, now: float) -> None:
+        """Drop the upstream packets sent more than `PENDING_EXPIRY_S` before
+        `now` and not yet acknowledged: their acks no longer pair. The
+        analyzer's capture-time tick calls it."""
+        horizon = now - PENDING_EXPIRY_S
+        self.pending = {ack: t for ack, t in self.pending.items() if t >= horizon}
 
 
 @dataclass(slots=True)

@@ -1,5 +1,7 @@
+import importlib.util
 import ipaddress
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +14,17 @@ from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
 from gamesight.qoe import LatencyTracker
 from gamesight.synth import gen_session
+
+
+def benchmark_workloads():
+    """The benchmark's workload generators, `perfbench/workloads.py` loaded
+    by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
 
 
 def packed(ip: str) -> bytes:
@@ -143,8 +156,8 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     ]
 
 
-def analyze_checked(pcap_path: str, out_dir: str):
-    """Run `gamesight analyze` on one capture of clients in 192.0.2.0/24
+def analyze_checked(pcap_path: str, out_dir: str, client_nets: str = "192.0.2.0/24"):
+    """Run `gamesight analyze` on one capture of clients in `client_nets`
     in-process, check its report with `check_gameplays`, and return the
     report."""
     runs = []
@@ -154,7 +167,7 @@ def analyze_checked(pcap_path: str, out_dir: str):
             runs.append((self, super().analyze_file(path)))
             return runs[-1][1]
 
-    args = ["analyze", "--pcap", pcap_path, "--client-nets", "192.0.2.0/24", "--out", out_dir]
+    args = ["analyze", "--pcap", pcap_path, "--client-nets", client_nets, "--out", out_dir]
     with mock.patch.object(cli, "Analyzer", Recorded):
         res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
     assert res.exit_code == 0, res.output

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from gamesight.classify import CLASSIFY_WINDOWS
 from gamesight.flows import CLOSED_LINGER_S, IDLE_TIMEOUT_S, SWEEP_S, WINDOW_S, FlowTable
-from gamesight.packets import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, ip_text
+from gamesight.packets import TCP_FIN, TCP_RST, TCP_SYN, ip_text
 
 from conftest import packed, tcp_record, udp_record
 
 CLIENT = "192.0.2.10"
 SERVER = "203.0.113.7"
 NETS = ("192.0.2.0/24",)
+TCP_ACK = 0x10
 
 
 def test_canonical_key_involution():
@@ -146,9 +148,9 @@ def test_unclosed_window_raises():
     # a window no packet fell in has no entry of its own.
     table = FlowTable(client_nets=NETS)
     flow = table.update(udp_record(0.5, CLIENT, 1, SERVER, 2, 10))
-    assert table.window_series(flow) == []  # window [0,1) not closed while now < 1.0
+    assert table.window_series(flow, CLASSIFY_WINDOWS) == []  # window [0,1) not closed while now < 1.0
     table.now = 99.5
-    assert table.window_series(flow) == [[0, 1, 0, 10]]  # window 99 lies past the flow
+    assert table.window_series(flow, CLASSIFY_WINDOWS) == [[0, 1, 0, 10]]  # window 99 lies past the flow
     with pytest.raises(KeyError):
         flow.windows[99]
 
@@ -170,13 +172,15 @@ def test_conservation_window_sums_equal_totals():
 def test_window_series_gap_free():
     table = FlowTable(client_nets=NETS)
     flow = table.update(udp_record(0.2, CLIENT, 1, SERVER, 2, 10))
-    assert table.window_series(flow) == []  # window [0,1) is still open
+    assert table.window_series(flow, 4) == []  # window [0,1) is still open
     flow = table.update(udp_record(3.7, CLIENT, 1, SERVER, 2, 10))
-    assert [w[1] for w in table.window_series(flow)] == [1, 0, 0]  # open window 3 left out
+    assert [w[1] for w in table.window_series(flow, 4)] == [1, 0, 0]  # open window 3 left out
     table.now = 5.0
-    series = table.window_series(flow)
+    series = table.window_series(flow, 4)
     assert len(series) == 4  # windows 0..3, including the empty 1 and 2
     assert [w[1] for w in series] == [1, 0, 0, 1]
+    # capped: the first CLASSIFY_WINDOWS (3) only, which is all the classifier reads
+    assert [w[1] for w in table.window_series(flow, CLASSIFY_WINDOWS)] == [1, 0, 0]
 
 
 def test_only_udp_flows_count_windows():

@@ -7,7 +7,9 @@ why. The sessions.jsonl digests were last re-recorded when each gameplay
 became one line (schema gamesight-sessions/2), and with them the strip-sni
 qoe.csv digest, whose gameplay's session id went from u1 to s1. The other
 qoe.csv digests date from when QoE rows moved onto the flow table's whole
-one-second windows (schema gamesight-qoe/2). The short session ends before its video
+one-second windows (schema gamesight-qoe/2). Two of the benchmark's
+workloads (seed 7) pin their sessions.jsonl and qoe.csv digests and every
+counter as well. The short session ends before its video
 flow's classifying windows close, so its QoE comes from the packets still
 waiting when the capture ends. The console capture also pins two per-run
 counts: the address-to-text conversions and the latency samples no QoE
@@ -31,7 +33,7 @@ from gamesight.pipeline import Analyzer
 from gamesight.report import QOE_COLUMNS, capture_outputs, load_qoe_csv, write_qoe_csv
 from gamesight.synth import SessionProfile, gen_session, write_session
 
-from conftest import analyze_checked
+from conftest import analyze_checked, benchmark_workloads
 
 CASES = {
     "console": (
@@ -228,3 +230,49 @@ def test_latency_samples_without_a_row_are_counted(tmp_path):
     assert report.counters["latency_unreported"] == latency.count - averaged > 0
     # a session without a video flow reports none of its samples
     assert qoe.gameplay_rows(latency, None) == ([], latency.count)
+
+
+# the counters both workloads leave at zero
+ZERO_COUNTERS = dict(
+    flow_evictions=0,
+    negative_latency_discarded=0,
+    orientation_warnings=0,
+    repeated_registrations=0,
+    skip_reasons={},
+    skipped=0,
+    snaplen_truncated=0,
+    sni_reassembly_given_up=0,
+    truncated_tail=0,
+    unadopted_flows=0,
+    unclassified_flows=0,
+    unregistered_mgmt_flows=0,
+)
+# workload -> sessions.jsonl sha256, qoe.csv sha256, counters, for its seed-7
+# capture analyzed as capture.pcap with the workload's client nets
+WORKLOAD_PINS = {
+    "nat-churn": (
+        "6746a4fdb605b2bab8dd8a461ef65888e0fb3d5885144912b8f1661cf2ac356a",
+        "c92651e81ac21782bce5354e9fe32e4de12d5ce8e0009f190cbb5c5be16c4b3c",
+        {**ZERO_COUNTERS, "packets": 17352, "flows_expired": 1559, "latency_unreported": 1, "platform_sessions": 1},
+    ),
+    "campus-mix": (
+        "54b86a988079d14af67126b6bf337fa4a93a22cd51742311587db299cb4d013e",
+        "2afab23ef86bb01c1a9c4893b494ed71bcc311c2179f0d2b8eb254835c19024f",
+        {**ZERO_COUNTERS, "packets": 191587, "flows_expired": 7986, "latency_unreported": 13, "platform_sessions": 6},
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_PINS))
+def test_benchmark_workload_outputs_pinned(tmp_path, monkeypatch, workload):
+    # the benchmark's captures, analyzed as it analyzes them: a change that
+    # alters what the benchmark's oracle scores, or any counter, shows here
+    records, _, nets, link = benchmark_workloads()[workload](7)
+    pcap.write_capture(records, str(tmp_path / "capture.pcap"), link_type=link)
+    del records
+    monkeypatch.chdir(tmp_path)
+    report = analyze_checked("capture.pcap", "out", nets)
+    sessions_sha, qoe_sha, counters = WORKLOAD_PINS[workload]
+    assert report.counters == counters
+    assert _sha256(tmp_path / "out" / "sessions.jsonl") == sessions_sha
+    assert _sha256(tmp_path / "out" / "qoe.csv") == qoe_sha

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -230,20 +231,24 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     """The registering ClientHello keeps its timestamp, before the gameplay
     flows start, but comes later in the file. Right after the first
     gameplay packet, it adopts that packet's flow, the video flow, with its
-    role and no QoE. Once a gameplay packet more than `MGMT_WINDOW_S` after
-    that one has come, the video flow has dropped its windows: it is not
-    adopted, and `unadopted_flows` counts it. The other flows started later
-    and are still adopted."""
+    role and no QoE. Once a tick has run more than `MGMT_WINDOW_S` after
+    that packet, the video flow has dropped its windows: it is not adopted,
+    and `unadopted_flows` counts it. The other flows started later, within
+    `MGMT_WINDOW_S` of that tick, and are still adopted. A packet of another
+    flow, first in the file, times the ticks so that one runs on the first
+    gameplay packet past `MGMT_WINDOW_S`: without it, the first tick after
+    that comes once the management flow has sent more data, and the moved
+    ClientHello no longer registers anything."""
     records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
     hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and f[22:24] == (322).to_bytes(2, "big") and len(f) > 500)
     first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
     start = records[first_udp][0]
     assert records[hello][0] < start <= records[hello][0] + MGMT_WINDOW_S
-    if late:
-        at = next(i for i in range(first_udp, len(records)) if records[i][1][9] == UDP and records[i][0] > start + MGMT_WINDOW_S)
-    else:
+    at = next(i for i in range(first_udp, len(records)) if records[i][1][9] == UDP and records[i][0] > start + MGMT_WINDOW_S)
+    clock = (records[at][0] - SWEEP_S, ipv4_udp("192.0.2.99", "198.51.100.53", 5353, 53, b"q"))
+    if not late:
         at = first_udp
-    moved = records[:hello] + records[hello + 1 : at + 1] + [records[hello]] + records[at + 1 :]
+    moved = [clock] + records[:hello] + records[hello + 1 : at + 1] + [records[hello]] + records[at + 1 :]
     path = str(tmp_path / "late.pcap")
     pcap.write_capture(moved, path)
     report = _analyze(path)
@@ -373,30 +378,60 @@ def test_udp_flows_that_join_nothing_keep_no_windows():
     assert not analyzer._unjoined
 
 
+def test_a_joined_flow_far_past_its_first_packet_is_classified_in_bounded_memory(tmp_path):
+    """A gameplay's UDP flow sends its second packet 1e6 s after its first.
+    Deciding its role reads its first `CLASSIFY_WINDOWS` windows only, not
+    a list per window of the gap, so the analysis stays under 1 MB."""
+    client, server = "192.0.2.10", "203.0.113.7"
+    hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
+    frames = [
+        (1.0, ipv4_tcp(client, server, 51000, 322, 1, 1, 0x18, hello)),
+        (1.1, ipv4_udp(client, server, 40000, 49006, b"i" * 20)),
+        (1.1 + 1e6, ipv4_udp(client, server, 40000, 49006, b"i" * 20)),
+    ]
+    path = str(tmp_path / "t.pcap")
+    pcap.write_capture(frames, path)
+    analyzer = Analyzer(client_nets=NETS)
+    tracemalloc.start()
+    try:
+        report = analyzer.analyze_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (reg,) = report.gameplays
+    assert [f.role for f in reg.flows] == ["gameplay_mgmt", "user_input"]
+    assert peak < 1 << 20
+
+
 def test_the_unjoined_queue_holds_only_flows_young_enough_to_adopt():
     """A new one-packet UDP flow every 0.1 s for 600 s: the queue of flows a
     registration could still adopt never holds more than those of the last
-    `MGMT_WINDOW_S`, so it keeps no expired flow alive."""
+    `SWEEP_S + MGMT_WINDOW_S`, the most the tick lets them wait, so it
+    keeps no expired flow alive."""
     analyzer = Analyzer(client_nets=NETS)
     longest = 0
     for i in range(6000):
         analyzer._feed([udp_record(i * 0.1, "192.0.2.10", 1024 + i, "198.51.100.53", 53, 40)])
         longest = max(longest, len(analyzer._unjoined))
-    assert longest <= MGMT_WINDOW_S / 0.1 + 1
+    assert longest <= (SWEEP_S + MGMT_WINDOW_S) / 0.1 + 1
     assert len(analyzer.table.flows) < 700  # the table expires them after 60 s idle
 
 
 def test_an_unjoined_flow_made_out_of_time_order_waits_behind_a_later_one():
     """A UDP flow whose first packet comes after a later-started flow's in
-    the file waits behind it in the queue: it keeps its windows until that
-    flow is more than `MGMT_WINDOW_S` old as well, and then both drop them."""
+    the file waits behind it in the queue: a tick that finds it more than
+    `MGMT_WINDOW_S` old, but not the flow ahead of it, drops only the
+    windows of the older flow at the queue's head. It keeps its windows
+    until a tick finds the flow ahead of it old enough as well, and then
+    both drop them. The first packet, of flow 30002, runs the first tick
+    at 1.3, so the next ones run on the packets at 6.3 and 11.3."""
     analyzer = Analyzer(client_nets=NETS)
     windows = lambda: {f.key.client_port: f.windows for f in analyzer.table.flows.values()}  # noqa: E731
-    for ts, port in [(1.0, 30000), (0.2, 30001), (1.3, 30000)]:
+    for ts, port in [(1.3, 30002), (6.0, 30000), (5.2, 30001), (6.3, 30000)]:
         analyzer._feed([udp_record(ts, "192.0.2.10", port, "198.51.100.1", port - 25000, 100)])
-    assert windows() == {30000: {1: [0, 2, 0, 200]}, 30001: {0: [0, 1, 0, 100]}}
-    analyzer._feed([udp_record(1.6, "192.0.2.10", 30000, "198.51.100.1", 5000, 100)])
-    assert windows() == {30000: None, 30001: None}
+    assert windows() == {30000: {6: [0, 2, 0, 200]}, 30001: {5: [0, 1, 0, 100]}, 30002: None}
+    analyzer._feed([udp_record(11.3, "192.0.2.10", 30000, "198.51.100.1", 5000, 100)])
+    assert windows() == {30000: None, 30001: None, 30002: None}
     assert not analyzer._unjoined
 
 

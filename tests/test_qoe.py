@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gamesight.flows import WINDOW_S
+from gamesight.flows import SWEEP_S, WINDOW_S
+from gamesight.pipeline import Analyzer
 from gamesight.qoe import (
     FPS_HIGH,
     FPS_LOW,
@@ -21,6 +22,7 @@ from gamesight.qoe import (
     fps_band,
     resolution_band,
 )
+from gamesight.synth import build_client_hello
 
 from conftest import tcp_record
 
@@ -79,14 +81,39 @@ def test_negative_delta_discarded():
     assert t.windows == {} and t.count == 0
 
 
+def _registered():
+    """An analyzer whose one gameplay its management flow's ClientHello
+    registered at 0.0, and that flow's latency tracker, where the
+    registering packet waits for its ack (1 + its length). The packet ran
+    the first tick, so the next runs on the first packet at `SWEEP_S` or
+    later."""
+    analyzer = Analyzer(client_nets=("192.0.2.0/24",))
+    hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
+    analyzer._feed([tcp_record(0.0, CLIENT, 51000, SERVER, 322, len(hello), seq=1, payload=hello)])
+    (reg,) = analyzer.detector.registrations.values()
+    assert reg.flows[0].latency.pending == {1 + len(hello): 0.0}
+    return analyzer, reg.flows[0].latency
+
+
 def test_pending_expiry():
-    t = LatencyTracker()
-    for i in range(9):
-        t.feed(_up(float(i) * 0.1, seq=i * 1000, length=10), UP)
-    # pending > 8, so a much later upstream packet purges the stale entries
-    t.feed(_up(100.0, seq=990000, length=10), UP)
-    assert len(t.pending) == 1
-    assert t.feed(_down(100.01, ack=10 + 0 * 1000), DOWN) is None  # expired pair
+    # feeding expires nothing; the analyzer's tick expires every entry more
+    # than PENDING_EXPIRY_S old, however many are pending
+    analyzer, t = _registered()
+    analyzer._feed([_up(0.1 * i, seq=i * 1000, length=10) for i in range(1, 10)])
+    analyzer._feed([_up(SWEEP_S - 0.5, seq=980000, length=10)])
+    assert len(t.pending) == 11
+    analyzer._feed([_up(SWEEP_S + 1.0, seq=990000, length=10)])  # runs a tick at 6.0
+    assert sorted(t.pending.values()) == [SWEEP_S - 0.5, SWEEP_S + 1.0]
+    analyzer._feed([_down(SWEEP_S + 1.01, ack=1010)])
+    assert t.count == 0  # an expired pair
+    analyzer._feed([_down(SWEEP_S + 1.02, ack=980010)])
+    assert t.count == 1  # a pair the tick kept
+    # a single entry, acked 10 s later: the packet of the ack runs a tick
+    # first, which expires the entry, so the ack pairs with nothing
+    analyzer, t = _registered()
+    (ack,) = t.pending
+    analyzer._feed([_down(10.0, ack=ack)])
+    assert t.pending == {} and t.count == 0
 
 
 # -- frame rate (running-max / marker state machine) -------------------

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -25,6 +23,8 @@ from gamesight.synth import (
     gen_session,
     write_session,
 )
+
+from conftest import benchmark_workloads
 
 
 def _profile(**kw):
@@ -349,16 +349,10 @@ def test_generator_bytes_pinned(tmp_path, case):
     assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == manifest_sha
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
 def test_benchmark_nat_churn_capture_pinned(tmp_path):
     """The benchmark's smallest input, written as the benchmark writes it:
     a generator change that alters what the benchmark measures shows here."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    records, _, _, link = workloads.WORKLOADS["nat-churn"](7)
+    records, _, _, link = benchmark_workloads()["nat-churn"](7)
     path = tmp_path / "capture.pcap"
     pcap.write_capture(records, str(path), link_type=link)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "1f3e4fe942f9fbee2e2770b6f48e298a4b16a069009e8026f5b71ac49c2d8ec6"
