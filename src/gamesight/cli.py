@@ -57,11 +57,11 @@ def main():
 def analyze(pcaps, client_nets, codebook, out_dir):
     """Run the full pipeline on capture files; writes sessions.jsonl and qoe.csv."""
     codebook = codebook or default_codebook_path()
-    if not Path(codebook).exists():
-        click.echo("codebook not found: %s" % codebook, err=True)
-        sys.exit(1)
     try:
         books = load_codebooks(codebook)
+    except OSError as exc:  # missing, a directory, unreadable
+        click.echo("cannot read codebook %s: %s" % (codebook, exc.strerror), err=True)
+        sys.exit(1)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         click.echo("malformed codebook %s: %s: %s" % (codebook, type(exc).__name__, exc), err=True)
         sys.exit(1)
@@ -100,8 +100,12 @@ def analyze(pcaps, client_nets, codebook, out_dir):
                 counters[k] = counters.get(k, 0) + v
         log.info("%s: %d sessions, %d qoe samples", path, len(found), len(rows))
 
-    write_sessions_jsonl(str(out / "sessions.jsonl"), sessions)
-    write_qoe_csv(str(out / "qoe.csv"), qoe_rows)
+    try:
+        write_sessions_jsonl(str(out / "sessions.jsonl"), sessions)
+        write_qoe_csv(str(out / "qoe.csv"), qoe_rows)
+    except OSError as exc:
+        click.echo("cannot write to %s: %s" % (out, exc), err=True)
+        sys.exit(1)
     click.echo(
         json.dumps(
             {"sessions": len(sessions), "qoe_samples": len(qoe_rows), "counters": counters}
@@ -142,6 +146,9 @@ def generate(profile, fps, resolution, rtt_ms, duration, seed, out_path, os_name
         manifest = write_session(prof, out_path, manifest_path)
     except (InvalidProfile, BandMismatch) as exc:
         click.echo(str(exc), err=True)
+        sys.exit(1)
+    except OSError as exc:  # a missing directory, or a directory in its place
+        click.echo("cannot write %s: %s" % (exc.filename, exc.strerror), err=True)
         sys.exit(1)
     click.echo(
         json.dumps(
@@ -200,7 +207,11 @@ def report_cmd(qoe_path, truths, sessions_path, fmt, out_path):
         text = buf.getvalue()
 
     if out_path:
-        Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            click.echo("cannot write %s: %s" % (out_path, exc.strerror), err=True)
+            sys.exit(1)
     else:
         click.echo(text)
 

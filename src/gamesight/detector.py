@@ -16,6 +16,7 @@ from .codebook import (
 )
 from .flows import FlowKey
 from .packets import ip_text
+from .qoe import LatencyTracker
 
 OBSERVATION_HORIZON_S = 600.0
 
@@ -38,9 +39,9 @@ class SessionRecord:
 class ServerRegistration:
     """One gameplay, written as one sessions.jsonl line by `to_dict`: a
     registered gameplay server, its management flow and the UDP flows that
-    joined it (`flows`, each with its `FlowState.role`), the QoE `rows` the
-    analyzer gives it, and the `platform_session` it took its platform and
-    setup from, if any."""
+    joined it (`flows`, each with its `FlowState.role`), the latency tracker
+    its management flow feeds, the QoE `rows` the analyzer gives it, and the
+    `platform_session` it took its platform and setup from, if any."""
 
     client_ip: bytes  # packed, as in FlowKey
     server_ip: bytes
@@ -53,6 +54,7 @@ class ServerRegistration:
     ip_mismatch_warning: bool = False
     platform_session: Optional[SessionRecord] = None
     flows: list = field(default_factory=list)  # FlowState: the mgmt flow, then each UDP flow that joined
+    latency: LatencyTracker = field(default_factory=LatencyTracker)
     rows: list = field(default_factory=list)  # qoe.csv cells but session_id, per whole window of its video flow
 
     def to_dict(self) -> dict:

@@ -10,7 +10,7 @@ from .packets import TCP_FIN, TCP_RST, UDP, ip_text
 
 if TYPE_CHECKING:
     from .detector import ServerRegistration
-    from .qoe import FrameRateTracker, LatencyTracker
+    from .qoe import FrameRateTracker
     from .tls import SniReassembler
 
 # volumetric window length, also the QoE grid step; a whole number of
@@ -70,7 +70,6 @@ class FlowState:
     closed: bool = False  # a TCP packet of the flow carried FIN or RST
     # analyzer state, dropped with the flow when it is evicted or expires
     reasm: Optional[SniReassembler] = None  # a TCP flow's one ClientHello reassembly, gone once it finishes
-    latency: Optional[LatencyTracker] = None  # on a registered management flow
     # (os, setup_class) once a signature matched; () once none can, which is
     # known at a TCP flow's first data when no signature names its port
     signature: Optional[tuple] = None

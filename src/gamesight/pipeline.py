@@ -19,7 +19,7 @@ from .codebook import ServiceCodebook, default_codebooks
 from .detector import ServerRegistration, SessionDetector
 from .flows import WINDOW_S, FlowState, FlowTable
 from .packets import TCP_SYN, UDP, CaptureStats, read_capture
-from .qoe import FrameRateTracker, LatencyTracker, gameplay_rows
+from .qoe import FrameRateTracker, gameplay_rows
 from .tls import SniReassembler
 
 
@@ -80,19 +80,23 @@ class Analyzer:
         reassembly and setup signatures on TCP."""
         ts, _, _, _, _, proto, payload_len, _, _, flags, payload = pkt
         if proto == UDP:
-            if flow.total_pkts == 1:
-                self._join(flow)
-            # an unjoined flow waits for an adoption, which the tick bounds;
+            if flow.total_pkts == 1:  # a new flow joins the first gameplay it starts
+                for reg in self.detector.registrations.values():
+                    if starts_gameplay(flow, reg):
+                        self._join(flow, reg)
+                        break
+                else:  # or waits for an adoption, which the tick bounds
+                    self._unjoined.append(flow)
             # once decided, a flow holds nothing, and `_feed` feeds a video one's tracker
             if flow.gameplay is not None and flow.role is None:
-                if flow.down and flow.held is not None:  # upstream never feeds the frame detector
+                if flow.down:  # upstream never feeds the frame detector
                     flow.held.append((payload_len, ts))  # held until the role is known
                 if int(ts // WINDOW_S) - int(flow.first_ts // WINDOW_S) >= CLASSIFY_WINDOWS:
                     self._decide(flow)  # the windows that classify the flow have closed
             return
 
-        if flow.latency is not None:
-            flow.latency.feed(pkt, flow.down)
+        if flow.gameplay is not None:  # the management flow of a gameplay
+            flow.gameplay.latency.feed(pkt, flow.down)
         if payload_len == 0:
             return
 
@@ -128,17 +132,12 @@ class Analyzer:
                     sizes.append(payload_len)
             self._try_signature(flow, pkt)
 
-    def _join(self, flow) -> None:
-        """A new UDP flow joins the first registration whose gameplay it starts,
-        and holds its downstream packets in `held` until its role is known.
-        A flow that joins none waits in `_unjoined` for a registration to adopt it."""
-        for reg in self.detector.registrations.values():
-            if starts_gameplay(flow, reg):
-                flow.gameplay = reg
-                flow.held = []
-                reg.flows.append(flow)
-                return
-        self._unjoined.append(flow)
+    def _join(self, flow, reg) -> None:
+        """The one way a UDP flow joins a gameplay, at its first packet or by
+        an adoption: it holds its downstream packets in `held` until its
+        role is decided."""
+        flow.gameplay, flow.held = reg, []
+        reg.flows.append(flow)
 
     def _tick(self, now: float) -> None:
         """The one capture-time tick, where all time-driven work runs: the
@@ -152,7 +151,7 @@ class Analyzer:
            drop their windows, which only an adoption could read. So in a
            capture in time order, an unjoined flow keeps its windows for at
            most `MGMT_WINDOW_S + SWEEP_S` of capture time.
-        3. Each registration's latency tracker drops the upstream packets
+        3. Each gameplay's latency tracker drops the upstream packets
            unacknowledged since more than `PENDING_EXPIRY_S` before `now`,
            so a pending pair lives at most `PENDING_EXPIRY_S + SWEEP_S`.
 
@@ -165,41 +164,39 @@ class Analyzer:
             if flow.gameplay is None:
                 flow.drop_windows()
         for reg in self.detector.registrations.values():
-            reg.flows[0].latency.expire(now)
+            reg.latency.expire(now)
 
     def _registered(self, reg: Optional[ServerRegistration], mgmt_flow, pkt: tuple) -> None:
-        """Give a new registration (None: refused) its management flow, with a
-        latency tracker the registering packet starts, and adopt the UDP flows
-        already in the table that start its gameplay (out of time order, they
-        came before the registering packet); having missed packets, they get no
-        QoE. Marked with the registration, none of these flows expires. A flow
-        that has dropped its windows (at a `_tick`) cannot be classified: it
-        is counted in `unadopted` instead."""
+        """Give a new registration (None: refused) its management flow, which
+        feeds the gameplay's latency tracker from the registering packet on,
+        and adopt the UDP flows already in the table that start its gameplay
+        (out of time order, they came before the registering packet). An
+        adopted flow joins as a new one does (`_join`), and is measured from
+        its adoption on. Marked with the registration, none of these flows
+        expires. A flow that has dropped its windows (at a `_tick`) cannot be
+        classified: it is counted in `unadopted` instead."""
         if reg is None:
             return
         mgmt_flow.gameplay = reg
         mgmt_flow.role = ROLE_MGMT
-        mgmt_flow.latency = LatencyTracker()
-        mgmt_flow.latency.feed(pkt, mgmt_flow.down)
         reg.flows.append(mgmt_flow)
+        reg.latency.feed(pkt, mgmt_flow.down)
         for flow in self.table.flows.values():
             if flow.gameplay is None and flow.key.proto == UDP and starts_gameplay(flow, reg):
                 if flow.windows is None:
                     self.unadopted += 1
                 else:
-                    flow.gameplay = reg
-                    reg.flows.append(flow)
+                    self._join(flow, reg)
 
     def _decide(self, flow) -> None:
         """Role of a joined flow from its first closed windows, decided once;
         only a video flow keeps its windows, and gets a frame-rate tracker
-        that first takes the packets the flow held. An adopted flow held
-        none and gets no tracker."""
+        that first takes the packets the flow held."""
         flow.role = classify_flow(flow, self.table.window_series(flow, CLASSIFY_WINDOWS), flow.gameplay)
         held, flow.held = flow.held, None
         if flow.role not in VIDEO_ROLES:
             flow.drop_windows()  # only the video flow's windows feed QoE
-        elif held is not None:
+        else:
             frames = flow.frames = FrameRateTracker()
             for payload_len, ts in held:
                 frames.feed(payload_len, ts)
@@ -241,7 +238,7 @@ class Analyzer:
         latency_unreported = 0
 
         for reg in gameplays:
-            latency = reg.flows[0].latency
+            latency = reg.latency
             negative_latency += latency.negative_discarded
             video = None
             for flow in reg.flows:

@@ -170,11 +170,10 @@ def gameplay_rows(latency: LatencyTracker, video: Optional[FlowState]) -> tuple[
     `session_id`, rounded as they are written. The frame rate comes from the
     flow's frame-rate tracker, the bitrate and trailing peak from the flow's
     own windows, and the latency from the samples that arrived in the
-    window. There are none without a video flow (None), nor for an adopted
-    one, which has no tracker. Also returns how many latency samples no row
-    reports: those in a window without a row, or all of them when there are
-    no rows."""
-    if video is None or video.frames is None:
+    window. There are none without a video flow (None). Also returns how
+    many latency samples no row reports: those in a window without a row,
+    or all of them when there are no rows."""
+    if video is None:
         return [], latency.count
     windows = video.windows
     reported = 0

@@ -8,11 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 from gamesight import cli, packets
-from gamesight.classify import ROLE_MGMT
+from gamesight.classify import ROLE_MGMT, VIDEO_ROLES
 from gamesight.flows import WINDOW_S
 from gamesight.packets import PacketRecord, TCP, UDP
 from gamesight.pipeline import Analyzer
-from gamesight.qoe import LatencyTracker
+from gamesight.qoe import FrameRateTracker, LatencyTracker
 from gamesight.synth import gen_session
 
 
@@ -121,10 +121,12 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     the registrations in registration order, with ids s1, s2, ... in that
     order; the detector's platform sessions have ids p1, p2, ... in the
     order they were opened, and `platform_sessions` counts them; each
-    gameplay's platform session, if any, is one of them, of its client; its
-    first flow is its management flow, with a latency tracker; each of its
-    flows points back to it; its rows' windows strictly increase; and all
-    rows together are the `qoe_samples` that `analyze` printed. Beside them,
+    gameplay's platform session, if any, is one of them, of its client; it
+    has a latency tracker; its first flow is its management flow; each of
+    its flows points back to it, holds no packets once its role is decided,
+    and has a frame-rate tracker if its role is a video one; its rows'
+    windows strictly increase; and all rows together are the `qoe_samples`
+    that `analyze` printed. Beside them,
     the analyzer holds only state an output can read: every pattern a
     detector client holds a time for is a codebook pattern, and no UDP flow
     that joined nothing and has left the queue of flows a registration
@@ -138,8 +140,10 @@ def check_gameplays(analyzer, report, qoe_samples: int) -> None:
     for reg in regs:
         session = reg.platform_session
         assert session is None or (any(session is s for s in sessions) and session.client_ip == reg.client_ip)
-        assert reg.flows[0].role == ROLE_MGMT and isinstance(reg.flows[0].latency, LatencyTracker)
+        assert isinstance(reg.latency, LatencyTracker) and reg.flows[0].role == ROLE_MGMT
         assert all(flow.gameplay is reg for flow in reg.flows)
+        assert all(flow.held is None for flow in reg.flows if flow.role is not None)
+        assert all(isinstance(flow.frames, FrameRateTracker) for flow in reg.flows if flow.role in VIDEO_ROLES)
         windows = [int(row["ts"] // WINDOW_S) for row in reg.rows]
         assert all(a < b for a, b in zip(windows, windows[1:]))
     assert sum(len(reg.rows) for reg in regs) == qoe_samples

@@ -266,6 +266,26 @@ def test_out_naming_a_file_exit_1(tmp_path):
     assert taken.read_text() == ""
 
 
+def test_codebook_that_cannot_be_read_exit_1(tmp_path):
+    # read before any capture: a missing one would exit 2
+    res = _run(["analyze", "--pcap", str(tmp_path / "nope.pcap"), "--codebook", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["cannot read codebook %s: Is a directory" % tmp_path]
+
+
+def test_analyze_output_that_cannot_be_written_exit_1(tmp_path):
+    path = str(tmp_path / "empty.pcap")
+    pcap.write_capture([], path)
+    out = tmp_path / "o"
+    (out / "sessions.jsonl").mkdir(parents=True)
+    res = _run(["analyze", "--pcap", path, "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("cannot write to %s: " % out) and "Is a directory" in line
+
+
 @pytest.mark.parametrize("nets", ["10.0.0.0/33", "10.0.0.1/8", "nonsense"])
 def test_malformed_client_nets_exit_1(tmp_path, nets):
     # refused before the output directory is made and any capture is read
@@ -289,6 +309,15 @@ def test_report_missing_input_exit_1(tmp_path, option):
     assert res.stdout == ""
     (line,) = res.stderr.splitlines()
     assert line.startswith("cannot read %s: " % missing)
+
+
+def test_report_output_that_cannot_be_written_exit_1(tmp_path):
+    qoe = str(tmp_path / "qoe.csv")
+    write_qoe_csv(qoe, [])
+    res = _run(["report", "--in", qoe, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["cannot write %s: Is a directory" % tmp_path]
 
 
 def test_report_truth_needs_sessions_exit_1(tmp_path):
@@ -574,6 +603,16 @@ def test_generate_invalid_bitrate_exit_1(tmp_path):
         ]
     )
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("out, reason", [("nodir/x.pcap", "No such file or directory"), (".", "Is a directory")])
+def test_generate_output_that_cannot_be_written_exit_1(tmp_path, out, reason):
+    path = str(tmp_path / out)
+    res = _run(["generate", "--profile", "gfn-desktop", "--fps", "60", "--resolution", "hd", "--duration", "1", "--out", path])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("cannot write ") and line.endswith(": " + reason)
 
 
 @pytest.mark.parametrize(

@@ -223,7 +223,7 @@ def test_address_text_is_made_per_flow_not_per_packet(tmp_path, monkeypatch, cli
 def test_latency_samples_without_a_row_are_counted(tmp_path):
     analyzer, report = _analyze_console(tmp_path)
     (reg,) = analyzer.detector.registrations.values()
-    latency = reg.flows[0].latency
+    latency = reg.latency
     assert latency.count == sum(map(len, latency.windows.values()))
     windows = {int(row["ts"] // WINDOW_S) for row in reg.rows}
     averaged = sum(len(v) for idx, v in latency.windows.items() if idx in windows)

@@ -202,43 +202,91 @@ def test_two_clients_of_one_gameplay_server_keep_their_own_flows(tmp_path):
     assert alone["192.0.2.10"] != alone["192.0.2.11"]
 
 
-def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path):
-    """The registering ClientHello comes later in the file than the first
-    gameplay packet, with the same timestamp: that flow is still listed
-    with its role, but it has missed packets and gives the session no QoE."""
-    records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
-    video = next((f["client_port"], f["server_port"]) for f in manifest.data["flows"] if f["role"] == "down_video")
+SETUPS = [
+    ("gfn", "desktop_app"),
+    ("gfn", "mobile_app"),
+    ("gfn", "browser"),
+    ("xbox", "hardware_console"),
+    ("xbox", "pc_browser"),
+    ("xbox", "mobile_browser"),
+]
 
-    def ports(frame):  # (source, destination) of an IPv4 frame
-        return int.from_bytes(frame[20:22], "big"), int.from_bytes(frame[22:24], "big")
 
-    hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and ports(f)[1] == 322 and len(f) > 500)
-    first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
-    assert ports(records[first_udp][1])[::-1] == video  # video flows downstream
-    moved = records[:hello] + records[hello + 1 : first_udp + 1]
-    moved += [(records[first_udp][0], records[hello][1])] + records[first_udp + 1 :]
-    path = str(tmp_path / "late.pcap")
-    pcap.write_capture(moved, path)
+def _gameplay_rows(tmp_path, name, records, manifest):
+    """The rows of the one gameplay `analyze` finds in `records`, once every
+    flow role is checked against the manifest."""
+    path = str(tmp_path / name)
+    pcap.write_capture(records, path)
     report = _analyze(path)
-
     (written,), _ = capture_outputs(report, path)
     assert role_errors(written["gameplay_flows"], manifest.data["flows"]) == {}
-    assert report.gameplays[0].rows == []
+    (reg,) = report.gameplays
+    return reg.rows
+
+
+def _hello_after_udp(records, count, same_ts):
+    """`records` with the registering ClientHello (the first long TCP packet
+    to a management port) moved to just after the `count`-th UDP packet
+    that follows it, and that packet's frame. The ClientHello keeps its own
+    timestamp, or with `same_ts` takes that packet's."""
+    mgmt_ports = {(322).to_bytes(2, "big"), (49100).to_bytes(2, "big")}
+    hello = next(i for i, (_, f) in enumerate(records) if f[9] == TCP and f[22:24] in mgmt_ports and len(f) > 500)
+    at = [i for i in range(hello, len(records)) if records[i][1][9] == UDP][count - 1]
+    ts = records[at][0] if same_ts else records[hello][0]
+    return records[:hello] + records[hello + 1 : at + 1] + [(ts, records[hello][1])] + records[at + 1 :], records[at][1]
+
+
+@pytest.mark.parametrize("platform, setup", SETUPS)
+def test_registering_packet_after_a_gameplay_flows_first_packet(tmp_path, platform, setup):
+    """The registering ClientHello comes later in the file than the first
+    gameplay packet, with the same timestamp. The registration adopts that
+    packet's flow, which joins as a new flow does: every flow gets its
+    role, and the gameplay the in-order capture's rows."""
+    records, manifest = gen_session(SessionProfile(platform=platform, setup=setup, duration_s=6.0, seed=7))
+    rows = _gameplay_rows(tmp_path, "in_order.pcap", records, manifest)
+    assert len(rows) == 5
+    moved, frame = _hello_after_udp(records, 1, same_ts=True)
+    server_port = int.from_bytes(frame[20:22], "big")  # its source: the packet goes downstream
+    (role,) = [f["role"] for f in manifest.data["flows"] if f["proto"] == "UDP" and f["server_port"] == server_port]
+    assert role in VIDEO_ROLES  # the adopted flow is the one that gives the rows
+    assert _gameplay_rows(tmp_path, "late.pcap", moved, manifest) == rows
+
+
+@pytest.mark.parametrize(
+    "count, base_ts, lost",
+    [(1, 1_700_000_000.0, 0), (100, 1_700_000_000.0, 0), (1000, 1_700_000_000.0, 0), (1000, 1_700_000_000.3, 1)],
+)
+def test_an_adopted_flow_is_measured_from_its_adoption_on(tmp_path, count, base_ts, lost):
+    """The registering ClientHello keeps its timestamp but comes after the
+    first `count` gameplay UDP packets in the file (1,000 span 0.34 s, less
+    than the management window). The flows those packets started are
+    adopted, and the video flow's frame rate counts from the adoption on.
+    With the capture starting on a whole second, the adoption falls in the
+    video flow's first window, which gives no row anyway, so the gameplay
+    has the in-order capture's rows. Started 0.3 s later, the 1,000th packet
+    lies in the video flow's second window, whose row alone is lost."""
+    profile = SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7, base_ts=base_ts)
+    records, manifest = gen_session(profile)
+    rows = _gameplay_rows(tmp_path, "in_order.pcap", records, manifest)
+    moved, _ = _hello_after_udp(records, count, same_ts=False)
+    assert _gameplay_rows(tmp_path, "late.pcap", moved, manifest) == rows[lost:]
 
 
 @pytest.mark.parametrize("late", [False, True])
 def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp_path, late):
     """The registering ClientHello keeps its timestamp, before the gameplay
     flows start, but comes later in the file. Right after the first
-    gameplay packet, it adopts that packet's flow, the video flow, with its
-    role and no QoE. Once a tick has run more than `MGMT_WINDOW_S` after
-    that packet, the video flow has dropped its windows: it is not adopted,
-    and `unadopted_flows` counts it. The other flows started later, within
-    `MGMT_WINDOW_S` of that tick, and are still adopted. A packet of another
-    flow, first in the file, times the ticks so that one runs on the first
-    gameplay packet past `MGMT_WINDOW_S`: without it, the first tick after
-    that comes once the management flow has sent more data, and the moved
-    ClientHello no longer registers anything."""
+    gameplay packet, it adopts that packet's flow, the video flow, which
+    joins as a new flow does: the gameplay has the in-order capture's
+    rows. Once a tick has run more than `MGMT_WINDOW_S` after that packet,
+    the video flow has dropped its windows: it is not adopted,
+    `unadopted_flows` counts it, and the gameplay has no rows. The other
+    flows started later, within `MGMT_WINDOW_S` of that tick, and are still
+    adopted. A packet of another flow, first in the file, times the ticks
+    so that one runs on the first gameplay packet past `MGMT_WINDOW_S`:
+    without it, the first tick after that comes once the management flow
+    has sent more data, and the moved ClientHello no longer registers
+    anything."""
     records, manifest = gen_session(SessionProfile(platform="gfn", setup="desktop_app", duration_s=6.0, seed=7))
     hello = next(i for i, (_, f) in enumerate(records) if f[9] == 6 and f[22:24] == (322).to_bytes(2, "big") and len(f) > 500)
     first_udp = next(i for i in range(hello, len(records)) if records[i][1][9] == UDP)
@@ -259,10 +307,11 @@ def test_a_registering_packet_late_in_the_file_adopts_the_flows_it_still_can(tmp
     if late:  # only the video flow is missing
         assert list(errors.values()) == [(None, "down_video")]
         assert report.counters["unadopted_flows"] == 1
+        assert reg.rows == []
     else:
         assert errors == {}
         assert report.counters["unadopted_flows"] == 0
-    assert reg.rows == []
+        assert reg.rows == _gameplay_rows(tmp_path, "in_order.pcap", records, manifest)
 
 
 @pytest.mark.parametrize("platform", [False, True])

@@ -83,7 +83,7 @@ def test_negative_delta_discarded():
 
 def _registered():
     """An analyzer whose one gameplay its management flow's ClientHello
-    registered at 0.0, and that flow's latency tracker, where the
+    registered at 0.0, and the gameplay's latency tracker, where the
     registering packet waits for its ack (1 + its length). The packet ran
     the first tick, so the next runs on the first packet at `SWEEP_S` or
     later."""
@@ -91,8 +91,8 @@ def _registered():
     hello = build_client_hello("203-0-113-7.pnt.nvidiagrid.net")
     analyzer._feed([tcp_record(0.0, CLIENT, 51000, SERVER, 322, len(hello), seq=1, payload=hello)])
     (reg,) = analyzer.detector.registrations.values()
-    assert reg.flows[0].latency.pending == {1 + len(hello): 0.0}
-    return analyzer, reg.flows[0].latency
+    assert reg.latency.pending == {1 + len(hello): 0.0}
+    return analyzer, reg.latency
 
 
 def test_pending_expiry():

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from gamesight.packets import CaptureStats
+from gamesight.pipeline import Analyzer
 from gamesight.qoe import WARMUP_INTERVALS
 from gamesight.report import (
     QOE_SCHEMA,
@@ -131,6 +133,13 @@ def test_readme_names_the_output_schemas():
     section = readme.split("\n## Output schemas\n", 1)[1].split("\n## ", 1)[0]
     assert '{"schema": "%s"}' % SESSIONS_SCHEMA in section
     assert "# schema=%s" % QOE_SCHEMA in section
+
+
+def test_readme_names_every_analyze_counter():
+    # a counter `analyze` prints that the README leaves unnamed fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    counters = Analyzer()._finalize(CaptureStats()).counters
+    assert [key for key in counters if "`%s`" % key not in readme] == []
 
 
 def test_percentile_nearest_rank():
